@@ -6,14 +6,16 @@ The "tape" is the implicit operation graph: every op returns a
 topological order and accumulates gradients into the ``requires_grad``
 leaves. A graph can be backpropagated through only once.
 
-Quaternion operations (``qmul``, ``qrotate``, ``qnormalize``) are composite
-primitives with hand-written backward rules, since forward kinematics
-backpropagates through long chains of them.
+The quaternion operations ``qmul`` and ``qnormalize`` have hand-written
+backward rules over the :mod:`rotmath` kernels. Forward kinematics is a
+single node with its own adjoint (``kinematics.forward_kinematics_tensor``).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import rotmath as rm
 
 EPS_NORM = 1e-12
 
@@ -384,68 +386,20 @@ def l2norm(a, axis: int = -1, keepdims: bool = False) -> Tensor:
 # -- quaternion primitives ----------------------------------------------------
 
 
-def _qmul_np(a, b):
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
-
-
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-
-
-def qconj(a) -> Tensor:
-    a = as_tensor(a)
-    return _make(a.data * _CONJ, (a,), (lambda g: g * _CONJ,))
-
-
 def qmul(a, b) -> Tensor:
     """Batched Hamilton product on ``(..., 4)`` arrays.
 
     Backward uses the adjoint identities grad_a = g x b*, grad_b = a* x g.
     """
     a, b = as_tensor(a), as_tensor(b)
-    data = _qmul_np(a.data, b.data)
     return _make(
-        data,
+        rm.qmul(a.data, b.data),
         (a, b),
         (
-            lambda g: _unbroadcast(_qmul_np(g, b.data * _CONJ), a.data.shape),
-            lambda g: _unbroadcast(_qmul_np(a.data * _CONJ, g), b.data.shape),
+            lambda g: _unbroadcast(rm.qmul(g, rm.qconj(b.data)), a.data.shape),
+            lambda g: _unbroadcast(rm.qmul(rm.qconj(a.data), g), b.data.shape),
         ),
     )
-
-
-def _qrotate_np(q, v):
-    """Vector part of q (0,v) q*; scales by |q|^2 for non-unit q."""
-    p = np.concatenate([np.zeros(v.shape[:-1] + (1,)), v], axis=-1)
-    return _qmul_np(_qmul_np(q, p), q * _CONJ)[..., 1:]
-
-
-def qrotate(q, v) -> Tensor:
-    """Rotate 3-vectors by quaternions: vector part of q (0,v) q*."""
-    q, v = as_tensor(q), as_tensor(v)
-    data = _qrotate_np(q.data, v.data)
-
-    def grad_q(g):
-        zeros = np.zeros(np.broadcast_shapes(g.shape[:-1], v.data.shape[:-1]) + (1,))
-        g4 = np.concatenate([np.broadcast_to(zeros, zeros.shape), g], axis=-1)
-        p4 = np.concatenate([np.zeros(v.data.shape[:-1] + (1,)), v.data], axis=-1)
-        term1 = _qmul_np(_qmul_np(g4, q.data), p4 * _CONJ)
-        term2 = (_qmul_np(_qmul_np(p4 * _CONJ, q.data * _CONJ), g4)) * _CONJ
-        return _unbroadcast(term1 + term2, q.data.shape)
-
-    def grad_v(g):
-        return _unbroadcast(_qrotate_np(q.data * _CONJ, g), v.data.shape)
-
-    return _make(data, (q, v), (grad_q, grad_v))
 
 
 def qnormalize(q) -> Tensor:

@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -146,7 +147,7 @@ def cmd_train_pose(args) -> int:
 
     resume = None
     if args.resume:
-        ck = mo.load_checkpoint(args.resume)
+        ck = _load_checkpoint(args.resume, "pose")
         resume = tr.resume_state(ck)
         config = resume["train_config"]
         net = mo.pose_network_from_checkpoint(
@@ -207,16 +208,24 @@ def cmd_train_pace(args) -> int:
     except NumericalError as e:
         raise CliError(f"training aborted: {e}", EXIT_NUMERIC)
     ck = os.path.join(args.out, "pace.ckpt")
-    mo.save_checkpoint(ck, "pace", {"variant": variant}, net.param_arrays(),
+    mo.save_checkpoint(ck, "pace", asdict(net.config), net.param_arrays(),
                        {"train_config": vars(config)})
     print(f"checkpoint -> {ck}")
     return EXIT_OK
 
 
+def _load_checkpoint(path, kind: str) -> dict:
+    try:
+        ck = mo.load_checkpoint(path)
+    except ValueError as e:
+        raise CliError(str(e), EXIT_DATA)
+    if ck["kind"] != kind:
+        raise CliError(f"{path}: not a {kind} checkpoint", EXIT_USAGE)
+    return ck
+
+
 def _load_pose_net(path) -> mo.PoseNetwork:
-    ck = mo.load_checkpoint(path)
-    if ck["kind"] != "pose":
-        raise CliError(f"{path}: not a pose checkpoint", EXIT_USAGE)
+    ck = _load_checkpoint(path, "pose")
     ck["arrays"] = {k: v for k, v in ck["arrays"].items()
                     if not k.startswith("adam.")}
     return mo.pose_network_from_checkpoint(ck)
@@ -259,10 +268,8 @@ def cmd_predict(args) -> int:
 def cmd_generate(args) -> int:
     write_manifest(args.out, args, args.seed)
     pose_net = _load_pose_net(args.pose_checkpoint)
-    pace_ck = mo.load_checkpoint(args.pace_checkpoint)
     pace_net = mo.pace_network_from_checkpoint(
-        {"config": {"variant": pace_ck["config"].get("variant", "bidirectional")},
-         "arrays": pace_ck["arrays"]})
+        _load_checkpoint(args.pace_checkpoint, "pace"))
     init = _load_clips(args.init_clip)[0]
     waypoints = np.loadtxt(args.spline, delimiter=",", ndmin=2)
     try:

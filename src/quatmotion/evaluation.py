@@ -21,8 +21,8 @@ from .autodiff import Tensor
 from .kinematics import (Skeleton, forward_kinematics, ik_reproject,
                          per_frame_velocity_error, position_error,
                          velocity_error)
-from .models import (PoseNetwork, PoseNetworkConfig, _gru_step, _init_gru,
-                     _init_linear, _linear)
+from .models import (ParamContainer, PoseNetwork, PoseNetworkConfig, _gru_step,
+                     _init_gru, _init_linear, _linear)
 from .optim import AdamState, adam_step
 from .training import (TrainConfig, euler_error, free_run_predict, train_pose,
                        validate_pose)
@@ -256,7 +256,7 @@ def compare_parameterizations(clips, skel: Skeleton, config: TrainConfig,
 
 # -- position-output model (for the regression comparison) --------------------------
 
-class PositionNetwork:
+class PositionNetwork(ParamContainer):
     """Recurrent regressor that predicts next-frame joint positions
     directly, the rotation-free alternative in the output-space
     comparison. Input and output are root-relative positions of all
@@ -276,16 +276,6 @@ class PositionNetwork:
             i = hidden
         _init_linear(rng, "head", hidden, dim, params)
         self.params = params
-
-    def param_arrays(self) -> dict:
-        return {k: v.data for k, v in self.params.items()}
-
-    def grads(self) -> dict:
-        return {k: v.grad for k, v in self.params.items() if v.grad is not None}
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
 
     def init_state(self, batch: int) -> list:
         return [self.params[f"gru{layer}.h0"] + ad.zeros((batch, self.hidden))

@@ -7,6 +7,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .kinematics import forward_kinematics_tensor
+from .motiondata import synth_skeleton
 
 EPS = 1e-5
 TOL = 1e-5
@@ -48,6 +50,13 @@ def _op_cases(rng: np.random.Generator) -> list:
     q = rng.normal(size=(3, 4))
     q /= np.linalg.norm(q, axis=-1, keepdims=True)
     v = rng.normal(size=(3, 3))
+    skel = synth_skeleton(2)
+    # unit poses; the finite differences step off the unit sphere, where
+    # the FK adjoint must be exact too
+    pose = rng.normal(size=(2, skel.num_active, 4))
+    pose /= np.linalg.norm(pose, axis=-1, keepdims=True)
+    w_pos = rng.normal(size=(2, skel.num_joints, 3))
+    root = rng.normal(size=(2, 3))
     m = rng.normal(size=(4, 5))
     w52 = rng.normal(size=(5, 2))
     x5 = rng.normal(size=(5,))
@@ -63,7 +72,8 @@ def _op_cases(rng: np.random.Generator) -> list:
         ("qnormalize", lambda t: ad.tsum(ad.qnormalize(t) * Tensor(w34)),
          q + 0.1 * rng.normal(size=(3, 4))),
         ("qmul", lambda t: ad.tsum(ad.qmul(t, Tensor(q))), q.copy()),
-        ("qrotate", lambda t: ad.tsum(ad.qrotate(Tensor(q), t)), v.copy()),
+        ("forward_kinematics",
+         lambda t: ad.tsum(forward_kinematics_tensor(skel, t, root) * Tensor(w_pos)), pose),
         ("getitem_scatter",
          lambda t: ad.tsum(ad.square(t[..., np.array([0, 2, 0]), :])),
          rng.normal(size=(2, 3, 4))),
@@ -77,9 +87,7 @@ def _op_cases(rng: np.random.Generator) -> list:
 
 def _network_cases(rng: np.random.Generator) -> list:
     from .models import PoseNetwork, PoseNetworkConfig
-    from .kinematics import Skeleton
     from .training import TrainConfig, scheduled_sampling_rollout
-    from .motiondata import synth_skeleton
 
     skel = synth_skeleton(2)
     a = skel.num_active

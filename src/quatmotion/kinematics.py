@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .optim import AdamState, adam_step
-from .rotmath import InvalidRotationError, qmul, _rotate_vector_unchecked
+from .rotmath import InvalidRotationError, qconj, qmul, _cross, _rotate_vector_unchecked
 
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -99,12 +99,6 @@ class Skeleton:
 
 
 @dataclass
-class Pose:
-    root_position: np.ndarray
-    joint_rotations: np.ndarray  # (num_active, 4)
-
-
-@dataclass
 class IkConfig:
     step_size: float = 1e-2
     tol: float = 1e-8
@@ -129,6 +123,22 @@ def _expand_active(skel: Skeleton, rotations: np.ndarray) -> np.ndarray:
     return full
 
 
+def _fk(skel: Skeleton, full: np.ndarray, root) -> tuple:
+    """The tree loop shared by both FKs: world rotations ``(..., J, 4)`` and
+    positions ``(..., J, 3)`` from all-joint local rotations, unchecked."""
+    parents = skel.parents
+    world_q = np.empty_like(full)
+    world_q[..., 0, :] = full[..., 0, :]
+    for j in range(1, skel.num_joints):
+        world_q[..., j, :] = qmul(world_q[..., parents[j], :], full[..., j, :])
+    bones = _rotate_vector_unchecked(world_q[..., parents[1:], :], skel.offsets[1:])
+    positions = np.empty(full.shape[:-2] + (skel.num_joints, 3))
+    positions[..., 0, :] = root
+    for j in range(1, skel.num_joints):
+        positions[..., j, :] = positions[..., parents[j], :] + bones[..., j - 1, :]
+    return world_q, positions
+
+
 def forward_kinematics(skel: Skeleton, rotations: np.ndarray,
                        root_position: np.ndarray | float = 0.0) -> np.ndarray:
     """World joint positions from active-joint rotations ``(..., A, 4)``.
@@ -140,46 +150,46 @@ def forward_kinematics(skel: Skeleton, rotations: np.ndarray,
     norms = np.linalg.norm(rotations, axis=-1)
     if np.any(np.abs(norms - 1.0) > 1e-6):
         raise InvalidRotationError("forward_kinematics requires unit rotations")
-    full = _expand_active(skel, rotations)
-    lead = full.shape[:-2]
-    world_q = np.empty_like(full)
-    positions = np.empty(lead + (skel.num_joints, 3))
-    root = np.broadcast_to(np.asarray(root_position, dtype=float), lead + (3,))
-    world_q[..., 0, :] = full[..., 0, :]
-    positions[..., 0, :] = root
-    for j in range(1, skel.num_joints):
-        p = skel.parents[j]
-        pq = world_q[..., p, :]
-        world_q[..., j, :] = qmul(pq, full[..., j, :])
-        positions[..., j, :] = positions[..., p, :] + _rotate_vector_unchecked(pq, skel.offsets[j])
-    return positions
+    return _fk(skel, _expand_active(skel, rotations), root_position)[1]
 
 
 def forward_kinematics_tensor(skel: Skeleton, rotations: Tensor,
                               root_position=0.0) -> Tensor:
-    """Differentiable FK over autodiff tensors; mirrors forward_kinematics."""
-    lead = rotations.shape[:-2]
-    if rotations.shape[-2] != skel.num_active:
-        raise ValueError(
-            f"expected rotations for {skel.num_active} active joints, got {rotations.shape[-2]}"
-        )
-    active = {int(j): i for i, j in enumerate(skel.active_indices)}
-    root = Tensor(np.broadcast_to(np.asarray(root_position, dtype=float), lead + (3,)))
+    """Differentiable FK: one tape node over the numpy tree loop.
 
-    def local_q(j: int):
-        if j in active:
-            return rotations[..., active[j], :]
-        return Tensor(np.broadcast_to(skel.constant_rotations[j], lead + (4,)))
+    Rotations need not be unit: each bone is rotated by the same formula
+    ``v + 2w(u x v) + 2u x (u x v)`` as in :func:`forward_kinematics` (for
+    non-unit q this differs from the sandwich product q (0,v) q*, which
+    scales the bone by |q|^2), and the adjoint is exact for any quaternion.
+    Every library caller normalizes first, so this only shows in gradient
+    checks.
+    """
+    full = _expand_active(skel, rotations.data)
+    world_q, positions = _fk(skel, full, root_position)
 
-    world_q: list = [local_q(0)]
-    positions: list = [root]
-    for j in range(1, skel.num_joints):
-        p = skel.parents[j]
-        pq = world_q[p]
-        world_q.append(ad.qmul(pq, local_q(j)))
-        offset = Tensor(np.broadcast_to(skel.offsets[j], lead + (3,)))
-        positions.append(ad.add(positions[p], ad.qrotate(pq, offset)))
-    return ad.stack(positions, axis=-2)
+    def grad(g):
+        parents = skel.parents
+        gp = g.copy()
+        for j in range(skel.num_joints - 1, 0, -1):
+            gp[..., parents[j], :] += gp[..., j, :]
+        # adjoint of every bone rotation v + 2w(u x v) + 2u x (u x v), where
+        # (w, u) is the parent's world rotation
+        parent_q = world_q[..., parents[1:], :]
+        w, u, v, gb = parent_q[..., :1], parent_q[..., 1:], skel.offsets[1:], gp[..., 1:, :]
+        dot = lambda x, y: np.sum(x * y, axis=-1, keepdims=True)
+        g_bone = 2.0 * np.concatenate(
+            [dot(gb, _cross(u, v)),
+             w * _cross(v, gb) + gb * dot(u, v) + v * dot(gb, u) - 2.0 * u * dot(gb, v)],
+            axis=-1)
+        # adjoint of world_q[j] = world_q[parent] (x) full[j], leaves first
+        gq = np.zeros_like(world_q)
+        for j in range(skel.num_joints - 1, 0, -1):
+            gq[..., parents[j], :] += (g_bone[..., j - 1, :]
+                                       + qmul(gq[..., j, :], qconj(full[..., j, :])))
+        gq[..., 1:, :] = qmul(qconj(parent_q), gq[..., 1:, :])
+        return gq[..., skel.active_indices, :]
+
+    return ad._make(positions, (rotations,), (grad,))
 
 
 def position_error(pred: np.ndarray, ref: np.ndarray) -> float:

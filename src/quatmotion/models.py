@@ -12,6 +12,7 @@ passed through a small feed-forward encoder outside the recurrent path.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 
@@ -20,6 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import rotmath as rm
 from .autodiff import Tensor
+from .motiondata import MotionClip, _read_exact
 
 CHECKPOINT_MAGIC = b"QMN1"
 CHECKPOINT_VERSION = 1
@@ -215,9 +217,28 @@ def encode_controls(params: dict, controls: Tensor) -> Tensor:
     return ad.leaky_relu(_linear(params, "enc.l2", h), LEAKY_SLOPE)
 
 
+# -- parameter container ---------------------------------------------------------
+
+class ParamContainer:
+    """Base of the networks: a ``params`` dict of trainable leaf tensors,
+    exposed to the optimizer and checkpoints as plain arrays."""
+
+    params: dict
+
+    def param_arrays(self) -> dict:
+        return {k: v.data for k, v in self.params.items()}
+
+    def grads(self) -> dict:
+        return {k: v.grad for k, v in self.params.items() if v.grad is not None}
+
+    def zero_grad(self) -> None:
+        for p in self.params.values():
+            p.grad = None
+
+
 # -- pose network --------------------------------------------------------------
 
-class PoseNetwork:
+class PoseNetwork(ParamContainer):
     """Next-pose predictor over the active joints of one skeleton."""
 
     def __init__(self, config: PoseNetworkConfig, seed: int = 0, params: dict | None = None):
@@ -249,16 +270,6 @@ class PoseNetwork:
 
     def param_count(self) -> int:
         return sum(p.data.size for p in self.params.values())
-
-    def param_arrays(self) -> dict:
-        return {k: v.data for k, v in self.params.items()}
-
-    def grads(self) -> dict:
-        return {k: v.grad for k, v in self.params.items() if v.grad is not None}
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
 
     # -- recurrent path --------------------------------------------------
 
@@ -393,7 +404,7 @@ class PaceNetworkConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
 
 
-class PaceNetwork:
+class PaceNetwork(ParamContainer):
     """Maps per-segment spline curvature to (facing versor relative to the
     tangent, footstep frequency, local speed).
 
@@ -418,16 +429,6 @@ class PaceNetwork:
             head_in = 2 * config.hidden
         _init_linear(rng, "head", head_in, self.OUT_DIM, params)
         self.params = params
-
-    def param_arrays(self) -> dict:
-        return {k: v.data for k, v in self.params.items()}
-
-    def grads(self) -> dict:
-        return {k: v.grad for k, v in self.params.items() if v.grad is not None}
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
 
     def _run_gru(self, prefix: str, inputs: list) -> list:
         h = self.params[f"{prefix}.h0"] + ad.zeros((1, self.config.hidden))
@@ -480,8 +481,6 @@ def generate_locomotion(pose_net: PoseNetwork, pace_net: PaceNetwork, spline,
     frame, and the root follows the spline at the current arc position
     plus the predicted trajectory offset.
     """
-    from .motiondata import MotionClip  # deferred: motiondata imports models' peers
-
     cfg = pose_net.config
     skel = init_clip.skeleton
     if not (cfg.include_controls and cfg.include_translations):
@@ -578,20 +577,23 @@ def save_checkpoint(path, kind: str, config: dict, arrays: dict, meta: dict | No
         "arrays": [{"name": n, "shape": list(np.asarray(arrays[n]).shape)} for n in names],
     }
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
+    # write aside, then swap in: a crash mid-save keeps the previous file
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for n in names:
             fh.write(np.asarray(arrays[n], dtype=float).astype("<f8").tobytes())
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> dict:
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, path))
+        header = json.loads(_read_exact(fh, hlen, path).decode("utf-8"))
         if header["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {header['version']}")
         arrays = {}
@@ -599,7 +601,7 @@ def load_checkpoint(path) -> dict:
             shape = tuple(spec["shape"])
             count = int(np.prod(shape)) if shape else 1
             arrays[spec["name"]] = np.frombuffer(
-                fh.read(count * 8), dtype="<f8").reshape(shape).astype(float)
+                _read_exact(fh, count * 8, path), dtype="<f8").reshape(shape).astype(float)
     return {"kind": header["kind"], "config": header["config"],
             "meta": header["meta"], "arrays": arrays}
 

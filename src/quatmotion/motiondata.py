@@ -113,18 +113,26 @@ def save_clip(path, clip: MotionClip) -> None:
         fh.write(clip.rotations.astype("<f4").tobytes())
 
 
+def _read_exact(fh, size: int, path) -> bytes:
+    """Read ``size`` bytes; a file that ends first is a ValueError naming it."""
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"{path}: truncated file ({len(data)} of {size} bytes read)")
+    return data
+
+
 def load_clip(path) -> MotionClip:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != QMC_MAGIC:
             raise ValueError(f"{path}: not a motion clip file")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, path))
+        header = json.loads(_read_exact(fh, hlen, path).decode("utf-8"))
         skel = Skeleton.from_dict(header["skeleton"])
         t = header["num_frames"]
         j = skel.num_joints
-        root = np.frombuffer(fh.read(t * 3 * 4), dtype="<f4").reshape(t, 3)
-        rots = np.frombuffer(fh.read(t * j * 4 * 4), dtype="<f4").reshape(t, j, 4)
+        root = np.frombuffer(_read_exact(fh, t * 3 * 4, path), dtype="<f4").reshape(t, 3)
+        rots = np.frombuffer(_read_exact(fh, t * j * 4 * 4, path), dtype="<f4").reshape(t, j, 4)
     return MotionClip(skel, header["frame_rate"], root.astype(float),
                       rots.astype(float), header.get("subject", ""),
                       header.get("action", ""))
@@ -292,12 +300,6 @@ class TrajectorySpline:
                          self.num_segments - 1)
         frac = s - idx * self.segment_length
         return self.points[idx] + self.tangents[idx] * frac[..., None]
-
-    def tangent_at(self, s) -> np.ndarray:
-        s = np.clip(np.asarray(s, dtype=float), 0.0, self.total_length)
-        idx = np.minimum((s / self.segment_length).astype(int),
-                         self.num_segments - 1)
-        return self.tangents[idx]
 
 
 def fit_spline(root_positions: np.ndarray, segment_length: float) -> TrajectorySpline:

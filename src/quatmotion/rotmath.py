@@ -104,8 +104,16 @@ def rotate_vector(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _rotate_vector_unchecked(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     w = q[..., :1]
     u = q[..., 1:]
-    uv = np.cross(u, v)
-    return v + 2.0 * (w * uv + np.cross(u, uv))
+    uv = _cross(u, v)
+    return v + 2.0 * (w * uv + _cross(u, uv))
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of (..., 3) arrays, bit for bit, without its axis
+    bookkeeping (which dominates on the small arrays FK works with)."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 def axis_angle_quat(axis, angle) -> np.ndarray:

@@ -23,9 +23,6 @@ from .kinematics import (Skeleton, forward_kinematics, forward_kinematics_tensor
 from .models import PoseNetwork, PaceNetwork, encode_pose, save_checkpoint
 from .optim import AdamState, adam_step, clip_global_norm, global_norm
 
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
-_CYCLIC = {"xyz", "yzx", "zxy"}
-
 LR_DECAY = 0.999
 SAMPLING_DECAY = 0.995
 CLIP_NORM = 0.1
@@ -86,8 +83,8 @@ def quat_to_euler_t(q: Tensor, order: str) -> Tensor:
     measure-zero event for which the numpy conversion provides the
     flagged representative instead.
     """
-    i, j, k = (_AXIS_INDEX[c] for c in order)
-    eps = 1.0 if order in _CYCLIC else -1.0
+    i, j, k = (rm._AXIS_INDEX[c] for c in order)
+    eps = 1.0 if order in rm._CYCLIC else -1.0
     m = _matrix_elements_t(q)
     a2 = ad.asin(m[(i, k)] * eps)
     a1 = ad.atan2(m[(j, k)] * (-eps), m[(k, k)])

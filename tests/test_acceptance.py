@@ -212,42 +212,62 @@ def test_criterion_5_protocol_variance():
 # -- 6: published baseline values (needs user-supplied Human3.6M data) -------------
 
 
-def test_criterion_6_h36m_baselines():
+def _h36m_walking_means():
+    """Overall means at 80/160/320/400 ms of the criterion-6 baselines on
+    the Walking clips under QUATMOTION_H36M, or None when it is unset."""
     path = os.environ.get("QUATMOTION_H36M")
     if not path:
-        print("[criterion  6] SKIP  Human3.6M baseline comparison "
-              "(set QUATMOTION_H36M to a directory of converted Walking clips)")
-        pytest.skip("no Human3.6M data")
-    skel, clips = md.load_dataset(path)
+        return None
+    clips = md.load_dataset(path)
     walking = [c for c in clips if "walking" in c.action.lower()
                and "dog" not in c.action.lower()
                and "together" not in c.action.lower()]
     assert walking, "no Walking clips found in the dataset"
-
-    want_std = {
-        "zero_velocity": (0.39, 0.68, 0.99, 1.15),
-        "running_average_4": (0.64, 0.87, 1.07, 1.20),
-    }
-    want_128 = {"zero_velocity": (0.43, 0.78, 1.23, 1.34)}
     preds = {
         "zero_velocity": ev.baseline_zero_velocity,
         "running_average_4": lambda p, h: ev.baseline_running_average(p, h, 4),
     }
-    ok = True
-    details = []
-    for name, want in want_std.items():
-        rep = ev.run_protocol(preds[name], walking, ev.EvalProtocol.standard())
-        got = [rep.overall_mean(ms) for ms in (80, 160, 320, 400)]
-        dev = max(abs(g - w) for g, w in zip(got, want))
-        ok &= dev <= 0.02
-        details.append(f"{name} std dev {dev:.3f}")
+    means = {}
+    for name, pred in preds.items():
+        rep = ev.run_protocol(pred, walking, ev.EvalProtocol.standard())
+        means[(name, "std")] = [rep.overall_mean(ms) for ms in (80, 160, 320, 400)]
     rep = ev.run_protocol(preds["zero_velocity"], walking,
                           ev.EvalProtocol.proposed())
-    got = [rep.overall_mean(ms) for ms in (80, 160, 320, 400)]
-    dev = max(abs(g - w) for g, w in zip(got, want_128["zero_velocity"]))
-    ok &= dev <= 0.01
-    details.append(f"zero_velocity S=128 dev {dev:.3f}")
+    means[("zero_velocity", "S=128")] = [rep.overall_mean(ms) for ms in (80, 160, 320, 400)]
+    return means
+
+
+def test_criterion_6_h36m_baselines():
+    means = _h36m_walking_means()
+    if means is None:
+        print("[criterion  6] SKIP  Human3.6M baseline comparison "
+              "(set QUATMOTION_H36M to a directory of converted Walking clips)")
+        pytest.skip("no Human3.6M data")
+
+    want = {
+        ("zero_velocity", "std"): (0.39, 0.68, 0.99, 1.15),
+        ("running_average_4", "std"): (0.64, 0.87, 1.07, 1.20),
+        ("zero_velocity", "S=128"): (0.43, 0.78, 1.23, 1.34),
+    }
+    ok = True
+    details = []
+    for key, values in want.items():
+        dev = max(abs(g - w) for g, w in zip(means[key], values))
+        ok &= dev <= (0.01 if key[1] == "S=128" else 0.02)
+        details.append(f"{key[0]} {key[1]} dev {dev:.3f}")
     report(6, "Human3.6M baseline values", ok, "; ".join(details))
+
+
+def test_criterion_6_path_runs_on_synthetic_walking(tmp_path, monkeypatch):
+    _, clips = md.make_synth_corpus(2, seed=3, duration=6)
+    for clip in clips:
+        clip.action = "Walking"
+    md.save_dataset(tmp_path / "walking", clips)
+    monkeypatch.setenv("QUATMOTION_H36M", str(tmp_path / "walking"))
+    means = _h36m_walking_means()
+    assert set(means) == {("zero_velocity", "std"), ("running_average_4", "std"),
+                          ("zero_velocity", "S=128")}
+    assert all(np.isfinite(v).all() for v in means.values())
 
 
 # -- 7: learning smoke test -------------------------------------------------------

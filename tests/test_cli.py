@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -90,6 +91,34 @@ def test_resume_training(tmp_path, dataset_dir):
                 "--dataset", dataset_dir, "--out", tmp_path / "run2"]) == 0
 
 
+@pytest.mark.parametrize("cut", ["6", "half"])
+def test_truncated_clip_is_data_error(tmp_path, dataset_dir, capsys, cut):
+    blob = (dataset_dir / "clip_00000.qmc").read_bytes()
+    bad = tmp_path / "bad.qmc"
+    bad.write_bytes(blob[:6] if cut == "6" else blob[:len(blob) // 2])
+    assert run(["train-pose", "--dataset", bad, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "bad.qmc" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cut", ["6", "half"])
+def test_truncated_checkpoint_is_data_error(tmp_path, dataset_dir, capsys, cut):
+    from quatmotion import models as mo
+    skel = md.load_dataset(dataset_dir)[0].skeleton
+    cfg = mo.PoseNetworkConfig.desk(skel.num_active, hidden=8)
+    good = tmp_path / "good.ckpt"
+    mo.save_checkpoint(good, "pose", asdict(cfg), mo.PoseNetwork(cfg).param_arrays())
+    blob = good.read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[:6] if cut == "6" else blob[:len(blob) // 2])
+    for args in (["predict", "--checkpoint", bad, "--dataset", dataset_dir],
+                 ["evaluate", "--checkpoint", bad, "--dataset", dataset_dir],
+                 ["train-pose", "--resume", bad, "--dataset", dataset_dir]):
+        assert run(args + ["--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "bad.ckpt" in err and "Traceback" not in err
+
+
 def test_baseline_command(tmp_path, dataset_dir):
     out = tmp_path / "base"
     assert run(["baseline", "--kind", "zerovel", "--dataset", dataset_dir,
@@ -116,6 +145,8 @@ def test_train_pace_and_generate(tmp_path):
     assert run(["train-pace", "--config", cfgfile, "--out", pace_out]) == 0
     pace_ck = pace_out / "pace.ckpt"
     assert pace_ck.exists()
+    from quatmotion import models as mo
+    assert mo.load_checkpoint(pace_ck)["config"] == asdict(mo.PaceNetworkConfig())
 
     pose_out = tmp_path / "pose"
     cfg2 = tmp_path / "pose.cfg"

@@ -63,6 +63,13 @@ def test_tensor_fk_matches_numpy(rng):
     assert np.abs(got.data - forward_kinematics(skel, q, root)).max() < 1e-12
 
 
+def test_tensor_fk_is_one_tape_node(rng):
+    skel = random_chain(rng, 5)
+    q = Tensor(random_unit_quats(rng, (4, 5)), requires_grad=True)
+    pos = forward_kinematics_tensor(skel, q, np.zeros((4, 3)))
+    assert pos._parents == (q,)
+
+
 def test_fk_with_inactive_joints(rng):
     joints = [{"name": "a", "parent": -1, "offset": [0, 0, 0]},
               {"name": "b", "parent": 0, "offset": [1, 0, 0]},

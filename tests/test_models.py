@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,38 @@ def test_checkpoint_rejects_garbage(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError):
         mo.load_checkpoint(p)
+
+
+def test_checkpoint_truncated_names_file(tmp_path):
+    cfg = mo.PoseNetworkConfig.desk(5, hidden=16)
+    path = tmp_path / "net.ckpt"
+    mo.save_checkpoint(path, "pose", cfg.__dict__,
+                       mo.PoseNetwork(cfg, seed=3).param_arrays())
+    blob = path.read_bytes()
+    for cut in (6, len(blob) // 2, len(blob) - 1):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError, match="net.ckpt: truncated"):
+            mo.load_checkpoint(path)
+
+
+def test_checkpoint_failed_save_keeps_previous(tmp_path):
+    path = tmp_path / "net.ckpt"
+    mo.save_checkpoint(path, "pose", {}, {"a": np.ones(3)})
+    # "b" fails to convert after the header and "a" are written
+    with pytest.raises(ValueError):
+        mo.save_checkpoint(path, "pose", {}, {"a": np.zeros(3), "b": "x"})
+    assert np.array_equal(mo.load_checkpoint(path)["arrays"]["a"], np.ones(3))
+
+
+def test_pace_checkpoint_round_trip(tmp_path, rng):
+    cfg = mo.PaceNetworkConfig(hidden=7, variant="online", delay=2)
+    net = mo.PaceNetwork(cfg, seed=1)
+    path = tmp_path / "pace.ckpt"
+    mo.save_checkpoint(path, "pace", asdict(cfg), net.param_arrays())
+    back = mo.pace_network_from_checkpoint(mo.load_checkpoint(path))
+    assert back.config == cfg
+    curv = rng.normal(scale=0.2, size=9)
+    assert np.array_equal(back.forward(curv)["raw"].data, net.forward(curv)["raw"].data)
 
 
 def test_pace_bidirectional_shapes(rng):

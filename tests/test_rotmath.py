@@ -37,6 +37,12 @@ def test_rotate_vector_matches_matrix(q, v):
                        atol=1e-9)
 
 
+@pytest.mark.parametrize("sa, sb", [((8, 3), (3,)), ((3,), (3,)), ((2, 5, 3), (5, 3))])
+def test_cross_matches_numpy_bit_for_bit(sa, sb, rng):
+    a, b = rng.normal(size=sa), rng.normal(size=sb)
+    assert np.array_equal(rm._cross(a, b), np.cross(a, b))
+
+
 @given(unit_quat)
 @settings(max_examples=50, deadline=None)
 def test_conjugate_inverts(q):
