@@ -4,8 +4,7 @@ its short-horizon error against the zero-velocity baseline."""
 import argparse
 import time
 
-import numpy as np
-
+from quatmotion import evaluation as ev
 from quatmotion import models as mo
 from quatmotion import motiondata as md
 from quatmotion import training as tr
@@ -24,22 +23,17 @@ def main():
     skel, clips = md.make_synth_corpus(args.clips, seed=0, duration=12)
     split = max(1, int(len(clips) * 0.75))
     train_clips, test_clips = clips[:split], clips[split:]
-    orders = [skel.euler_orders[i] for i in skel.active_indices]
+    frame_rate = test_clips[0].frame_rate
+    protocol = ev.EvalProtocol(samples_per_sequence=16, seed=123,
+                               conditioning_frames=10,
+                               horizons_ms=(1000 * args.horizon / frame_rate,),
+                               frame_rate=frame_rate)
 
-    def eval_mean(predict, n=10, samples=16, seed=123):
-        rng = np.random.default_rng(seed)
-        errs = []
-        for clip in test_clips:
-            rots = clip.active_rotations
-            hi = clip.num_frames - n - args.horizon
-            for s in rng.integers(0, hi + 1, size=samples):
-                pred = predict(rots[s:s + n], args.horizon)
-                errs.append(tr.euler_error(
-                    pred[-1][None], rots[s + n + args.horizon - 1][None],
-                    orders)[0])
-        return float(np.mean(errs))
+    def eval_mean(predict):
+        report = ev.run_protocol(predict, test_clips, protocol)
+        return report.overall_mean(protocol.horizons_ms[0])
 
-    zv = eval_mean(lambda prefix, h: np.repeat(prefix[-1][None], h, axis=0))
+    zv = eval_mean(ev.baseline_zero_velocity)
     print(f"zero-velocity baseline: {zv:.4f}")
 
     net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(skel.num_active), seed=1)

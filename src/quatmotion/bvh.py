@@ -64,6 +64,12 @@ class _Tokens:
         except ValueError:
             raise BvhParseError(f"expected a number, got {tok!r}", self.line) from None
 
+    def count(self) -> int:
+        value = self.number()
+        if not (0 <= value < np.inf and value.is_integer()):
+            raise BvhParseError(f"expected a count, got {value!r}", self.line)
+        return int(value)
+
 
 def _parse_joint(tokens: _Tokens, parent: int, joints: list, channels: list) -> None:
     kind = tokens.next()
@@ -83,13 +89,12 @@ def _parse_joint(tokens: _Tokens, parent: int, joints: list, channels: list) -> 
     spec = None
     if kind != "End":
         tokens.expect("CHANNELS")
-        n = int(tokens.number())
+        n = tokens.count()
         names = [tokens.next() for _ in range(n)]
-        if n == 3 and all(c in _ROT_CHANNELS for c in names):
+        rot = sorted(_ROT_CHANNELS)
+        if n == 3 and sorted(names) == rot:
             spec = {"joint": index, "position": False, "rotation": names}
-        elif n == 6 and list(names[:3]) == list(_POS_CHANNELS) and all(
-            c in _ROT_CHANNELS for c in names[3:]
-        ):
+        elif n == 6 and tuple(names[:3]) == _POS_CHANNELS and sorted(names[3:]) == rot:
             spec = {"joint": index, "position": True, "rotation": names[3:]}
         else:
             raise UnsupportedBvhFeatureError(
@@ -110,7 +115,8 @@ def load_bvh(path):
     carry identity rotations. Root position defaults to the root OFFSET if
     the file has no position channels.
     """
-    with open(path) as fh:
+    # undecodable bytes become U+FFFD, which no keyword or number matches
+    with open(path, encoding="utf-8", errors="replace") as fh:
         text = fh.read()
     tokens = _Tokens(text)
     tokens.expect("HIERARCHY")
@@ -120,14 +126,16 @@ def load_bvh(path):
 
     tokens.expect("MOTION")
     tokens.expect("Frames:")
-    n_frames = int(tokens.number())
+    n_frames = tokens.count()
     tokens.expect("Frame")
     tokens.expect("Time:")
     frame_time = tokens.number()
-    if frame_time <= 0:
-        raise BvhParseError("Frame Time must be positive", tokens.line)
+    if not 0.0 < frame_time < np.inf:
+        raise BvhParseError("Frame Time must be positive and finite", tokens.line)
 
     width = sum(6 if c["position"] else 3 for c in channels)
+    if n_frames * width > len(tokens.items) - tokens.pos:
+        raise BvhParseError(f"fewer values than {n_frames} frames need", tokens.line)
     values = np.empty((n_frames, width))
     for f in range(n_frames):
         for c in range(width):

@@ -99,8 +99,11 @@ def _load_clips(path) -> list:
 
 
 def _load_swap_map(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as e:
+        raise CliError(f"cannot read swap map {path!r}: {e}", EXIT_USAGE)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -219,6 +222,8 @@ def _load_checkpoint(path, kind: str) -> dict:
         ck = mo.load_checkpoint(path)
     except ValueError as e:
         raise CliError(str(e), EXIT_DATA)
+    except OSError as e:
+        raise CliError(f"cannot read checkpoint: {e}", EXIT_USAGE)
     if ck["kind"] != kind:
         raise CliError(f"{path}: not a {kind} checkpoint", EXIT_USAGE)
     return ck
@@ -271,11 +276,13 @@ def cmd_generate(args) -> int:
     pace_net = mo.pace_network_from_checkpoint(
         _load_checkpoint(args.pace_checkpoint, "pace"))
     init = _load_clips(args.init_clip)[0]
-    waypoints = np.loadtxt(args.spline, delimiter=",", ndmin=2)
     try:
+        waypoints = np.loadtxt(args.spline, delimiter=",", ndmin=2)
         spline = md.fit_spline(waypoints, args.segment_length)
         clip = mo.generate_locomotion(pose_net, pace_net, spline, init,
                                       args.frames, args.frame_rate)
+    except OSError as e:
+        raise CliError(f"cannot read spline: {e}", EXIT_USAGE)
     except mo.GenerationDivergedError as e:
         raise CliError(str(e), EXIT_NUMERIC)
     except ValueError as e:

@@ -19,13 +19,11 @@ from . import autodiff as ad
 from . import rotmath as rm
 from .autodiff import Tensor
 from .kinematics import (Skeleton, forward_kinematics, ik_reproject,
-                         per_frame_velocity_error, position_error,
-                         velocity_error)
+                         per_frame_velocity_error, position_error)
 from .models import (ParamContainer, PoseNetwork, PoseNetworkConfig, _gru_step,
                      _init_gru, _init_linear, _linear)
 from .optim import AdamState, adam_step
-from .training import (TrainConfig, euler_error, free_run_predict, train_pose,
-                       validate_pose)
+from .training import TrainConfig, euler_error, free_run_chunks, train_pose
 
 
 # -- baselines -----------------------------------------------------------------
@@ -199,26 +197,6 @@ def tail_mass(errors: np.ndarray, threshold: float) -> float:
     return float(np.mean(errors > threshold))
 
 
-def _free_run_velocity_errors(net: PoseNetwork, clips, skel: Skeleton,
-                              n: int, k: int, max_chunks: int = 8) -> np.ndarray:
-    """Per-frame velocity errors of free-run predictions, pooled over
-    evenly spaced chunks; used for tail-mass comparisons."""
-    errs = []
-    for clip in clips:
-        limit = clip.num_frames - n - k
-        if limit < 0:
-            continue
-        starts = np.unique(np.linspace(0, limit, min(max_chunks, limit + 1), dtype=int))
-        rots = clip.active_rotations
-        for s in starts:
-            pred = free_run_predict(net, rots[s:s + n], k)
-            root = np.zeros((k, 3))
-            got = forward_kinematics(skel, pred, root)
-            ref = forward_kinematics(skel, rots[s + n:s + n + k], root)
-            errs.append(per_frame_velocity_error(got, ref))
-    return np.concatenate(errs)
-
-
 def compare_parameterizations(clips, skel: Skeleton, config: TrainConfig,
                               parameterizations=("quaternion", "expmap",
                                                  "euler-xyz", "euler-yzx"),
@@ -239,8 +217,9 @@ def compare_parameterizations(clips, skel: Skeleton, config: TrainConfig,
             cfg = replace(config, seed=config.seed + seed)
             hist = train_pose(net, clips, skel, cfg, val_clips=val_clips,
                               validate_every=validate_every)
-            vel = _free_run_velocity_errors(
-                net, val_clips, skel, cfg.conditioning_frames, cfg.prediction_frames)
+            vel = np.concatenate([
+                per_frame_velocity_error(got, ref) for _, _, got, ref in free_run_chunks(
+                    net, val_clips, skel, cfg.conditioning_frames, cfg.prediction_frames)])
             runs.append({
                 "seed": seed,
                 "train_curve": [h["train_loss"] for h in hist],
@@ -378,38 +357,27 @@ def compare_position_regression(clips, skel: Skeleton, config: TrainConfig,
     out = {"quaternion": {"velocity_errors": [], "position_errors": []},
            "position": {"velocity_errors": [], "position_errors": [],
                         "bone_spread": 0.0},
-           "reprojected": {"velocity_errors": [], "position_errors": []}}
-    for clip in val_clips:
-        limit = clip.num_frames - n - k
-        if limit < 0:
-            continue
-        starts = np.unique(np.linspace(0, limit, min(4, limit + 1), dtype=int))
+           "reprojected": {"velocity_errors": [], "position_errors": [],
+                           "bone_spread": 0.0}}
+    for clip, s, qpos, ref in free_run_chunks(qnet, val_clips, skel, n, k, max_chunks=4):
         rots = clip.active_rotations
-        for s in starts:
-            root = np.zeros((k, 3))
-            ref = forward_kinematics(skel, rots[s + n:s + n + k], root)
+        out["quaternion"]["position_errors"].append(position_error(qpos, ref))
+        out["quaternion"]["velocity_errors"].append(per_frame_velocity_error(qpos, ref))
 
-            qpred = free_run_predict(qnet, rots[s:s + n], k)
-            qpos = forward_kinematics(skel, qpred, root)
-            out["quaternion"]["position_errors"].append(position_error(qpos, ref))
-            out["quaternion"]["velocity_errors"].append(
-                per_frame_velocity_error(qpos, ref))
+        prefix_pos = forward_kinematics(skel, rots[s:s + n], np.zeros((n, 3)))
+        ppos = pnet.free_run(prefix_pos, k)
+        out["position"]["position_errors"].append(position_error(ppos, ref))
+        out["position"]["velocity_errors"].append(per_frame_velocity_error(ppos, ref))
+        out["position"]["bone_spread"] = max(
+            out["position"]["bone_spread"], bone_length_spread(ppos, skel))
 
-            prefix_pos = forward_kinematics(skel, rots[s:s + n], np.zeros((n, 3)))
-            ppos = pnet.free_run(prefix_pos, k)
-            out["position"]["position_errors"].append(position_error(ppos, ref))
-            out["position"]["velocity_errors"].append(
-                per_frame_velocity_error(ppos, ref))
-            out["position"]["bone_spread"] = max(
-                out["position"]["bone_spread"], bone_length_spread(ppos, skel))
-
-            reproj = ik_reproject(skel, ppos, rots[s + n - 1], cfg=ik_cfg,
-                                  root_position=np.zeros(3))
-            rpos = forward_kinematics(skel, reproj, root)
-            out["reprojected"]["position_errors"].append(position_error(rpos, ref))
-            out["reprojected"]["velocity_errors"].append(
-                per_frame_velocity_error(rpos, ref))
-            out["reprojected"]["bone_spread"] = bone_length_spread(rpos, skel)
+        reproj = ik_reproject(skel, ppos, rots[s + n - 1], cfg=ik_cfg,
+                              root_position=np.zeros(3))
+        rpos = forward_kinematics(skel, reproj, np.zeros((k, 3)))
+        out["reprojected"]["position_errors"].append(position_error(rpos, ref))
+        out["reprojected"]["velocity_errors"].append(per_frame_velocity_error(rpos, ref))
+        out["reprojected"]["bone_spread"] = max(
+            out["reprojected"]["bone_spread"], bone_length_spread(rpos, skel))
     for key in out:
         out[key]["velocity_errors"] = np.concatenate(out[key]["velocity_errors"])
         out[key]["position_loss"] = float(np.mean(out[key]["position_errors"]))

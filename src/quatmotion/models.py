@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import rotmath as rm
 from .autodiff import Tensor
-from .motiondata import MotionClip, _read_exact
+from .motiondata import MotionClip, _read_exact, _read_header
 
 CHECKPOINT_MAGIC = b"QMN1"
 CHECKPOINT_VERSION = 1
@@ -589,11 +589,7 @@ def save_checkpoint(path, kind: str, config: dict, arrays: dict, meta: dict | No
 
 
 def load_checkpoint(path) -> dict:
-    with open(path, "rb") as fh:
-        if fh.read(4) != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        header = json.loads(_read_exact(fh, hlen, path).decode("utf-8"))
+    with open(path, "rb") as fh, _read_header(fh, path, CHECKPOINT_MAGIC, "checkpoint") as header:
         if header["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {header['version']}")
         arrays = {}
@@ -601,9 +597,9 @@ def load_checkpoint(path) -> dict:
             shape = tuple(spec["shape"])
             count = int(np.prod(shape)) if shape else 1
             arrays[spec["name"]] = np.frombuffer(
-                _read_exact(fh, count * 8, path), dtype="<f8").reshape(shape).astype(float)
-    return {"kind": header["kind"], "config": header["config"],
-            "meta": header["meta"], "arrays": arrays}
+                _read_exact(fh, count * 8), dtype="<f8").reshape(shape).astype(float)
+        return {"kind": header["kind"], "config": header["config"],
+                "meta": header["meta"], "arrays": arrays}
 
 
 def pose_network_from_checkpoint(ck: dict) -> PoseNetwork:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,29 +114,43 @@ def save_clip(path, clip: MotionClip) -> None:
         fh.write(clip.rotations.astype("<f4").tobytes())
 
 
-def _read_exact(fh, size: int, path) -> bytes:
-    """Read ``size`` bytes; a file that ends first is a ValueError naming it."""
-    data = fh.read(size)
-    if len(data) != size:
-        raise ValueError(f"{path}: truncated file ({len(data)} of {size} bytes read)")
-    return data
+def _read_exact(fh, size: int) -> bytes:
+    """Read ``size`` bytes; a file with fewer left is a ValueError, raised
+    before a corrupt size can ask for a huge allocation."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if not 0 <= size <= left:
+        raise ValueError(f"truncated file ({left} of {size} bytes left)")
+    return fh.read(size)
+
+
+@contextmanager
+def _read_header(fh, path, magic: bytes, what: str):
+    """Check the magic bytes, then yield the length-prefixed JSON header.
+    What a corrupt file raises, here or in the ``with`` block that reads
+    the rest, becomes a ValueError naming the file."""
+    try:
+        if fh.read(len(magic)) != magic:
+            raise ValueError(f"not a {what} file")
+        (hlen,) = struct.unpack("<I", _read_exact(fh, 4))
+        yield json.loads(_read_exact(fh, hlen).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, IndexError,
+            TypeError, RecursionError) as e:
+        raise ValueError(f"{path}: corrupt {what} header "
+                         f"({type(e).__name__}: {e})") from None
+    except (ValueError, OverflowError) as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def load_clip(path) -> MotionClip:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != QMC_MAGIC:
-            raise ValueError(f"{path}: not a motion clip file")
-        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        header = json.loads(_read_exact(fh, hlen, path).decode("utf-8"))
+    with open(path, "rb") as fh, _read_header(fh, path, QMC_MAGIC, "motion clip") as header:
         skel = Skeleton.from_dict(header["skeleton"])
         t = header["num_frames"]
         j = skel.num_joints
-        root = np.frombuffer(_read_exact(fh, t * 3 * 4, path), dtype="<f4").reshape(t, 3)
-        rots = np.frombuffer(_read_exact(fh, t * j * 4 * 4, path), dtype="<f4").reshape(t, j, 4)
-    return MotionClip(skel, header["frame_rate"], root.astype(float),
-                      rots.astype(float), header.get("subject", ""),
-                      header.get("action", ""))
+        root = np.frombuffer(_read_exact(fh, t * 3 * 4), dtype="<f4").reshape(t, 3)
+        rots = np.frombuffer(_read_exact(fh, t * j * 4 * 4), dtype="<f4").reshape(t, j, 4)
+        return MotionClip(skel, header["frame_rate"], root.astype(float),
+                          rots.astype(float), header.get("subject", ""),
+                          header.get("action", ""))
 
 
 def save_dataset(directory, clips) -> None:

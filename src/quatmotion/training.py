@@ -327,12 +327,13 @@ def free_run_predict(net: PoseNetwork, prefix_quats: np.ndarray, horizon: int) -
     return np.stack(preds)
 
 
-def validate_pose(net: PoseNetwork, clips, skel: Skeleton, config: TrainConfig,
-                  max_chunks: int = 8) -> tuple[float, float]:
-    """Mean position and velocity error of free-run prediction on evenly
-    spaced validation chunks."""
-    n, k = config.conditioning_frames, config.prediction_frames
-    pos_errs, vel_errs = [], []
+def free_run_chunks(net: PoseNetwork, clips, skel: Skeleton, n: int, k: int,
+                    max_chunks: int = 8):
+    """Free-run ``net`` from up to ``max_chunks`` evenly spaced n-frame
+    prefixes per clip; clips shorter than n + k frames are skipped. Yields
+    ``(clip, start, predicted, reference)``, the last two root-relative FK
+    positions (k, J, 3) of the prediction and of the frames it predicts."""
+    root = np.zeros((k, 3))
     for clip in clips:
         limit = clip.num_frames - n - k
         if limit < 0:
@@ -341,12 +342,20 @@ def validate_pose(net: PoseNetwork, clips, skel: Skeleton, config: TrainConfig,
         rots = clip.active_rotations
         for s in starts:
             pred = free_run_predict(net, rots[s:s + n], k)
-            root = np.zeros((k, 3))
-            ref = forward_kinematics(skel, rots[s + n:s + n + k], root)
-            got = forward_kinematics(skel, pred, root)
-            pos_errs.append(position_error(got, ref))
-            if k >= 2:
-                vel_errs.append(velocity_error(got, ref))
+            yield (clip, s, forward_kinematics(skel, pred, root),
+                   forward_kinematics(skel, rots[s + n:s + n + k], root))
+
+
+def validate_pose(net: PoseNetwork, clips, skel: Skeleton,
+                  config: TrainConfig) -> tuple[float, float]:
+    """Mean position and velocity error of free-run prediction on evenly
+    spaced validation chunks."""
+    n, k = config.conditioning_frames, config.prediction_frames
+    pos_errs, vel_errs = [], []
+    for _, _, got, ref in free_run_chunks(net, clips, skel, n, k):
+        pos_errs.append(position_error(got, ref))
+        if k >= 2:
+            vel_errs.append(velocity_error(got, ref))
     if not pos_errs:
         raise ValueError("no validation chunk is long enough")
     return float(np.mean(pos_errs)), float(np.mean(vel_errs)) if vel_errs else 0.0
@@ -356,12 +365,6 @@ def validate_pose(net: PoseNetwork, clips, skel: Skeleton, config: TrainConfig,
 
 def _rng_state(rng: np.random.Generator) -> dict:
     return rng.bit_generator.state
-
-
-def _restore_rng(state: dict) -> np.random.Generator:
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = state
-    return rng
 
 
 def train_pose(net: PoseNetwork, clips, skel: Skeleton, config: TrainConfig,

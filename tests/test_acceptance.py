@@ -278,20 +278,15 @@ def test_criterion_7_learning_smoke():
     skel, clips = md.make_synth_corpus(8, seed=0, duration=12)
     train_clips, test_clips = clips[:6], clips[6:]
     a = skel.num_active
-    orders = [skel.euler_orders[i] for i in skel.active_indices]
+    frame_rate = test_clips[0].frame_rate
+    protocol = ev.EvalProtocol(samples_per_sequence=16, seed=123,
+                               conditioning_frames=10,
+                               horizons_ms=(1000 * 2 / frame_rate,),
+                               frame_rate=frame_rate)
 
-    def eval_80ms(predict, n=10, horizon=2, samples=16, seed=123):
-        rng = np.random.default_rng(seed)
-        errs = []
-        for clip in test_clips:
-            rots = clip.active_rotations
-            hi = clip.num_frames - n - horizon
-            for s in rng.integers(0, hi + 1, size=samples):
-                pred = predict(rots[s:s + n], horizon)
-                errs.append(tr.euler_error(pred[-1][None],
-                                           rots[s + n + horizon - 1][None],
-                                           orders)[0])
-        return float(np.mean(errs))
+    def eval_80ms(predict):
+        report = ev.run_protocol(predict, test_clips, protocol)
+        return report.overall_mean(protocol.horizons_ms[0])
 
     zv = eval_80ms(lambda prefix, h: np.repeat(prefix[-1][None], h, axis=0))
     net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(a), seed=1)
@@ -429,20 +424,15 @@ def test_criterion_10_ik_reprojection():
     rng = np.random.default_rng(0)
     n, k = 10, 4
     qerrs, rerrs = [], []
-    for clip in corpus:
-        rots = clip.active_rotations
-        for s in np.linspace(0, clip.num_frames - n - k, 4, dtype=int):
-            root = np.zeros((k, 3))
-            ref = forward_kinematics(skel, rots[s + n:s + n + k], root)
-            qpos = forward_kinematics(
-                skel, tr.free_run_predict(qnet, rots[s:s + n], k), root)
-            qerrs.append(per_frame_velocity_error(qpos, ref))
-            noisy = ref + rng.normal(scale=0.02, size=ref.shape)
-            reproj = ik_reproject(skel, noisy, rots[s + n - 1],
-                                  cfg=IkConfig(max_steps=300, patience=100),
-                                  root_position=np.zeros(3))
-            rerrs.append(per_frame_velocity_error(
-                forward_kinematics(skel, reproj, root), ref))
+    for clip, s, qpos, ref in tr.free_run_chunks(qnet, corpus, skel, n, k,
+                                                 max_chunks=4):
+        qerrs.append(per_frame_velocity_error(qpos, ref))
+        noisy = ref + rng.normal(scale=0.02, size=ref.shape)
+        reproj = ik_reproject(skel, noisy, clip.active_rotations[s + n - 1],
+                              cfg=IkConfig(max_steps=300, patience=100),
+                              root_position=np.zeros(3))
+        rerrs.append(per_frame_velocity_error(
+            forward_kinematics(skel, reproj, np.zeros((k, 3))), ref))
     qerrs = np.concatenate(qerrs)
     rerrs = np.concatenate(rerrs)
     q99 = np.percentile(qerrs, 99)

@@ -88,3 +88,18 @@ def test_frame_count_mismatch(tmp_path):
     p.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(BvhParseError):
         load_bvh(p)
+
+
+@pytest.mark.parametrize("old,new", [
+    (b"Frames: 2", b"Frames: inf"),
+    (b"Frames: 2", b"Frames: 9"),
+    (b"CHANNELS 3", b"CHANNELS inf"),
+    (b"Zrotation Xrotation Yrotation", b"Zrotation Zrotation Yrotation"),
+    (b"Frame Time: 0.04", b"Frame Time: nan"),
+    (b"Frame Time: 0.04", b"Frame Time: 0.\xff04"),
+])
+def test_corrupt_field_is_parse_error(tmp_path, old, new):
+    p = tmp_path / "corrupt.bvh"
+    p.write_bytes(SIMPLE.encode().replace(old, new))
+    with pytest.raises(BvhParseError):
+        load_bvh(p)

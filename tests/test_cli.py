@@ -119,6 +119,55 @@ def test_truncated_checkpoint_is_data_error(tmp_path, dataset_dir, capsys, cut):
         assert "bad.ckpt" in err and "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def generate_inputs(tmp_path_factory, dataset_dir):
+    """Valid pose and pace checkpoints, an init clip and a spline CSV."""
+    from quatmotion import models as mo
+    root = tmp_path_factory.mktemp("gen_inputs")
+    skel = md.load_dataset(dataset_dir)[0].skeleton
+    cfg = mo.PoseNetworkConfig.desk(skel.num_active, hidden=8)
+    mo.save_checkpoint(root / "pose.ckpt", "pose", asdict(cfg),
+                       mo.PoseNetwork(cfg).param_arrays())
+    pace = mo.PaceNetworkConfig()
+    mo.save_checkpoint(root / "pace.ckpt", "pace", asdict(pace),
+                       mo.PaceNetwork(pace).param_arrays())
+    np.savetxt(root / "way.csv", np.zeros((4, 3)), delimiter=",")
+    return root
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("predict", "--checkpoint"), ("train-pose", "--resume"),
+    ("generate", "--pose-checkpoint"), ("generate", "--pace-checkpoint"),
+    ("generate", "--spline"), ("convert", "--mirror")])
+def test_missing_input_file_is_usage_error(tmp_path, dataset_dir, generate_inputs,
+                                           capsys, command, flag):
+    valid = {
+        "predict": {"--checkpoint": generate_inputs / "pose.ckpt",
+                    "--dataset": dataset_dir},
+        "train-pose": {"--dataset": dataset_dir},
+        "generate": {"--pose-checkpoint": generate_inputs / "pose.ckpt",
+                     "--pace-checkpoint": generate_inputs / "pace.ckpt",
+                     "--spline": generate_inputs / "way.csv",
+                     "--init-clip": dataset_dir / "clip_00000.qmc"},
+        "convert": {"--in": dataset_dir},
+    }[command]
+    args = {**valid, flag: tmp_path / "missing.file", "--out": tmp_path / "o"}
+    assert run([command] + [a for kv in args.items() for a in kv]) == 1
+    err = capsys.readouterr().err
+    assert "missing.file" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("header", [b"\xff{}", b'{"num_frames": 1}', b"[1, 2]"])
+def test_corrupt_clip_header_is_data_error(tmp_path, capsys, header):
+    import struct
+    bad = tmp_path / "bad.qmc"
+    bad.write_bytes(md.QMC_MAGIC + struct.pack("<I", len(header)) + header)
+    assert run(["baseline", "--kind", "zerovel", "--dataset", bad,
+                "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "bad.qmc" in err and "Traceback" not in err
+
+
 def test_baseline_command(tmp_path, dataset_dir):
     out = tmp_path / "base"
     assert run(["baseline", "--kind", "zerovel", "--dataset", dataset_dir,

@@ -111,3 +111,23 @@ def test_position_network_free_run(corpus):
 def test_bone_length_spread_zero_for_fk(corpus):
     skel, clips = corpus
     assert ev.bone_length_spread(clips[0].positions(), skel) < 1e-9
+
+
+def test_compare_position_regression_tiny():
+    from quatmotion.kinematics import IkConfig
+    from quatmotion.training import TrainConfig
+
+    skel, clips = md.make_synth_corpus(2, seed=4, duration=4)
+    n, k = 10, 4
+    cfg = TrainConfig(epochs=2, conditioning_frames=n, prediction_frames=k, seed=1)
+    res = ev.compare_position_regression(clips, skel, cfg, hidden=8,
+                                         ik_cfg=IkConfig(max_steps=20))
+    assert set(res) == {"quaternion", "position", "reprojected"}
+    chunks = 2 * 4  # max_chunks=4 per clip
+    for out in res.values():
+        assert len(out["position_errors"]) == chunks
+        assert out["velocity_errors"].shape == (chunks * (k - 1),)
+        assert np.isfinite(out["position_loss"])
+    # FK output keeps every bone length exactly; direct regression does not
+    assert res["reprojected"]["bone_spread"] < 1e-9
+    assert res["position"]["bone_spread"] > 1e-9

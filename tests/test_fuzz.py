@@ -1,0 +1,67 @@
+"""Fuzz the file readers: truncated, bit-flipped and random bytes.
+
+A corrupt input may only raise ValueError (``BvhParseError`` is one), and
+for ``.qmc`` clips and checkpoints the message must name the file.
+"""
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from quatmotion import models as mo
+from quatmotion import motiondata as md
+
+
+def _valid_blobs(tmp_path) -> dict:
+    skel, clips = md.make_synth_corpus(1, seed=0, duration=2)
+    clip = clips[0].slice(0, 3)
+    md.save_clip(tmp_path / "valid.qmc", clip)
+    md.save_bvh(tmp_path / "valid.bvh", clip)
+    mo.save_checkpoint(tmp_path / "valid.ckpt", "pose", {"hidden": 2},
+                       {"w": np.ones((2, 3)), "b": np.zeros(2)}, {"epoch": 1})
+    return {kind: (tmp_path / f"valid.{kind}").read_bytes()
+            for kind in ("qmc", "ckpt", "bvh")}
+
+
+@pytest.fixture(scope="module")
+def blobs(tmp_path_factory):
+    return _valid_blobs(tmp_path_factory.mktemp("valid"))
+
+
+def corruptions(blob: bytes):
+    """Truncations, up to four byte flips, and random bytes with or
+    without the valid file's first four bytes (the magic)."""
+    n = len(blob)
+
+    def flip(edits):
+        out = bytearray(blob)
+        for i, mask in edits:
+            out[i] ^= mask
+        return bytes(out)
+
+    return st.one_of(
+        st.integers(0, n - 1).map(lambda i: blob[:i]),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 255)),
+                 min_size=1, max_size=4).map(flip),
+        st.binary(max_size=64),
+        st.binary(max_size=64).map(lambda b: blob[:4] + b),
+    )
+
+
+LOADERS = {"qmc": (md.load_clip, True), "ckpt": (mo.load_checkpoint, True),
+           "bvh": (md.load_bvh, False)}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupt_file_raises_only_value_error(tmp_path, blobs, kind, data):
+    load, names_file = LOADERS[kind]
+    path = tmp_path / f"fuzz.{kind}"
+    path.write_bytes(data.draw(corruptions(blobs[kind])))
+    try:
+        load(path)
+    except ValueError as e:
+        if names_file:
+            assert str(path) in str(e)
