@@ -66,13 +66,23 @@ def _coerce(raw: dict, defaults) -> dict:
         cur = getattr(defaults, key)
         if isinstance(cur, bool):
             out[key] = val.lower() in ("1", "true", "yes")
-        elif isinstance(cur, int):
-            out[key] = int(val)
-        elif isinstance(cur, float):
-            out[key] = float(val)
+        elif isinstance(cur, (int, float)):
+            try:
+                out[key] = type(cur)(val)
+            except ValueError:
+                raise CliError(f"config key {key!r} needs {type(cur).__name__}, "
+                               f"not {val!r}", EXIT_USAGE)
         else:
             out[key] = val
     return out
+
+
+def _make_config(cls, *args, **kwargs):
+    """Build a config dataclass; a rejected value is a usage error."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as e:
+        raise CliError(f"bad config value: {e}", EXIT_USAGE)
 
 
 def write_manifest(out_dir, args: argparse.Namespace, seed: int) -> None:
@@ -119,7 +129,10 @@ def cmd_convert(args) -> int:
         clips = [p for c in clips for p in md.downsample_all_phases(c, args.downsample)]
     if args.mirror is not None:
         swap = _load_swap_map(args.mirror)
-        clips = clips + [md.mirror(c, swap) for c in clips]
+        try:
+            clips = clips + [md.mirror(c, swap) for c in clips]
+        except ValueError as e:
+            raise CliError(f"swap map {args.mirror!r}: {e}", EXIT_USAGE)
     if args.augment_rotations > 0:
         rng = np.random.default_rng(args.seed)
         clips = clips + [md.random_rotate(c, rng)
@@ -141,7 +154,7 @@ def cmd_train_pose(args) -> int:
     backbone = raw.pop("backbone", "recurrent")
     mode = raw.pop("mode", "velocity")
     parameterization = raw.pop("parameterization", "quaternion")
-    config = tr.TrainConfig(**_coerce(raw, tr.TrainConfig()))
+    config = _make_config(tr.TrainConfig, **_coerce(raw, tr.TrainConfig()))
     if dataset is None:
         raise CliError("no dataset given (flag --dataset or config key)", EXIT_USAGE)
     write_manifest(args.out, args, config.seed)
@@ -151,18 +164,19 @@ def cmd_train_pose(args) -> int:
     resume = None
     if args.resume:
         ck = _load_checkpoint(args.resume, "pose")
-        resume = tr.resume_state(ck)
+        resume = _from_checkpoint(args.resume, tr.resume_state, ck)
         config = resume["train_config"]
-        net = mo.pose_network_from_checkpoint(
-            {"config": ck["config"], "arrays": resume["arrays"]})
+        net = _from_checkpoint(args.resume, mo.pose_network_from_checkpoint,
+                               {"config": ck["config"], "arrays": resume["arrays"]})
     else:
-        if preset == "desk":
-            cfg = mo.PoseNetworkConfig.desk(skel.num_active, backbone=backbone,
-                                            mode=mode, parameterization=parameterization)
-        else:
-            cfg = mo.PoseNetworkConfig(skel.num_active, backbone=backbone,
-                                       mode=mode, parameterization=parameterization)
+        make = mo.PoseNetworkConfig.desk if preset == "desk" else mo.PoseNetworkConfig
+        cfg = _make_config(make, skel.num_active, backbone=backbone, mode=mode,
+                           parameterization=parameterization)
         net = mo.PoseNetwork(cfg, seed=config.seed)
+    rf = net.config.receptive_field
+    if net.config.backbone == "convolutional" and config.conditioning_frames < rf:
+        raise CliError(f"the convolutional backbone needs conditioning_frames >= {rf}",
+                       EXIT_USAGE)
     ck_path = os.path.join(args.out, "pose.ckpt")
     log_path = os.path.join(args.out, "training_log.csv")
     kwargs = {}
@@ -184,7 +198,8 @@ def cmd_train_pace(args) -> int:
     variant = raw.pop("variant", "bidirectional")
     left = raw.pop("left_foot", args.left_foot)
     right = raw.pop("right_foot", args.right_foot)
-    config = tr.TrainConfig(**_coerce(raw, tr.TrainConfig()))
+    config = _make_config(tr.TrainConfig, **_coerce(raw, tr.TrainConfig()))
+    pace_config = _make_config(mo.PaceNetworkConfig, variant=variant)
     if dataset is None:
         raise CliError("no dataset given", EXIT_USAGE)
     write_manifest(args.out, args, config.seed)
@@ -204,7 +219,7 @@ def cmd_train_pace(args) -> int:
         examples.append((curv, targets))
     if not examples:
         raise CliError("no clip produced usable gait features", EXIT_DATA)
-    net = mo.PaceNetwork(mo.PaceNetworkConfig(variant=variant), seed=config.seed)
+    net = mo.PaceNetwork(pace_config, seed=config.seed)
     try:
         tr.train_pace(net, examples, config,
                       log_path=os.path.join(args.out, "training_log.csv"))
@@ -229,11 +244,19 @@ def _load_checkpoint(path, kind: str) -> dict:
     return ck
 
 
+def _from_checkpoint(path, build, ck):
+    """``build(ck)``; a stored config that cannot build is a data error."""
+    try:
+        return build(ck)
+    except (KeyError, TypeError, ValueError) as e:
+        raise CliError(f"{path}: stored config is unusable: {e!r}", EXIT_DATA)
+
+
 def _load_pose_net(path) -> mo.PoseNetwork:
     ck = _load_checkpoint(path, "pose")
     ck["arrays"] = {k: v for k, v in ck["arrays"].items()
                     if not k.startswith("adam.")}
-    return mo.pose_network_from_checkpoint(ck)
+    return _from_checkpoint(path, mo.pose_network_from_checkpoint, ck)
 
 
 def cmd_predict(args) -> int:
@@ -273,8 +296,8 @@ def cmd_predict(args) -> int:
 def cmd_generate(args) -> int:
     write_manifest(args.out, args, args.seed)
     pose_net = _load_pose_net(args.pose_checkpoint)
-    pace_net = mo.pace_network_from_checkpoint(
-        _load_checkpoint(args.pace_checkpoint, "pace"))
+    pace_net = _from_checkpoint(args.pace_checkpoint, mo.pace_network_from_checkpoint,
+                                _load_checkpoint(args.pace_checkpoint, "pace"))
     init = _load_clips(args.init_clip)[0]
     try:
         waypoints = np.loadtxt(args.spline, delimiter=",", ndmin=2)

@@ -4,9 +4,10 @@ Two backbones predict the next pose from the previous one: a 2-layer GRU
 with learned initial states, and a stack of 5 causal dilated convolutions
 (width 2, dilations 1,2,4,8,16, receptive field 32 frames). In velocity
 mode the head's quaternions are multiplied onto the previous pose, so the
-network outputs rotation deltas. Optional side inputs: 2 translation
-channels (root height, trajectory offset) and a 6-feature control frame
-passed through a small feed-forward encoder outside the recurrent path.
+network outputs rotation deltas. Optional side inputs, recurrent backbone
+only: 2 translation channels (root height, trajectory offset) and a
+6-feature control frame passed through a small feed-forward encoder
+outside the recurrent path.
 """
 
 from __future__ import annotations
@@ -124,6 +125,9 @@ class PoseNetworkConfig:
         pose_dim_per_joint(self.parameterization)
         if self.mode == "velocity" and self.parameterization != "quaternion":
             raise ValueError("velocity mode requires quaternion outputs")
+        if self.backbone != "recurrent" and (self.include_controls
+                                             or self.include_translations):
+            raise ValueError("controls and translations need the recurrent backbone")
 
     @classmethod
     def desk(cls, num_joints: int, **kw) -> "PoseNetworkConfig":
@@ -305,6 +309,25 @@ class PoseNetwork(ParamContainer):
             out["feedback"] = pose_raw
         return out
 
+    def _inputs(self, pose: Tensor, prev_quats, translations=None, controls=None) -> Tensor:
+        """Check a (..., pose_dim) pose input and append the side inputs the
+        config expects."""
+        cfg = self.config
+        if pose.shape[-1] != cfg.pose_dim:
+            raise ValueError("pose feature size does not match config")
+        if cfg.mode == "velocity" and prev_quats is None:
+            raise ValueError("velocity mode needs prev_quats")
+        parts = [pose]
+        if cfg.include_translations:
+            if translations is None:
+                raise ValueError("config expects translation inputs")
+            parts.append(translations)
+        if cfg.include_controls:
+            if controls is None:
+                raise ValueError("config expects control inputs")
+            parts.append(encode_controls(self.params, controls))
+        return ad.concat(parts, axis=-1) if len(parts) > 1 else parts[0]
+
     def step(self, pose: Tensor, state: list, prev_quats: Tensor | None = None,
              translations: Tensor | None = None, controls: Tensor | None = None) -> dict:
         """One recurrent prediction step.
@@ -319,20 +342,7 @@ class PoseNetwork(ParamContainer):
         for s in state:
             if not np.all(np.isfinite(s.data)):
                 raise ad.NumericalError("non-finite recurrent state")
-        if pose.shape[-1] != cfg.pose_dim:
-            raise ValueError("pose feature size does not match config")
-        if cfg.mode == "velocity" and prev_quats is None:
-            raise ValueError("velocity mode needs prev_quats")
-        parts = [pose]
-        if cfg.include_translations:
-            if translations is None:
-                raise ValueError("config expects translation inputs")
-            parts.append(translations)
-        if cfg.include_controls:
-            if controls is None:
-                raise ValueError("config expects control inputs")
-            parts.append(encode_controls(self.params, controls))
-        x = ad.concat(parts, axis=-1) if len(parts) > 1 else parts[0]
+        x = self._inputs(pose, prev_quats, translations, controls)
         new_state = []
         for layer in range(cfg.layers):
             x = _gru_step(self.params, f"gru{layer}", x, state[layer], cfg.hidden)
@@ -356,9 +366,7 @@ class PoseNetwork(ParamContainer):
                 + x @ self.params[f"conv{layer}.w1"]
                 + self.params[f"conv{layer}.b"])
 
-    def forward_window(self, pose_window: Tensor, prev_quats: Tensor | None = None,
-                       translations: Tensor | None = None,
-                       controls: Tensor | None = None) -> dict:
+    def forward_window(self, pose_window: Tensor, prev_quats: Tensor | None = None) -> dict:
         """Predict the frame after a (B, T, pose_dim) window, T >= the
         receptive field. Additive skips connect every other same-width
         layer (1->3, 2->4); the last layer is linear."""
@@ -370,18 +378,7 @@ class PoseNetwork(ParamContainer):
             raise ValueError(
                 f"window of {t} frames is shorter than the receptive field "
                 f"({cfg.receptive_field})")
-        if cfg.mode == "velocity" and prev_quats is None:
-            raise ValueError("velocity mode needs prev_quats")
-        parts = [pose_window]
-        if cfg.include_translations:
-            if translations is None:
-                raise ValueError("config expects translation inputs")
-            parts.append(translations)
-        if cfg.include_controls:
-            if controls is None:
-                raise ValueError("config expects control inputs")
-            parts.append(encode_controls(self.params, controls))
-        x = ad.concat(parts, axis=-1) if len(parts) > 1 else parts[0]
+        x = self._inputs(pose_window, prev_quats)
         dil = cfg.dilations
         h1 = ad.leaky_relu(self._causal_conv(0, x, dil[0]), LEAKY_SLOPE)
         h2 = ad.leaky_relu(self._causal_conv(1, h1, dil[1]), LEAKY_SLOPE)
@@ -485,8 +482,6 @@ def generate_locomotion(pose_net: PoseNetwork, pace_net: PaceNetwork, spline,
     skel = init_clip.skeleton
     if not (cfg.include_controls and cfg.include_translations):
         raise ValueError("generation needs a model with controls and translations")
-    if cfg.backbone != "recurrent":
-        raise ValueError("generation uses the recurrent backbone")
 
     pace = pace_net.forward(spline.curvatures)
     seg_facing = pace["facing"].data

@@ -186,11 +186,19 @@ def _swap_permutation(skel: Skeleton, joint_swap_map: dict) -> np.ndarray:
     """Resolve a left/right name (or index) pairing into a full joint
     permutation, validating that it is an involution consistent with the
     skeleton's topology and offsets."""
+    if not isinstance(joint_swap_map, dict):
+        raise ValueError("joint swap map must be a mapping")
     index = {n: i for i, n in enumerate(skel.names)}
+
+    def joint(key) -> int:
+        i = index.get(key) if isinstance(key, str) else key
+        if not isinstance(i, (int, np.integer)) or not 0 <= i < skel.num_joints:
+            raise ValueError(f"swap map entry {key!r} is not a joint of the skeleton")
+        return int(i)
+
     perm = np.arange(skel.num_joints)
     for a, b in joint_swap_map.items():
-        ia = index[a] if isinstance(a, str) else int(a)
-        ib = index[b] if isinstance(b, str) else int(b)
+        ia, ib = joint(a), joint(b)
         perm[ia] = ib
         perm[ib] = ia
     if not np.array_equal(perm[perm], np.arange(skel.num_joints)):

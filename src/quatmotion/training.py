@@ -20,7 +20,8 @@ from . import rotmath as rm
 from .autodiff import Tensor
 from .kinematics import (Skeleton, forward_kinematics, forward_kinematics_tensor,
                          position_error, position_error_tensor, velocity_error)
-from .models import PoseNetwork, PaceNetwork, encode_pose, save_checkpoint
+from .models import (CONTROL_DIM, PaceNetwork, PoseNetwork, _rotate2, encode_pose,
+                     save_checkpoint)
 from .optim import AdamState, adam_step, clip_global_norm, global_norm
 
 LR_DECAY = 0.999
@@ -47,7 +48,7 @@ class TrainConfig:
         if not (0.0 < self.lr_decay < 1.0 and 0.0 < self.sampling_decay < 1.0):
             raise ValueError("decay factors must lie in (0, 1)")
         if not (1e-3 <= self.reg_weight <= 0.1):
-            raise ValueError("regularizer weight outside its useful range")
+            raise ValueError(f"reg_weight {self.reg_weight} outside its useful range")
         if self.loss not in ("quat_dot", "euler_l1", "positional"):
             raise ValueError(f"unknown loss {self.loss!r}")
 
@@ -180,31 +181,86 @@ def _aux_inputs(net: PoseNetwork, batch: int,
     root height (offset 0) and controls are zero; the real signals only
     exist in closed-loop generation.
     """
-    from .models import CONTROL_DIM
-
     cfg = net.config
 
-    def at(f: int, frames: int | None = None) -> dict:
-        # frames=None gives per-step (B, .) inputs; an int gives a
-        # (B, frames, .) window ending at frame f for the conv backbone
+    def at(f: int) -> dict:
         kw = {}
-        lead = (batch,) if frames is None else (batch, frames)
         if cfg.include_translations:
-            trans = np.zeros(lead + (2,))
+            trans = np.zeros((batch, 2))
             if root_positions is not None:
                 pos = np.asarray(root_positions)
-                if frames is None:
-                    trans[..., 0] = pos[:, min(f, pos.shape[1] - 1), 1]
-                else:
-                    idx = np.clip(np.arange(f - frames + 1, f + 1), 0,
-                                  pos.shape[1] - 1)
-                    trans[..., 0] = pos[:, idx, 1]
+                trans[:, 0] = pos[:, min(f, pos.shape[1] - 1), 1]
             kw["translations"] = Tensor(trans)
         if cfg.include_controls:
-            kw["controls"] = Tensor(np.zeros(lead + (CONTROL_DIM,)))
+            kw["controls"] = Tensor(np.zeros((batch, CONTROL_DIM)))
         return kw
 
     return at
+
+
+def _autoregress(net: PoseNetwork, enc: np.ndarray, quats: np.ndarray, n: int,
+                 steps: int, p: float = 0.0, rng: np.random.Generator | None = None,
+                 root_positions: np.ndarray | None = None):
+    """Condition ``net`` on the first n frames of a batched episode, then
+    yield its output dict for each of the next ``steps`` >= 1 frames.
+
+    ``quats`` (B, T, A, 4) is the episode and ``enc`` (B, T, pose_dim) its
+    network encoding. Between predictions each sequence is fed its
+    ground-truth next frame with probability p, otherwise its own
+    prediction. Without an rng the prediction is always fed back and the
+    tape is cut after every step (free-run). With one, the recurrent
+    backbone keeps fed-back predictions on the tape through the mask
+    blend, and the convolutional backbone reads its window detached.
+    """
+    b = enc.shape[0]
+    if net.config.backbone == "recurrent":
+        aux = _aux_inputs(net, b, root_positions)
+        state = net.init_state(b)
+
+        def run(f, pose, prev_q):
+            nonlocal state
+            out = net.step(pose, state, prev_quats=prev_q, **aux(f))
+            state = out["state"] if rng is not None else [s.detach() for s in out["state"]]
+            return out
+
+        def feed(f, out):
+            if rng is None:
+                return run(f, Tensor(out["feedback"].data), Tensor(out["quats"].data))
+            # the GRU skips the draw at p >= 1 and the conv always draws, so
+            # each keeps its rng stream and training is bit-identical from epoch 0
+            if p >= 1.0:
+                return run(f, Tensor(enc[:, f]), Tensor(quats[:, f]))
+            keep = (rng.random(b) < p).astype(float)  # per-sequence Bernoulli(p)
+            mask, qmask = Tensor(keep[:, None]), Tensor(keep[:, None, None])
+            return run(f, mask * Tensor(enc[:, f]) + (1.0 - mask) * out["feedback"],
+                       qmask * Tensor(quats[:, f]) + (1.0 - qmask) * out["quats"])
+
+        for f in range(n):
+            out = run(f, Tensor(enc[:, f]), Tensor(quats[:, f]))
+    else:
+        rf = net.config.receptive_field
+        if n < rf:
+            raise ValueError(f"the convolutional backbone needs >= {rf} conditioning frames")
+        window = enc[:, :n]
+
+        def predict():
+            return net.forward_window(
+                Tensor(window[:, -rf:]), prev_quats=Tensor(window[:, -1].reshape(b, -1, 4))
+                if net.config.mode == "velocity" else None)
+
+        def feed(f, out):
+            nonlocal window
+            nxt = out["feedback"].data
+            if rng is not None:
+                nxt = np.where((rng.random(b) < p)[:, None], enc[:, f], nxt)
+            window = np.concatenate([window, nxt[:, None]], axis=1)
+            return predict()
+
+        out = predict()
+    yield out
+    for f in range(n, n + steps - 1):
+        out = feed(f, out)
+        yield out
 
 
 def scheduled_sampling_rollout(net: PoseNetwork, rotations: np.ndarray,
@@ -216,79 +272,25 @@ def scheduled_sampling_rollout(net: PoseNetwork, rotations: np.ndarray,
 
     Conditioning frames are always ground truth. During the k predicted
     steps each sequence independently feeds back ground truth with
-    probability p, otherwise its own prediction. The recurrent backbone
-    keeps fed-back predictions differentiable; the convolutional backbone
-    detaches them.
+    probability p, otherwise its own prediction (see ``_autoregress``).
     """
     rotations = np.asarray(rotations, dtype=float)
     n = config.conditioning_frames
     k = config.prediction_frames
     if rotations.shape[1] < n + k:
         raise ValueError(f"episode needs at least {n + k} frames")
-    b = rotations.shape[0]
-    param = net.config.parameterization
-    enc_gt = encode_pose(rotations, param)
-
-    need_pos = config.loss == "positional"
     target_pos = None
-    if need_pos:
+    if config.loss == "positional":
         if root_positions is None:
             root_positions = np.zeros(rotations.shape[:2] + (3,))
         target_pos = forward_kinematics(skel, rotations, root_positions)
 
-    losses = []
-    aux = _aux_inputs(net, b, root_positions)
-    if net.config.backbone == "recurrent":
-        state = net.init_state(b)
-        out = None
-        pose_in = Tensor(enc_gt[:, 0])
-        prev_q = Tensor(rotations[:, 0])
-        for f in range(n + k - 1):
-            out = net.step(pose_in, state, prev_quats=prev_q, **aux(f))
-            state = out["state"]
-            predicting = f >= n - 1
-            if predicting:
-                losses.append(_step_loss(
-                    out, rotations[:, f + 1],
-                    target_pos[:, f + 1] if need_pos else None, skel, config))
-            if f == n + k - 2:
-                break
-            if not predicting or p >= 1.0:
-                pose_in = Tensor(enc_gt[:, f + 1])
-                prev_q = Tensor(rotations[:, f + 1])
-            else:
-                keep = rng.random(b) < p  # per-sequence Bernoulli(p)
-                mask = Tensor(keep.astype(float)[:, None])
-                pose_in = mask * Tensor(enc_gt[:, f + 1]) + (1.0 - mask) * out["feedback"]
-                qmask = Tensor(keep.astype(float)[:, None, None])
-                prev_q = qmask * Tensor(rotations[:, f + 1]) + (1.0 - qmask) * out["quats"]
-    else:
-        rf = net.config.receptive_field
-        if n < rf:
-            raise ValueError(
-                f"convolutional training needs conditioning length >= {rf}")
-        window = enc_gt[:, :n].copy()
-        for step in range(k):
-            f = n - 1 + step
-            out = net.forward_window(
-                Tensor(window[:, -rf:]),
-                prev_quats=Tensor(window[:, -1].reshape(b, -1, 4))
-                if net.config.mode == "velocity" else None, **aux(f, rf))
-            losses.append(_step_loss(
-                out, rotations[:, f + 1],
-                target_pos[:, f + 1] if need_pos else None, skel, config))
-            if step == k - 1:
-                break
-            keep = rng.random(b) < p
-            # fed-back conv inputs are detached: gradients stop at the window
-            fb = out["feedback"].data
-            nxt = np.where(keep[:, None], enc_gt[:, f + 1], fb)
-            window = np.concatenate([window, nxt[:, None]], axis=1)
-
-    total = losses[0]
-    for loss in losses[1:]:
-        total = total + loss
-    return total / float(len(losses))
+    enc = encode_pose(rotations, net.config.parameterization)
+    outs = _autoregress(net, enc, rotations, n, k, p, rng, root_positions)
+    losses = [_step_loss(out, rotations[:, f], None if target_pos is None else target_pos[:, f],
+                         skel, config)
+              for f, out in zip(range(n, n + k), outs)]
+    return sum(losses[1:], losses[0]) / float(len(losses))
 
 
 # -- free-run validation ----------------------------------------------------------
@@ -296,35 +298,10 @@ def scheduled_sampling_rollout(net: PoseNetwork, rotations: np.ndarray,
 def free_run_predict(net: PoseNetwork, prefix_quats: np.ndarray, horizon: int) -> np.ndarray:
     """Condition on a (n, A, 4) prefix, then predict `horizon` frames
     autoregressively. Returns (horizon, A, 4)."""
-    param = net.config.parameterization
-    enc = encode_pose(prefix_quats[None], param)[0]
-    preds = []
-    aux = _aux_inputs(net, 1)
-    if net.config.backbone == "recurrent":
-        state = net.init_state(1)
-        out = None
-        for f in range(len(prefix_quats)):
-            out = net.step(Tensor(enc[f][None]), state,
-                           prev_quats=Tensor(prefix_quats[f][None]), **aux(f))
-            state = [s.detach() for s in out["state"]]
-        for f in range(horizon):
-            preds.append(out["quats"].data[0])
-            out = net.step(Tensor(out["feedback"].data), state,
-                           prev_quats=Tensor(preds[-1][None]), **aux(f))
-            state = [s.detach() for s in out["state"]]
-    else:
-        rf = net.config.receptive_field
-        if len(prefix_quats) < rf:
-            raise ValueError(f"prefix shorter than the receptive field ({rf})")
-        window = enc.copy()
-        for f in range(horizon):
-            out = net.forward_window(
-                Tensor(window[None, -rf:]),
-                prev_quats=Tensor(window[-1].reshape(1, -1, 4))
-                if net.config.mode == "velocity" else None, **aux(f, rf))
-            preds.append(out["quats"].data[0])
-            window = np.concatenate([window, out["feedback"].data], axis=0)
-    return np.stack(preds)
+    quats = np.asarray(prefix_quats, dtype=float)[None]
+    enc = encode_pose(quats, net.config.parameterization)
+    return np.stack([out["quats"].data[0]
+                     for out in _autoregress(net, enc, quats, len(prefix_quats), horizon)])
 
 
 def free_run_chunks(net: PoseNetwork, clips, skel: Skeleton, n: int, k: int,
@@ -476,12 +453,6 @@ def resume_state(ck: dict) -> dict:
 
 # -- pace training -------------------------------------------------------------------
 
-def _rotate2_inv(v: np.ndarray, by: np.ndarray) -> np.ndarray:
-    """Rotate v by the inverse of the unit vector angle ``by``."""
-    return np.stack([by[..., 0] * v[..., 0] + by[..., 1] * v[..., 1],
-                     by[..., 0] * v[..., 1] - by[..., 1] * v[..., 0]], axis=-1)
-
-
 def pace_training_example(clip, features, segment_length: float | None = None):
     """Per-segment curvature inputs and (facing, frequency, speed) targets
     for one clip. Facing targets are expressed relative to the spline
@@ -511,7 +482,8 @@ def pace_training_example(clip, features, segment_length: float | None = None):
         if len(frames) == 0:
             continue
         have[si] = True
-        rel = _rotate2_inv(features.facing[frames], spline.tangents[si][None])
+        # rotate by the conjugate tangent: facing relative to the spline
+        rel = _rotate2(features.facing[frames], spline.tangents[si][None] * [1.0, -1.0])
         fmean = rel.mean(axis=0)
         norm = np.linalg.norm(fmean)
         targets[si, :2] = fmean / norm if norm > 1e-9 else (1.0, 0.0)

@@ -229,3 +229,97 @@ def test_train_pace_and_generate(tmp_path):
                 "--frames", "30", "--out", gen]) == 0
     clip = md.load_clip(gen / "generated.qmc")
     assert clip.num_frames == 30
+
+
+@pytest.fixture(scope="module")
+def training_checkpoint(tmp_path_factory, dataset_dir):
+    """A resumable pose checkpoint of a desk GRU."""
+    from quatmotion import models as mo, training as tr
+    from quatmotion.optim import AdamState
+    skel = md.load_dataset(dataset_dir)[0].skeleton
+    path = tmp_path_factory.mktemp("train_ck") / "pose.ckpt"
+    net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(skel.num_active, hidden=8))
+    tr.save_pose_checkpoint(path, net, skel, tr.TrainConfig(conditioning_frames=6,
+                                                            prediction_frames=2),
+                            1, AdamState(), {"sampler": {}, "rollout": {}})
+    return path
+
+
+def _rename_hidden(ck):
+    ck["config"]["hiddenx"] = ck["config"].pop("hidden")
+
+
+def _sideways_mode(ck):
+    ck["config"]["mode"] = "sideways"
+
+
+def _bad_train_config(ck):
+    ck["meta"]["train_config"]["reg_weight"] = 5.0
+
+
+def _sideways_variant(ck):
+    ck["config"]["variant"] = "sideways"
+
+
+@pytest.mark.parametrize("command,flag,edit", [
+    ("predict", "--checkpoint", _rename_hidden),
+    ("predict", "--checkpoint", _sideways_mode),
+    ("evaluate", "--checkpoint", _rename_hidden),
+    ("generate", "--pose-checkpoint", _sideways_mode),
+    ("generate", "--pace-checkpoint", _sideways_variant),
+    ("train-pose", "--resume", _rename_hidden),
+    ("train-pose", "--resume", _bad_train_config),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_unbuildable_checkpoint_config_is_data_error(tmp_path, dataset_dir, generate_inputs,
+                                                     training_checkpoint, capsys,
+                                                     command, flag, edit):
+    from quatmotion import models as mo
+    good = {"--pace-checkpoint": generate_inputs / "pace.ckpt"}.get(flag, training_checkpoint)
+    ck = mo.load_checkpoint(good)
+    edit(ck)
+    bad = tmp_path / "bad.ckpt"
+    mo.save_checkpoint(bad, ck["kind"], ck["config"], ck["arrays"], ck["meta"])
+    args = {
+        "predict": {"--dataset": dataset_dir},
+        "evaluate": {"--dataset": dataset_dir},
+        "train-pose": {"--dataset": dataset_dir},
+        "generate": {"--pose-checkpoint": training_checkpoint,
+                     "--pace-checkpoint": generate_inputs / "pace.ckpt",
+                     "--spline": generate_inputs / "way.csv",
+                     "--init-clip": dataset_dir / "clip_00000.qmc"},
+    }[command]
+    args = {**args, flag: bad, "--out": tmp_path / "o"}
+    assert run([command] + [a for kv in args.items() for a in kv]) == 2
+    err = capsys.readouterr().err
+    assert "bad.ckpt" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("swap", [[1, 2], {"nope": "r_foot"}, {"l_foot": "r_lowleg"}],
+                         ids=["list", "unknown-joint", "not-mirror-images"])
+def test_bad_swap_map_is_usage_error(tmp_path, dataset_dir, capsys, swap):
+    swap_file = tmp_path / "swap.json"
+    swap_file.write_text(json.dumps(swap))
+    assert run(["convert", "--in", dataset_dir, "--mirror", swap_file,
+                "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert "swap.json" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,line", [
+    ("train-pose", "epochs = abc"),
+    ("train-pose", "reg_weight = 5"),
+    ("train-pose", "mode = sideways"),
+    ("train-pose", "backbone = convolutional"),
+    ("train-pace", "epochs = abc"),
+    ("train-pace", "variant = sideways"),
+])
+def test_bad_config_value_is_usage_error(tmp_path, dataset_dir, capsys, command, line):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"{line}\ndataset = {dataset_dir}\n")
+    out = tmp_path / "o"
+    assert run([command, "--config", cfgfile, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert line.split(" = ")[1] in err and "Traceback" not in err
+    # rejected before training starts: no log and no checkpoint
+    assert not (out / "training_log.csv").exists()
+    assert not list(out.glob("*.ckpt"))

@@ -74,6 +74,13 @@ def test_velocity_mode_requires_quaternion():
         mo.PoseNetworkConfig(4, mode="velocity", parameterization="expmap")
 
 
+@pytest.mark.parametrize("side", ["include_controls", "include_translations"])
+def test_side_inputs_require_recurrent_backbone(side):
+    with pytest.raises(ValueError, match="recurrent backbone"):
+        mo.PoseNetworkConfig(4, backbone="convolutional", **{side: True})
+    assert getattr(mo.PoseNetworkConfig(4, **{side: True}), side)
+
+
 def test_conv_receptive_field_is_32(rng):
     cfg = mo.PoseNetworkConfig.desk(4, channels=16, backbone="convolutional")
     assert cfg.receptive_field == 32

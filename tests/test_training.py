@@ -128,32 +128,39 @@ def test_train_pose_history_and_log(tmp_path, corpus):
     assert "epoch" in lines[0]
 
 
-def test_training_is_deterministic(corpus):
+# the conv backbone conditions on its whole 32-frame receptive field
+BACKBONES = pytest.mark.parametrize("backbone,n", [("recurrent", 6), ("convolutional", 32)],
+                                    ids=["recurrent", "convolutional"])
+
+
+@BACKBONES
+def test_training_is_deterministic(corpus, backbone, n):
     skel, clips = corpus
-    cfg = tr.TrainConfig(epochs=3, conditioning_frames=6,
+    cfg = tr.TrainConfig(epochs=3, conditioning_frames=n,
                          prediction_frames=2, batch_size=2, seed=4)
     nets = []
     for _ in range(2):
-        net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(skel.num_active,
-                                                       hidden=16), seed=2)
+        net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(
+            skel.num_active, hidden=16, channels=16, backbone=backbone), seed=2)
         tr.train_pose(net, clips, skel, cfg)
         nets.append(net)
     for k in nets[0].params:
         assert np.array_equal(nets[0].params[k].data, nets[1].params[k].data)
 
 
-def test_checkpoint_resume_continues_exactly(tmp_path, corpus):
+@BACKBONES
+def test_checkpoint_resume_continues_exactly(tmp_path, corpus, backbone, n):
     skel, clips = corpus
-    cfg = tr.TrainConfig(epochs=4, conditioning_frames=6,
+    net_cfg = mo.PoseNetworkConfig.desk(skel.num_active, hidden=16, channels=16,
+                                        backbone=backbone)
+    cfg = tr.TrainConfig(epochs=4, conditioning_frames=n,
                          prediction_frames=2, batch_size=2, seed=4)
-    full = mo.PoseNetwork(mo.PoseNetworkConfig.desk(skel.num_active,
-                                                    hidden=16), seed=2)
+    full = mo.PoseNetwork(net_cfg, seed=2)
     tr.train_pose(full, clips, skel, cfg)
 
-    half_cfg = tr.TrainConfig(epochs=2, conditioning_frames=6,
+    half_cfg = tr.TrainConfig(epochs=2, conditioning_frames=n,
                               prediction_frames=2, batch_size=2, seed=4)
-    part = mo.PoseNetwork(mo.PoseNetworkConfig.desk(skel.num_active,
-                                                    hidden=16), seed=2)
+    part = mo.PoseNetwork(net_cfg, seed=2)
     ck = tmp_path / "part.ckpt"
     tr.train_pose(part, clips, skel, half_cfg, checkpoint_path=ck)
 
