@@ -173,10 +173,7 @@ def cmd_train_pose(args) -> int:
         cfg = _make_config(make, skel.num_active, backbone=backbone, mode=mode,
                            parameterization=parameterization)
         net = mo.PoseNetwork(cfg, seed=config.seed)
-    rf = net.config.receptive_field
-    if net.config.backbone == "convolutional" and config.conditioning_frames < rf:
-        raise CliError(f"the convolutional backbone needs conditioning_frames >= {rf}",
-                       EXIT_USAGE)
+    _check_conditioning(net, config.conditioning_frames)
     ck_path = os.path.join(args.out, "pose.ckpt")
     log_path = os.path.join(args.out, "training_log.csv")
     kwargs = {}
@@ -245,11 +242,12 @@ def _load_checkpoint(path, kind: str) -> dict:
 
 
 def _from_checkpoint(path, build, ck):
-    """``build(ck)``; a stored config that cannot build is a data error."""
+    """``build(ck)``; a stored config or array set that cannot build is a
+    data error."""
     try:
         return build(ck)
     except (KeyError, TypeError, ValueError) as e:
-        raise CliError(f"{path}: stored config is unusable: {e!r}", EXIT_DATA)
+        raise CliError(f"{path}: stored checkpoint is unusable: {e!r}", EXIT_DATA)
 
 
 def _load_pose_net(path) -> mo.PoseNetwork:
@@ -259,9 +257,17 @@ def _load_pose_net(path) -> mo.PoseNetwork:
     return _from_checkpoint(path, mo.pose_network_from_checkpoint, ck)
 
 
+def _check_conditioning(net: mo.PoseNetwork, n: int) -> None:
+    rf = net.config.receptive_field
+    if net.config.backbone == "convolutional" and n < rf:
+        raise CliError(f"the convolutional backbone needs conditioning_frames >= {rf}",
+                       EXIT_USAGE)
+
+
 def cmd_predict(args) -> int:
     write_manifest(args.out, args, args.seed)
     net = _load_pose_net(args.checkpoint)
+    _check_conditioning(net, args.conditioning_frames)
     clips = _load_clips(args.dataset)
     skel = clips[0].skeleton
     if skel.num_active != net.config.num_joints:
@@ -337,6 +343,7 @@ def cmd_evaluate(args) -> int:
     proto = _protocol_from_arg(args.protocol, args.seed,
                                args.conditioning_frames, clips[0].frame_rate)
     net = _load_pose_net(args.checkpoint)
+    _check_conditioning(net, args.conditioning_frames)
     if clips[0].skeleton.num_active != net.config.num_joints:
         raise CliError("checkpoint and dataset skeletons are incompatible", EXIT_DATA)
     report = ev.run_protocol(lambda p, h: tr.free_run_predict(net, p, h),

@@ -13,10 +13,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .optim import AdamState, adam_step
-from .rotmath import InvalidRotationError, qconj, qmul, _cross, _rotate_vector_unchecked
+from .rotmath import (InvalidRotationError, expmap_to_quat, qconj, qmul, _cross,
+                      _rotate_vector_unchecked)
 
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
+# IK damping floor: an active leaf joint has a zero Jacobian column, and this
+# keeps its normal equations nonsingular with a step of exactly zero
+_LM_EPS = 1e-9
 
 
 @dataclass
@@ -100,12 +103,15 @@ class Skeleton:
 
 @dataclass
 class IkConfig:
+    """Stop rule of :func:`ik_reproject`, which reads ``max_steps``, ``tol``
+    and ``patience``. ``step_size`` and ``step_decay`` are accepted, so that
+    existing configs keep working, and ignored: Levenberg-Marquardt sizes
+    its steps by its own per-frame damping."""
+
     step_size: float = 1e-2
     tol: float = 1e-8
     patience: int = 2000
     max_steps: int = 5000
-    # Constant-step Adam oscillates around ~5e-3 position error on random
-    # chains; a gentle per-step decay lets it settle well below 1e-3.
     step_decay: float = 0.999
 
 
@@ -222,15 +228,24 @@ def per_frame_velocity_error(pred: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 
 def ik_reproject(skel: Skeleton, target: np.ndarray, init: np.ndarray,
-                 cfg: IkConfig | None = None, root_position=None) -> np.ndarray:
-    """Projected-gradient (Adam) inverse kinematics.
+                 cfg: IkConfig | None = None, root_position=None,
+                 info: dict | None = None) -> np.ndarray:
+    """Damped least-squares (Levenberg-Marquardt) inverse kinematics.
 
-    Finds active-joint rotations minimizing the mean Euclidean distance of
-    FK positions to ``target`` ``(..., J, 3)``. Each Adam step is followed by
-    re-normalizing every quaternion, so the output always yields exact bone
-    lengths. Leading axes solve independent problems in parallel. The root
-    translation is taken from the target (or ``root_position``), never
-    optimized.
+    Finds active-joint rotations minimizing the summed squared distance of
+    FK positions to ``target`` ``(..., J, 3)``. Leading axes are independent
+    frames, each with its own damping and accept/reject decision. A step
+    rotates each joint in the world frame and renormalizes its quaternion,
+    so the output always yields exact bone lengths. The root translation is
+    taken from the target (or ``root_position``), never optimized.
+
+    A frame is done once a step lowers its cost by at most ``cfg.tol`` times
+    that cost (for a rejected step, the decrease the linearized model
+    predicted, which shrinks as the damping grows). The solve stops when all
+    frames are done (``"tol"``), after ``cfg.patience`` iterations in a row
+    in which no frame improved (``"patience"``), or at ``cfg.max_steps``.
+    ``info``, if given, receives ``iterations``, the final summed ``cost``
+    and ``stop``.
     """
     cfg = cfg or IkConfig()
     target = np.asarray(target, dtype=float)
@@ -240,32 +255,49 @@ def ik_reproject(skel: Skeleton, target: np.ndarray, init: np.ndarray,
         raise ValueError("IK target joint count does not match skeleton")
     if root_position is None:
         root_position = target[..., 0, :]
-    rots = np.asarray(init, dtype=float).copy()
-    rots /= np.linalg.norm(rots, axis=-1, keepdims=True)
-    rots = np.broadcast_to(rots, target.shape[:-2] + (skel.num_active, 4)).copy()
+    lead, a, active = target.shape[:-2], skel.num_active, skel.active_indices
+    target = target.reshape(-1, skel.num_joints, 3)
+    root = np.broadcast_to(root_position, lead + (3,)).reshape(-1, 3)
+    rots = np.asarray(init, dtype=float)
+    rots = rots / np.linalg.norm(rots, axis=-1, keepdims=True)
+    rots = np.broadcast_to(rots, lead + (a, 4)).reshape(-1, a, 4).copy()
+    below = np.eye(skel.num_joints, dtype=bool)  # below[i, k]: k is i or under i
+    for k in range(1, skel.num_joints):
+        below[:, k] |= below[:, skel.parents[k]]
 
-    state = AdamState()
-    best = np.inf
-    best_rots = rots.copy()
-    stall = 0
-    lr = cfg.step_size
-    for _ in range(cfg.max_steps):
-        var = Tensor(rots, requires_grad=True)
-        pos = forward_kinematics_tensor(skel, ad.qnormalize(var), root_position)
-        loss = position_error_tensor(pos, target)
-        val = loss.item()
-        if val < best - cfg.tol:
-            best = val
-            best_rots = rots.copy()
-            stall = 0
-        else:
-            stall += 1
-            if stall >= cfg.patience:
-                break
-        loss.backward()
-        params = {"rots": rots}
-        adam_step(params, {"rots": var.grad}, state, lr, clip_norm=None)
-        rots = params["rots"]
-        rots /= np.linalg.norm(rots, axis=-1, keepdims=True)
-        lr *= cfg.step_decay
-    return best_rots
+    def evaluate(r):
+        world_q, pos = _fk(skel, _expand_active(skel, r), root)
+        return world_q, pos, np.sum((target - pos) ** 2, axis=(-2, -1))
+
+    world_q, pos, cost = evaluate(rots)
+    lam, done = np.full(len(cost), 1e-3), np.zeros(len(cost), dtype=bool)
+    steps, stall, stop = 0, 0, "max_steps"
+    while steps < cfg.max_steps:
+        steps += 1
+        # a world rotation e_c at active joint i moves joint k by e_c x (p_k - p_i)
+        lever = (pos[:, None] - pos[:, active, None]) * below[active, :, None]
+        jac = _cross(np.eye(3)[:, None, None], lever[:, None])
+        jac = jac.transpose(0, 3, 4, 2, 1).reshape(len(cost), -1, 3 * a)
+        jtj = jac.swapaxes(1, 2) @ jac
+        diag = np.diagonal(jtj, axis1=1, axis2=2) + _LM_EPS
+        damp = np.eye(3 * a) * (lam[:, None] * diag)[:, None]
+        grad = jac.swapaxes(1, 2) @ (target - pos).reshape(len(cost), -1, 1)
+        delta = np.linalg.solve(jtj + damp, grad)
+        predicted = np.sum(delta * (2.0 * grad - jtj @ delta), axis=(1, 2))
+        local = _rotate_vector_unchecked(qconj(world_q[:, active]), delta.reshape(-1, a, 3))
+        trial = qmul(rots, expmap_to_quat(local))
+        trial /= np.linalg.norm(trial, axis=-1, keepdims=True)
+        t_world_q, t_pos, t_cost = evaluate(trial)
+
+        accept, gain = (t_cost <= cost) & ~done, cost - t_cost
+        done |= np.where(accept, gain, predicted) <= cfg.tol * cost
+        for cur, new in ((rots, trial), (world_q, t_world_q), (pos, t_pos), (cost, t_cost)):
+            cur[accept] = new[accept]
+        lam = np.clip(lam * np.where(accept, 1.0 / 3.0, 10.0), 1e-12, 1e12)
+        stall = 0 if np.any(accept & (gain > 0)) else stall + 1
+        if done.all() or stall >= cfg.patience:
+            stop = "tol" if done.all() else "patience"
+            break
+    if info is not None:
+        info.update(iterations=steps, cost=float(cost.sum()), stop=stop)
+    return rots.reshape(lead + (a, 4))

@@ -272,9 +272,6 @@ class PoseNetwork(ParamContainer):
                 params[f"conv{layer}.b"] = ad.parameter(np.zeros(fout))
         self.params = params
 
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self.params.values())
-
     # -- recurrent path --------------------------------------------------
 
     def init_state(self, batch_size: int) -> list:
@@ -597,13 +594,23 @@ def load_checkpoint(path) -> dict:
                 "meta": header["meta"], "arrays": arrays}
 
 
+def _checked_params(arrays: dict, fresh: ParamContainer) -> dict:
+    """``arrays`` as parameters, if their names and shapes are those of
+    ``fresh``, a network built from the same config; ValueError otherwise."""
+    want = {k: v.data.shape for k, v in fresh.params.items()}
+    got = {k: np.shape(v) for k, v in arrays.items()}
+    bad = [f"{k} {got.get(k)} (config: {want.get(k)})"
+           for k in sorted(want.keys() | got.keys()) if got.get(k) != want.get(k)]
+    if bad:
+        raise ValueError(f"stored arrays do not fit the config: {'; '.join(bad)}")
+    return {k: ad.parameter(v) for k, v in arrays.items()}
+
+
 def pose_network_from_checkpoint(ck: dict) -> PoseNetwork:
     config = PoseNetworkConfig(**ck["config"])
-    params = {k: ad.parameter(v) for k, v in ck["arrays"].items()}
-    return PoseNetwork(config, params=params)
+    return PoseNetwork(config, params=_checked_params(ck["arrays"], PoseNetwork(config)))
 
 
 def pace_network_from_checkpoint(ck: dict) -> PaceNetwork:
     config = PaceNetworkConfig(**ck["config"])
-    params = {k: ad.parameter(v) for k, v in ck["arrays"].items()}
-    return PaceNetwork(config, params=params)
+    return PaceNetwork(config, params=_checked_params(ck["arrays"], PaceNetwork(config)))

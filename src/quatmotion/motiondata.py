@@ -628,10 +628,6 @@ class EpisodeSampler:
         self._counts = counts
         self._cum = np.concatenate([[0], np.cumsum(counts)])
 
-    @property
-    def num_valid_starts(self) -> int:
-        return int(self._cum[-1])
-
     def sample_indices(self, batch_size: int) -> list:
         """[(clip_index, start_frame)] drawn uniformly over valid starts."""
         flat = self.rng.integers(0, self._cum[-1], size=batch_size)

@@ -261,6 +261,14 @@ def _sideways_variant(ck):
     ck["config"]["variant"] = "sideways"
 
 
+def _drop_head_w(ck):
+    del ck["arrays"]["head.w"]
+
+
+def _short_head_w(ck):
+    ck["arrays"]["head.w"] = ck["arrays"]["head.w"][:-1]
+
+
 @pytest.mark.parametrize("command,flag,edit", [
     ("predict", "--checkpoint", _rename_hidden),
     ("predict", "--checkpoint", _sideways_mode),
@@ -269,6 +277,11 @@ def _sideways_variant(ck):
     ("generate", "--pace-checkpoint", _sideways_variant),
     ("train-pose", "--resume", _rename_hidden),
     ("train-pose", "--resume", _bad_train_config),
+    ("predict", "--checkpoint", _drop_head_w),
+    ("evaluate", "--checkpoint", _short_head_w),
+    ("generate", "--pace-checkpoint", _drop_head_w),
+    ("generate", "--pace-checkpoint", _short_head_w),
+    ("train-pose", "--resume", _short_head_w),
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_unbuildable_checkpoint_config_is_data_error(tmp_path, dataset_dir, generate_inputs,
                                                      training_checkpoint, capsys,
@@ -292,6 +305,20 @@ def test_unbuildable_checkpoint_config_is_data_error(tmp_path, dataset_dir, gene
     assert run([command] + [a for kv in args.items() for a in kv]) == 2
     err = capsys.readouterr().err
     assert "bad.ckpt" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_conv_checkpoint_needs_its_receptive_field(tmp_path, dataset_dir, capsys, command):
+    from quatmotion import models as mo
+    skel = md.load_dataset(dataset_dir)[0].skeleton
+    cfg = mo.PoseNetworkConfig.desk(skel.num_active, backbone="convolutional", channels=8)
+    ck = tmp_path / "conv.ckpt"
+    mo.save_checkpoint(ck, "pose", asdict(cfg), mo.PoseNetwork(cfg).param_arrays())
+    # the default --conditioning-frames 10 is below the receptive field
+    assert run([command, "--checkpoint", ck, "--dataset", dataset_dir,
+                "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert f">= {cfg.receptive_field}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("swap", [[1, 2], {"nope": "r_foot"}, {"l_foot": "r_lowleg"}],

@@ -115,6 +115,54 @@ def test_ik_recovers_target(rng):
     assert np.abs(np.linalg.norm(got, axis=-1) - 1).max() < 1e-12
 
 
+def test_ik_reports_why_it_stopped():
+    # criterion 10a's first chain
+    crit = np.random.default_rng(0)
+    skel = random_chain(crit, 5)
+    target = forward_kinematics(skel, random_unit_quats(crit, (8, 5)), np.zeros((8, 3)))
+    init = np.tile([1.0, 0, 0, 0], (8, 5, 1))
+    info = {}
+    ik_reproject(skel, target, init, IkConfig(max_steps=1800, patience=500), info=info)
+    assert info["stop"] == "tol" and info["iterations"] <= 50
+    assert info["cost"] < 1e-20
+    ik_reproject(skel, target, init, IkConfig(max_steps=1), info=info)
+    assert info["stop"] == "max_steps" and info["iterations"] == 1
+    assert info["cost"] > 1e-3
+
+
+def branching_skeleton(rng):
+    """Root, spine, and two two-joint arms that end in active leaves; the
+    second arm hangs from an inactive joint with a non-identity constant
+    rotation."""
+    parents = [-1, 0, 1, 2, 1, 4, 5]
+    offsets = rng.normal(size=(7, 3))
+    offsets[0] = 0
+    active = np.ones(7, dtype=bool)
+    active[4] = False
+    const = np.tile([1.0, 0, 0, 0], (7, 1))
+    const[4] = random_unit_quats(rng, ())
+    return Skeleton([f"j{i}" for i in range(7)], parents, offsets, active, const)
+
+
+@pytest.mark.parametrize("lead", [(2, 3), ()])
+def test_ik_recovers_branching_target(rng, lead):
+    skel = branching_skeleton(rng)
+    truth = random_unit_quats(rng, lead + (skel.num_active,))
+    target = forward_kinematics(skel, truth, np.zeros(lead + (3,)))
+    # start a moderate rotation away from the truth, as when reprojecting
+    # from the previous frame; the active leaf (last joint) starts at identity
+    init = rm.qmul(truth, rm.expmap_to_quat(0.3 * rng.normal(size=truth.shape[:-1] + (3,))))
+    init[..., -1, :] = [1.0, 0, 0, 0]
+    got = ik_reproject(skel, target, init, IkConfig(max_steps=200, patience=50))
+    assert got.shape == truth.shape and np.isfinite(got).all()
+    assert np.abs(np.linalg.norm(got, axis=-1) - 1).max() < 1e-12
+    assert np.allclose(got[..., -1, :], [1.0, 0, 0, 0], rtol=0, atol=1e-12)
+    pos = forward_kinematics(skel, got, np.zeros(lead + (3,)))
+    assert np.linalg.norm(pos - target, axis=-1).max() < 1e-9
+    lens = np.linalg.norm(pos[..., 1:, :] - pos[..., skel.parents[1:], :], axis=-1)
+    assert np.abs(lens - skel.bone_lengths()[1:]).max() < 1e-12
+
+
 def test_ik_rejects_bad_target(rng):
     skel = random_chain(rng, 3)
     bad = np.full((3, 3), np.nan)
