@@ -8,7 +8,9 @@ leaves. A graph can be backpropagated through only once.
 
 The quaternion operations ``qmul`` and ``qnormalize`` have hand-written
 backward rules over the :mod:`rotmath` kernels. Forward kinematics is a
-single node with its own adjoint (``kinematics.forward_kinematics_tensor``).
+single node with its own adjoint (``kinematics.forward_kinematics_tensor``),
+and so is a GRU cell (:func:`gru_cell`, which every recurrent network in
+:mod:`models` uses).
 """
 
 from __future__ import annotations
@@ -413,6 +415,48 @@ def qnormalize(q) -> Tensor:
         return (g - data * np.sum(g * data, axis=-1, keepdims=True)) / n
 
     return _make(data, (q,), (grad,))
+
+
+# -- recurrent cell -------------------------------------------------------------
+
+
+def gru_cell(x, h, wx, wh, b) -> Tensor:
+    """One GRU cell as a single tape node: ``x`` (B, I), ``h`` (B, H),
+    ``wx`` (I, 3H), ``wh`` (H, 3H), ``b`` (3H,), gate blocks ordered r, z, n.
+
+    ``n = tanh(gx_n + r * gh_n)`` (the reset gate rescales only the
+    recurrent contribution) and ``h' = (1 - z) n + z h``, with the same
+    arithmetic and order as the composite ops, so outputs are bit-identical
+    to them. The backward computes the gate adjoints once and derives all
+    five input gradients from them.
+    """
+    x, h, wx, wh, b = (as_tensor(t) for t in (x, h, wx, wh, b))
+    hidden = h.data.shape[1]
+    gx = x.data @ wx.data + b.data
+    gh = h.data @ wh.data
+    rz = 1.0 / (1.0 + np.exp(-(gx[:, :2 * hidden] + gh[:, :2 * hidden])))
+    r, z = rz[:, :hidden], rz[:, hidden:]
+    gh_n = gh[:, 2 * hidden:]
+    n = np.tanh(gx[:, 2 * hidden:] + r * gh_n)
+    data = (1.0 - z) * n + z * h.data
+    memo = [None, None, None]
+
+    def gates(g):
+        # (dgx, dgh) for output adjoint g, computed once per backward pass
+        if memo[0] is not g:
+            dn = g * (1.0 - z) * (1.0 - n * n)
+            drz = np.concatenate([dn * gh_n, g * (h.data - n)], axis=-1) * rz * (1.0 - rz)
+            memo[:] = [g, np.concatenate([drz, dn], axis=-1),
+                       np.concatenate([drz, dn * r], axis=-1)]
+        return memo[1], memo[2]
+
+    return _make(data, (x, h, wx, wh, b), (
+        lambda g: gates(g)[0] @ wx.data.T,
+        lambda g: gates(g)[1] @ wh.data.T + g * z,
+        lambda g: x.data.T @ gates(g)[0],
+        lambda g: h.data.T @ gates(g)[1],
+        lambda g: gates(g)[0].sum(axis=0),
+    ))
 
 
 def zeros(shape) -> Tensor:

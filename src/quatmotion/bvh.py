@@ -4,7 +4,8 @@ Supported subset: HIERARCHY/MOTION sections, OFFSET, CHANNELS with 3
 rotation channels (or 6 position+rotation channels on any joint), End
 Sites, ``Frames:`` and ``Frame Time:``. Rotations are in degrees per the
 BVH convention and are converted to quaternions honoring each joint's
-channel order; antipodal continuity is fixed on load.
+channel order. The arrays are returned raw; ``motiondata.load_bvh`` wraps
+them in a ``MotionClip``, which fixes antipodal continuity.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kinematics import Skeleton
-from .rotmath import euler_to_quat, fix_continuity, quat_to_euler
+from .rotmath import euler_to_quat, quat_to_euler
 
 _ROT_CHANNELS = {"Xrotation": "x", "Yrotation": "y", "Zrotation": "z"}
 _POS_CHANNELS = ("Xposition", "Yposition", "Zposition")
@@ -160,7 +161,6 @@ def load_bvh(path):
         angles = np.deg2rad(values[:, col:col + 3])
         rotations[:, c["joint"]] = euler_to_quat(angles, order)
         col += 3
-    rotations = fix_continuity(rotations)
     return skel, 1.0 / frame_time, root_positions, rotations
 
 

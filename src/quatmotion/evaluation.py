@@ -20,8 +20,8 @@ from . import rotmath as rm
 from .autodiff import Tensor
 from .kinematics import (Skeleton, forward_kinematics, ik_reproject,
                          per_frame_velocity_error, position_error)
-from .models import (ParamContainer, PoseNetwork, PoseNetworkConfig, _gru_step,
-                     _init_gru, _init_linear, _linear)
+from .models import (ParamContainer, PoseNetwork, PoseNetworkConfig, _GruStack,
+                     _init_linear, _linear)
 from .optim import AdamState, adam_step
 from .training import TrainConfig, euler_error, free_run_chunks, train_pose
 
@@ -244,29 +244,18 @@ class PositionNetwork(ParamContainer):
     def __init__(self, num_joints: int, hidden: int = 64, layers: int = 2,
                  seed: int = 0):
         self.num_joints = num_joints
-        self.hidden = hidden
-        self.layers = layers
         rng = np.random.default_rng(seed)
-        params = {}
-        dim = 3 * num_joints
-        i = dim
-        for layer in range(layers):
-            _init_gru(rng, f"gru{layer}", i, hidden, params)
-            i = hidden
-        _init_linear(rng, "head", hidden, dim, params)
-        self.params = params
+        self.params = {}
+        self._gru = _GruStack(self.params, [f"gru{layer}" for layer in range(layers)], hidden)
+        self._gru.init(rng, 3 * num_joints)
+        _init_linear(rng, "head", hidden, 3 * num_joints, self.params)
 
     def init_state(self, batch: int) -> list:
-        return [self.params[f"gru{layer}.h0"] + ad.zeros((batch, self.hidden))
-                for layer in range(self.layers)]
+        return self._gru.init_state(batch)
 
     def step(self, x: Tensor, state: list):
-        new_state = []
-        h = x
-        for layer in range(self.layers):
-            h = _gru_step(self.params, f"gru{layer}", h, state[layer], self.hidden)
-            new_state.append(h)
-        return _linear(self.params, "head", h), new_state
+        new_state = self._gru.step(x, state)
+        return _linear(self.params, "head", new_state[-1]), new_state
 
     def free_run(self, prefix: np.ndarray, horizon: int) -> np.ndarray:
         """prefix (n, J, 3) -> predictions (horizon, J, 3)."""

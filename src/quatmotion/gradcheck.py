@@ -1,5 +1,6 @@
-"""Finite-difference gradient checks over the differentiable ops and both
-network backbones. Used by the ``gradcheck`` CLI command and the tests."""
+"""Finite-difference gradient checks over the differentiable ops (the fused
+GRU cell among them), both pose network backbones and both pace network
+variants. Used by the ``gradcheck`` CLI command and the tests."""
 
 from __future__ import annotations
 
@@ -82,11 +83,49 @@ def _op_cases(rng: np.random.Generator) -> list:
         ("wrap_angle", lambda t: ad.tsum(ad.wrap_angle(t)),
          rng.uniform(-2.5, 2.5, size=(6,))),
     ]
+    # the fused GRU cell at batch 3, varying each of x, h, wx, wh, b in turn
+    gru = [rng.normal(size=shape) for shape in ((3, 4), (3, 5), (4, 15), (5, 15), (15,))]
+    w35 = rng.normal(size=(3, 5))
+
+    def gru_case(i):
+        def f(t):
+            args = [t if j == i else Tensor(arr) for j, arr in enumerate(gru)]
+            return ad.tsum(ad.gru_cell(*args) * Tensor(w35))
+        return f
+
+    cases += [(f"gru_cell_{name}", gru_case(i), gru[i].copy())
+              for i, name in enumerate(("x", "h", "wx", "wh", "b"))]
     return cases
 
 
+def _param_error(params: dict, loss_for, names, rng) -> float:
+    """Worst relative error of backprop against central differences at up
+    to 4 random entries of each named parameter. ``loss_for`` maps a dict
+    of parameter tensors to a scalar loss tensor."""
+    leaves = {k: ad.parameter(v) for k, v in params.items()}
+    loss_for(leaves).backward()
+    worst = 0.0
+    for name in names:
+        arr = params[name].reshape(-1)
+        g = leaves[name].grad.reshape(-1)
+        for i in rng.integers(0, arr.size, size=min(4, arr.size)):
+            old = arr[i]
+            arr[i] = old + EPS
+            hi = loss_for({k: ad.parameter(v) for k, v in params.items()}).item()
+            arr[i] = old - EPS
+            lo = loss_for({k: ad.parameter(v) for k, v in params.items()}).item()
+            arr[i] = old
+            fd = (hi - lo) / (2 * EPS)
+            # floor at FD noise: O(1) loss roundoff / eps ~ 1e-11, but
+            # grads through a deep recurrence shrink to ~1e-8 where the
+            # quotient is dominated by cancellation, not gradient error
+            denom = max(abs(fd), abs(g[i]), 1e-5)
+            worst = max(worst, abs(g[i] - fd) / denom)
+    return worst
+
+
 def _network_cases(rng: np.random.Generator) -> list:
-    from .models import PoseNetwork, PoseNetworkConfig
+    from .models import PaceNetwork, PaceNetworkConfig, PoseNetwork, PoseNetworkConfig
     from .training import TrainConfig, scheduled_sampling_rollout
 
     skel = synth_skeleton(2)
@@ -95,52 +134,38 @@ def _network_cases(rng: np.random.Generator) -> list:
     quats /= np.linalg.norm(quats, axis=-1, keepdims=True)
     cfg = TrainConfig(conditioning_frames=33, prediction_frames=2, epochs=1)
 
-    def case(backbone):
+    def pose_case(backbone):
         net = PoseNetwork(PoseNetworkConfig(a, backbone=backbone,
                                             hidden=12, channels=12), seed=0)
-        names = sorted(net.param_arrays())
-        pick = [names[0], names[len(names) // 2], names[-1]]
+        names = sorted(net.params)
 
         def loss_for(params):
-            n2 = PoseNetwork(net.config,
-                             params={k: ad.parameter(v) for k, v in params.items()})
-            loss = scheduled_sampling_rollout(
-                n2, quats[:, :cfg.conditioning_frames + cfg.prediction_frames],
+            return scheduled_sampling_rollout(
+                PoseNetwork(net.config, params=params),
+                quats[:, :cfg.conditioning_frames + cfg.prediction_frames],
                 skel, cfg, p=1.0, rng=np.random.default_rng(0))
-            return loss
 
-        base = {k: v.copy() for k, v in net.param_arrays().items()}
-        loss = loss_for(base)
-        loss.backward()
-        net2 = PoseNetwork(net.config,
-                           params={k: ad.parameter(v) for k, v in base.items()})
-        # recompute to read grads off fresh leaves
-        loss = scheduled_sampling_rollout(
-            net2, quats[:, :cfg.conditioning_frames + cfg.prediction_frames],
-            skel, cfg, p=1.0, rng=np.random.default_rng(0))
-        loss.backward()
-        worst = 0.0
-        for name in pick:
-            arr = base[name].reshape(-1)
-            g = net2.params[name].grad.reshape(-1)
-            idx = rng.integers(0, arr.size, size=min(4, arr.size))
-            for i in idx:
-                old = arr[i]
-                arr[i] = old + EPS
-                hi = loss_for(base).item()
-                arr[i] = old - EPS
-                lo = loss_for(base).item()
-                arr[i] = old
-                fd = (hi - lo) / (2 * EPS)
-                # floor at FD noise: O(1) loss roundoff / eps ~ 1e-11, but
-                # grads through a deep recurrence shrink to ~1e-8 where the
-                # quotient is dominated by cancellation, not gradient error
-                denom = max(abs(fd), abs(g[i]), 1e-5)
-                worst = max(worst, abs(g[i] - fd) / denom)
-        return worst
+        return _param_error(net.param_arrays(), loss_for,
+                            [names[0], names[len(names) // 2], names[-1]], rng)
 
-    return [("recurrent_rollout", case, "recurrent"),
-            ("convolutional_rollout", case, "convolutional")]
+    curv = rng.normal(scale=0.5, size=7)
+    weights = rng.normal(size=(7, 4))
+
+    def pace_case(variant):
+        net = PaceNetwork(PaceNetworkConfig(hidden=6, variant=variant, delay=2), seed=0)
+
+        def loss_for(params):
+            out = PaceNetwork(net.config, params=params).forward(curv)
+            return (ad.tsum(out["facing"] * Tensor(weights[:, :2]))
+                    + ad.tsum(out["frequency"] * Tensor(weights[:, 2]))
+                    + ad.tsum(out["speed"] * Tensor(weights[:, 3])))
+
+        return _param_error(net.param_arrays(), loss_for, sorted(net.params), rng)
+
+    return [("recurrent_rollout", pose_case, "recurrent"),
+            ("convolutional_rollout", pose_case, "convolutional"),
+            ("pace_bidirectional", pace_case, "bidirectional"),
+            ("pace_online", pace_case, "online")]
 
 
 def run_gradcheck(verbose: bool = False, tol: float = TOL) -> int:
@@ -153,8 +178,8 @@ def run_gradcheck(verbose: bool = False, tol: float = TOL) -> int:
         failures += not ok
         if verbose:
             print(f"{'ok  ' if ok else 'FAIL'} {name:24s} rel={err:.3e}")
-    for name, case, backbone in _network_cases(rng):
-        err = case(backbone)
+    for name, case, arg in _network_cases(rng):
+        err = case(arg)
         ok = err < tol
         failures += not ok
         if verbose:

@@ -245,7 +245,8 @@ def ik_reproject(skel: Skeleton, target: np.ndarray, init: np.ndarray,
     frames are done (``"tol"``), after ``cfg.patience`` iterations in a row
     in which no frame improved (``"patience"``), or at ``cfg.max_steps``.
     ``info``, if given, receives ``iterations``, the final summed ``cost``
-    and ``stop``.
+    and ``stop``. A non-finite target or ``init``, a zero ``init``
+    quaternion, or a joint count that does not match raises ValueError.
     """
     cfg = cfg or IkConfig()
     target = np.asarray(target, dtype=float)
@@ -259,7 +260,12 @@ def ik_reproject(skel: Skeleton, target: np.ndarray, init: np.ndarray,
     target = target.reshape(-1, skel.num_joints, 3)
     root = np.broadcast_to(root_position, lead + (3,)).reshape(-1, 3)
     rots = np.asarray(init, dtype=float)
-    rots = rots / np.linalg.norm(rots, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(rots)):
+        raise ValueError("IK init contains non-finite values")
+    norms = np.linalg.norm(rots, axis=-1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise ValueError("IK init contains a zero-norm quaternion")
+    rots = rots / norms
     rots = np.broadcast_to(rots, lead + (a, 4)).reshape(-1, a, 4).copy()
     below = np.eye(skel.num_joints, dtype=bool)  # below[i, k]: k is i or under i
     for k in range(1, skel.num_joints):

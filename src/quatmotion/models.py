@@ -187,22 +187,37 @@ def expected_param_count(config: PoseNetworkConfig) -> int:
 
 # -- shared building blocks ---------------------------------------------------
 
-def _init_gru(rng, prefix: str, input_dim: int, hidden: int, params: dict) -> None:
-    scale = 1.0 / np.sqrt(hidden)
-    params[f"{prefix}.wx"] = ad.parameter((input_dim, 3 * hidden), rng, scale)
-    params[f"{prefix}.wh"] = ad.parameter((hidden, 3 * hidden), rng, scale)
-    params[f"{prefix}.b"] = ad.parameter(np.zeros(3 * hidden))
-    params[f"{prefix}.h0"] = ad.parameter(np.zeros(hidden))
+class _GruStack:
+    """Stacked GRU layers over the ``{prefix}.wx/.wh/.b/.h0`` entries of a
+    network's params dict, one fused tape node per cell; each layer feeds
+    the next."""
 
+    def __init__(self, params: dict, prefixes: list, hidden: int):
+        self.params, self.prefixes, self.hidden = params, prefixes, hidden
 
-def _gru_step(params: dict, prefix: str, x: Tensor, h: Tensor, hidden: int) -> Tensor:
-    gx = x @ params[f"{prefix}.wx"] + params[f"{prefix}.b"]
-    gh = h @ params[f"{prefix}.wh"]
-    r = ad.sigmoid(gx[..., :hidden] + gh[..., :hidden])
-    z = ad.sigmoid(gx[..., hidden:2 * hidden] + gh[..., hidden:2 * hidden])
-    # reset gate rescales only the recurrent contribution to the candidate
-    n = ad.tanh(gx[..., 2 * hidden:] + r * gh[..., 2 * hidden:])
-    return (1.0 - z) * n + z * h
+    def init(self, rng, input_dim: int) -> None:
+        """Draw every layer's parameters into the params dict."""
+        scale = 1.0 / np.sqrt(self.hidden)
+        for prefix in self.prefixes:
+            self.params[f"{prefix}.wx"] = ad.parameter((input_dim, 3 * self.hidden), rng, scale)
+            self.params[f"{prefix}.wh"] = ad.parameter((self.hidden, 3 * self.hidden), rng, scale)
+            self.params[f"{prefix}.b"] = ad.parameter(np.zeros(3 * self.hidden))
+            self.params[f"{prefix}.h0"] = ad.parameter(np.zeros(self.hidden))
+            input_dim = self.hidden
+
+    def init_state(self, batch_size: int) -> list:
+        """Per-layer hidden states: the learned h0 broadcast over the batch."""
+        return [self.params[f"{prefix}.h0"] + ad.zeros((batch_size, self.hidden))
+                for prefix in self.prefixes]
+
+    def step(self, x: Tensor, state: list) -> list:
+        """Advance every layer by one step; returns the new per-layer states,
+        the last of which is the stack's output."""
+        p, new_state = self.params, []
+        for prefix, h in zip(self.prefixes, state):
+            x = ad.gru_cell(x, h, p[f"{prefix}.wx"], p[f"{prefix}.wh"], p[f"{prefix}.b"])
+            new_state.append(x)
+        return new_state
 
 
 def _init_linear(rng, prefix: str, input_dim: int, output_dim: int, params: dict) -> None:
@@ -247,19 +262,18 @@ class PoseNetwork(ParamContainer):
 
     def __init__(self, config: PoseNetworkConfig, seed: int = 0, params: dict | None = None):
         self.config = config
+        self.params = {} if params is None else params
+        self._gru = _GruStack(self.params, [f"gru{layer}" for layer in range(config.layers)],
+                              config.hidden)
         if params is not None:
-            self.params = params
             return
         rng = np.random.default_rng(seed)
-        params = {}
+        params = self.params
         if config.include_controls:
             _init_linear(rng, "enc.l1", CONTROL_DIM, ENCODER_UNITS, params)
             _init_linear(rng, "enc.l2", ENCODER_UNITS, ENCODER_UNITS, params)
         if config.backbone == "recurrent":
-            i = config.input_dim
-            for layer in range(config.layers):
-                _init_gru(rng, f"gru{layer}", i, config.hidden, params)
-                i = config.hidden
+            self._gru.init(rng, config.input_dim)
             _init_linear(rng, "head", config.hidden, config.output_dim, params)
         else:
             dims = ([config.input_dim] + [config.channels] * (config.conv_layers - 1)
@@ -270,7 +284,6 @@ class PoseNetwork(ParamContainer):
                 params[f"conv{layer}.w0"] = ad.parameter((fin, fout), rng, scale)
                 params[f"conv{layer}.w1"] = ad.parameter((fin, fout), rng, scale)
                 params[f"conv{layer}.b"] = ad.parameter(np.zeros(fout))
-        self.params = params
 
     # -- recurrent path --------------------------------------------------
 
@@ -278,8 +291,7 @@ class PoseNetwork(ParamContainer):
         """Per-layer hidden states: the learned h0 broadcast over the batch."""
         if self.config.backbone != "recurrent":
             raise ValueError("state applies to the recurrent backbone only")
-        return [self.params[f"gru{layer}.h0"] + ad.zeros((batch_size, self.config.hidden))
-                for layer in range(self.config.layers)]
+        return self._gru.init_state(batch_size)
 
     def _head_to_pose(self, raw: Tensor, prev_quats) -> dict:
         cfg = self.config
@@ -339,12 +351,9 @@ class PoseNetwork(ParamContainer):
         for s in state:
             if not np.all(np.isfinite(s.data)):
                 raise ad.NumericalError("non-finite recurrent state")
-        x = self._inputs(pose, prev_quats, translations, controls)
-        new_state = []
-        for layer in range(cfg.layers):
-            x = _gru_step(self.params, f"gru{layer}", x, state[layer], cfg.hidden)
-            new_state.append(x)
-        raw = _linear(self.params, "head", x)
+        new_state = self._gru.step(self._inputs(pose, prev_quats, translations, controls),
+                                   state)
+        raw = _linear(self.params, "head", new_state[-1])
         out = self._head_to_pose(raw, prev_quats)
         out["state"] = new_state
         return out
@@ -411,25 +420,26 @@ class PaceNetwork(ParamContainer):
 
     def __init__(self, config: PaceNetworkConfig, seed: int = 0, params: dict | None = None):
         self.config = config
+        self.params = {} if params is None else params
+        self._grus = {prefix: _GruStack(self.params, [prefix], config.hidden)
+                      for prefix in ("fwd", "bwd")}
         if params is not None:
-            self.params = params
             return
         rng = np.random.default_rng(seed)
-        params = {}
-        _init_gru(rng, "fwd", 1, config.hidden, params)
+        self._grus["fwd"].init(rng, 1)
         head_in = config.hidden
         if config.variant == "bidirectional":
-            _init_gru(rng, "bwd", 1, config.hidden, params)
+            self._grus["bwd"].init(rng, 1)
             head_in = 2 * config.hidden
-        _init_linear(rng, "head", head_in, self.OUT_DIM, params)
-        self.params = params
+        _init_linear(rng, "head", head_in, self.OUT_DIM, self.params)
 
     def _run_gru(self, prefix: str, inputs: list) -> list:
-        h = self.params[f"{prefix}.h0"] + ad.zeros((1, self.config.hidden))
+        gru = self._grus[prefix]
+        state = gru.init_state(1)
         states = []
         for x in inputs:
-            h = _gru_step(self.params, prefix, x, h, self.config.hidden)
-            states.append(h)
+            state = gru.step(x, state)
+            states.append(state[0])
         return states
 
     def forward(self, curvatures) -> dict:

@@ -25,7 +25,10 @@ def global_norm(grads: dict) -> float:
 
 def clip_global_norm(grads: dict, max_norm: float) -> dict:
     """Scale all gradients so their joint Euclidean norm is <= max_norm."""
-    norm = global_norm(grads)
+    return _clipped(grads, max_norm, global_norm(grads))
+
+
+def _clipped(grads: dict, max_norm: float, norm: float) -> dict:
     if norm <= max_norm or norm == 0.0:
         return grads
     scale = max_norm / norm
@@ -43,8 +46,10 @@ class AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
-              clip_norm: float | None = 0.1) -> None:
-    """One in-place Adam update after global-norm clipping.
+              clip_norm: float | None = 0.1) -> float:
+    """One in-place Adam update after global-norm clipping; returns the
+    global gradient norm before clipping (the step clipped iff it exceeds
+    ``clip_norm``).
 
     Raises :class:`NumericalError` on non-finite gradients instead of
     corrupting the parameters.
@@ -52,8 +57,9 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient for parameter {name!r}")
+    norm = global_norm(grads)
     if clip_norm is not None:
-        grads = clip_global_norm(grads, clip_norm)
+        grads = _clipped(grads, clip_norm, norm)
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1 ** state.step
@@ -69,3 +75,4 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
         state.m[name] = m
         state.v[name] = v
         params[name] -= lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+    return norm

@@ -22,12 +22,14 @@ from .kinematics import (Skeleton, forward_kinematics, forward_kinematics_tensor
                          position_error, position_error_tensor, velocity_error)
 from .models import (CONTROL_DIM, PaceNetwork, PoseNetwork, _rotate2, encode_pose,
                      save_checkpoint)
-from .optim import AdamState, adam_step, clip_global_norm, global_norm
+from .optim import AdamState, adam_step
 
 LR_DECAY = 0.999
 SAMPLING_DECAY = 0.995
 CLIP_NORM = 0.1
 REG_WEIGHT = 0.01
+LOG_COLUMNS = ("epoch", "lr", "p", "train_loss", "val_position_loss",
+               "val_velocity_loss", "wall_seconds", "grad_norm", "clip_fraction")
 
 
 @dataclass
@@ -375,14 +377,13 @@ def train_pose(net: PoseNetwork, clips, skel: Skeleton, config: TrainConfig,
         log_fh = open(log_path, "a", newline="")
         writer = csv.writer(log_fh)
         if start_epoch == 0:
-            writer.writerow(["epoch", "lr", "p", "train_loss",
-                             "val_position_loss", "val_velocity_loss", "wall_seconds"])
+            writer.writerow(LOG_COLUMNS)
     try:
         for epoch in range(start_epoch, config.epochs):
             t0 = time.time()
             lr = config.lr_at(epoch)
             p = config.p_at(epoch)
-            epoch_losses = []
+            epoch_losses, norms = [], []
             remaining = len(clips)
             while remaining > 0:
                 take = min(config.batch_size, remaining)
@@ -393,7 +394,8 @@ def train_pose(net: PoseNetwork, clips, skel: Skeleton, config: TrainConfig,
                     net, batch["rotations"], skel, config, p, rng,
                     root_positions=batch["root_positions"])
                 loss.backward()
-                adam_step(arrays, net.grads(), adam, lr, clip_norm=config.clip_norm)
+                norms.append(adam_step(arrays, net.grads(), adam, lr,
+                                       clip_norm=config.clip_norm))
                 epoch_losses.append(loss.item())
             last = (epoch == config.epochs - 1)
             if last or epoch % validate_every == 0:
@@ -403,13 +405,12 @@ def train_pose(net: PoseNetwork, clips, skel: Skeleton, config: TrainConfig,
             row = {"epoch": epoch, "lr": lr, "p": p,
                    "train_loss": float(np.mean(epoch_losses)),
                    "val_position_loss": val_pos, "val_velocity_loss": val_vel,
-                   "wall_seconds": time.time() - t0}
+                   "wall_seconds": time.time() - t0,
+                   "grad_norm": float(np.mean(norms)),
+                   "clip_fraction": float(np.mean(np.array(norms) > config.clip_norm))}
             history.append(row)
             if writer is not None:
-                writer.writerow([row[c] for c in
-                                 ("epoch", "lr", "p", "train_loss",
-                                  "val_position_loss", "val_velocity_loss",
-                                  "wall_seconds")])
+                writer.writerow([row[c] for c in LOG_COLUMNS])
                 log_fh.flush()
             if checkpoint_path is not None:
                 save_pose_checkpoint(checkpoint_path, net, skel, config,

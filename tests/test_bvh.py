@@ -46,6 +46,21 @@ def test_parse_simple(simple_bvh):
     assert np.allclose(root[0], [0, 1, 0])
 
 
+def test_antipodal_flip_loads_sign_continuous(tmp_path):
+    # chest turns 179 -> -179 degrees about z: the raw quaternions of the
+    # two frames are nearly antipodal, the loaded clip's are not
+    text = SIMPLE.replace("5.0 0.0 -5.0", "179.0 0.0 0.0").replace(
+        "6.0 1.0 -4.0", "-179.0 0.0 0.0")
+    p = tmp_path / "flip.bvh"
+    p.write_text(text)
+    raw = load_bvh(p)[3]
+    assert np.sum(raw[0, 1] * raw[1, 1]) < -0.99
+    rots = md.load_bvh(p)[1].rotations
+    assert (np.sum(rots[1:] * rots[:-1], axis=-1) >= 0).all()
+    assert np.array_equal(rots[1, 1], -raw[1, 1])
+    assert np.array_equal(rots[:, 0], raw[:, 0])
+
+
 def test_round_trip(tmp_path, gait):
     skel, clip, _ = gait
     p = tmp_path / "out.bvh"

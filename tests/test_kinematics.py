@@ -170,6 +170,16 @@ def test_ik_rejects_bad_target(rng):
         ik_reproject(skel, bad, np.tile([1.0, 0, 0, 0], (3, 1)))
 
 
+@pytest.mark.parametrize("fill", [0.0, np.nan])
+def test_ik_rejects_bad_init(rng, fill):
+    skel = random_chain(rng, 3)
+    target = forward_kinematics(skel, random_unit_quats(rng, (3,)), np.zeros(3))
+    init = np.tile([1.0, 0, 0, 0], (3, 1))
+    init[1] = fill
+    with pytest.raises(ValueError, match="init"):
+        ik_reproject(skel, target, init)
+
+
 def test_positional_loss_gradient_through_fk(rng):
     from quatmotion.gradcheck import check_scalar_fn
     from quatmotion.kinematics import position_error_tensor

@@ -3,6 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from quatmotion import autodiff as ad
 from quatmotion import models as mo
 from quatmotion import rotmath as rm
 from quatmotion.autodiff import Tensor
@@ -138,6 +139,51 @@ def test_checkpoint_failed_save_keeps_previous(tmp_path):
     with pytest.raises(ValueError):
         mo.save_checkpoint(path, "pose", {}, {"a": np.zeros(3), "b": "x"})
     assert np.array_equal(mo.load_checkpoint(path)["arrays"]["a"], np.ones(3))
+
+
+@pytest.mark.parametrize("batch,inputs,hidden", [(1, 20, 16), (8, 20, 16), (1, 1, 30)],
+                         ids=["B=1", "B=8", "pace"])
+def test_fused_gru_cell_matches_composite(rng, batch, inputs, hidden):
+    x, h = Tensor(rng.normal(size=(batch, inputs))), Tensor(rng.normal(size=(batch, hidden)))
+    wx, wh = Tensor(rng.normal(size=(inputs, 3 * hidden))), Tensor(rng.normal(size=(hidden, 3 * hidden)))
+    b = Tensor(rng.normal(size=3 * hidden))
+    # the cell written out in tape ops
+    gx = x @ wx + b
+    gh = h @ wh
+    r = ad.sigmoid(gx[..., :hidden] + gh[..., :hidden])
+    z = ad.sigmoid(gx[..., hidden:2 * hidden] + gh[..., hidden:2 * hidden])
+    n = ad.tanh(gx[..., 2 * hidden:] + r * gh[..., 2 * hidden:])
+    want = (1.0 - z) * n + z * h
+    assert np.array_equal(ad.gru_cell(x, h, wx, wh, b).data, want.data)
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+def test_pose_step_adds_one_tape_node_per_gru_layer(rng, layers):
+    cfg = mo.PoseNetworkConfig.desk(3, hidden=8, layers=layers, mode="absolute")
+    net = mo.PoseNetwork(cfg, seed=0)
+    pose = Tensor(random_unit_quats(rng, (2, 3)).reshape(2, -1), requires_grad=True)
+    state = net.init_state(2)
+    x = pose
+    for layer, h in enumerate(net.step(pose, state)["state"]):
+        p = [net.params[f"gru{layer}.{k}"] for k in ("wx", "wh", "b")]
+        assert h._parents == (x, state[layer], *p)
+        x = h
+
+
+def test_gru_parameter_names_unchanged():
+    from quatmotion.evaluation import PositionNetwork
+
+    def gru(*prefixes):
+        return {f"{p}.{k}" for p in prefixes for k in ("wx", "wh", "b", "h0")}
+
+    head = {"head.w", "head.b"}
+    pose = mo.PoseNetwork(mo.PoseNetworkConfig.desk(3, hidden=4), seed=0)
+    assert set(pose.params) == gru("gru0", "gru1") | head
+    assert set(PositionNetwork(3, hidden=4).params) == gru("gru0", "gru1") | head
+    pace = mo.PaceNetwork(mo.PaceNetworkConfig(hidden=4), seed=0)
+    assert set(pace.params) == gru("fwd", "bwd") | head
+    online = mo.PaceNetwork(mo.PaceNetworkConfig(hidden=4, variant="online"), seed=0)
+    assert set(online.params) == gru("fwd") | head
 
 
 def test_pace_checkpoint_round_trip(tmp_path, rng):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,18 @@ def test_train_pose_history_and_log(tmp_path, corpus):
     lines = log.read_text().strip().splitlines()
     assert len(lines) == 3  # header + 2 epochs
     assert "epoch" in lines[0]
+    with open(log, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row, h in zip(rows, hist):
+        norm, frac = float(row["grad_norm"]), float(row["clip_fraction"])
+        assert np.isfinite(norm) and norm > 0 and 0.0 <= frac <= 1.0
+        assert (norm, frac) == (h["grad_norm"], h["clip_fraction"])
+
+
+def test_adam_step_returns_pre_clip_norm():
+    grads = {"a": np.array([3.0]), "b": np.array([4.0])}
+    params = {k: np.zeros_like(g) for k, g in grads.items()}
+    assert adam_step(params, grads, AdamState(), lr=1e-3, clip_norm=0.1) == 5.0
 
 
 # the conv backbone conditions on its whole 32-frame receptive field
