@@ -4,7 +4,9 @@ The "tape" is the implicit operation graph: every op returns a
 :class:`Tensor` holding its numpy value, its parents, and a backward rule.
 ``backward()`` on a scalar output traverses the graph once in reverse
 topological order and accumulates gradients into the ``requires_grad``
-leaves. A graph can be backpropagated through only once.
+leaves. A graph can be backpropagated through only once. Inside
+``with no_grad():`` nothing is recorded: every op returns a plain leaf,
+which is how free-run prediction and generation run.
 
 The quaternion operations ``qmul`` and ``qnormalize`` have hand-written
 backward rules over the :mod:`rotmath` kernels. Forward kinematics is a
@@ -15,11 +17,15 @@ and so is a GRU cell (:func:`gru_cell`, which every recurrent network in
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from . import rotmath as rm
 
 EPS_NORM = 1e-12
+
+_recording = True  # False inside no_grad()
 
 
 class NumericalError(ArithmeticError):
@@ -63,9 +69,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def item(self) -> float:
         return float(self.data)
@@ -156,10 +159,24 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape while active: every op returns a plain leaf with no
+    parents. The previous state comes back on exit, also on an exception."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _make(data, parents, grad_fns) -> Tensor:
     """Build an op output; graph edges are kept only toward grad-requiring
     or non-leaf parents so constant subgraphs are pruned."""
     out = Tensor(data)
+    if not _recording:
+        return out
     kept = [(p, f) for p, f in zip(parents, grad_fns) if p.requires_grad or p._parents]
     if kept:
         out._parents = tuple(p for p, _ in kept)
@@ -334,18 +351,20 @@ def reshape(a, shape) -> Tensor:
 def concat(tensors, axis: int = -1) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
-    def make_grad(i):
+    def make_grad(start, stop):
         def grad(g):
             sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offsets[i], offsets[i + 1])
+            sl[axis] = slice(start, stop)
             return g[tuple(sl)]
 
         return grad
 
-    return _make(data, tuple(tensors), tuple(make_grad(i) for i in range(len(tensors))))
+    grad_fns, stop = [], 0
+    for t in tensors:
+        start, stop = stop, stop + t.data.shape[axis]
+        grad_fns.append(make_grad(start, stop))
+    return _make(data, tuple(tensors), tuple(grad_fns))
 
 
 def stack(tensors, axis: int = 0) -> Tensor:

@@ -185,6 +185,8 @@ def cmd_train_pose(args) -> int:
                       checkpoint_path=ck_path, **kwargs)
     except NumericalError as e:
         raise CliError(f"training aborted: {e}", EXIT_NUMERIC)
+    except ValueError as e:
+        raise CliError(f"cannot train: {e}", EXIT_DATA)
     print(f"checkpoint -> {ck_path}\nlog -> {log_path}")
     return EXIT_OK
 

@@ -257,20 +257,20 @@ class PositionNetwork(ParamContainer):
         new_state = self._gru.step(x, state)
         return _linear(self.params, "head", new_state[-1]), new_state
 
+    @ad.no_grad()
     def free_run(self, prefix: np.ndarray, horizon: int) -> np.ndarray:
-        """prefix (n, J, 3) -> predictions (horizon, J, 3)."""
+        """prefix (n, J, 3) -> predictions (horizon, J, 3), recording no
+        tape."""
         n = prefix.shape[0]
         flat = prefix.reshape(n, -1)
         state = self.init_state(1)
         out = None
         for f in range(n):
             out, state = self.step(Tensor(flat[f][None]), state)
-            state = [s.detach() for s in state]
         preds = []
         for _ in range(horizon):
             preds.append(out.data[0].reshape(self.num_joints, 3))
-            out, state = self.step(Tensor(out.data), state)
-            state = [s.detach() for s in state]
+            out, state = self.step(out, state)
         return np.stack(preds)
 
 

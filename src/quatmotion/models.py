@@ -2,7 +2,12 @@
 
 Two backbones predict the next pose from the previous one: a 2-layer GRU
 with learned initial states, and a stack of 5 causal dilated convolutions
-(width 2, dilations 1,2,4,8,16, receptive field 32 frames). In velocity
+(width 2, dilations 1,2,4,8,16, receptive field 32 frames). Both advance
+one frame per ``PoseNetwork.step`` from ``init_state``; the convolutional
+state holds each layer's inputs over its last ``dilation`` frames, so a
+step computes one new frame per layer instead of rerunning the window
+(as in Fast WaveNet, Paine et al. 2016). ``forward_window`` runs a whole
+window, which training uses, and returns the state at its end. In velocity
 mode the head's quaternions are multiplied onto the previous pose, so the
 network outputs rotation deltas. Optional side inputs, recurrent backbone
 only: 2 translation channels (root height, trajectory offset) and a
@@ -153,6 +158,12 @@ class PoseNetworkConfig:
         return self.pose_dim + (2 if self.include_translations else 0)
 
     @property
+    def conv_dims(self) -> list:
+        """Input width of each convolutional layer, then the output width."""
+        return ([self.input_dim] + [self.channels] * (self.conv_layers - 1)
+                + [self.output_dim])
+
+    @property
     def dilations(self) -> list:
         return [2 ** k for k in range(self.conv_layers)]
 
@@ -178,8 +189,7 @@ def expected_param_count(config: PoseNetworkConfig) -> int:
         n += (h + 1) * config.output_dim
         return n
     w = config.filter_width
-    dims = ([config.input_dim] + [config.channels] * (config.conv_layers - 1)
-            + [config.output_dim])
+    dims = config.conv_dims
     for fin, fout in zip(dims[:-1], dims[1:]):
         n += fout * (fin * w + 1)
     return n
@@ -276,22 +286,22 @@ class PoseNetwork(ParamContainer):
             self._gru.init(rng, config.input_dim)
             _init_linear(rng, "head", config.hidden, config.output_dim, params)
         else:
-            dims = ([config.input_dim] + [config.channels] * (config.conv_layers - 1)
-                    + [config.output_dim])
-            scaleable = zip(dims[:-1], dims[1:])
-            for layer, (fin, fout) in enumerate(scaleable):
+            dims = config.conv_dims
+            for layer, (fin, fout) in enumerate(zip(dims[:-1], dims[1:])):
                 scale = 1.0 / np.sqrt(fin * config.filter_width)
                 params[f"conv{layer}.w0"] = ad.parameter((fin, fout), rng, scale)
                 params[f"conv{layer}.w1"] = ad.parameter((fin, fout), rng, scale)
                 params[f"conv{layer}.b"] = ad.parameter(np.zeros(fout))
 
-    # -- recurrent path --------------------------------------------------
-
     def init_state(self, batch_size: int) -> list:
-        """Per-layer hidden states: the learned h0 broadcast over the batch."""
-        if self.config.backbone != "recurrent":
-            raise ValueError("state applies to the recurrent backbone only")
-        return self._gru.init_state(batch_size)
+        """The state before the first frame. Recurrent: per-layer hidden
+        states, the learned h0 broadcast over the batch. Convolutional: per
+        layer, its inputs over the last ``dilation`` frames (B, d, C), all
+        zero, which is the same as causal zero padding."""
+        cfg = self.config
+        if cfg.backbone == "recurrent":
+            return self._gru.init_state(batch_size)
+        return [ad.zeros((batch_size, d, fin)) for d, fin in zip(cfg.dilations, cfg.conv_dims)]
 
     def _head_to_pose(self, raw: Tensor, prev_quats) -> dict:
         cfg = self.config
@@ -339,43 +349,58 @@ class PoseNetwork(ParamContainer):
 
     def step(self, pose: Tensor, state: list, prev_quats: Tensor | None = None,
              translations: Tensor | None = None, controls: Tensor | None = None) -> dict:
-        """One recurrent prediction step.
+        """One prediction step; the convolutional backbone computes one new
+        frame per layer.
 
         ``pose`` is the previous pose in the network's parameterization,
         (B, pose_dim); ``prev_quats`` (B, A, 4) is required in velocity
-        mode. Returns quats, raw_quats, feedback, translations, state.
+        mode; ``state`` comes from ``init_state``, ``forward_window`` or the
+        previous step. Returns quats, raw_quats, feedback, translations,
+        state.
         """
-        cfg = self.config
-        if cfg.backbone != "recurrent":
-            raise ValueError("step() applies to the recurrent backbone")
         for s in state:
-            if not np.all(np.isfinite(s.data)):
-                raise ad.NumericalError("non-finite recurrent state")
-        new_state = self._gru.step(self._inputs(pose, prev_quats, translations, controls),
-                                   state)
-        raw = _linear(self.params, "head", new_state[-1])
+            if not np.isfinite(s.data).all():
+                raise ad.NumericalError("non-finite network state")
+        x = self._inputs(pose, prev_quats, translations, controls)
+        if self.config.backbone == "recurrent":
+            state = self._gru.step(x, state)
+            raw = _linear(self.params, "head", state[-1])
+        else:
+            raw, state = self._conv_stack(ad.reshape(x, (x.shape[0], 1, x.shape[1])), state)
+            raw = raw[:, -1]
         out = self._head_to_pose(raw, prev_quats)
-        out["state"] = new_state
+        out["state"] = state
         return out
 
     # -- convolutional path ------------------------------------------------
 
-    def _causal_conv(self, layer: int, x: Tensor, dilation: int) -> Tensor:
-        # width-2 causal conv: y[t] = w0.x[t-d] + w1.x[t] + b, zero history
-        b, t = x.shape[0], x.shape[1]
-        fin = x.shape[2]
-        if dilation >= t:
-            shifted = ad.zeros((b, t, fin))
-        else:
-            shifted = ad.concat([ad.zeros((b, dilation, fin)), x[:, :t - dilation]], axis=1)
-        return (shifted @ self.params[f"conv{layer}.w0"]
-                + x @ self.params[f"conv{layer}.w1"]
-                + self.params[f"conv{layer}.b"])
+    def _conv_stack(self, x: Tensor, history: list) -> tuple:
+        """The causal convolutions over x (B, T, C), each of width 2:
+        y[t] = w0.x[t-d] + w1.x[t] + b. All but the last (linear) layer
+        are leaky ReLUs, and additive skips connect every other same-width
+        layer (1->3, 2->4). Layer l reads the frames before x from
+        ``history[l]`` (B, d, C). Returns the last layer's outputs
+        (B, T, out) and each layer's inputs over the last d frames."""
+        t = x.shape[1]
+        outs, new_history = [], []
+        for layer, past in enumerate(history):
+            seq = ad.concat([past, x], axis=1)
+            y = (seq[:, :t] @ self.params[f"conv{layer}.w0"]
+                 + x @ self.params[f"conv{layer}.w1"]
+                 + self.params[f"conv{layer}.b"])
+            new_history.append(seq[:, t:])
+            if layer < len(history) - 1:
+                y = ad.leaky_relu(y, LEAKY_SLOPE)
+            if layer in (2, 3):
+                y = y + outs[layer - 2]
+            outs.append(y)
+            x = y
+        return x, new_history
 
     def forward_window(self, pose_window: Tensor, prev_quats: Tensor | None = None) -> dict:
         """Predict the frame after a (B, T, pose_dim) window, T >= the
-        receptive field. Additive skips connect every other same-width
-        layer (1->3, 2->4); the last layer is linear."""
+        receptive field, from zero history. The output's ``state`` is the
+        history that ``step`` continues from."""
         cfg = self.config
         if cfg.backbone != "convolutional":
             raise ValueError("forward_window() applies to the convolutional backbone")
@@ -385,13 +410,10 @@ class PoseNetwork(ParamContainer):
                 f"window of {t} frames is shorter than the receptive field "
                 f"({cfg.receptive_field})")
         x = self._inputs(pose_window, prev_quats)
-        dil = cfg.dilations
-        h1 = ad.leaky_relu(self._causal_conv(0, x, dil[0]), LEAKY_SLOPE)
-        h2 = ad.leaky_relu(self._causal_conv(1, h1, dil[1]), LEAKY_SLOPE)
-        h3 = ad.leaky_relu(self._causal_conv(2, h2, dil[2]), LEAKY_SLOPE) + h1
-        h4 = ad.leaky_relu(self._causal_conv(3, h3, dil[3]), LEAKY_SLOPE) + h2
-        raw = self._causal_conv(4, h4, dil[4])
-        return self._head_to_pose(raw[:, -1], prev_quats)
+        raw, state = self._conv_stack(x, self.init_state(x.shape[0]))
+        out = self._head_to_pose(raw[:, -1], prev_quats)
+        out["state"] = state
+        return out
 
 
 # -- pace network ---------------------------------------------------------------
@@ -475,6 +497,7 @@ def _rotate2(v: np.ndarray, by: np.ndarray) -> np.ndarray:
                      by[..., 1] * v[..., 0] + by[..., 0] * v[..., 1]], axis=-1)
 
 
+@ad.no_grad()
 def generate_locomotion(pose_net: PoseNetwork, pace_net: PaceNetwork, spline,
                         init_clip, num_frames: int, frame_rate: float):
     """Closed-loop locomotion along a trajectory spline.
@@ -519,14 +542,12 @@ def generate_locomotion(pose_net: PoseNetwork, pace_net: PaceNetwork, spline,
         return np.concatenate([tangent, facing, gait])[None, :]
 
     out = None
-    prev_q = None
     for f in range(n_init):
-        prev_q = Tensor(init_q[f][None])
         pose = Tensor(encode_pose(init_q[f][None], cfg.parameterization))
         trans = Tensor(np.array([[init_clip.root_positions[f, 1], 0.0]]))
-        out = pose_net.step(pose, state, prev_quats=prev_q,
+        out = pose_net.step(pose, state, prev_quats=Tensor(init_q[f][None]),
                             translations=trans, controls=Tensor(control_frame()))
-        state = [s.detach() for s in out["state"]]
+        state = out["state"]
         i = seg_index(arc)
         arc += seg_speed[i] / frame_rate
         theta += 2.0 * np.pi * seg_freq[i] / frame_rate
@@ -551,11 +572,10 @@ def generate_locomotion(pose_net: PoseNetwork, pace_net: PaceNetwork, spline,
         i = seg_index(arc)
         arc += seg_speed[i] / frame_rate
         theta += 2.0 * np.pi * seg_freq[i] / frame_rate
-        prev_q = Tensor(quats[None])
-        out = pose_net.step(Tensor(out["feedback"].data), state, prev_quats=prev_q,
-                            translations=Tensor(trans_pred[None]),
+        out = pose_net.step(out["feedback"], state, prev_quats=out["quats"],
+                            translations=out["translations"],
                             controls=Tensor(control_frame()))
-        state = [s.detach() for s in out["state"]]
+        state = out["state"]
 
     rotations = np.zeros((num_frames, skel.num_joints, 4))
     rotations[..., 0] = 1.0

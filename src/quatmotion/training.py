@@ -10,6 +10,7 @@ Adam update.
 from __future__ import annotations
 
 import csv
+import os
 import time
 from dataclasses import dataclass, asdict
 
@@ -137,9 +138,11 @@ def euler_error(pred_quats: np.ndarray, ref_quats: np.ndarray, orders) -> np.nda
     diffs = np.empty(pred_quats.shape[:-1] + (3,))
     for order in set(orders):
         joints = np.array([a for a, o in enumerate(orders) if o == order])
-        p = rm.quat_to_euler(pred_quats[..., joints, :], order).angles
-        r = rm.quat_to_euler(ref_quats[..., joints, :], order).angles
-        diffs[..., joints, :] = rm.wrap_angle(p - r)
+        # one conversion for both; it works per quaternion, so the angles
+        # are those of two separate calls
+        both = rm.quat_to_euler(np.stack([pred_quats[..., joints, :],
+                                          ref_quats[..., joints, :]]), order).angles
+        diffs[..., joints, :] = rm.wrap_angle(both[0] - both[1])
     lead = diffs.shape[:-2]
     return np.linalg.norm(diffs.reshape(lead + (-1,)), axis=-1)
 
@@ -209,36 +212,35 @@ def _autoregress(net: PoseNetwork, enc: np.ndarray, quats: np.ndarray, n: int,
     ``quats`` (B, T, A, 4) is the episode and ``enc`` (B, T, pose_dim) its
     network encoding. Between predictions each sequence is fed its
     ground-truth next frame with probability p, otherwise its own
-    prediction. Without an rng the prediction is always fed back and the
-    tape is cut after every step (free-run). With one, the recurrent
-    backbone keeps fed-back predictions on the tape through the mask
-    blend, and the convolutional backbone reads its window detached.
+    prediction. Without an rng the prediction is always fed back, one
+    ``net.step`` per frame for either backbone (free-run; callers run it
+    under ``autodiff.no_grad()``). With one, the recurrent backbone keeps
+    fed-back predictions on the tape through the mask blend, and the
+    convolutional backbone reruns ``forward_window`` on its window, read
+    detached.
     """
     b = enc.shape[0]
+    aux = _aux_inputs(net, b, root_positions)
+
+    def run(f, pose, prev_q, state):
+        return net.step(pose, state, prev_quats=prev_q, **aux(f))
+
     if net.config.backbone == "recurrent":
-        aux = _aux_inputs(net, b, root_positions)
-        state = net.init_state(b)
-
-        def run(f, pose, prev_q):
-            nonlocal state
-            out = net.step(pose, state, prev_quats=prev_q, **aux(f))
-            state = out["state"] if rng is not None else [s.detach() for s in out["state"]]
-            return out
-
         def feed(f, out):
-            if rng is None:
-                return run(f, Tensor(out["feedback"].data), Tensor(out["quats"].data))
             # the GRU skips the draw at p >= 1 and the conv always draws, so
             # each keeps its rng stream and training is bit-identical from epoch 0
             if p >= 1.0:
-                return run(f, Tensor(enc[:, f]), Tensor(quats[:, f]))
+                return run(f, Tensor(enc[:, f]), Tensor(quats[:, f]), out["state"])
             keep = (rng.random(b) < p).astype(float)  # per-sequence Bernoulli(p)
             mask, qmask = Tensor(keep[:, None]), Tensor(keep[:, None, None])
             return run(f, mask * Tensor(enc[:, f]) + (1.0 - mask) * out["feedback"],
-                       qmask * Tensor(quats[:, f]) + (1.0 - qmask) * out["quats"])
+                       qmask * Tensor(quats[:, f]) + (1.0 - qmask) * out["quats"],
+                       out["state"])
 
+        state = net.init_state(b)
         for f in range(n):
-            out = run(f, Tensor(enc[:, f]), Tensor(quats[:, f]))
+            out = run(f, Tensor(enc[:, f]), Tensor(quats[:, f]), state)
+            state = out["state"]
     else:
         rf = net.config.receptive_field
         if n < rf:
@@ -252,16 +254,17 @@ def _autoregress(net: PoseNetwork, enc: np.ndarray, quats: np.ndarray, n: int,
 
         def feed(f, out):
             nonlocal window
-            nxt = out["feedback"].data
-            if rng is not None:
-                nxt = np.where((rng.random(b) < p)[:, None], enc[:, f], nxt)
+            nxt = np.where((rng.random(b) < p)[:, None], enc[:, f], out["feedback"].data)
             window = np.concatenate([window, nxt[:, None]], axis=1)
             return predict()
 
         out = predict()
     yield out
     for f in range(n, n + steps - 1):
-        out = feed(f, out)
+        if rng is None:
+            out = run(f, out["feedback"], out["quats"], out["state"])
+        else:
+            out = feed(f, out)
         yield out
 
 
@@ -297,9 +300,10 @@ def scheduled_sampling_rollout(net: PoseNetwork, rotations: np.ndarray,
 
 # -- free-run validation ----------------------------------------------------------
 
+@ad.no_grad()
 def free_run_predict(net: PoseNetwork, prefix_quats: np.ndarray, horizon: int) -> np.ndarray:
     """Condition on a (n, A, 4) prefix, then predict `horizon` frames
-    autoregressively. Returns (horizon, A, 4)."""
+    autoregressively, recording no tape. Returns (horizon, A, 4)."""
     quats = np.asarray(prefix_quats, dtype=float)[None]
     enc = encode_pose(quats, net.config.parameterization)
     return np.stack([out["quats"].data[0]
@@ -342,6 +346,24 @@ def validate_pose(net: PoseNetwork, clips, skel: Skeleton,
 
 # -- training loops -----------------------------------------------------------------
 
+def _open_log(path, start_epoch: int):
+    """Open ``training_log.csv`` for this run's rows. A run from epoch 0
+    starts a new log; a resumed run appends to the existing one, which must
+    have the current header. A new or empty log gets the header first."""
+    header = ",".join(LOG_COLUMNS)
+    first = ""
+    if start_epoch > 0 and os.path.exists(path):
+        with open(path, newline="", errors="replace") as fh:
+            first = fh.readline().rstrip("\r\n")
+        if first and first != header:
+            raise ValueError(f"{path}: header {first!r} is not {header!r}; "
+                             f"resumed rows cannot be appended to it")
+    fh = open(path, "a" if first else "w", newline="")
+    if not first:
+        csv.writer(fh).writerow(LOG_COLUMNS)
+    return fh
+
+
 def _rng_state(rng: np.random.Generator) -> dict:
     return rng.bit_generator.state
 
@@ -374,10 +396,8 @@ def train_pose(net: PoseNetwork, clips, skel: Skeleton, config: TrainConfig,
     writer = None
     log_fh = None
     if log_path is not None:
-        log_fh = open(log_path, "a", newline="")
+        log_fh = _open_log(log_path, start_epoch)
         writer = csv.writer(log_fh)
-        if start_epoch == 0:
-            writer.writerow(LOG_COLUMNS)
     try:
         for epoch in range(start_epoch, config.epochs):
             t0 = time.time()

@@ -91,3 +91,20 @@ def test_constants_get_no_grad():
     ad.tsum(c * x).backward()
     assert c.grad is None
     assert np.allclose(x.grad, 1.0)
+
+
+def test_no_grad_records_nothing_and_restores_on_exception():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with ad.no_grad():
+        y = ad.tsum(x * 2.0)
+    assert y._parents == () and not y.requires_grad
+    with pytest.raises(KeyError):
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not (x * 2.0).requires_grad  # the inner exit keeps it off
+            raise KeyError("inside")
+    z = ad.tsum(x * 2.0)
+    assert z.requires_grad
+    z.backward()
+    assert np.array_equal(x.grad, np.full(3, 2.0))

@@ -91,6 +91,20 @@ def test_resume_training(tmp_path, dataset_dir):
                 "--dataset", dataset_dir, "--out", tmp_path / "run2"]) == 0
 
 
+def test_resume_onto_old_log_is_data_error(tmp_path, dataset_dir, capsys):
+    out = tmp_path / "run"
+    cfgfile = tmp_path / "train.cfg"
+    cfgfile.write_text("epochs = 1\nbatch_size = 2\nconditioning_frames = 6\n"
+                       "prediction_frames = 2\n"
+                       f"dataset = {dataset_dir}\n")
+    assert run(["train-pose", "--config", cfgfile, "--out", out]) == 0
+    log = out / "training_log.csv"
+    log.write_text("epoch,lr,p,train_loss,val_position_loss,val_velocity_loss,wall_seconds\n")
+    assert run(["train-pose", "--resume", out / "pose.ckpt",
+                "--dataset", dataset_dir, "--out", out]) == 2
+    assert "training_log.csv" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cut", ["6", "half"])
 def test_truncated_clip_is_data_error(tmp_path, dataset_dir, capsys, cut):
     blob = (dataset_dir / "clip_00000.qmc").read_bytes()
@@ -350,3 +364,9 @@ def test_bad_config_value_is_usage_error(tmp_path, dataset_dir, capsys, command,
     # rejected before training starts: no log and no checkpoint
     assert not (out / "training_log.csv").exists()
     assert not list(out.glob("*.ckpt"))
+
+
+def test_clips_too_short_to_train_is_data_error(tmp_path):
+    skel, clips = md.make_synth_corpus(2, seed=11, duration=0.3)
+    md.save_dataset(tmp_path / "short", clips)
+    assert run(["train-pose", "--dataset", tmp_path / "short", "--out", tmp_path / "o"]) == 2

@@ -131,3 +131,44 @@ def test_compare_position_regression_tiny():
     # FK output keeps every bone length exactly; direct regression does not
     assert res["reprojected"]["bone_spread"] < 1e-9
     assert res["position"]["bone_spread"] > 1e-9
+
+
+# run_protocol means recorded at e5c458b (before streaming conv free-run and
+# the stacked Euler conversion), per horizon (80, 160, 320, 400) ms
+PROTOCOL_GOLDEN = {
+    ("gru", 4): [6.796458852891873, 8.554118087406298, 7.814452910491588, 7.823108098298169],
+    ("conv", 4): [7.7217515344376535, 8.587629853075988, 8.059069926907194, 6.730457406472054],
+    ("zero_velocity", 4): [0.15190522896419123, 0.25309186616966617, 0.3027536414183851,
+                           0.3321602603976215],
+    ("running_average", 4): [0.27288604144118966, 0.3647368063044911, 0.3588859867621983,
+                             0.33016579892512715],
+    ("gru", 128): [6.882234755848538, 8.210834086063453, 7.743127565903558, 8.091419733509344],
+    ("conv", 128): [7.7286278750763096, 8.387057666241297, 8.04513166572668, 6.73468856423143],
+    ("zero_velocity", 128): [0.13663279912369708, 0.263320503619279, 0.4435264372332065,
+                             0.4885202509986709],
+    ("running_average", 128): [0.2248332500013771, 0.33553298397008063, 0.4724215615011552,
+                               0.4913269708611272],
+}
+
+
+def test_protocol_means_match_golden():
+    from quatmotion import models as mo
+    from quatmotion import training as tr
+
+    skel, clips = md.make_synth_corpus(1, seed=21, duration=8.0)
+    a = skel.num_active
+    gru = mo.PoseNetwork(mo.PoseNetworkConfig.desk(a), seed=0)
+    conv = mo.PoseNetwork(mo.PoseNetworkConfig.desk(a, backbone="convolutional"), seed=0)
+    predictors = {"gru": (lambda p, h: tr.free_run_predict(gru, p, h), 10),
+                  "conv": (lambda p, h: tr.free_run_predict(conv, p, h), 32),
+                  "zero_velocity": (ev.baseline_zero_velocity, 10),
+                  "running_average": (ev.baseline_running_average, 10)}
+    for (name, s), want in PROTOCOL_GOLDEN.items():
+        predict, n = predictors[name]
+        proto = ev.EvalProtocol(samples_per_sequence=s, seed=5, conditioning_frames=n)
+        rep = ev.run_protocol(predict, clips, proto)
+        got = [rep.overall_mean(ms) for ms in proto.horizons_ms]
+        if name in ("gru", "conv"):
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=0, err_msg=name)
+        else:
+            assert got == want, name

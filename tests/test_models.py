@@ -254,3 +254,21 @@ def test_generation_divergence_guard(corpus):
     with pytest.raises(mo.GenerationDivergedError):
         mo.generate_locomotion(pose_net, pace_net, spline, clips[0],
                                num_frames=200, frame_rate=25.0)
+
+
+@pytest.mark.parametrize("mode", ["velocity", "absolute"])
+def test_conv_step_matches_window(rng, mode):
+    cfg = mo.PoseNetworkConfig.desk(4, channels=16, backbone="convolutional", mode=mode)
+    net = mo.PoseNetwork(cfg, seed=0)
+    q = random_unit_quats(rng, (2, 40, 4))
+    pose = mo.encode_pose(q, "quaternion").reshape(2, 40, -1)
+    want = net.forward_window(Tensor(pose), prev_quats=Tensor(q[:, -1]))
+    state = net.init_state(2)
+    for f in range(40):
+        got = net.step(Tensor(pose[:, f]), state, prev_quats=Tensor(q[:, f]))
+        state = got["state"]
+    assert np.abs(got["quats"].data - want["quats"].data).max() < 1e-12
+    assert [s.shape for s in state] == [(2, d, c) for d, c in
+                                        zip(cfg.dilations, (4 * 4, 16, 16, 16, 16))]
+    for s, w in zip(state, want["state"]):
+        assert np.abs(s.data - w.data).max() < 1e-12

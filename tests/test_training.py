@@ -221,3 +221,110 @@ def test_pace_training_example_and_train(corpus, gait):
     cfg = tr.TrainConfig(epochs=40, seed=0)
     hist = tr.train_pace(net, [(curv, targets)], cfg)
     assert hist[-1]["mae"] < hist[0]["mae"]
+
+
+def test_euler_error_matches_two_conversions(rng):
+    q = random_unit_quats(rng, (6, 5))
+    r = random_unit_quats(rng, (6, 5))
+    q[0, 1] = r[1, 3] = [np.cos(np.pi / 4), 0.0, np.sin(np.pi / 4), 0.0]  # gimbal lock in xyz
+    orders = ["xyz", "zyx", "xyz", "yzx", "zyx"]
+    # the two-call form: prediction and reference converted separately
+    want = np.empty((6, 5, 3))
+    for order in set(orders):
+        joints = np.array([a for a, o in enumerate(orders) if o == order])
+        p = rm.quat_to_euler(q[:, joints], order).angles
+        e = rm.quat_to_euler(r[:, joints], order).angles
+        want[:, joints] = rm.wrap_angle(p - e)
+    want = np.linalg.norm(want.reshape(6, -1), axis=-1)
+    assert np.array_equal(tr.euler_error(q, r, orders), want)
+
+
+def _tiny_train(corpus, log, epochs=1, **kw):
+    skel, clips = corpus
+    net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(skel.num_active, hidden=8), seed=0)
+    cfg = tr.TrainConfig(epochs=epochs, conditioning_frames=6, prediction_frames=2,
+                         batch_size=3, seed=1)
+    return tr.train_pose(net, clips, skel, cfg, log_path=log, **kw)
+
+
+def test_fresh_training_starts_a_new_log(tmp_path, corpus):
+    log = tmp_path / "log.csv"
+    _tiny_train(corpus, log)
+    _tiny_train(corpus, log)
+    lines = log.read_text().splitlines()
+    assert lines == [",".join(tr.LOG_COLUMNS), lines[1]]
+
+
+def test_resume_rejects_log_with_other_header(tmp_path, corpus):
+    log = tmp_path / "log.csv"
+    old = b"epoch,lr,p,train_loss,val_position_loss,val_velocity_loss,wall_seconds\r\n0,1,1,1,1,1,1\r\n"
+    log.write_bytes(old)
+    with pytest.raises(ValueError, match="log.csv"):
+        _tiny_train(corpus, log, epochs=2, start_epoch=1)
+    assert log.read_bytes() == old
+
+
+def test_resume_appends_and_writes_missing_header(tmp_path, corpus):
+    log = tmp_path / "log.csv"
+    _tiny_train(corpus, log, epochs=2, start_epoch=1)
+    with open(log, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == list(tr.LOG_COLUMNS) and [r[0] for r in rows[1:]] == ["1"]
+    _tiny_train(corpus, log, epochs=3, start_epoch=2)
+    with open(log, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == list(tr.LOG_COLUMNS) and [r[0] for r in rows[1:]] == ["1", "2"]
+
+
+def _window_recompute(net, prefix, horizon):
+    """Conv free-run as it ran before the streaming step: every frame
+    reruns forward_window on the last receptive-field frames."""
+    rf = net.config.receptive_field
+    window = list(prefix)
+    preds = []
+    for _ in range(horizon):
+        out = net.forward_window(Tensor(np.stack(window[-rf:])[None].reshape(1, rf, -1)),
+                                 prev_quats=Tensor(window[-1][None]))
+        preds.append(out["quats"].data[0])
+        window.append(preds[-1])
+    return np.stack(preds)
+
+
+def test_streaming_conv_free_run_matches_window_recompute(corpus):
+    skel, clips = corpus
+    net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(
+        skel.num_active, channels=16, backbone="convolutional"), seed=0)
+    prefix = clips[0].active_rotations[:40]
+    got = tr.free_run_predict(net, prefix, 100)
+    want = _window_recompute(net, prefix, 100)
+    assert np.abs(got - want).max() < 1e-9
+
+
+@pytest.mark.parametrize("backbone, n", [("recurrent", 10), ("convolutional", 32)])
+def test_free_run_records_no_tape(corpus, backbone, n):
+    skel, clips = corpus
+    net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(
+        skel.num_active, hidden=16, channels=16, backbone=backbone), seed=0)
+    outs = []
+    for name in ("step", "forward_window"):
+        method = getattr(net, name)
+        setattr(net, name, lambda *a, _m=method, **k: outs.append(_m(*a, **k)) or outs[-1])
+    tr.free_run_predict(net, clips[0].active_rotations[:n], 6)
+    assert len(outs) == (n + 5 if backbone == "recurrent" else 6)
+    tensors = [t for out in outs for v in out.values()
+               for t in (v if isinstance(v, list) else [v]) if t is not None]
+    assert tensors and all(t._parents == () and not t.requires_grad for t in tensors)
+
+    # the switch is off again: a rollout after free-run records its tape
+    rots = clips[0].active_rotations[None, :n + 2]
+    cfg = tr.TrainConfig(conditioning_frames=n, prediction_frames=2)
+    grads = []
+    for _ in range(2):
+        net.zero_grad()
+        tr.scheduled_sampling_rollout(net, rots, skel, cfg, 0.5,
+                                      np.random.default_rng(0)).backward()
+        grads.append(net.grads())
+        tr.free_run_predict(net, clips[0].active_rotations[:n], 6)
+    assert grads[0].keys() == net.params.keys()
+    for k in grads[0]:
+        assert np.array_equal(grads[0][k], grads[1][k]), k
