@@ -260,10 +260,11 @@ def _load_pose_net(path) -> mo.PoseNetwork:
 
 
 def _check_conditioning(net: mo.PoseNetwork, n: int) -> None:
-    rf = net.config.receptive_field
-    if net.config.backbone == "convolutional" and n < rf:
-        raise CliError(f"the convolutional backbone needs conditioning_frames >= {rf}",
-                       EXIT_USAGE)
+    cfg = net.config
+    need = cfg.receptive_field if cfg.backbone == "convolutional" else 1
+    if n < need:
+        raise CliError(f"the {cfg.backbone} backbone needs conditioning_frames >= {need}, "
+                       f"got {n}", EXIT_USAGE)
 
 
 def cmd_predict(args) -> int:

@@ -259,19 +259,18 @@ class PositionNetwork(ParamContainer):
 
     @ad.no_grad()
     def free_run(self, prefix: np.ndarray, horizon: int) -> np.ndarray:
-        """prefix (n, J, 3) -> predictions (horizon, J, 3), recording no
-        tape."""
+        """prefix (n, J, 3) -> predictions (horizon >= 1, J, 3), recording
+        no tape; n + horizon - 1 steps."""
         n = prefix.shape[0]
         flat = prefix.reshape(n, -1)
         state = self.init_state(1)
-        out = None
         for f in range(n):
             out, state = self.step(Tensor(flat[f][None]), state)
-        preds = []
-        for _ in range(horizon):
-            preds.append(out.data[0].reshape(self.num_joints, 3))
+        preds = [out]
+        for _ in range(horizon - 1):
             out, state = self.step(out, state)
-        return np.stack(preds)
+            preds.append(out)
+        return np.stack([p.data[0].reshape(self.num_joints, 3) for p in preds])
 
 
 def train_position_network(net: PositionNetwork, clips, skel: Skeleton,

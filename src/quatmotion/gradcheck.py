@@ -132,20 +132,29 @@ def _network_cases(rng: np.random.Generator) -> list:
     a = skel.num_active
     quats = rng.normal(size=(2, 40, a, 4))
     quats /= np.linalg.norm(quats, axis=-1, keepdims=True)
-    cfg = TrainConfig(conditioning_frames=33, prediction_frames=2, epochs=1)
 
-    def pose_case(backbone):
-        net = PoseNetwork(PoseNetworkConfig(a, backbone=backbone,
-                                            hidden=12, channels=12), seed=0)
-        names = sorted(net.params)
+    def pose_case(spec):
+        backbone, sides = spec
+        net = PoseNetwork(PoseNetworkConfig(a, backbone=backbone, hidden=12, channels=12,
+                                            include_controls=sides,
+                                            include_translations=sides), seed=0)
+        params, names = net.param_arrays(), sorted(net.params)
+        # conv rollouts read fed-back predictions detached, which finite
+        # differences cannot follow, so p = 1 feeds them ground truth only
+        p, n, k, root = 1.0, 33, 2, None
+        if sides:
+            # jittered off the leaky-ReLU kink that zero encoder biases and
+            # zero controls put every encoder unit on at init
+            params = {name: v + 0.1 * rng.normal(size=v.shape) for name, v in params.items()}
+            p, n, k, root = 0.5, 6, 4, rng.normal(size=(2, 10, 3))
+        cfg = TrainConfig(conditioning_frames=n, prediction_frames=k, epochs=1)
 
         def loss_for(params):
             return scheduled_sampling_rollout(
-                PoseNetwork(net.config, params=params),
-                quats[:, :cfg.conditioning_frames + cfg.prediction_frames],
-                skel, cfg, p=1.0, rng=np.random.default_rng(0))
+                PoseNetwork(net.config, params=params), quats[:, :n + k], skel, cfg,
+                p=p, rng=np.random.default_rng(0), root_positions=root)
 
-        return _param_error(net.param_arrays(), loss_for,
+        return _param_error(params, loss_for,
                             [names[0], names[len(names) // 2], names[-1]], rng)
 
     curv = rng.normal(scale=0.5, size=7)
@@ -162,10 +171,11 @@ def _network_cases(rng: np.random.Generator) -> list:
 
         return _param_error(net.param_arrays(), loss_for, sorted(net.params), rng)
 
-    return [("recurrent_rollout", pose_case, "recurrent"),
-            ("convolutional_rollout", pose_case, "convolutional"),
+    return [("recurrent_rollout", pose_case, ("recurrent", False)),
+            ("convolutional_rollout", pose_case, ("convolutional", False)),
             ("pace_bidirectional", pace_case, "bidirectional"),
-            ("pace_online", pace_case, "online")]
+            ("pace_online", pace_case, "online"),
+            ("recurrent_rollout_sides", pose_case, ("recurrent", True))]
 
 
 def run_gradcheck(verbose: bool = False, tol: float = TOL) -> int:

@@ -2,17 +2,17 @@
 
 Two backbones predict the next pose from the previous one: a 2-layer GRU
 with learned initial states, and a stack of 5 causal dilated convolutions
-(width 2, dilations 1,2,4,8,16, receptive field 32 frames). Both advance
-one frame per ``PoseNetwork.step`` from ``init_state``; the convolutional
-state holds each layer's inputs over its last ``dilation`` frames, so a
-step computes one new frame per layer instead of rerunning the window
-(as in Fast WaveNet, Paine et al. 2016). ``forward_window`` runs a whole
-window, which training uses, and returns the state at its end. In velocity
-mode the head's quaternions are multiplied onto the previous pose, so the
-network outputs rotation deltas. Optional side inputs, recurrent backbone
-only: 2 translation channels (root height, trajectory offset) and a
-6-feature control frame passed through a small feed-forward encoder
-outside the recurrent path.
+(width 2, dilations 1,2,4,8,16, receptive field 32 frames). For both,
+``PoseNetwork.forward_window`` conditions on a window of frames and
+predicts the next one with a single head output, and ``PoseNetwork.step``
+advances its state by one frame; the convolutional state holds each
+layer's inputs over its last ``dilation`` frames, so a step computes one
+new frame per layer instead of rerunning the window (as in Fast WaveNet,
+Paine et al. 2016). In velocity mode the head's quaternions are
+multiplied onto the previous pose, so the network outputs rotation deltas.
+Optional side inputs, recurrent backbone only: 2 translation channels
+(root height, trajectory offset) and a 6-feature control frame passed
+through a small feed-forward encoder outside the recurrent path.
 """
 
 from __future__ import annotations
@@ -133,6 +133,8 @@ class PoseNetworkConfig:
         if self.backbone != "recurrent" and (self.include_controls
                                              or self.include_translations):
             raise ValueError("controls and translations need the recurrent backbone")
+        if self.filter_width != 2:
+            raise ValueError(f"filter_width must be 2 (two taps), got {self.filter_width}")
 
     @classmethod
     def desk(cls, num_joints: int, **kw) -> "PoseNetworkConfig":
@@ -240,6 +242,11 @@ def _linear(params: dict, prefix: str, x: Tensor) -> Tensor:
     return x @ params[f"{prefix}.w"] + params[f"{prefix}.b"]
 
 
+def _check_finite(state: list) -> None:
+    if not all(np.isfinite(s.data).all() for s in state):
+        raise ad.NumericalError("non-finite network state")
+
+
 def encode_controls(params: dict, controls: Tensor) -> Tensor:
     """6-feature control frame -> 30-vector, two leaky-ReLU layers."""
     h = ad.leaky_relu(_linear(params, "enc.l1", controls), LEAKY_SLOPE)
@@ -303,9 +310,9 @@ class PoseNetwork(ParamContainer):
             return self._gru.init_state(batch_size)
         return [ad.zeros((batch_size, d, fin)) for d, fin in zip(cfg.dilations, cfg.conv_dims)]
 
-    def _head_to_pose(self, raw: Tensor, prev_quats) -> dict:
+    def _head_to_pose(self, raw: Tensor, prev_quats, state: list) -> dict:
         cfg = self.config
-        out = {}
+        out = {"state": state}
         if cfg.include_translations:
             pose_raw = raw[..., :cfg.pose_dim]
             out["translations"] = raw[..., cfg.pose_dim:]
@@ -354,13 +361,10 @@ class PoseNetwork(ParamContainer):
 
         ``pose`` is the previous pose in the network's parameterization,
         (B, pose_dim); ``prev_quats`` (B, A, 4) is required in velocity
-        mode; ``state`` comes from ``init_state``, ``forward_window`` or the
-        previous step. Returns quats, raw_quats, feedback, translations,
-        state.
+        mode; ``state`` comes from ``forward_window`` or the previous step.
+        Returns quats, raw_quats, feedback, translations, state.
         """
-        for s in state:
-            if not np.isfinite(s.data).all():
-                raise ad.NumericalError("non-finite network state")
+        _check_finite(state)
         x = self._inputs(pose, prev_quats, translations, controls)
         if self.config.backbone == "recurrent":
             state = self._gru.step(x, state)
@@ -368,9 +372,34 @@ class PoseNetwork(ParamContainer):
         else:
             raw, state = self._conv_stack(ad.reshape(x, (x.shape[0], 1, x.shape[1])), state)
             raw = raw[:, -1]
-        out = self._head_to_pose(raw, prev_quats)
-        out["state"] = state
-        return out
+        return self._head_to_pose(raw, prev_quats, state)
+
+    def forward_window(self, pose_window: Tensor, prev_quats: Tensor | None = None,
+                       translations: Tensor | None = None,
+                       controls: Tensor | None = None) -> dict:
+        """Condition on a (B, T, pose_dim) window from ``init_state`` and
+        predict the frame after it, as T steps would, but with one head
+        output. Side inputs are per frame, (B, T, 2) and (B, T, 6);
+        ``prev_quats`` (B, A, 4) is the last frame's. The recurrent backbone
+        builds each frame's inputs as ``step`` does; the convolutional one
+        reads the last ``receptive_field`` frames and needs T to reach it."""
+        cfg = self.config
+        b, t = pose_window.shape[:2]
+        state = self.init_state(b)
+        if cfg.backbone == "recurrent":
+            for f in range(t):
+                side = (None if s is None else s[:, f] for s in (translations, controls))
+                state = self._gru.step(self._inputs(pose_window[:, f], prev_quats, *side), state)
+            raw = _linear(self.params, "head", state[-1])
+        else:
+            rf = cfg.receptive_field
+            if t < rf:
+                raise ValueError(f"the convolutional backbone needs >= {rf} frames, got {t}")
+            raw, state = self._conv_stack(self._inputs(pose_window[:, t - rf:], prev_quats),
+                                          state)
+            raw = raw[:, -1]
+        _check_finite(state)
+        return self._head_to_pose(raw, prev_quats, state)
 
     # -- convolutional path ------------------------------------------------
 
@@ -396,24 +425,6 @@ class PoseNetwork(ParamContainer):
             outs.append(y)
             x = y
         return x, new_history
-
-    def forward_window(self, pose_window: Tensor, prev_quats: Tensor | None = None) -> dict:
-        """Predict the frame after a (B, T, pose_dim) window, T >= the
-        receptive field, from zero history. The output's ``state`` is the
-        history that ``step`` continues from."""
-        cfg = self.config
-        if cfg.backbone != "convolutional":
-            raise ValueError("forward_window() applies to the convolutional backbone")
-        t = pose_window.shape[1]
-        if t < cfg.receptive_field:
-            raise ValueError(
-                f"window of {t} frames is shorter than the receptive field "
-                f"({cfg.receptive_field})")
-        x = self._inputs(pose_window, prev_quats)
-        raw, state = self._conv_stack(x, self.init_state(x.shape[0]))
-        out = self._head_to_pose(raw[:, -1], prev_quats)
-        out["state"] = state
-        return out
 
 
 # -- pace network ---------------------------------------------------------------

@@ -54,6 +54,9 @@ class TrainConfig:
             raise ValueError(f"reg_weight {self.reg_weight} outside its useful range")
         if self.loss not in ("quat_dot", "euler_l1", "positional"):
             raise ValueError(f"unknown loss {self.loss!r}")
+        for name in ("conditioning_frames", "prediction_frames", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def lr_at(self, epoch: int) -> float:
         return self.lr0 * self.lr_decay ** epoch
@@ -178,93 +181,68 @@ def _step_loss(out, target_quats, target_pos, skel, config: TrainConfig):
     return base
 
 
-def _aux_inputs(net: PoseNetwork, batch: int,
-                root_positions: np.ndarray | None = None):
-    """Per-frame translation/control inputs for models that expect them.
+def _aux_inputs(net: PoseNetwork, batch: int, frames,
+                root_positions: np.ndarray | None = None) -> dict:
+    """Translation/control inputs for models that expect them, at one frame
+    index or at an array of them (one input frame each, on axis 1).
 
     Pose training carries no trajectory context, so translations are the
     root height (offset 0) and controls are zero; the real signals only
     exist in closed-loop generation.
     """
-    cfg = net.config
-
-    def at(f: int) -> dict:
-        kw = {}
-        if cfg.include_translations:
-            trans = np.zeros((batch, 2))
-            if root_positions is not None:
-                pos = np.asarray(root_positions)
-                trans[:, 0] = pos[:, min(f, pos.shape[1] - 1), 1]
-            kw["translations"] = Tensor(trans)
-        if cfg.include_controls:
-            kw["controls"] = Tensor(np.zeros((batch, CONTROL_DIM)))
-        return kw
-
-    return at
+    cfg, kw = net.config, {}
+    shape = (batch,) + np.shape(frames)
+    if cfg.include_translations:
+        trans = np.zeros(shape + (2,))
+        if root_positions is not None:
+            pos = np.asarray(root_positions)
+            trans[..., 0] = pos[:, np.minimum(frames, pos.shape[1] - 1), 1]
+        kw["translations"] = Tensor(trans)
+    if cfg.include_controls:
+        kw["controls"] = Tensor(np.zeros(shape + (CONTROL_DIM,)))
+    return kw
 
 
 def _autoregress(net: PoseNetwork, enc: np.ndarray, quats: np.ndarray, n: int,
                  steps: int, p: float = 0.0, rng: np.random.Generator | None = None,
                  root_positions: np.ndarray | None = None):
-    """Condition ``net`` on the first n frames of a batched episode, then
-    yield its output dict for each of the next ``steps`` >= 1 frames.
+    """Condition ``net`` on the first n >= 1 frames of a batched episode
+    with one ``forward_window`` call, then yield its output dict for each
+    of the next ``steps`` >= 1 frames, one ``net.step`` per fed-back frame.
 
     ``quats`` (B, T, A, 4) is the episode and ``enc`` (B, T, pose_dim) its
     network encoding. Between predictions each sequence is fed its
     ground-truth next frame with probability p, otherwise its own
-    prediction. Without an rng the prediction is always fed back, one
-    ``net.step`` per frame for either backbone (free-run; callers run it
-    under ``autodiff.no_grad()``). With one, the recurrent backbone keeps
-    fed-back predictions on the tape through the mask blend, and the
-    convolutional backbone reruns ``forward_window`` on its window, read
-    detached.
+    prediction. Without an rng the prediction is always fed back
+    (free-run; callers run it under ``autodiff.no_grad()``). With one, the
+    recurrent backbone keeps fed-back predictions on the tape through the
+    mask blend and draws nothing at p >= 1, while the convolutional
+    backbone reads them detached and always draws; so each keeps the rng
+    stream, and training the results, it has had from the start.
     """
+    if n < 1:
+        raise ValueError(f"need at least one conditioning frame, got {n}")
     b = enc.shape[0]
-    aux = _aux_inputs(net, b, root_positions)
-
-    def run(f, pose, prev_q, state):
-        return net.step(pose, state, prev_quats=prev_q, **aux(f))
-
-    if net.config.backbone == "recurrent":
-        def feed(f, out):
-            # the GRU skips the draw at p >= 1 and the conv always draws, so
-            # each keeps its rng stream and training is bit-identical from epoch 0
-            if p >= 1.0:
-                return run(f, Tensor(enc[:, f]), Tensor(quats[:, f]), out["state"])
-            keep = (rng.random(b) < p).astype(float)  # per-sequence Bernoulli(p)
-            mask, qmask = Tensor(keep[:, None]), Tensor(keep[:, None, None])
-            return run(f, mask * Tensor(enc[:, f]) + (1.0 - mask) * out["feedback"],
-                       qmask * Tensor(quats[:, f]) + (1.0 - qmask) * out["quats"],
-                       out["state"])
-
-        state = net.init_state(b)
-        for f in range(n):
-            out = run(f, Tensor(enc[:, f]), Tensor(quats[:, f]), state)
-            state = out["state"]
-    else:
-        rf = net.config.receptive_field
-        if n < rf:
-            raise ValueError(f"the convolutional backbone needs >= {rf} conditioning frames")
-        window = enc[:, :n]
-
-        def predict():
-            return net.forward_window(
-                Tensor(window[:, -rf:]), prev_quats=Tensor(window[:, -1].reshape(b, -1, 4))
-                if net.config.mode == "velocity" else None)
-
-        def feed(f, out):
-            nonlocal window
-            nxt = np.where((rng.random(b) < p)[:, None], enc[:, f], out["feedback"].data)
-            window = np.concatenate([window, nxt[:, None]], axis=1)
-            return predict()
-
-        out = predict()
+    out = net.forward_window(Tensor(enc[:, :n]), Tensor(quats[:, n - 1]),
+                             **_aux_inputs(net, b, np.arange(n), root_positions))
     yield out
     for f in range(n, n + steps - 1):
-        if rng is None:
-            out = run(f, out["feedback"], out["quats"], out["state"])
+        pose, prev_q = out["feedback"], out["quats"]
+        if rng is None:  # free-run
+            pass
+        elif net.config.backbone == "convolutional":
+            keep = rng.random(b) < p  # per-sequence Bernoulli(p)
+            pose = Tensor(np.where(keep[:, None], enc[:, f], pose.data))
+            prev_q = Tensor(np.where(keep[:, None, None], quats[:, f], prev_q.data))
+        elif p >= 1.0:
+            pose, prev_q = Tensor(enc[:, f]), Tensor(quats[:, f])
         else:
-            out = feed(f, out)
+            keep = (rng.random(b) < p).astype(float)
+            mask, qmask = Tensor(keep[:, None]), Tensor(keep[:, None, None])
+            pose = mask * Tensor(enc[:, f]) + (1.0 - mask) * pose
+            prev_q = qmask * Tensor(quats[:, f]) + (1.0 - qmask) * prev_q
+        out = net.step(pose, out["state"], prev_quats=prev_q,
+                       **_aux_inputs(net, b, f, root_positions))
         yield out
 
 

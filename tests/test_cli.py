@@ -335,6 +335,15 @@ def test_conv_checkpoint_needs_its_receptive_field(tmp_path, dataset_dir, capsys
     assert f">= {cfg.receptive_field}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_conditioning_frames_below_one_is_usage_error(tmp_path, dataset_dir, training_checkpoint,
+                                                      capsys, command):
+    assert run([command, "--checkpoint", training_checkpoint, "--dataset", dataset_dir,
+                "--conditioning-frames", "0", "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert "conditioning_frames >= 1" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("swap", [[1, 2], {"nope": "r_foot"}, {"l_foot": "r_lowleg"}],
                          ids=["list", "unknown-joint", "not-mirror-images"])
 def test_bad_swap_map_is_usage_error(tmp_path, dataset_dir, capsys, swap):
@@ -351,6 +360,9 @@ def test_bad_swap_map_is_usage_error(tmp_path, dataset_dir, capsys, swap):
     ("train-pose", "reg_weight = 5"),
     ("train-pose", "mode = sideways"),
     ("train-pose", "backbone = convolutional"),
+    ("train-pose", "conditioning_frames = 0"),
+    ("train-pose", "prediction_frames = 0"),
+    ("train-pose", "batch_size = 0"),
     ("train-pace", "epochs = abc"),
     ("train-pace", "variant = sideways"),
 ])

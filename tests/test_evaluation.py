@@ -4,6 +4,7 @@ import pytest
 from quatmotion import evaluation as ev
 from quatmotion import motiondata as md
 from quatmotion import rotmath as rm
+from quatmotion.autodiff import Tensor
 
 from conftest import random_unit_quats
 
@@ -106,6 +107,19 @@ def test_position_network_free_run(corpus):
     pred = net.free_run(pos, 3)
     assert pred.shape == (3, skel.num_joints, 3)
     assert np.isfinite(pred).all()
+
+    # n + k - 1 steps give what an n + k step loop that drops its last output gives
+    state = net.init_state(1)
+    for f in range(10):
+        out, state = net.step(Tensor(pos[f].reshape(1, -1)), state)
+    want = []
+    for _ in range(4):
+        want.append(out.data[0].reshape(-1, 3))
+        out, state = net.step(out, state)
+    step, calls = net.step, []
+    net.step = lambda *a: calls.append(1) or step(*a)
+    assert np.array_equal(net.free_run(pos, 4), np.stack(want))
+    assert len(calls) == 13
 
 
 def test_bone_length_spread_zero_for_fk(corpus):

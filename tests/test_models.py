@@ -82,6 +82,17 @@ def test_side_inputs_require_recurrent_backbone(side):
     assert getattr(mo.PoseNetworkConfig(4, **{side: True}), side)
 
 
+def test_filter_width_other_than_2_is_rejected():
+    # the layers have two taps; any other width would change only the init
+    # scale and make expected_param_count disagree with the built network
+    for width in (1, 3):
+        with pytest.raises(ValueError, match="filter_width"):
+            mo.PoseNetworkConfig.desk(4, channels=16, backbone="convolutional",
+                                      filter_width=width)
+    cfg = mo.PoseNetworkConfig.desk(4, channels=16, backbone="convolutional", filter_width=2)
+    assert count_params(mo.PoseNetwork(cfg)) == mo.expected_param_count(cfg) == 2640
+
+
 def test_conv_receptive_field_is_32(rng):
     cfg = mo.PoseNetworkConfig.desk(4, channels=16, backbone="convolutional")
     assert cfg.receptive_field == 32
@@ -256,19 +267,45 @@ def test_generation_divergence_guard(corpus):
                                num_frames=200, frame_rate=25.0)
 
 
-@pytest.mark.parametrize("mode", ["velocity", "absolute"])
-def test_conv_step_matches_window(rng, mode):
-    cfg = mo.PoseNetworkConfig.desk(4, channels=16, backbone="convolutional", mode=mode)
+@pytest.mark.parametrize("backbone,mode,sides", [
+    ("convolutional", "velocity", False), ("convolutional", "absolute", False),
+    ("recurrent", "velocity", False), ("recurrent", "absolute", True),
+], ids=["convolutional-velocity", "convolutional-absolute", "recurrent-velocity",
+        "recurrent-absolute-sides"])
+def test_step_matches_window(rng, backbone, mode, sides):
+    cfg = mo.PoseNetworkConfig.desk(4, hidden=16, channels=16, backbone=backbone, mode=mode,
+                                    include_controls=sides, include_translations=sides)
     net = mo.PoseNetwork(cfg, seed=0)
     q = random_unit_quats(rng, (2, 40, 4))
     pose = mo.encode_pose(q, "quaternion").reshape(2, 40, -1)
-    want = net.forward_window(Tensor(pose), prev_quats=Tensor(q[:, -1]))
+    side = ({"translations": rng.normal(size=(2, 40, 2)),
+             "controls": rng.normal(size=(2, 40, mo.CONTROL_DIM))} if sides else {})
+    want = net.forward_window(Tensor(pose), prev_quats=Tensor(q[:, -1]),
+                              **{k: Tensor(v) for k, v in side.items()})
     state = net.init_state(2)
     for f in range(40):
-        got = net.step(Tensor(pose[:, f]), state, prev_quats=Tensor(q[:, f]))
+        got = net.step(Tensor(pose[:, f]), state, prev_quats=Tensor(q[:, f]),
+                       **{k: Tensor(v[:, f]) for k, v in side.items()})
         state = got["state"]
-    assert np.abs(got["quats"].data - want["quats"].data).max() < 1e-12
-    assert [s.shape for s in state] == [(2, d, c) for d, c in
-                                        zip(cfg.dilations, (4 * 4, 16, 16, 16, 16))]
+    # the GRU runs the same cells on the same inputs: exactly equal; the
+    # conv window sums its frames in another order than the steps
+    tol = 1e-12 if backbone == "convolutional" else 0.0
+    for key in ("quats", "translations"):
+        if got[key] is not None:
+            assert np.abs(got[key].data - want[key].data).max() <= tol
+    assert [s.shape for s in state] == [w.shape for w in want["state"]]
+    if backbone == "convolutional":
+        assert [s.shape for s in state] == [(2, d, c) for d, c in
+                                            zip(cfg.dilations, (4 * 4, 16, 16, 16, 16))]
     for s, w in zip(state, want["state"]):
-        assert np.abs(s.data - w.data).max() < 1e-12
+        assert np.abs(s.data - w.data).max() <= tol
+
+
+@pytest.mark.parametrize("backbone", ["recurrent", "convolutional"])
+def test_window_rejects_non_finite_state(rng, backbone):
+    net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(4, hidden=16, channels=16,
+                                                   backbone=backbone), seed=0)
+    net.params["gru1.b" if backbone == "recurrent" else "conv3.b"].data[0] = np.nan
+    q = random_unit_quats(rng, (1, 32, 4))
+    with pytest.raises(ad.NumericalError):
+        net.forward_window(Tensor(q.reshape(1, 32, -1)), prev_quats=Tensor(q[:, -1]))

@@ -196,6 +196,8 @@ def test_free_run_predict_shapes_both_backbones(corpus):
         pred = tr.free_run_predict(net, rots[:n], 5)
         assert pred.shape == (5, skel.num_active, 4)
         assert np.abs(np.linalg.norm(pred, axis=-1) - 1).max() < 1e-9
+        with pytest.raises(ValueError, match="conditioning frame"):
+            tr.free_run_predict(net, rots[:0], 5)
 
 
 def test_positional_loss_value(rng, corpus):
@@ -305,13 +307,14 @@ def test_free_run_records_no_tape(corpus, backbone, n):
     skel, clips = corpus
     net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(
         skel.num_active, hidden=16, channels=16, backbone=backbone), seed=0)
-    outs = []
+    calls = []
     for name in ("step", "forward_window"):
         method = getattr(net, name)
-        setattr(net, name, lambda *a, _m=method, **k: outs.append(_m(*a, **k)) or outs[-1])
+        setattr(net, name, lambda *a, _m=method, _n=name, **k:
+                calls.append((_n, _m(*a, **k))) or calls[-1][1])
     tr.free_run_predict(net, clips[0].active_rotations[:n], 6)
-    assert len(outs) == (n + 5 if backbone == "recurrent" else 6)
-    tensors = [t for out in outs for v in out.values()
+    assert [name for name, _ in calls] == ["forward_window"] + ["step"] * 5
+    tensors = [t for _, out in calls for v in out.values()
                for t in (v if isinstance(v, list) else [v]) if t is not None]
     assert tensors and all(t._parents == () and not t.requires_grad for t in tensors)
 
@@ -321,8 +324,10 @@ def test_free_run_records_no_tape(corpus, backbone, n):
     grads = []
     for _ in range(2):
         net.zero_grad()
+        calls.clear()
         tr.scheduled_sampling_rollout(net, rots, skel, cfg, 0.5,
                                       np.random.default_rng(0)).backward()
+        assert [name for name, _ in calls] == ["forward_window", "step"]
         grads.append(net.grads())
         tr.free_run_predict(net, clips[0].active_rotations[:n], 6)
     assert grads[0].keys() == net.params.keys()
