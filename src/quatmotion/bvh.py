@@ -6,6 +6,14 @@ Sites, ``Frames:`` and ``Frame Time:``. Rotations are in degrees per the
 BVH convention and are converted to quaternions honoring each joint's
 channel order. The arrays are returned raw; ``motiondata.load_bvh`` wraps
 them in a ``MotionClip``, which fixes antipodal continuity.
+
+The hierarchy and the ``Frames:``/``Frame Time:`` header are tokenised one
+line at a time. The motion block is split once and converted with one
+``np.array(..., dtype=float)`` call, which parses each token with Python's
+``float()``. Only if that fails is the block re-read token by token, so
+that the error names the line of the bad value. Values past the last frame
+are ignored. The writer formats the whole motion block with one ``%``
+operation, each value as ``%.6f``.
 """
 
 from __future__ import annotations
@@ -30,23 +38,39 @@ class UnsupportedBvhFeatureError(BvhParseError):
 
 
 class _Tokens:
+    """Whitespace tokens with their line numbers, split one line at a time."""
+
     def __init__(self, text: str):
-        self.items: list[tuple[str, int]] = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            for tok in line.split():
-                self.items.append((tok, lineno))
-        self.pos = 0
+        self.lines = text.splitlines()
+        self.row = 0  # next line to split
+        self.items: list[str] = []  # tokens of line ``lineno``
+        self.pos = 0  # next token in ``items``
+        self.lineno = 0  # last line that had tokens
+
+    def _fill(self) -> bool:
+        while self.pos >= len(self.items):
+            if self.row >= len(self.lines):
+                return False
+            self.row += 1
+            items = self.lines[self.row - 1].split()
+            if items:
+                self.items, self.pos, self.lineno = items, 0, self.row
+        return True
 
     @property
     def line(self) -> int:
-        if self.pos < len(self.items):
-            return self.items[self.pos][1]
-        return self.items[-1][1] if self.items else 0
+        """Line of the next token, or of the last one at end of file."""
+        self._fill()
+        return self.lineno
+
+    def rest(self) -> list[str]:
+        """Every token not yet read, without reading them."""
+        return self.items[self.pos:] + " ".join(self.lines[self.row:]).split()
 
     def peek(self) -> str:
-        if self.pos >= len(self.items):
+        if not self._fill():
             raise BvhParseError("unexpected end of file", self.line)
-        return self.items[self.pos][0]
+        return self.items[self.pos]
 
     def next(self) -> str:
         tok = self.peek()
@@ -135,12 +159,17 @@ def load_bvh(path):
         raise BvhParseError("Frame Time must be positive and finite", tokens.line)
 
     width = sum(6 if c["position"] else 3 for c in channels)
-    if n_frames * width > len(tokens.items) - tokens.pos:
+    rest = tokens.rest()
+    if n_frames * width > len(rest):
         raise BvhParseError(f"fewer values than {n_frames} frames need", tokens.line)
-    values = np.empty((n_frames, width))
-    for f in range(n_frames):
-        for c in range(width):
-            values[f, c] = tokens.number()
+    try:
+        values = np.array(rest[:n_frames * width], dtype=float).reshape(n_frames, width)
+    except ValueError:
+        # token by token, only to name the line of the bad value
+        values = np.empty((n_frames, width))
+        for f in range(n_frames):
+            for c in range(width):
+                values[f, c] = tokens.number()
 
     n_joints = len(joints)
     skel = Skeleton.from_joints(joints)
@@ -230,7 +259,8 @@ def save_bvh(path, skel: Skeleton, frame_rate: float,
         else:
             cols.append(deg)
     data = np.concatenate(cols, axis=1)
-    for row in data:
-        lines.append(" ".join(f"{v:.6f}" for v in row))
+    if n_frames:
+        row = " ".join(["%.6f"] * data.shape[1])
+        lines.append("\n".join([row] * n_frames) % tuple(data.ravel().tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

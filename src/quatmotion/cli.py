@@ -361,14 +361,17 @@ def cmd_baseline(args) -> int:
     clips = _load_clips(args.dataset)
     proto = _protocol_from_arg(args.protocol, args.seed,
                                args.conditioning_frames, clips[0].frame_rate)
+    windows = {"zerovel": 1, "runavg2": 2, "runavg4": 4}
+    if args.kind not in windows:
+        raise CliError(f"unknown baseline {args.kind!r}", EXIT_USAGE)
+    need = windows[args.kind]
+    if args.conditioning_frames < need:
+        raise CliError(f"the {args.kind} baseline needs conditioning_frames >= {need}, "
+                       f"got {args.conditioning_frames}", EXIT_USAGE)
     if args.kind == "zerovel":
         predictor = ev.baseline_zero_velocity
-    elif args.kind == "runavg2":
-        predictor = lambda p, h: ev.baseline_running_average(p, h, window=2)
-    elif args.kind == "runavg4":
-        predictor = lambda p, h: ev.baseline_running_average(p, h, window=4)
     else:
-        raise CliError(f"unknown baseline {args.kind!r}", EXIT_USAGE)
+        predictor = lambda p, h: ev.baseline_running_average(p, h, window=need)
     report = ev.run_protocol(predictor, clips, proto)
     report.to_csv(os.path.join(args.out, "report.csv"), ci=True)
     print(report.summary())

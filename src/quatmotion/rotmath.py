@@ -233,13 +233,21 @@ def fix_continuity(wxyz: np.ndarray, time_axis: int = 0) -> np.ndarray:
     For every joint and every ``t >= 1`` the output frame is negated iff its
     dot product with the (already fixed) previous frame is negative. Frame 0
     is returned unchanged. Idempotent; each output equals +/- its input.
+
+    Fixing frame t - 1 only flips the sign of that dot, so frame t is negated
+    iff the number of negative raw dots since the last zero or NaN dot is
+    odd: a zero or NaN dot is never negative, whatever the previous sign, so
+    it resets frame t to unflipped. That parity is one pass over the raw dots.
     """
-    wxyz = np.asarray(wxyz, dtype=float)
-    out = np.moveaxis(wxyz, time_axis, 0).copy()
-    for t in range(1, out.shape[0]):
-        dots = np.sum(out[t] * out[t - 1], axis=-1, keepdims=True)
-        out[t] = np.where(dots < 0.0, -out[t], out[t])
-    return np.moveaxis(out, 0, time_axis)
+    q = np.moveaxis(np.asarray(wxyz, dtype=float), time_axis, 0)
+    dots = np.sum(q[1:] * q[:-1], axis=-1, keepdims=True)
+    negative = dots < 0.0
+    negatives = np.cumsum(negative, axis=0)
+    reset = ~(negative | (dots > 0.0))
+    negatives -= np.maximum.accumulate(np.where(reset, negatives, 0), axis=0)
+    flip = np.zeros(q.shape[:-1] + (1,), dtype=bool)
+    flip[1:] = negatives % 2 == 1
+    return np.moveaxis(np.where(flip, -q, q), 0, time_axis)
 
 
 def wrap_angle(x: np.ndarray) -> np.ndarray:

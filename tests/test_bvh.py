@@ -118,3 +118,80 @@ def test_corrupt_field_is_parse_error(tmp_path, old, new):
     p.write_bytes(SIMPLE.encode().replace(old, new))
     with pytest.raises(BvhParseError):
         load_bvh(p)
+
+
+def _saved(tmp_path, gait, frames=40):
+    clip = gait[1].slice(0, frames)
+    p = tmp_path / "saved.bvh"
+    md.save_bvh(p, clip)
+    return p, p.read_text().splitlines()
+
+
+def _same(a, b):
+    """Two ``load_bvh`` results are bit-identical."""
+    return (a[0].names == b[0].names and a[1] == b[1]
+            and all(x.tobytes() == y.tobytes() for x, y in zip(a[2:], b[2:])))
+
+
+def test_motion_block_matches_per_token_parse(tmp_path, gait, monkeypatch):
+    p, _ = _saved(tmp_path, gait)
+    fast = load_bvh(p)
+    array = np.array
+
+    def no_str_lists(obj, *args, **kwargs):
+        if isinstance(obj, list) and obj and isinstance(obj[0], str):
+            raise ValueError("per-token parse")
+        return array(obj, *args, **kwargs)
+
+    monkeypatch.setattr(np, "array", no_str_lists)
+    slow = load_bvh(p)
+    monkeypatch.undo()
+    assert _same(fast, slow)
+
+
+def test_bad_motion_value_names_its_line(tmp_path, gait):
+    p, lines = _saved(tmp_path, gait)
+    row = lines.index("MOTION") + 3 + 30  # the 31st frame
+    values = lines[row].split()
+    values[4] = "1.0x"
+    lines[row] = " ".join(values)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(BvhParseError, match="expected a number, got '1.0x'") as exc:
+        load_bvh(p)
+    assert exc.value.line == row + 1
+
+
+def test_one_value_short_is_parse_error(tmp_path, gait):
+    p, lines = _saved(tmp_path, gait)
+    lines[-1] = lines[-1].rsplit(" ", 1)[0]
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(BvhParseError, match="fewer values than 40 frames need"):
+        load_bvh(p)
+
+
+def test_trailing_tokens_are_ignored(tmp_path, gait):
+    p, lines = _saved(tmp_path, gait)
+    want = load_bvh(p)
+    p.write_text("\n".join(lines) + "\n1.0 2.0\n\nnot-a-number\n")
+    assert _same(load_bvh(p), want)
+
+
+def test_save_motion_block_is_per_value_six_decimals(tmp_path, gait):
+    from quatmotion.rotmath import quat_to_euler
+    skel, clip = gait[0], gait[1].slice(0, 7)
+    root = clip.root_positions.copy()
+    root[0] = [-0.0, -1e-7, 1e12]  # signed zero, rounds to -0.000000, large
+    root[1] = [np.nan, np.inf, -np.inf]
+    p = tmp_path / "pinned.bvh"
+    save_bvh(p, skel, clip.frame_rate, root, clip.rotations)
+    lines = p.read_text().splitlines()
+    names = [line.split()[1] for line in lines if line.split()[0] in ("ROOT", "JOINT")]
+    cols = [root]
+    for name in names:
+        j = skel.names.index(name)
+        cols.append(np.rad2deg(quat_to_euler(clip.rotations[:, j], skel.euler_orders[j]).angles))
+    data = np.concatenate(cols, axis=1)
+    want = [" ".join(f"{v:.6f}" for v in row) for row in data]
+    assert lines[lines.index("MOTION") + 3:] == want
+    assert lines[lines.index("MOTION") + 3].startswith("-0.000000 -0.000000 1000000000000.000000")
+    assert p.read_text().endswith(want[-1] + "\n")

@@ -344,6 +344,15 @@ def test_conditioning_frames_below_one_is_usage_error(tmp_path, dataset_dir, tra
     assert "conditioning_frames >= 1" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind, frames, need", [("zerovel", 0, 1), ("runavg4", 3, 4)])
+def test_baseline_conditioning_frames_below_window_is_usage_error(tmp_path, dataset_dir, capsys,
+                                                                 kind, frames, need):
+    assert run(["baseline", "--kind", kind, "--dataset", dataset_dir,
+                "--conditioning-frames", frames, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert f"conditioning_frames >= {need}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("swap", [[1, 2], {"nope": "r_foot"}, {"l_foot": "r_lowleg"}],
                          ids=["list", "unknown-joint", "not-mirror-images"])
 def test_bad_swap_map_is_usage_error(tmp_path, dataset_dir, capsys, swap):

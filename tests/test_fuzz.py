@@ -48,6 +48,29 @@ def corruptions(blob: bytes):
     )
 
 
+# spellings that float() parses, rejects, or reads as nan/inf/zero
+ODD_NUMBERS = [b"nan", b"-nan", b"Infinity", b"1e400", b"1e-400", b"1_0", b"1__0", b"0x1p3",
+               b"1.0.0", b"-", b".", b"", b"\xff", "\u0661\u0662".encode(), b"1\x00"]
+
+
+def motion_edits(blob: bytes):
+    """The valid file with one token of its motion block (the lines after
+    ``Frame Time:``) replaced, so that the per-token fallback parse runs."""
+    lines = blob.split(b"\n")
+    first = next(i for i, line in enumerate(lines) if line.startswith(b"Frame Time:")) + 1
+
+    def edit(args):
+        row, col, token = args
+        out = list(lines)
+        values = out[row].split(b" ")
+        values[col % len(values)] = token
+        out[row] = b" ".join(values)
+        return b"\n".join(out)
+
+    token = st.one_of(st.sampled_from(ODD_NUMBERS), st.text(max_size=6).map(str.encode))
+    return st.tuples(st.integers(first, len(lines) - 1), st.integers(0, 63), token).map(edit)
+
+
 LOADERS = {"qmc": (md.load_clip, True), "ckpt": (mo.load_checkpoint, True),
            "bvh": (md.load_bvh, False)}
 
@@ -59,7 +82,9 @@ LOADERS = {"qmc": (md.load_clip, True), "ckpt": (mo.load_checkpoint, True),
 def test_corrupt_file_raises_only_value_error(tmp_path, blobs, kind, data):
     load, names_file = LOADERS[kind]
     path = tmp_path / f"fuzz.{kind}"
-    path.write_bytes(data.draw(corruptions(blobs[kind])))
+    blob = blobs[kind]
+    edits = st.one_of(corruptions(blob), motion_edits(blob)) if kind == "bvh" else corruptions(blob)
+    path.write_bytes(data.draw(edits))
     try:
         load(path)
     except ValueError as e:

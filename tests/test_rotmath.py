@@ -132,6 +132,34 @@ def test_fix_continuity_nonnegative_dots(rng):
     assert np.array_equal(rm.fix_continuity(fixed), fixed)
 
 
+def _fix_continuity_loop(wxyz, time_axis=0):
+    """The per-frame definition: negate frame t iff its dot with the
+    already fixed frame t - 1 is negative."""
+    out = np.moveaxis(np.asarray(wxyz, dtype=float), time_axis, 0).copy()
+    for t in range(1, out.shape[0]):
+        dots = np.sum(out[t] * out[t - 1], axis=-1, keepdims=True)
+        out[t] = np.where(dots < 0.0, -out[t], out[t])
+    return np.moveaxis(out, 0, time_axis)
+
+
+def test_fix_continuity_matches_reference_loop():
+    rng = np.random.default_rng(2024)
+    for case in range(300):
+        frames = (0, 1, 2)[case] if case < 3 else int(rng.integers(0, 16))
+        q = rng.normal(size=(frames, int(rng.integers(1, 4)), 4))
+        if case % 2:
+            q = np.round(q)  # small integers: many exactly zero dots
+        q[rng.random(q.shape[:2]) < 0.15] = 0.0
+        q[rng.random(q.shape) < 0.05] = np.nan
+        q[rng.random(q.shape) < 0.02] = -np.nan
+        time_axis = int(case % 3 == 2)
+        if time_axis:
+            q = np.moveaxis(q, 0, 1)
+        got, want = rm.fix_continuity(q, time_axis), _fix_continuity_loop(q, time_axis)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), case
+
+
 def test_slerp_constant_angular_velocity(rng):
     a = random_unit_quats(rng, ())
     b = random_unit_quats(rng, ())
