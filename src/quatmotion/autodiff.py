@@ -11,8 +11,9 @@ which is how free-run prediction and generation run.
 The quaternion operations ``qmul`` and ``qnormalize`` have hand-written
 backward rules over the :mod:`rotmath` kernels. Forward kinematics is a
 single node with its own adjoint (``kinematics.forward_kinematics_tensor``),
-and so is a GRU cell (:func:`gru_cell`, which every recurrent network in
-:mod:`models` uses).
+and so are a GRU cell (:func:`gru_cell`, for frames fed back one at a time)
+and a GRU layer over a whole sequence (:func:`gru_sequence`), which share
+one gate forward and one gate adjoint.
 """
 
 from __future__ import annotations
@@ -439,6 +440,31 @@ def qnormalize(q) -> Tensor:
 # -- recurrent cell -------------------------------------------------------------
 
 
+def _gru_forward(gx, h, wh):
+    """One GRU step from its input gates ``gx`` = x wx + b (B, 3H) and its
+    state ``h`` (B, H): returns h' and the (rz, n, gh_n) its adjoint reads."""
+    hidden = h.shape[-1]
+    gh = h @ wh
+    rz = 1.0 / (1.0 + np.exp(-(gx[:, :2 * hidden] + gh[:, :2 * hidden])))
+    r, z = rz[:, :hidden], rz[:, hidden:]
+    gh_n = gh[:, 2 * hidden:]
+    n = np.tanh(gx[:, 2 * hidden:] + r * gh_n)
+    return (1.0 - z) * n + z * h, (rz, n, gh_n)
+
+
+def _gru_adjoint(h, saved):
+    """Factors of GRU steps' adjoints, over any leading shape. With g the
+    adjoint of h' and g3 = (g, g, g) over the gate blocks, the gate
+    pre-activations get dgx = g3 kx and dgh = g3 kh, and the input state
+    h gets dgh wh^T + g z. Returns (kx, kh, z)."""
+    rz, n, gh_n = saved
+    hidden = n.shape[-1]
+    r, z = rz[..., :hidden], rz[..., hidden:]
+    dn = (1.0 - z) * (1.0 - n * n)
+    drz = np.concatenate([dn * gh_n, h - n], axis=-1) * rz * (1.0 - rz)
+    return np.concatenate([drz, dn], axis=-1), np.concatenate([drz, dn * r], axis=-1), z
+
+
 def gru_cell(x, h, wx, wh, b) -> Tensor:
     """One GRU cell as a single tape node: ``x`` (B, I), ``h`` (B, H),
     ``wx`` (I, 3H), ``wh`` (H, 3H), ``b`` (3H,), gate blocks ordered r, z, n.
@@ -450,31 +476,66 @@ def gru_cell(x, h, wx, wh, b) -> Tensor:
     five input gradients from them.
     """
     x, h, wx, wh, b = (as_tensor(t) for t in (x, h, wx, wh, b))
-    hidden = h.data.shape[1]
-    gx = x.data @ wx.data + b.data
-    gh = h.data @ wh.data
-    rz = 1.0 / (1.0 + np.exp(-(gx[:, :2 * hidden] + gh[:, :2 * hidden])))
-    r, z = rz[:, :hidden], rz[:, hidden:]
-    gh_n = gh[:, 2 * hidden:]
-    n = np.tanh(gx[:, 2 * hidden:] + r * gh_n)
-    data = (1.0 - z) * n + z * h.data
-    memo = [None, None, None]
+    data, saved = _gru_forward(x.data @ wx.data + b.data, h.data, wh.data)
+    memo = [None, None]
 
     def gates(g):
-        # (dgx, dgh) for output adjoint g, computed once per backward pass
+        # (dgx, dgh, dh through z) for output adjoint g, once per backward
         if memo[0] is not g:
-            dn = g * (1.0 - z) * (1.0 - n * n)
-            drz = np.concatenate([dn * gh_n, g * (h.data - n)], axis=-1) * rz * (1.0 - rz)
-            memo[:] = [g, np.concatenate([drz, dn], axis=-1),
-                       np.concatenate([drz, dn * r], axis=-1)]
-        return memo[1], memo[2]
+            kx, kh, z = _gru_adjoint(h.data, saved)
+            g3 = np.concatenate([g, g, g], axis=-1)
+            memo[:] = [g, (g3 * kx, g3 * kh, g * z)]
+        return memo[1]
 
     return _make(data, (x, h, wx, wh, b), (
         lambda g: gates(g)[0] @ wx.data.T,
-        lambda g: gates(g)[1] @ wh.data.T + g * z,
+        lambda g: gates(g)[1] @ wh.data.T + gates(g)[2],
         lambda g: x.data.T @ gates(g)[0],
         lambda g: h.data.T @ gates(g)[1],
         lambda g: gates(g)[0].sum(axis=0),
+    ))
+
+
+def gru_sequence(xs, h0, wx, wh, b) -> Tensor:
+    """One GRU layer over a batch-first sequence as a single tape node:
+    ``xs`` (B, T, I), ``h0`` broadcastable to (B, H), weights as in
+    :func:`gru_cell`. Returns the states after every step, (B, T, H).
+
+    The input projection of all T steps is one matmul, then each step runs
+    :func:`gru_cell`'s arithmetic. The backward is one loop back through
+    time over the state's adjoint, then one matmul each for the gradients
+    of ``xs``, ``wx`` and ``wh``.
+    """
+    xs, h0, wx, wh, b = (as_tensor(t) for t in (xs, h0, wx, wh, b))
+    bsz, steps, inputs = xs.data.shape
+    hidden = wh.data.shape[0]
+    gx = (xs.data.reshape(-1, inputs) @ wx.data + b.data).reshape(bsz, steps, -1)
+    hs = np.empty((bsz, steps + 1, hidden))  # hs[:, t] is step t's input state
+    hs[:, 0] = h0.data
+    rz, n, gh_n = (np.empty((bsz, steps, k * hidden)) for k in (2, 1, 1))
+    for t in range(steps):
+        hs[:, t + 1], (rz[:, t], n[:, t], gh_n[:, t]) = _gru_forward(gx[:, t], hs[:, t], wh.data)
+    memo = [None, None]
+
+    def bptt(g):
+        # (dgx, dgh) of all steps, flattened, and h0's adjoint, once per backward
+        if memo[0] is not g:
+            kx, kh, z = _gru_adjoint(hs[:, :-1], (rz, n, gh_n))
+            kh3, wht = kh.reshape(bsz, steps, 3, hidden), wh.data.T
+            gs, carry = np.empty_like(n), np.zeros((bsz, hidden))
+            for t in range(steps - 1, -1, -1):
+                gt = gs[:, t] = g[:, t] + carry
+                carry = (kh3[:, t] * gt[:, None]).reshape(bsz, -1) @ wht + gt * z[:, t]
+            g3 = np.concatenate([gs, gs, gs], axis=-1).reshape(-1, 3 * hidden)
+            memo[:] = [g, (g3 * kx.reshape(g3.shape), g3 * kh.reshape(g3.shape), carry)]
+        return memo[1]
+
+    return _make(hs[:, 1:], (xs, h0, wx, wh, b), (
+        lambda g: (bptt(g)[0] @ wx.data.T).reshape(xs.data.shape),
+        lambda g: _unbroadcast(bptt(g)[2], h0.data.shape),
+        lambda g: xs.data.reshape(-1, inputs).T @ bptt(g)[0],
+        lambda g: hs[:, :-1].reshape(-1, hidden).T @ bptt(g)[1],
+        lambda g: bptt(g)[0].sum(axis=0),
     ))
 
 

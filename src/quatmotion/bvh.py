@@ -45,7 +45,7 @@ class _Tokens:
         self.row = 0  # next line to split
         self.items: list[str] = []  # tokens of line ``lineno``
         self.pos = 0  # next token in ``items``
-        self.lineno = 0  # last line that had tokens
+        self.lineno = 0  # line of ``items``: that of the last token read or peeked
 
     def _fill(self) -> bool:
         while self.pos >= len(self.items):
@@ -80,19 +80,19 @@ class _Tokens:
     def expect(self, want: str) -> None:
         tok = self.next()
         if tok != want:
-            raise BvhParseError(f"expected {want!r}, got {tok!r}", self.line)
+            raise BvhParseError(f"expected {want!r}, got {tok!r}", self.lineno)
 
     def number(self) -> float:
         tok = self.next()
         try:
             return float(tok)
         except ValueError:
-            raise BvhParseError(f"expected a number, got {tok!r}", self.line) from None
+            raise BvhParseError(f"expected a number, got {tok!r}", self.lineno) from None
 
     def count(self) -> int:
         value = self.number()
         if not (0 <= value < np.inf and value.is_integer()):
-            raise BvhParseError(f"expected a count, got {value!r}", self.line)
+            raise BvhParseError(f"expected a count, got {value!r}", self.lineno)
         return int(value)
 
 
@@ -104,7 +104,7 @@ def _parse_joint(tokens: _Tokens, parent: int, joints: list, channels: list) -> 
     elif kind in ("ROOT", "JOINT"):
         name = tokens.next()
     else:
-        raise BvhParseError(f"expected ROOT/JOINT/End, got {kind!r}", tokens.line)
+        raise BvhParseError(f"expected ROOT/JOINT/End, got {kind!r}", tokens.lineno)
     tokens.expect("{")
     tokens.expect("OFFSET")
     offset = [tokens.number() for _ in range(3)]
@@ -123,7 +123,7 @@ def _parse_joint(tokens: _Tokens, parent: int, joints: list, channels: list) -> 
             spec = {"joint": index, "position": True, "rotation": names[3:]}
         else:
             raise UnsupportedBvhFeatureError(
-                f"unsupported channel set {names} on joint {name!r}", tokens.line
+                f"unsupported channel set {names} on joint {name!r}", tokens.lineno
             )
         joint["euler_order"] = "".join(_ROT_CHANNELS[c] for c in spec["rotation"])
         channels.append(spec)
@@ -156,7 +156,7 @@ def load_bvh(path):
     tokens.expect("Time:")
     frame_time = tokens.number()
     if not 0.0 < frame_time < np.inf:
-        raise BvhParseError("Frame Time must be positive and finite", tokens.line)
+        raise BvhParseError("Frame Time must be positive and finite", tokens.lineno)
 
     width = sum(6 if c["position"] else 3 for c in channels)
     rest = tokens.rest()

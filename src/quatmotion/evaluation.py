@@ -257,15 +257,19 @@ class PositionNetwork(ParamContainer):
         new_state = self._gru.step(x, state)
         return _linear(self.params, "head", new_state[-1]), new_state
 
+    def sequence(self, x: Tensor, state: list):
+        """Predictions after every frame of x (B, T, 3J), and the state
+        after the last one."""
+        outputs, new_state = self._gru.sequence(x, state)
+        return _linear(self.params, "head", outputs), new_state
+
     @ad.no_grad()
     def free_run(self, prefix: np.ndarray, horizon: int) -> np.ndarray:
         """prefix (n, J, 3) -> predictions (horizon >= 1, J, 3), recording
-        no tape; n + horizon - 1 steps."""
-        n = prefix.shape[0]
-        flat = prefix.reshape(n, -1)
-        state = self.init_state(1)
-        for f in range(n):
-            out, state = self.step(Tensor(flat[f][None]), state)
+        no tape; one sequence over the prefix, then horizon - 1 steps."""
+        out, state = self.sequence(Tensor(prefix.reshape(1, len(prefix), -1)),
+                                   self.init_state(1))
+        out = out[:, -1]
         preds = [out]
         for _ in range(horizon - 1):
             out, state = self.step(out, state)
@@ -297,17 +301,11 @@ def train_position_network(net: PositionNetwork, clips, skel: Skeleton,
             pos = forward_kinematics(skel, rots, np.zeros((b, t, 3)))
             flat = pos.reshape(b, t, -1)
             net.zero_grad()
-            state = net.init_state(b)
-            terms = []
-            for f in range(t - 1):
-                out, state = net.step(Tensor(flat[:, f]), state)
-                if f >= config.conditioning_frames - 1:
-                    diff = ad.reshape(out, (b, skel.num_joints, 3)) - Tensor(pos[:, f + 1])
-                    terms.append(ad.tmean(ad.l2norm(diff, axis=-1)))
-            loss = terms[0]
-            for term in terms[1:]:
-                loss = loss + term
-            loss = loss / float(len(terms))
+            # predictions from frames n-1 .. t-2 of the teacher-forced inputs
+            out, _ = net.sequence(Tensor(flat[:, :t - 1]), net.init_state(b))
+            n = config.conditioning_frames
+            diff = ad.reshape(out[:, n - 1:], (b, t - n, skel.num_joints, 3)) - Tensor(pos[:, n:])
+            loss = ad.tmean(ad.l2norm(diff, axis=-1))
             loss.backward()
             adam_step(arrays, net.grads(), adam, lr, clip_norm=config.clip_norm)
             losses.append(loss.item())

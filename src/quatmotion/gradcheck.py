@@ -1,6 +1,7 @@
 """Finite-difference gradient checks over the differentiable ops (the fused
-GRU cell among them), both pose network backbones and both pace network
-variants. Used by the ``gradcheck`` CLI command and the tests."""
+GRU cell and GRU sequence among them), both pose network backbones and
+both pace network variants. Used by the ``gradcheck`` CLI command and the
+tests."""
 
 from __future__ import annotations
 
@@ -83,18 +84,21 @@ def _op_cases(rng: np.random.Generator) -> list:
         ("wrap_angle", lambda t: ad.tsum(ad.wrap_angle(t)),
          rng.uniform(-2.5, 2.5, size=(6,))),
     ]
-    # the fused GRU cell at batch 3, varying each of x, h, wx, wh, b in turn
-    gru = [rng.normal(size=shape) for shape in ((3, 4), (3, 5), (4, 15), (5, 15), (15,))]
-    w35 = rng.normal(size=(3, 5))
-
-    def gru_case(i):
+    # the fused GRU cell at batch 3, and a GRU sequence at batch 2 over 4
+    # steps from one h0 broadcast over the batch, varying each of their
+    # five inputs in turn
+    def gru_case(op, arrays, weights, i):
         def f(t):
-            args = [t if j == i else Tensor(arr) for j, arr in enumerate(gru)]
-            return ad.tsum(ad.gru_cell(*args) * Tensor(w35))
+            args = [t if j == i else Tensor(arr) for j, arr in enumerate(arrays)]
+            return ad.tsum(op(*args) * Tensor(weights))
         return f
 
-    cases += [(f"gru_cell_{name}", gru_case(i), gru[i].copy())
-              for i, name in enumerate(("x", "h", "wx", "wh", "b"))]
+    cell = [rng.normal(size=shape) for shape in ((3, 4), (3, 5), (4, 15), (5, 15), (15,))]
+    seq = [rng.normal(size=shape) for shape in ((2, 4, 4), (5,), (4, 15), (5, 15), (15,))]
+    for op, arrays, weights in ((ad.gru_cell, cell, rng.normal(size=(3, 5))),
+                                (ad.gru_sequence, seq, rng.normal(size=(2, 4, 5)))):
+        cases += [(f"{op.__name__}_{name}", gru_case(op, arrays, weights, i), arrays[i].copy())
+                  for i, name in enumerate(("x", "h", "wx", "wh", "b"))]
     return cases
 
 

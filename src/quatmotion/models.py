@@ -5,7 +5,9 @@ with learned initial states, and a stack of 5 causal dilated convolutions
 (width 2, dilations 1,2,4,8,16, receptive field 32 frames). For both,
 ``PoseNetwork.forward_window`` conditions on a window of frames and
 predicts the next one with a single head output, and ``PoseNetwork.step``
-advances its state by one frame; the convolutional state holds each
+advances its state by one frame. The recurrent window is one GRU
+sequence node per layer (``autodiff.gru_sequence``), as are both
+directions of the pace network. The convolutional state holds each
 layer's inputs over its last ``dilation`` frames, so a step computes one
 new frame per layer instead of rerunning the window (as in Fast WaveNet,
 Paine et al. 2016). In velocity mode the head's quaternions are
@@ -231,6 +233,16 @@ class _GruStack:
             new_state.append(x)
         return new_state
 
+    def sequence(self, x: Tensor, state: list) -> tuple:
+        """Run every layer over a (B, T, I) sequence, one tape node per
+        layer; returns the last layer's states (B, T, H) and each layer's
+        state after the last step."""
+        p, new_state = self.params, []
+        for prefix, h in zip(self.prefixes, state):
+            x = ad.gru_sequence(x, h, p[f"{prefix}.wx"], p[f"{prefix}.wh"], p[f"{prefix}.b"])
+            new_state.append(x[:, -1])
+        return x, new_state
+
 
 def _init_linear(rng, prefix: str, input_dim: int, output_dim: int, params: dict) -> None:
     scale = 1.0 / np.sqrt(input_dim)
@@ -387,9 +399,8 @@ class PoseNetwork(ParamContainer):
         b, t = pose_window.shape[:2]
         state = self.init_state(b)
         if cfg.backbone == "recurrent":
-            for f in range(t):
-                side = (None if s is None else s[:, f] for s in (translations, controls))
-                state = self._gru.step(self._inputs(pose_window[:, f], prev_quats, *side), state)
+            _, state = self._gru.sequence(
+                self._inputs(pose_window, prev_quats, translations, controls), state)
             raw = _linear(self.params, "head", state[-1])
         else:
             rf = cfg.receptive_field
@@ -466,33 +477,26 @@ class PaceNetwork(ParamContainer):
             head_in = 2 * config.hidden
         _init_linear(rng, "head", head_in, self.OUT_DIM, self.params)
 
-    def _run_gru(self, prefix: str, inputs: list) -> list:
-        gru = self._grus[prefix]
-        state = gru.init_state(1)
-        states = []
-        for x in inputs:
-            state = gru.step(x, state)
-            states.append(state[0])
-        return states
-
     def forward(self, curvatures) -> dict:
         """Per-segment outputs for a curvature sequence of length S.
 
         Returns facing (S, 2) unit versors, frequency (S,), speed (S,)."""
         curv = np.asarray(curvatures if not isinstance(curvatures, Tensor)
-                          else curvatures.data, dtype=float).reshape(-1)
-        if len(curv) == 0:
+                          else curvatures.data, dtype=float).reshape(1, -1, 1)
+        s = curv.shape[1]
+        if s == 0:
             raise ValueError("need at least one segment")
-        s = len(curv)
-        inputs = [Tensor(curv[i].reshape(1, 1)) for i in range(s)]
-        fwd = self._run_gru("fwd", inputs)
+
+        def run(prefix, x):
+            gru = self._grus[prefix]
+            return gru.sequence(Tensor(x), gru.init_state(1))[0][0]
+
+        fwd = run("fwd", curv)
         if self.config.variant == "bidirectional":
-            bwd = self._run_gru("bwd", inputs[::-1])[::-1]
-            feats = [ad.concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
+            feats = ad.concat([fwd, run("bwd", curv[:, ::-1])[::-1]], axis=-1)
         else:
-            d = self.config.delay
-            feats = [fwd[min(i + d, s - 1)] for i in range(s)]
-        raw = ad.concat([_linear(self.params, "head", f) for f in feats], axis=0)
+            feats = fwd[np.minimum(np.arange(s) + self.config.delay, s - 1)]
+        raw = _linear(self.params, "head", feats)
         # tiny forward bias keeps the norm nonzero when the head outputs
         # an exactly zero facing (e.g. an untrained net on zero curvature)
         fac = raw[:, :2] + Tensor(np.array([1e-9, 0.0]))

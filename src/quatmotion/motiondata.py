@@ -355,7 +355,8 @@ def fit_spline(root_positions: np.ndarray, segment_length: float) -> TrajectoryS
                 t = (-bb + np.sqrt(disc)) / (2.0 * aa)
                 if 0.0 <= t <= 1.0:
                     nxt = a + t * d
-                    if np.allclose(nxt, b):
+                    # np.allclose(nxt, b) without its overhead
+                    if (np.abs(nxt - b) <= 1e-8 + 1e-5 * np.abs(b)).all():
                         i += 1
                     break
             i += 1

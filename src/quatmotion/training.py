@@ -474,27 +474,18 @@ def pace_training_example(clip, features, segment_length: float | None = None):
     seg = np.clip((arc / segment_length).astype(int), 0, spline.num_segments - 1)
 
     s = spline.num_segments
-    targets = np.zeros((s, 4))
-    have = np.zeros(s, dtype=bool)
-    for si in range(s):
-        frames = np.flatnonzero(seg == si)
-        if len(frames) == 0:
-            continue
-        have[si] = True
-        # rotate by the conjugate tangent: facing relative to the spline
-        rel = _rotate2(features.facing[frames], spline.tangents[si][None] * [1.0, -1.0])
-        fmean = rel.mean(axis=0)
-        norm = np.linalg.norm(fmean)
-        targets[si, :2] = fmean / norm if norm > 1e-9 else (1.0, 0.0)
-        targets[si, 2] = features.frequency[frames].mean()
-        targets[si, 3] = features.local_speed[frames].mean()
+    counts = np.bincount(seg, minlength=s)
+    # rotate by the conjugate tangent: facing relative to the spline
+    rel = _rotate2(features.facing, spline.tangents[seg] * [1.0, -1.0])
+    targets = np.stack([np.bincount(seg, w, minlength=s) for w in
+                        (rel[:, 0], rel[:, 1], features.frequency, features.local_speed)], axis=1)
+    targets /= np.maximum(counts, 1)[:, None]  # per-segment means
+    facing = targets[:, :2]
+    # a dot product per row, as np.linalg.norm of one vector computes it
+    norm = np.sqrt(facing[:, None] @ facing[:, :, None])[:, 0]
+    targets[:, :2] = np.where(norm > 1e-9, facing / np.maximum(norm, 1e-9), [1.0, 0.0])
     # forward-fill segments the trajectory skipped over
-    last = None
-    for si in range(s):
-        if have[si]:
-            last = targets[si]
-        elif last is not None:
-            targets[si] = last
+    targets = targets[np.maximum.accumulate(np.where(counts > 0, np.arange(s), 0))]
     return spline.curvatures.copy(), targets, spline
 
 

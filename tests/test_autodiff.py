@@ -108,3 +108,29 @@ def test_no_grad_records_nothing_and_restores_on_exception():
     assert z.requires_grad
     z.backward()
     assert np.array_equal(x.grad, np.full(3, 2.0))
+
+
+def test_gru_sequence_matches_gru_cell_loop(rng):
+    b, t, i, h = 3, 6, 4, 5
+    arrays = [rng.normal(size=shape) for shape in ((b, t, i), (h,), (i, 3 * h), (h, 3 * h),
+                                                    (3 * h,))]
+    weights = Tensor(rng.normal(size=(b, t, h)))
+
+    def run(fused):
+        xs, h0, wx, wh, bias = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        if fused:
+            states = ad.gru_sequence(xs, h0, wx, wh, bias)
+        else:
+            state, steps = h0 + ad.zeros((b, h)), []
+            for f in range(t):
+                state = ad.gru_cell(xs[:, f], state, wx, wh, bias)
+                steps.append(state)
+            states = ad.stack(steps, axis=1)
+        ad.tsum(states * weights).backward()
+        return states.data, [leaf.grad for leaf in (xs, h0, wx, wh, bias)]
+
+    (got, got_grads), (want, want_grads) = run(True), run(False)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    for g, w in zip(got_grads, want_grads):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()

@@ -90,6 +90,20 @@ def test_parse_error_reports_line(tmp_path):
     assert exc.value.line == 4
 
 
+@pytest.mark.parametrize("old,new,line", [
+    ("5.0 0.0 -5.0", "5.0 0.0 -5.0x", 19),  # the first motion value
+    ("OFFSET 0.0 1.0 0.0", "OFFSET 0.0 1.0 0.0x", 8),
+    ("End Site", "End Sitx", 10),
+    ("Frames: 2", "Frames: 2.5", 17),
+], ids=["motion-value", "offset", "keyword", "count"])
+def test_bad_token_at_line_end_names_its_line(tmp_path, old, new, line):
+    p = tmp_path / "bad.bvh"
+    p.write_text(SIMPLE.replace(old, new, 1))
+    with pytest.raises(BvhParseError) as exc:
+        load_bvh(p)
+    assert exc.value.line == line
+
+
 def test_missing_motion_section(tmp_path):
     p = tmp_path / "nomotion.bvh"
     p.write_text(SIMPLE.split("MOTION")[0])

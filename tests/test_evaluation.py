@@ -108,7 +108,9 @@ def test_position_network_free_run(corpus):
     assert pred.shape == (3, skel.num_joints, 3)
     assert np.isfinite(pred).all()
 
-    # n + k - 1 steps give what an n + k step loop that drops its last output gives
+    # one sequence over the prefix and k - 1 steps give what an n + k step
+    # loop that drops its last output gives, up to the summation order of
+    # the hoisted input projection
     state = net.init_state(1)
     for f in range(10):
         out, state = net.step(Tensor(pos[f].reshape(1, -1)), state)
@@ -118,8 +120,8 @@ def test_position_network_free_run(corpus):
         out, state = net.step(out, state)
     step, calls = net.step, []
     net.step = lambda *a: calls.append(1) or step(*a)
-    assert np.array_equal(net.free_run(pos, 4), np.stack(want))
-    assert len(calls) == 13
+    assert np.abs(net.free_run(pos, 4) - np.stack(want)).max() < 1e-12
+    assert len(calls) == 3
 
 
 def test_bone_length_spread_zero_for_fk(corpus):

@@ -198,3 +198,49 @@ def test_episode_sampler_rejects_too_long(corpus):
     skel, clips = corpus
     with pytest.raises(ValueError):
         md.EpisodeSampler(clips, episode_length=10 ** 6)
+
+
+def _fit_spline_reference(path, segment_length):
+    """fit_spline's knots as the per-knot np.allclose loop finds them."""
+    points, cur, i = [path[0]], path[0], 0
+    while True:
+        nxt = None
+        while i < len(path) - 1:
+            a, b = path[i], path[i + 1]
+            d, f = b - a, a - cur
+            aa, bb, cc = d @ d, 2.0 * (f @ d), f @ f - segment_length ** 2
+            disc = bb * bb - 4.0 * aa * cc
+            if aa > 0 and disc >= 0:
+                t = (-bb + np.sqrt(disc)) / (2.0 * aa)
+                if 0.0 <= t <= 1.0:
+                    nxt = a + t * d
+                    if np.allclose(nxt, b):
+                        i += 1
+                    break
+            i += 1
+        if nxt is None:
+            return np.array(points)
+        points.append(nxt)
+        cur = nxt
+
+
+def test_fit_spline_knots_match_reference_loop():
+    rng = np.random.default_rng(11)
+    paths = []
+    for _ in range(4):  # seeded wandering walks, as perfbench draws them
+        t = np.linspace(0.0, 1.0, 400)
+        heading = rng.uniform(0, 2 * np.pi) + rng.uniform(0.5, 1.5) * np.sin(
+            2 * np.pi * rng.uniform(0.5, 2.0) * t + rng.uniform(0, 2 * np.pi))
+        paths.append((np.cumsum(0.05 * np.stack([np.cos(heading), np.sin(heading)], 1), 0),
+                      rng.uniform(0.1, 0.4)))
+    # knots on or next to polyline points, where the tolerance test decides
+    # whether the march moves past a point: on them (equal spacing), within
+    # the relative tolerance only (1e-4 short of them at a 1e4 offset), and
+    # a stop-and-go path with repeated points
+    line = np.stack([np.arange(60) * 0.25, np.zeros(60)], axis=1)
+    paths += [(line, 0.25), (line * 1.0004 + 1e4, 0.25), (np.repeat(line, 3, axis=0), 0.75)]
+    for path, length in paths:
+        got = md.fit_spline(np.stack([path[:, 0], np.zeros(len(path)), path[:, 1]], 1), length)
+        want = _fit_spline_reference(path, length)
+        assert got.points.shape == want.shape
+        assert got.points.tobytes() == want.tobytes()

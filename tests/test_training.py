@@ -1,4 +1,6 @@
 import csv
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,3 +335,106 @@ def test_free_run_records_no_tape(corpus, backbone, n):
     assert grads[0].keys() == net.params.keys()
     for k in grads[0]:
         assert np.array_equal(grads[0][k], grads[1][k]), k
+
+
+# train_pose configs whose parameters and history are pinned by a golden
+# fingerprint: (name, PoseNetworkConfig.desk overrides, TrainConfig overrides)
+FINGERPRINTS = [
+    ("gru-quaternion-velocity", {}, {"loss": "quat_dot"}),
+    ("gru-euler-absolute", {"mode": "absolute", "parameterization": "euler-xyz"},
+     {"loss": "euler_l1"}),
+    ("gru-expmap-positional", {"mode": "absolute", "parameterization": "expmap"},
+     {"loss": "positional"}),
+    ("gru-sides", {"include_controls": True, "include_translations": True},
+     {"loss": "quat_dot"}),
+    ("conv-quaternion-velocity", {"backbone": "convolutional"},
+     {"loss": "quat_dot", "conditioning_frames": 32}),
+]
+FINGERPRINT_FILE = Path(__file__).with_name("train_fingerprint.json")
+
+
+def _train_fingerprint(corpus, net_kw, train_kw):
+    """Per-array (sum, norm) of the parameters after a short train_pose
+    run, and its per-epoch loss, gradient-norm and validation history.
+    sampling_decay 0.5 lets scheduled sampling feed predictions back."""
+    skel, clips = corpus
+    net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(skel.num_active, hidden=16, channels=16,
+                                                   **net_kw), seed=3)
+    kw = {"epochs": 4, "conditioning_frames": 6, "prediction_frames": 3, "batch_size": 2,
+          "sampling_decay": 0.5, "seed": 5, **train_kw}
+    hist = tr.train_pose(net, clips, skel, tr.TrainConfig(**kw), validate_every=1)
+    params = {k: [float(a.sum()), float(np.sqrt(np.sum(a * a)))]
+              for k, a in sorted(net.param_arrays().items())}
+    keys = ("train_loss", "grad_norm", "val_position_loss", "val_velocity_loss")
+    return {"params": params, "history": {k: [h[k] for h in hist] for k in keys}}
+
+
+@pytest.mark.parametrize("name,net_kw,train_kw", FINGERPRINTS, ids=[f[0] for f in FINGERPRINTS])
+def test_train_pose_fingerprint(corpus, name, net_kw, train_kw):
+    want = json.loads(FINGERPRINT_FILE.read_text())[name]
+    got = _train_fingerprint(corpus, net_kw, train_kw)
+    assert got["params"].keys() == want["params"].keys()
+    # conv training is pinned exactly; GRU up to summation order, which
+    # Adam amplifies in near-zero gradients
+    rtol = 0.0 if net_kw.get("backbone") == "convolutional" else 1e-9
+    for section in ("params", "history"):
+        for key, values in want[section].items():
+            np.testing.assert_allclose(got[section][key], values, rtol=rtol, atol=0,
+                                       err_msg=f"{name} {section} {key}")
+
+
+def _pace_targets_reference(clip, features, spline, segment_length):
+    """pace_training_example's targets, one segment at a time, and the
+    number of segments no frame falls in."""
+    ground = clip.root_positions[:, [0, 2]]
+    arc = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(ground, axis=0), axis=1))])
+    seg = np.clip((arc / segment_length).astype(int), 0, spline.num_segments - 1)
+    targets = np.zeros((spline.num_segments, 4))
+    last, empty = None, 0
+    for si in range(spline.num_segments):
+        frames = np.flatnonzero(seg == si)
+        if len(frames) == 0:
+            empty += 1
+            if last is not None:
+                targets[si] = last
+            continue
+        rel = mo._rotate2(features.facing[frames], spline.tangents[si][None] * [1.0, -1.0])
+        fmean = rel.mean(axis=0)
+        norm = np.linalg.norm(fmean)
+        targets[si, :2] = fmean / norm if norm > 1e-9 else (1.0, 0.0)
+        targets[si, 2] = features.frequency[frames].mean()
+        targets[si, 3] = features.local_speed[frames].mean()
+        last = targets[si]
+    return targets, empty
+
+
+def test_pace_training_example_matches_reference_loop(gait):
+    from dataclasses import replace
+    skel, clip, feats = gait
+    rng = np.random.default_rng(3)
+    t = clip.num_frames
+    # a curving root path with per-frame steps of 0 to 0.1 and random
+    # per-frame features; segment 0 holds frames 0 and 1 only, whose
+    # facings cancel
+    heading = np.cumsum(rng.normal(scale=0.1, size=t))
+    step = rng.uniform(0.0, 0.1, size=t)
+    step[1:3] = 0.0, 0.05
+    ground = np.cumsum(step[:, None] * np.stack([np.cos(heading), np.sin(heading)], 1), 0)
+    curved = replace(clip, root_positions=np.stack([ground[:, 0], clip.root_positions[:, 1],
+                                                    ground[:, 1]], 1))
+    facing = rng.normal(size=(t, 2))
+    facing[1] = -facing[0]
+    feats = replace(feats, facing=facing / np.linalg.norm(facing, axis=-1, keepdims=True),
+                    frequency=rng.uniform(0.5, 2.0, size=t),
+                    local_speed=rng.uniform(0.0, 2.0, size=t))
+    # 0.03 leaves segments no frame falls in; with 0.6 segments hold 8 or
+    # more frames, whose 1-D means numpy sums pairwise, not in frame order
+    for length, rtol in ((0.03, 0.0), (0.6, 1e-14)):
+        curv, got, spline = tr.pace_training_example(curved, feats, segment_length=length)
+        want, empty = _pace_targets_reference(curved, feats, spline, length)
+        assert np.array_equal(curv, spline.curvatures)
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+        if rtol == 0.0:
+            assert empty > 0
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(got[0, :2], [1.0, 0.0])
