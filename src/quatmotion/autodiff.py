@@ -9,7 +9,10 @@ leaves. A graph can be backpropagated through only once. Inside
 which is how free-run prediction and generation run.
 
 The quaternion operations ``qmul`` and ``qnormalize`` have hand-written
-backward rules over the :mod:`rotmath` kernels. Forward kinematics is a
+backward rules over the :mod:`rotmath` kernels, as do the conversions
+the Euler and exponential-map encodings train through, one node each:
+:func:`quat_to_euler`, :func:`euler_to_quat` and :func:`expmap_to_quat`.
+Forward kinematics is a
 single node with its own adjoint (``kinematics.forward_kinematics_tensor``),
 and so are a GRU cell (:func:`gru_cell`, for frames fed back one at a time)
 and a GRU layer over a whole sequence (:func:`gru_sequence`), which share
@@ -247,13 +250,6 @@ def square(a) -> Tensor:
     return _make(a.data * a.data, (a,), (lambda g: 2.0 * a.data * g,))
 
 
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.sqrt(a.data)
-    safe = np.maximum(data, EPS_NORM)
-    return _make(data, (a,), (lambda g: 0.5 * g / safe,))
-
-
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     data = np.tanh(a.data)
@@ -271,36 +267,6 @@ def leaky_relu(a, slope: float = 0.05) -> Tensor:
     mask = a.data > 0.0
     data = np.where(mask, a.data, slope * a.data)
     return _make(data, (a,), (lambda g: g * np.where(mask, 1.0, slope),))
-
-
-def sin(a) -> Tensor:
-    a = as_tensor(a)
-    return _make(np.sin(a.data), (a,), (lambda g: g * np.cos(a.data),))
-
-
-def cos(a) -> Tensor:
-    a = as_tensor(a)
-    return _make(np.cos(a.data), (a,), (lambda g: -g * np.sin(a.data),))
-
-
-def asin(a) -> Tensor:
-    a = as_tensor(a)
-    clipped = np.clip(a.data, -1.0, 1.0)
-    denom = np.sqrt(np.maximum(1.0 - clipped * clipped, EPS_NORM))
-    return _make(np.arcsin(clipped), (a,), (lambda g: g / denom,))
-
-
-def atan2(y, x) -> Tensor:
-    y, x = as_tensor(y), as_tensor(x)
-    denom = np.maximum(y.data * y.data + x.data * x.data, EPS_NORM)
-    return _make(
-        np.arctan2(y.data, x.data),
-        (y, x),
-        (
-            lambda g: _unbroadcast(g * x.data / denom, y.data.shape),
-            lambda g: _unbroadcast(-g * y.data / denom, x.data.shape),
-        ),
-    )
 
 
 def absval(a) -> Tensor:
@@ -382,9 +348,16 @@ def getitem(a, idx) -> Tensor:
     a = as_tensor(a)
     data = a.data[idx]
 
+    # only array indices can repeat an entry, so only they need np.add.at
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    fancy = any(isinstance(p, (np.ndarray, list)) for p in parts)
+
     def grad(g):
         out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
+        if fancy:
+            np.add.at(out, idx, g)
+        else:
+            out[idx] = g
         return out
 
     return _make(data, (a,), (grad,))
@@ -435,6 +408,75 @@ def qnormalize(q) -> Tensor:
         return (g - data * np.sum(g * data, axis=-1, keepdims=True)) / n
 
     return _make(data, (q,), (grad,))
+
+
+# q @ _LEFT[a] = e_a q and q @ _RIGHT[a] = q e_a for the pure unit
+# quaternions e_x, e_y, e_z
+_LEFT = np.stack([rm.qmul(e, np.eye(4)) for e in np.eye(4)[1:]])
+_RIGHT = np.stack([rm.qmul(np.eye(4), e) for e in np.eye(4)[1:]])
+
+
+def quat_to_euler(q, order: str) -> Tensor:
+    """Euler angles (..., 3) of quaternions (..., 4), normalized first, as
+    one node over :func:`rotmath.quat_to_euler`'s regular branch (gimbal
+    lock has measure zero). Each angle is an asin or atan2 of matrix
+    elements; at a unit u, element (a, b) has gradient -2 e_a u e_b up to
+    the radial part that the normalization removes."""
+    q = as_tensor(q)
+    n = np.maximum(np.linalg.norm(q.data, axis=-1, keepdims=True), EPS_NORM)
+    u = q.data / n
+    angles, (s, y1, x1, y3, x3) = rm._euler_regular(u, order)
+
+    def grad(g):
+        g1 = g[..., 0] / np.maximum(y1 * y1 + x1 * x1, EPS_NORM)
+        g3 = g[..., 2] / np.maximum(y3 * y3 + x3 * x3, EPS_NORM)
+        g2 = g[..., 1] / np.sqrt(np.maximum(1.0 - s * s, EPS_NORM))
+        gms = (g2, g1 * x1, -g1 * y1, g3 * x3, -g3 * y3)
+        gu = -2.0 * sum(sign * gm[..., None] * (u @ (_LEFT[a] @ _RIGHT[b]))
+                        for gm, ((a, b), sign) in zip(gms, rm._euler_reads(order)))
+        return (gu - u * np.sum(gu * u, axis=-1, keepdims=True)) / n
+
+    return _make(np.stack(angles, axis=-1), (q,), (grad,))
+
+
+def euler_to_quat(angles, order: str) -> Tensor:
+    """Quaternions (..., 4) from Euler angles (..., 3) in a Tait-Bryan order,
+    as one node over :func:`rotmath.euler_to_quat`. With q = q1 q2 q3 and
+    u_i the unit axis of angle i, dq/da is (u1 q, (q1 u2 q1*) q, q u3) / 2.
+    """
+    angles = as_tensor(angles)
+    data = rm.euler_to_quat(angles.data, order)
+
+    def grad(g):
+        i1, i2, i3 = (rm._AXIS_INDEX[c] for c in order)
+        q1 = rm._single_axis_quat(order[0], angles.data[..., 0])
+        u2 = rm.qmul(q1 @ _RIGHT[i2], rm.qconj(q1))
+        dq = (data @ _LEFT[i1], rm.qmul(u2, data), data @ _RIGHT[i3])
+        return 0.5 * np.stack([np.sum(g * d, axis=-1) for d in dq], axis=-1)
+
+    return _make(data, (angles,), (grad,))
+
+
+def expmap_to_quat(e) -> Tensor:
+    """Quaternions (..., 4) from exponential maps (..., 3), as one node over
+    :func:`rotmath.expmap_to_quat`. With q = (cos(t/2), f(t) e), t = |e|,
+    the adjoint of e is f (g_v - g_w e/2) + (f'/t) (g_v . e) e; below
+    ``rotmath.EXPMAP_SERIES_TOL`` it takes the limits at the origin, f = 1/2
+    and f'/t = -1/24, so it stays finite there."""
+    e = as_tensor(e)
+
+    def grad(g):
+        theta = np.linalg.norm(e.data, axis=-1, keepdims=True)
+        small = theta < rm.EXPMAP_SERIES_TOL
+        t = np.where(small, 1.0, theta)
+        sin_half, cos_half = np.sin(0.5 * t), np.cos(0.5 * t)
+        f = np.where(small, 0.5, sin_half / t)
+        df = np.where(small, -1.0 / 24.0, (0.5 * t * cos_half - sin_half) / (t * t * t))
+        gv = g[..., 1:]
+        gve = np.sum(gv * e.data, axis=-1, keepdims=True)
+        return f * (gv - 0.5 * g[..., :1] * e.data) + df * gve * e.data
+
+    return _make(rm.expmap_to_quat(e.data), (e,), (grad,))
 
 
 # -- recurrent cell -------------------------------------------------------------

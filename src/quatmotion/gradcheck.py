@@ -61,19 +61,24 @@ def _op_cases(rng: np.random.Generator) -> list:
     root = rng.normal(size=(2, 3))
     m = rng.normal(size=(4, 5))
     w52 = rng.normal(size=(5, 2))
-    x5 = rng.normal(size=(5,))
     w34 = rng.normal(size=(3, 4))
     w64 = rng.normal(size=(6, 4))
     cases = [
         ("add_mul", lambda t: ad.tsum(t * t + 2.0 * t), rng.normal(size=(3, 4))),
         ("matmul", lambda t: ad.tsum(ad.matmul(t, Tensor(w52))), m.copy()),
         ("tanh_sigmoid", lambda t: ad.tsum(ad.tanh(t) * ad.sigmoid(t)), rng.normal(size=(6,))),
-        ("asin", lambda t: ad.tsum(ad.asin(t)), rng.uniform(-0.9, 0.9, size=(5,))),
-        ("atan2", lambda t: ad.tsum(ad.atan2(t, Tensor(x5))), rng.normal(size=(5,))),
-        ("sqrt_l2norm", lambda t: ad.tsum(ad.l2norm(t, axis=-1)), v.copy() + 2.0),
+        ("l2norm", lambda t: ad.tsum(ad.l2norm(t, axis=-1)), v.copy() + 2.0),
         ("qnormalize", lambda t: ad.tsum(ad.qnormalize(t) * Tensor(w34)),
          q + 0.1 * rng.normal(size=(3, 4))),
         ("qmul", lambda t: ad.tsum(ad.qmul(t, Tensor(q))), q.copy()),
+        # off the unit sphere, where the normalization adjoint matters
+        ("quat_to_euler", lambda t: ad.tsum(ad.quat_to_euler(t, "zyx") * Tensor(v)),
+         2.0 * q + 0.1 * rng.normal(size=(3, 4))),
+        ("euler_to_quat_xzy", lambda t: ad.tsum(ad.euler_to_quat(t, "xzy") * Tensor(w34)),
+         rng.uniform(-1.5, 1.5, size=(3, 3))),
+        # the last row lies below EXPMAP_SERIES_TOL, in the series branch
+        ("expmap_to_quat", lambda t: ad.tsum(ad.expmap_to_quat(t) * Tensor(w34)),
+         np.concatenate([rng.normal(size=(2, 3)), [[3e-9, -2e-9, 1e-9]]])),
         ("forward_kinematics",
          lambda t: ad.tsum(forward_kinematics_tensor(skel, t, root) * Tensor(w_pos)), pose),
         ("getitem_scatter",

@@ -12,6 +12,7 @@ layer's inputs over its last ``dilation`` frames, so a step computes one
 new frame per layer instead of rerunning the window (as in Fast WaveNet,
 Paine et al. 2016). In velocity mode the head's quaternions are
 multiplied onto the previous pose, so the network outputs rotation deltas.
+Exponential-map and Euler heads decode through autodiff's conversion nodes.
 Optional side inputs, recurrent backbone only: 2 translation channels
 (root height, trajectory offset) and a 6-feature control frame passed
 through a small feed-forward encoder outside the recurrent path.
@@ -44,36 +45,6 @@ class GenerationDivergedError(RuntimeError):
     pass
 
 
-# -- differentiable rotation decoders ---------------------------------------
-
-def expmap_to_quat_t(e: Tensor) -> Tensor:
-    """Axis-angle 3-vectors (..., 3) to quaternions (..., 4), autodiff.
-
-    The tiny epsilon under the square root keeps the gradient finite at the
-    origin; the induced value error is below 1e-8 radians.
-    """
-    theta = ad.sqrt(ad.tsum(ad.square(e), axis=-1, keepdims=True) + 1e-16)
-    half = theta * 0.5
-    w = ad.cos(half)
-    xyz = e * (ad.sin(half) / theta)
-    return ad.concat([w, xyz], axis=-1)
-
-
-def _single_axis_quat_t(axis: str, angle: Tensor) -> Tensor:
-    c = ad.cos(angle * 0.5)
-    s = ad.sin(angle * 0.5)
-    z = ad.zeros(angle.shape)
-    comps = {"x": [c, s, z, z], "y": [c, z, s, z], "z": [c, z, z, s]}
-    return ad.stack(comps[axis], axis=-1)
-
-
-def euler_to_quat_t(angles: Tensor, order: str) -> Tensor:
-    """Intrinsic Euler angles (..., 3) to quaternions (..., 4), autodiff."""
-    q = _single_axis_quat_t(order[0], angles[..., 0])
-    q = ad.qmul(q, _single_axis_quat_t(order[1], angles[..., 1]))
-    return ad.qmul(q, _single_axis_quat_t(order[2], angles[..., 2]))
-
-
 def pose_dim_per_joint(parameterization: str) -> int:
     if parameterization not in PARAMETERIZATIONS:
         raise ValueError(f"unknown parameterization {parameterization!r}")
@@ -104,8 +75,8 @@ def decode_pose_t(flat: Tensor, num_joints: int, parameterization: str) -> Tenso
     if parameterization == "quaternion":
         return shaped
     if parameterization == "expmap":
-        return expmap_to_quat_t(shaped)
-    return euler_to_quat_t(shaped, parameterization.split("-")[1])
+        return ad.expmap_to_quat(shaped)
+    return ad.euler_to_quat(shaped, parameterization.split("-")[1])
 
 
 # -- configs -----------------------------------------------------------------

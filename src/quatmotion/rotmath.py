@@ -146,25 +146,40 @@ def euler_to_quat(angles: np.ndarray, order: str) -> np.ndarray:
     return q
 
 
+def _matrix_element(q: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Element (a, b) of the rotation matrices of unit quaternions ``q``."""
+    w, v = q[..., 0], [q[..., 1], q[..., 2], q[..., 3]]
+    if a == b:
+        s, t = (c for c in range(3) if c != a)
+        return 1 - 2 * (v[s] * v[s] + v[t] * v[t])
+    vv, wv = v[min(a, b)] * v[max(a, b)], w * v[3 - a - b]
+    return 2 * (vv - wv) if (b - a) % 3 == 1 else 2 * (vv + wv)
+
+
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrices ``(..., 3, 3)`` from quaternions (internal use and
-    Euler extraction; matrices are not a public parameterization here)."""
+    """Rotation matrices ``(..., 3, 3)`` from quaternions (internal use;
+    matrices are not a public parameterization here)."""
     q = np.asarray(q, dtype=float)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    xx, yy, zz = x * x, y * y, z * z
-    wx, wy, wz = w * x, w * y, w * z
-    xy, xz, yz = x * y, x * z, y * z
-    m = np.empty(q.shape[:-1] + (3, 3))
-    m[..., 0, 0] = 1 - 2 * (yy + zz)
-    m[..., 0, 1] = 2 * (xy - wz)
-    m[..., 0, 2] = 2 * (xz + wy)
-    m[..., 1, 0] = 2 * (xy + wz)
-    m[..., 1, 1] = 1 - 2 * (xx + zz)
-    m[..., 1, 2] = 2 * (yz - wx)
-    m[..., 2, 0] = 2 * (xz - wy)
-    m[..., 2, 1] = 2 * (yz + wx)
-    m[..., 2, 2] = 1 - 2 * (xx + yy)
-    return m
+    m = [_matrix_element(q, a, b) for a in range(3) for b in range(3)]
+    return np.stack(m, axis=-1).reshape(q.shape[:-1] + (3, 3))
+
+
+def _euler_reads(order: str) -> tuple:
+    """The matrix elements ``(a, b)`` and signs the regular branch of an
+    Euler order reads, in the order :func:`_euler_regular` returns them."""
+    i, j, k = (_AXIS_INDEX[c] for c in order)
+    eps = 1.0 if order in _CYCLIC else -1.0
+    return ((i, k), eps), ((j, k), -eps), ((k, k), 1.0), ((i, j), -eps), ((i, i), 1.0)
+
+
+def _euler_regular(q: np.ndarray, order: str) -> tuple:
+    """Regular-branch Euler angles ``(a1, a2, a3)`` of unit quaternions, and
+    the five signed matrix elements ``(s, y1, x1, y3, x3)`` they are read
+    from: a1 = atan2(y1, x1), a2 = asin(s), a3 = atan2(y3, x3), with
+    ``s`` clipped to [-1, 1]."""
+    s, y1, x1, y3, x3 = (sign * _matrix_element(q, a, b) for (a, b), sign in _euler_reads(order))
+    s = np.clip(s, -1.0, 1.0)
+    return (np.arctan2(y1, x1), np.arcsin(s), np.arctan2(y3, x3)), (s, y1, x1, y3, x3)
 
 
 def quat_to_euler(q: np.ndarray, order: str) -> EulerAngles:
@@ -176,23 +191,15 @@ def quat_to_euler(q: np.ndarray, order: str) -> EulerAngles:
     """
     if order not in TAIT_BRYAN_ORDERS:
         raise ValueError(f"unknown Euler order {order!r}")
-    q = np.asarray(q, dtype=float)
-    i, j, k = (_AXIS_INDEX[c] for c in order)
-    eps = 1.0 if order in _CYCLIC else -1.0
-    m = quat_to_matrix(normalize(q))
-
-    s2 = np.clip(eps * m[..., i, k], -1.0, 1.0)
-    a2 = np.arcsin(s2)
+    q = normalize(q)
+    (a1, a2, a3), (s2, *_) = _euler_regular(q, order)
     singular = np.sqrt(np.maximum(1.0 - s2 * s2, 0.0)) < GIMBAL_COS_TOL
-
-    a1 = np.arctan2(-eps * m[..., j, k], m[..., k, k])
-    a3 = np.arctan2(-eps * m[..., i, j], m[..., i, i])
-
-    # Representative solution at the singularity: third angle set to 0.
-    a1_sing = np.arctan2(np.sign(s2) * m[..., j, i], m[..., j, j])
-    a1 = np.where(singular, a1_sing, a1)
-    a3 = np.where(singular, 0.0, a3)
-
+    if singular.any():
+        # Representative solution at the singularity: third angle set to 0.
+        i, j = (_AXIS_INDEX[c] for c in order[:2])
+        a1_sing = np.arctan2(np.sign(s2) * _matrix_element(q, j, i), _matrix_element(q, j, j))
+        a1 = np.where(singular, a1_sing, a1)
+        a3 = np.where(singular, 0.0, a3)
     return EulerAngles(np.stack([a1, a2, a3], axis=-1), order, singular)
 
 

@@ -10,6 +10,7 @@ Adam update.
 from __future__ import annotations
 
 import csv
+import functools
 import os
 import time
 from dataclasses import dataclass, asdict
@@ -65,40 +66,6 @@ class TrainConfig:
         return self.sampling_decay ** epoch
 
 
-# -- differentiable quaternion -> Euler -------------------------------------
-
-def _matrix_elements_t(q: Tensor) -> dict:
-    q = ad.qnormalize(q)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return {
-        (0, 0): 1.0 - 2.0 * (y * y + z * z),
-        (0, 1): 2.0 * (x * y - w * z),
-        (0, 2): 2.0 * (x * z + w * y),
-        (1, 0): 2.0 * (x * y + w * z),
-        (1, 1): 1.0 - 2.0 * (x * x + z * z),
-        (1, 2): 2.0 * (y * z - w * x),
-        (2, 0): 2.0 * (x * z - w * y),
-        (2, 1): 2.0 * (y * z + w * x),
-        (2, 2): 1.0 - 2.0 * (x * x + y * y),
-    }
-
-
-def quat_to_euler_t(q: Tensor, order: str) -> Tensor:
-    """Differentiable Euler extraction (..., 4) -> (..., 3).
-
-    Uses the non-singular branch everywhere; exact gimbal lock is a
-    measure-zero event for which the numpy conversion provides the
-    flagged representative instead.
-    """
-    i, j, k = (rm._AXIS_INDEX[c] for c in order)
-    eps = 1.0 if order in rm._CYCLIC else -1.0
-    m = _matrix_elements_t(q)
-    a2 = ad.asin(m[(i, k)] * eps)
-    a1 = ad.atan2(m[(j, k)] * (-eps), m[(k, k)])
-    a3 = ad.atan2(m[(i, j)] * (-eps), m[(i, i)])
-    return ad.stack([a1, a2, a3], axis=-1)
-
-
 # -- losses -------------------------------------------------------------------
 
 def loss_positional(pred_quats: Tensor, ref_positions: np.ndarray,
@@ -111,19 +78,27 @@ def loss_positional(pred_quats: Tensor, ref_positions: np.ndarray,
     return position_error_tensor(pos, ref_positions)
 
 
+@functools.lru_cache(maxsize=16)
+def _order_groups(orders: tuple) -> tuple:
+    """(order, joints) pairs of a per-joint Euler order tuple, sorted by
+    order, with ``joints`` the array of joint columns using that order."""
+    groups = tuple((order, np.array([a for a, o in enumerate(orders) if o == order]))
+                   for order in sorted(set(orders)))
+    for _, joints in groups:
+        joints.flags.writeable = False  # every caller gets the same array
+    return groups
+
+
 def loss_euler_l1(pred_quats: Tensor, ref_euler: np.ndarray, orders) -> Tensor:
     """Mean per-component L1 distance in Euler space, each component taken
     modulo 2*pi to its nearest representative."""
     ref_euler = np.asarray(ref_euler, dtype=float)
-    if isinstance(orders, str):
-        orders = [orders] * pred_quats.shape[-2]
-    orders = list(orders)
+    orders = (orders,) * pred_quats.shape[-2] if isinstance(orders, str) else tuple(orders)
     if len(orders) != pred_quats.shape[-2]:
         raise ValueError("need one Euler order per joint")
     total = None
-    for order in sorted(set(orders)):
-        joints = np.array([a for a, o in enumerate(orders) if o == order])
-        angles = quat_to_euler_t(pred_quats[..., joints, :], order)
+    for order, joints in _order_groups(orders):
+        angles = ad.quat_to_euler(pred_quats[..., joints, :], order)
         diff = ad.wrap_angle(angles - ref_euler[..., joints, :])
         part = ad.tsum(ad.absval(diff))
         total = part if total is None else total + part
@@ -135,12 +110,9 @@ def euler_error(pred_quats: np.ndarray, ref_quats: np.ndarray, orders) -> np.nda
     per-component Euler differences across all joints."""
     pred_quats = np.asarray(pred_quats, dtype=float)
     ref_quats = np.asarray(ref_quats, dtype=float)
-    if isinstance(orders, str):
-        orders = [orders] * pred_quats.shape[-2]
-    orders = list(orders)
+    orders = (orders,) * pred_quats.shape[-2] if isinstance(orders, str) else tuple(orders)
     diffs = np.empty(pred_quats.shape[:-1] + (3,))
-    for order in set(orders):
-        joints = np.array([a for a, o in enumerate(orders) if o == order])
+    for order, joints in _order_groups(orders):
         # one conversion for both; it works per quaternion, so the angles
         # are those of two separate calls
         both = rm.quat_to_euler(np.stack([pred_quats[..., joints, :],
@@ -171,10 +143,10 @@ def _step_loss(out, target_quats, target_pos, skel, config: TrainConfig):
     elif config.loss == "positional":
         base = loss_positional(out["quats"], target_pos, skel)
     else:
-        orders = [skel.euler_orders[a] for a in skel.active_indices]
+        orders = tuple(skel.euler_orders[a] for a in skel.active_indices)
         ref = np.empty(target_quats.shape[:-1] + (3,))
-        for col, order in enumerate(orders):
-            ref[..., col, :] = rm.quat_to_euler(target_quats[..., col, :], order).angles
+        for order, joints in _order_groups(orders):
+            ref[..., joints, :] = rm.quat_to_euler(target_quats[..., joints, :], order).angles
         base = loss_euler_l1(out["quats"], ref, orders)
     if out["raw_quats"] is not None and config.reg_weight > 0:
         base = base + penalty_unit_norm(out["raw_quats"], config.reg_weight)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatmotion import autodiff as ad
+from quatmotion import rotmath as rm
 from quatmotion.autodiff import Tensor, TapeConsumedError
 from quatmotion.gradcheck import check_scalar_fn, run_gradcheck
 
@@ -134,3 +135,18 @@ def test_gru_sequence_matches_gru_cell_loop(rng):
     for g, w in zip(got_grads, want_grads):
         assert g.shape == w.shape
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("name", ["quat_to_euler", "euler_to_quat", "expmap_to_quat"])
+def test_conversion_node_forward_is_rotmath_kernel(name, rng):
+    # raw quaternions off the unit sphere, angles, and exponential maps
+    # with one in the series branch
+    x = rng.normal(size=(30, 4 if name == "quat_to_euler" else 3))
+    x[0] = 1e-9 * x[0]
+    kernels = {"quat_to_euler": lambda v, order: rm.quat_to_euler(v, order).angles,
+               "euler_to_quat": rm.euler_to_quat,
+               "expmap_to_quat": lambda v, order: rm.expmap_to_quat(v)}
+    for order in rm.TAIT_BRYAN_ORDERS:
+        args = () if name == "expmap_to_quat" else (order,)
+        got = getattr(ad, name)(Tensor(x), *args).data
+        assert np.array_equal(got, kernels[name](x, order)), order

@@ -86,6 +86,59 @@ def test_gimbal_lock_representative_round_trips():
             assert min(np.abs(back - q).max(), np.abs(back + q).max()) < 1e-9
 
 
+def _quat_to_matrix_full(q):
+    """The full-matrix conversion quat_to_matrix used before its elements
+    were formed one at a time."""
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    xx, yy, zz = x * x, y * y, z * z
+    wx, wy, wz = w * x, w * y, w * z
+    xy, xz, yz = x * y, x * z, y * z
+    m = np.empty(q.shape[:-1] + (3, 3))
+    m[..., 0, 0] = 1 - 2 * (yy + zz)
+    m[..., 0, 1] = 2 * (xy - wz)
+    m[..., 0, 2] = 2 * (xz + wy)
+    m[..., 1, 0] = 2 * (xy + wz)
+    m[..., 1, 1] = 1 - 2 * (xx + zz)
+    m[..., 1, 2] = 2 * (yz - wx)
+    m[..., 2, 0] = 2 * (xz - wy)
+    m[..., 2, 1] = 2 * (yz + wx)
+    m[..., 2, 2] = 1 - 2 * (xx + yy)
+    return m
+
+
+def _quat_to_euler_full(q, order):
+    """quat_to_euler as it read all nine elements of the full matrix."""
+    i, j, k = ("xyz".index(c) for c in order)
+    eps = 1.0 if order in ("xyz", "yzx", "zxy") else -1.0
+    m = _quat_to_matrix_full(rm.normalize(q))
+    s2 = np.clip(eps * m[..., i, k], -1.0, 1.0)
+    a2 = np.arcsin(s2)
+    singular = np.sqrt(np.maximum(1.0 - s2 * s2, 0.0)) < rm.GIMBAL_COS_TOL
+    a1 = np.arctan2(-eps * m[..., j, k], m[..., k, k])
+    a3 = np.arctan2(-eps * m[..., i, j], m[..., i, i])
+    a1 = np.where(singular, np.arctan2(np.sign(s2) * m[..., j, i], m[..., j, j]), a1)
+    a3 = np.where(singular, 0.0, a3)
+    return np.stack([a1, a2, a3], axis=-1), singular
+
+
+@pytest.mark.parametrize("order", rm.TAIT_BRYAN_ORDERS)
+def test_element_kernel_matches_full_matrix_bit_for_bit(order, rng):
+    q = rng.normal(size=(400, 4))
+    unit = q / np.linalg.norm(q, axis=-1, keepdims=True)
+    # middle angles of +-pi/2, exactly and within the gimbal tolerance
+    middle = np.pi / 2 * np.where(rng.random(200) < 0.5, 1.0, -1.0) + rng.choice(
+        [0.0, 1e-9, -1e-9, 1e-7], size=200)
+    locked = rm.euler_to_quat(np.stack([rng.uniform(-np.pi, np.pi, 200), middle,
+                                        rng.uniform(-np.pi, np.pi, 200)], axis=-1), order)
+    for quats in (q, 3.5 * unit, -unit, locked, -locked):
+        assert np.array_equal(rm.quat_to_matrix(quats), _quat_to_matrix_full(quats))
+        got = rm.quat_to_euler(quats, order)
+        angles, singular = _quat_to_euler_full(quats, order)
+        assert np.array_equal(got.angles, angles)
+        assert np.array_equal(got.singular, singular)
+    assert rm.quat_to_euler(locked, order).singular.any()
+
+
 def test_expmap_round_trip(rng):
     e = rng.normal(size=(500, 3))
     got = rm.quat_to_expmap(rm.expmap_to_quat(e))

@@ -34,10 +34,10 @@ def test_protocol_variance(monkeypatch, capsys):
 def test_compare_parameterizations(monkeypatch, capsys):
     out = run_script("compare_parameterizations",
                      ["--clips", 2, "--epochs", 2, "--hidden", 8, "--seeds", 0,
-                      "--parameterizations", "quaternion", "expmap"],
+                      "--parameterizations", "quaternion", "expmap", "euler-yzx"],
                      monkeypatch, capsys)
     assert out[0].startswith("threshold: quaternion 99th pct")
     rows = [line.split() for line in out[2:]]
-    assert [r[0] for r in rows] == ["quaternion", "expmap"]
+    assert [r[0] for r in rows] == ["quaternion", "expmap", "euler-yzx"]
     assert all(0.0 <= float(r[1]) <= 1.0 for r in rows)
 

@@ -51,14 +51,6 @@ def test_adam_matches_reference_formula():
     assert np.allclose(params["w"], want, atol=1e-15)
 
 
-def test_quat_to_euler_t_matches_numpy(rng):
-    q = random_unit_quats(rng, (30,))
-    for order in ("zyx", "xyz", "yzx"):
-        got = tr.quat_to_euler_t(Tensor(q), order).data
-        want = rm.quat_to_euler(q, order).angles
-        assert np.abs(got - want).max() < 1e-12
-
-
 def test_loss_euler_l1_matches_brute_force(rng):
     q = random_unit_quats(rng, (6, 3))
     ref = rng.uniform(-np.pi, np.pi, size=(6, 3, 3))
@@ -83,6 +75,31 @@ def test_euler_error_is_l2_of_wrapped_diffs(rng):
                    for j in range(2)], axis=1)
     want = np.linalg.norm(rm.wrap_angle(pe - re).reshape(5, -1), axis=1)
     assert np.abs(got - want).max() < 1e-12
+
+
+def _tape_nodes(root) -> int:
+    """Distinct tensors reachable from ``root`` through ``_parents``."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+@pytest.mark.parametrize("parameterization,loss,most", [("euler-xyz", "euler_l1", 200),
+                                                         ("expmap", "positional", 149)])
+def test_rollout_tape_nodes(corpus, parameterization, loss, most):
+    # each conversion is one node, so a rollout of a desk GRU at batch 8
+    # (n = 10, k = 6) stays near the quaternion one's 177 nodes
+    skel, clips = corpus
+    rots = np.stack([clip.active_rotations[:16] for clip in clips * 3][:8])
+    net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(skel.num_active, mode="absolute",
+                                                   parameterization=parameterization), seed=0)
+    cfg = tr.TrainConfig(conditioning_frames=10, prediction_frames=6, loss=loss)
+    out = tr.scheduled_sampling_rollout(net, rots, skel, cfg, 0.5, np.random.default_rng(0))
+    assert _tape_nodes(out) <= most
 
 
 def test_loss_quat_dot_is_half_squared_chord(rng):
