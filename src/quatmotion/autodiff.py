@@ -8,15 +8,15 @@ leaves. A graph can be backpropagated through only once. Inside
 ``with no_grad():`` nothing is recorded: every op returns a plain leaf,
 which is how free-run prediction and generation run.
 
-The quaternion operations ``qmul`` and ``qnormalize`` have hand-written
-backward rules over the :mod:`rotmath` kernels, as do the conversions
-the Euler and exponential-map encodings train through, one node each:
-:func:`quat_to_euler`, :func:`euler_to_quat` and :func:`expmap_to_quat`.
-Forward kinematics is a
-single node with its own adjoint (``kinematics.forward_kinematics_tensor``),
-and so are a GRU cell (:func:`gru_cell`, for frames fed back one at a time)
-and a GRU layer over a whole sequence (:func:`gru_sequence`), which share
-one gate forward and one gate adjoint.
+Larger operations are single nodes with hand-written adjoints over numpy
+and the :mod:`rotmath` kernels: the quaternion head (:func:`quat_head`,
+a normalized product with the previous pose); the conversions the Euler
+and exponential-map encodings train through (:func:`quat_to_euler`,
+:func:`euler_to_quat`, :func:`expmap_to_quat`); forward kinematics
+(``kinematics.forward_kinematics_tensor``); a GRU cell (:func:`gru_cell`,
+for frames fed back one at a time) and a GRU layer over a whole sequence
+(:func:`gru_sequence`), which share one gate forward and one gate adjoint;
+and a causal convolution layer (:func:`causal_conv`).
 """
 
 from __future__ import annotations
@@ -381,33 +381,36 @@ def l2norm(a, axis: int = -1, keepdims: bool = False) -> Tensor:
 # -- quaternion primitives ----------------------------------------------------
 
 
-def qmul(a, b) -> Tensor:
-    """Batched Hamilton product on ``(..., 4)`` arrays.
-
-    Backward uses the adjoint identities grad_a = g x b*, grad_b = a* x g.
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    return _make(
-        rm.qmul(a.data, b.data),
-        (a, b),
-        (
-            lambda g: _unbroadcast(rm.qmul(g, rm.qconj(b.data)), a.data.shape),
-            lambda g: _unbroadcast(rm.qmul(rm.qconj(a.data), g), b.data.shape),
-        ),
-    )
+def _normalized(q):
+    """Rows of ``q`` (..., 4) over their norms, and the norms (at least
+    ``EPS_NORM``)."""
+    n = np.maximum(np.linalg.norm(q, axis=-1, keepdims=True), EPS_NORM)
+    return q / n, n
 
 
-def qnormalize(q) -> Tensor:
-    """Normalize ``(..., 4)`` rows to unit length (explicit normalization
-    layer). The backward projection is orthogonal to the output direction."""
-    q = as_tensor(q)
-    n = np.maximum(np.linalg.norm(q.data, axis=-1, keepdims=True), EPS_NORM)
-    data = q.data / n
+def _unnormalize(g, unit, n):
+    """Adjoint of q through ``unit = q / n``: g without its component along
+    the unit output, over the norm."""
+    return (g - unit * np.sum(g * unit, axis=-1, keepdims=True)) / n
 
-    def grad(g):
-        return (g - data * np.sum(g * data, axis=-1, keepdims=True)) / n
 
-    return _make(data, (q,), (grad,))
+def quat_head(raw, prev=None) -> Tensor:
+    """The quaternion head as one node: ``qnormalize(qmul(qnormalize(raw),
+    prev))`` on ``(..., 4)`` arrays, or ``qnormalize(raw)`` without ``prev``
+    (absolute mode). The product's adjoints are g_a = g x b* and
+    g_b = a* x g."""
+    raw = as_tensor(raw)
+    unit, n1 = _normalized(raw.data)
+    if prev is None:
+        return _make(unit, (raw,), (lambda g: _unnormalize(g, unit, n1),))
+    prev = as_tensor(prev)
+    data, n2 = _normalized(rm.qmul(unit, prev.data))
+    return _make(data, (raw, prev), (
+        lambda g: _unnormalize(_unbroadcast(rm.qmul(_unnormalize(g, data, n2),
+                                                    rm.qconj(prev.data)), unit.shape), unit, n1),
+        lambda g: _unbroadcast(rm.qmul(rm.qconj(unit), _unnormalize(g, data, n2)),
+                               prev.data.shape),
+    ))
 
 
 # q @ _LEFT[a] = e_a q and q @ _RIGHT[a] = q e_a for the pure unit
@@ -423,8 +426,7 @@ def quat_to_euler(q, order: str) -> Tensor:
     elements; at a unit u, element (a, b) has gradient -2 e_a u e_b up to
     the radial part that the normalization removes."""
     q = as_tensor(q)
-    n = np.maximum(np.linalg.norm(q.data, axis=-1, keepdims=True), EPS_NORM)
-    u = q.data / n
+    u, n = _normalized(q.data)
     angles, (s, y1, x1, y3, x3) = rm._euler_regular(u, order)
 
     def grad(g):
@@ -434,7 +436,7 @@ def quat_to_euler(q, order: str) -> Tensor:
         gms = (g2, g1 * x1, -g1 * y1, g3 * x3, -g3 * y3)
         gu = -2.0 * sum(sign * gm[..., None] * (u @ (_LEFT[a] @ _RIGHT[b]))
                         for gm, ((a, b), sign) in zip(gms, rm._euler_reads(order)))
-        return (gu - u * np.sum(gu * u, axis=-1, keepdims=True)) / n
+        return _unnormalize(gu, u, n)
 
     return _make(np.stack(angles, axis=-1), (q,), (grad,))
 
@@ -579,6 +581,61 @@ def gru_sequence(xs, h0, wx, wh, b) -> Tensor:
         lambda g: hs[:, :-1].reshape(-1, hidden).T @ bptt(g)[1],
         lambda g: bptt(g)[0].sum(axis=0),
     ))
+
+
+# -- convolution -----------------------------------------------------------------
+
+
+def causal_conv(x, past, w0, w1, b, slope=None, skip=None) -> Tensor:
+    """One width-2 causal convolution layer as one tape node: with ``x``
+    (B, t, I) the new frames and ``past`` (B, d, I) the d before them,
+    ``y = [past, x][:, :t] @ w0 + x @ w1 + b``, then a leaky ReLU if
+    ``slope`` is given, then ``+ skip``, in the composite ops' order. The
+    two taps' adjoints of ``x`` are separate contributions, the current
+    tap's first, so gradients sum as the composite's tape sums them."""
+    x, past, w0, w1, b = (as_tensor(t) for t in (x, past, w0, w1, b))
+    t, d = x.data.shape[1], past.data.shape[1]
+    lag = past.data[:, :t] if t <= d else np.concatenate([past.data, x.data[:, :t - d]], axis=1)
+    data = lag @ w0.data + x.data @ w1.data + b.data
+    if slope is not None:
+        mask = data > 0.0
+        data = np.where(mask, data, slope * data)
+    if skip is not None:
+        skip = as_tensor(skip)
+        data = data + skip.data
+    if not _recording:  # free-run builds no adjoint
+        return Tensor(data)
+    memo = [None, None]
+
+    def gpre(g):
+        # adjoints of the pre-activation and of the lagged frames, once per backward
+        if memo[0] is not g:
+            gp = g if slope is None else g * np.where(mask, 1.0, slope)
+            memo[:] = [g, (gp, gp @ w0.data.T)]
+        return memo[1]
+
+    def lag_adjoint(g, part, offset):
+        # the lagged tap's adjoint of ``part``, which starts at seq[:, offset]
+        out = np.zeros_like(part.data)
+        taps = gpre(g)[1][:, offset:offset + out.shape[1]]
+        out[:, :taps.shape[1]] = taps
+        return out
+
+    parents = [past, w0, x, w1, b]
+    grad_fns = [
+        lambda g: lag_adjoint(g, past, 0),
+        lambda g: _unbroadcast(np.swapaxes(lag, -1, -2) @ gpre(g)[0], w0.data.shape),
+        lambda g: gpre(g)[0] @ w1.data.T,
+        lambda g: _unbroadcast(np.swapaxes(x.data, -1, -2) @ gpre(g)[0], w1.data.shape),
+        lambda g: _unbroadcast(gpre(g)[0], b.data.shape),
+    ]
+    if t > d:  # the lagged tap reads x's first t - d frames too
+        parents.append(x)
+        grad_fns.append(lambda g: lag_adjoint(g, x, d))
+    if skip is not None:
+        parents.append(skip)
+        grad_fns.append(lambda g: _unbroadcast(g, skip.data.shape))
+    return _make(data, tuple(parents), tuple(grad_fns))
 
 
 def zeros(shape) -> Tensor:

@@ -1,7 +1,7 @@
 """Finite-difference gradient checks over the differentiable ops (the fused
-GRU cell and GRU sequence among them), both pose network backbones and
-both pace network variants. Used by the ``gradcheck`` CLI command and the
-tests."""
+GRU cell and GRU sequence, the quaternion head and the causal convolution
+among them), both pose network backbones and both pace network variants.
+Used by the ``gradcheck`` CLI command and the tests."""
 
 from __future__ import annotations
 
@@ -68,10 +68,13 @@ def _op_cases(rng: np.random.Generator) -> list:
         ("matmul", lambda t: ad.tsum(ad.matmul(t, Tensor(w52))), m.copy()),
         ("tanh_sigmoid", lambda t: ad.tsum(ad.tanh(t) * ad.sigmoid(t)), rng.normal(size=(6,))),
         ("l2norm", lambda t: ad.tsum(ad.l2norm(t, axis=-1)), v.copy() + 2.0),
-        ("qnormalize", lambda t: ad.tsum(ad.qnormalize(t) * Tensor(w34)),
-         q + 0.1 * rng.normal(size=(3, 4))),
-        ("qmul", lambda t: ad.tsum(ad.qmul(t, Tensor(q))), q.copy()),
-        # off the unit sphere, where the normalization adjoint matters
+        # off the unit sphere, where the normalization adjoints matter
+        ("quat_head_raw", lambda t: ad.tsum(ad.quat_head(t, Tensor(1.5 * q)) * Tensor(w34)),
+         2.0 * q + 0.1 * rng.normal(size=(3, 4))),
+        ("quat_head_prev", lambda t: ad.tsum(ad.quat_head(Tensor(2.0 * q), t) * Tensor(w34)),
+         1.5 * q + 0.1 * rng.normal(size=(3, 4))),
+        ("quat_head_absolute", lambda t: ad.tsum(ad.quat_head(t) * Tensor(w34)),
+         2.0 * q + 0.1 * rng.normal(size=(3, 4))),
         ("quat_to_euler", lambda t: ad.tsum(ad.quat_to_euler(t, "zyx") * Tensor(v)),
          2.0 * q + 0.1 * rng.normal(size=(3, 4))),
         ("euler_to_quat_xzy", lambda t: ad.tsum(ad.euler_to_quat(t, "xzy") * Tensor(w34)),
@@ -92,7 +95,7 @@ def _op_cases(rng: np.random.Generator) -> list:
     # the fused GRU cell at batch 3, and a GRU sequence at batch 2 over 4
     # steps from one h0 broadcast over the batch, varying each of their
     # five inputs in turn
-    def gru_case(op, arrays, weights, i):
+    def input_case(op, arrays, weights, i):
         def f(t):
             args = [t if j == i else Tensor(arr) for j, arr in enumerate(arrays)]
             return ad.tsum(op(*args) * Tensor(weights))
@@ -102,8 +105,21 @@ def _op_cases(rng: np.random.Generator) -> list:
     seq = [rng.normal(size=shape) for shape in ((2, 4, 4), (5,), (4, 15), (5, 15), (15,))]
     for op, arrays, weights in ((ad.gru_cell, cell, rng.normal(size=(3, 5))),
                                 (ad.gru_sequence, seq, rng.normal(size=(2, 4, 5)))):
-        cases += [(f"{op.__name__}_{name}", gru_case(op, arrays, weights, i), arrays[i].copy())
+        cases += [(f"{op.__name__}_{name}", input_case(op, arrays, weights, i), arrays[i].copy())
                   for i, name in enumerate(("x", "h", "wx", "wh", "b"))]
+    # a causal convolution at dilation 2 over 5 frames (the lagged tap
+    # reads x too) and over 1 frame (a step), with and without the leaky
+    # ReLU, varying each of its inputs in turn
+    for t in (5, 1):
+        conv = [rng.normal(size=shape) for shape in
+                ((2, t, 3), (2, 2, 3), (3, 4), (3, 4), (4,), (2, t, 4))]
+        weights = rng.normal(size=(2, t, 4))
+        for slope in (0.05, None):
+            def conv_op(x, past, w0, w1, b, skip, slope=slope):
+                return ad.causal_conv(x, past, w0, w1, b, slope, skip)
+            cases += [(f"causal_conv_t{t}_{'leaky' if slope else 'linear'}_{name}",
+                       input_case(conv_op, conv, weights, i), conv[i].copy())
+                      for i, name in enumerate(("x", "past", "w0", "w1", "b", "skip"))]
     return cases
 
 

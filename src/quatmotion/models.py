@@ -7,11 +7,12 @@ with learned initial states, and a stack of 5 causal dilated convolutions
 predicts the next one with a single head output, and ``PoseNetwork.step``
 advances its state by one frame. The recurrent window is one GRU
 sequence node per layer (``autodiff.gru_sequence``), as are both
-directions of the pace network. The convolutional state holds each
-layer's inputs over its last ``dilation`` frames, so a step computes one
-new frame per layer instead of rerunning the window (as in Fast WaveNet,
-Paine et al. 2016). In velocity mode the head's quaternions are
-multiplied onto the previous pose, so the network outputs rotation deltas.
+directions of the pace network, and each convolution layer is one node
+(``autodiff.causal_conv``). The convolutional state holds each layer's
+inputs over its last ``dilation`` frames, so a step computes one new frame
+per layer instead of rerunning the window (as in Fast WaveNet, Paine et al.
+2016). In velocity mode the quaternion head (one ``autodiff.quat_head``
+node) multiplies onto the previous pose, so the network outputs deltas.
 Exponential-map and Euler heads decode through autodiff's conversion nodes.
 Optional side inputs, recurrent backbone only: 2 translation channels
 (root height, trajectory offset) and a 6-feature control frame passed
@@ -225,11 +226,6 @@ def _linear(params: dict, prefix: str, x: Tensor) -> Tensor:
     return x @ params[f"{prefix}.w"] + params[f"{prefix}.b"]
 
 
-def _check_finite(state: list) -> None:
-    if not all(np.isfinite(s.data).all() for s in state):
-        raise ad.NumericalError("non-finite network state")
-
-
 def encode_controls(params: dict, controls: Tensor) -> Tensor:
     """6-feature control frame -> 30-vector, two leaky-ReLU layers."""
     h = ad.leaky_relu(_linear(params, "enc.l1", controls), LEAKY_SLOPE)
@@ -305,10 +301,7 @@ class PoseNetwork(ParamContainer):
         raw_q = decode_pose_t(pose_raw, cfg.num_joints, cfg.parameterization)
         if cfg.parameterization == "quaternion":
             out["raw_quats"] = raw_q
-            if cfg.mode == "velocity":
-                quats = ad.qnormalize(ad.qmul(ad.qnormalize(raw_q), prev_quats))
-            else:
-                quats = ad.qnormalize(raw_q)
+            quats = ad.quat_head(raw_q, prev_quats if cfg.mode == "velocity" else None)
             out["quats"] = quats
             out["feedback"] = ad.reshape(quats, quats.shape[:-2] + (cfg.pose_dim,))
         else:
@@ -345,16 +338,16 @@ class PoseNetwork(ParamContainer):
         ``pose`` is the previous pose in the network's parameterization,
         (B, pose_dim); ``prev_quats`` (B, A, 4) is required in velocity
         mode; ``state`` comes from ``forward_window`` or the previous step.
-        Returns quats, raw_quats, feedback, translations, state.
+        Returns quats, raw_quats, feedback, translations, state. Unlike
+        ``forward_window`` it does not check the state for non-finite
+        values; callers check the frames they keep.
         """
-        _check_finite(state)
         x = self._inputs(pose, prev_quats, translations, controls)
         if self.config.backbone == "recurrent":
             state = self._gru.step(x, state)
             raw = _linear(self.params, "head", state[-1])
         else:
             raw, state = self._conv_stack(ad.reshape(x, (x.shape[0], 1, x.shape[1])), state)
-            raw = raw[:, -1]
         return self._head_to_pose(raw, prev_quats, state)
 
     def forward_window(self, pose_window: Tensor, prev_quats: Tensor | None = None,
@@ -379,8 +372,8 @@ class PoseNetwork(ParamContainer):
                 raise ValueError(f"the convolutional backbone needs >= {rf} frames, got {t}")
             raw, state = self._conv_stack(self._inputs(pose_window[:, t - rf:], prev_quats),
                                           state)
-            raw = raw[:, -1]
-        _check_finite(state)
+        if not all(np.isfinite(s.data).all() for s in state):
+            raise ad.NumericalError("non-finite network state")
         return self._head_to_pose(raw, prev_quats, state)
 
     # -- convolutional path ------------------------------------------------
@@ -390,23 +383,22 @@ class PoseNetwork(ParamContainer):
         y[t] = w0.x[t-d] + w1.x[t] + b. All but the last (linear) layer
         are leaky ReLUs, and additive skips connect every other same-width
         layer (1->3, 2->4). Layer l reads the frames before x from
-        ``history[l]`` (B, d, C). Returns the last layer's outputs
-        (B, T, out) and each layer's inputs over the last d frames."""
+        ``history[l]`` (B, d, C). Returns the last layer's output for the
+        last frame (B, out) and each layer's inputs over the last d frames."""
         t = x.shape[1]
         outs, new_history = [], []
+        last = len(history) - 1
         for layer, past in enumerate(history):
-            seq = ad.concat([past, x], axis=1)
-            y = (seq[:, :t] @ self.params[f"conv{layer}.w0"]
-                 + x @ self.params[f"conv{layer}.w1"]
-                 + self.params[f"conv{layer}.b"])
-            new_history.append(seq[:, t:])
-            if layer < len(history) - 1:
-                y = ad.leaky_relu(y, LEAKY_SLOPE)
-            if layer in (2, 3):
-                y = y + outs[layer - 2]
-            outs.append(y)
-            x = y
-        return x, new_history
+            if x.requires_grad or past.requires_grad:
+                new_history.append(ad.concat([past, x], axis=1)[:, t:])
+            else:  # off the tape, a plain array
+                new_history.append(Tensor(np.concatenate([past.data, x.data], axis=1)[:, t:]))
+            x = ad.causal_conv(x, past, self.params[f"conv{layer}.w0"],
+                               self.params[f"conv{layer}.w1"], self.params[f"conv{layer}.b"],
+                               LEAKY_SLOPE if layer < last else None,
+                               outs[layer - 2] if layer in (2, 3) else None)
+            outs.append(x)
+        return x[:, -1], new_history
 
 
 # -- pace network ---------------------------------------------------------------

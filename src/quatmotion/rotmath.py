@@ -57,21 +57,22 @@ class EulerAngles:
             raise ValueError(f"unknown Euler order {self.order!r}")
 
 
+# qmul(a, b)[k] = sum_j a[j] * b[_QMUL_IDX[j, k]] * _QMUL_SIGN[j, k], with
+# the terms of each component in the order of the written-out product
+_QMUL_IDX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_QMUL_SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0],
+                       [-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
+
+
 def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product of quaternion arrays, broadcasting over leading axes."""
+    """Hamilton product of quaternion arrays, broadcasting over leading axes.
+
+    ``einsum`` adds the four terms in order, bit for bit the written-out
+    product; ``@`` would not, as BLAS reorders them for a single quaternion.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    return np.einsum("...j,...jk->...k", a, b[..., _QMUL_IDX] * _QMUL_SIGN)
 
 
 def qconj(q: np.ndarray) -> np.ndarray:

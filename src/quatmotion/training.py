@@ -253,11 +253,15 @@ def scheduled_sampling_rollout(net: PoseNetwork, rotations: np.ndarray,
 @ad.no_grad()
 def free_run_predict(net: PoseNetwork, prefix_quats: np.ndarray, horizon: int) -> np.ndarray:
     """Condition on a (n, A, 4) prefix, then predict `horizon` frames
-    autoregressively, recording no tape. Returns (horizon, A, 4)."""
+    autoregressively, recording no tape. Returns (horizon, A, 4); raises
+    ``NumericalError`` if any predicted value is not finite."""
     quats = np.asarray(prefix_quats, dtype=float)[None]
     enc = encode_pose(quats, net.config.parameterization)
-    return np.stack([out["quats"].data[0]
+    pred = np.stack([out["quats"].data[0]
                      for out in _autoregress(net, enc, quats, len(prefix_quats), horizon)])
+    if not np.isfinite(pred).all():
+        raise ad.NumericalError("non-finite free-run prediction")
+    return pred
 
 
 def free_run_chunks(net: PoseNetwork, clips, skel: Skeleton, n: int, k: int,

@@ -62,20 +62,44 @@ def test_deep_graph_iterative_topo():
     assert x.grad[0] == 1.0
 
 
-def test_qmul_grad_both_args(rng):
-    q = rng.normal(size=(3, 4))
-    q /= np.linalg.norm(q, axis=-1, keepdims=True)
-    err = check_scalar_fn(lambda t: ad.tsum(ad.qmul(Tensor(q), t)), q.copy())
-    assert err < 1e-5
+@pytest.mark.parametrize("mode", ["absolute", "velocity"])
+def test_quat_head_projects_radial_component(rng, mode):
+    raw, prev = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+    t = Tensor(raw.copy(), requires_grad=True)
+    p = Tensor(prev.copy(), requires_grad=True) if mode == "velocity" else None
+    out = ad.quat_head(t, p)
+    ad.tsum(out * Tensor(rng.normal(size=(2, 4)))).backward()
+    # moving either input radially does not change the normalized output
+    for leaf, value in ((t, raw), (p, prev)):
+        if leaf is not None:
+            assert np.abs(np.sum(leaf.grad * value, axis=-1)).max() < 1e-10
 
 
-def test_qnormalize_projects_radial_component(rng):
-    q = rng.normal(size=(1, 4))
-    t = Tensor(q.copy(), requires_grad=True)
-    out = ad.qnormalize(t)
-    ad.tsum(out * Tensor(q / np.linalg.norm(q))).backward()
-    # moving radially does not change the normalized output
-    assert abs(np.sum(t.grad * q / np.linalg.norm(q))) < 1e-10
+def _causal_conv_composite(x, past, w0, w1, b, slope, skip):
+    """causal_conv from the elementary ops, as the conv stack once built it."""
+    seq = ad.concat([past, x], axis=1)
+    y = seq[:, :x.shape[1]] @ w0 + x @ w1 + b
+    if slope is not None:
+        y = ad.leaky_relu(y, slope)
+    return y if skip is None else y + skip
+
+
+@pytest.mark.parametrize("t", [5, 1])
+@pytest.mark.parametrize("slope,skip", [(0.05, True), (None, False)])
+def test_causal_conv_matches_composite(rng, t, slope, skip):
+    # dilation 2: over 5 frames the lagged tap reads x too, over 1 it reads past only
+    arrays = [rng.normal(size=shape) for shape in
+              ((2, t, 3), (2, 2, 3), (3, 4), (3, 4), (4,), (2, t, 4))]
+    weights = Tensor(rng.normal(size=(2, t, 4)))
+
+    def run(op):
+        x, past, w0, w1, b, sk = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        y = op(x, past, w0, w1, b, slope, sk if skip else None)
+        ad.tsum(y * weights).backward()
+        return [y.data] + [leaf.grad for leaf in (x, past, w0, w1, b) + ((sk,) if skip else ())]
+
+    for got, want in zip(run(ad.causal_conv), run(_causal_conv_composite)):
+        assert np.array_equal(got, want)
 
 
 @given(st.lists(st.floats(-3, 3), min_size=1, max_size=8))

@@ -335,6 +335,22 @@ def test_conv_checkpoint_needs_its_receptive_field(tmp_path, dataset_dir, capsys
     assert f">= {cfg.receptive_field}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("backbone,weight,n", [("recurrent", "head.b", 10),
+                                               ("convolutional", "conv4.b", 32)])
+def test_evaluate_non_finite_weights_is_numeric_error(tmp_path, dataset_dir, capsys,
+                                                      backbone, weight, n):
+    from quatmotion import models as mo
+    skel = md.load_dataset(dataset_dir)[0].skeleton
+    cfg = mo.PoseNetworkConfig.desk(skel.num_active, backbone=backbone, hidden=8, channels=8)
+    arrays = mo.PoseNetwork(cfg).param_arrays()
+    arrays[weight][0] = np.nan
+    ck = tmp_path / "nan.ckpt"
+    mo.save_checkpoint(ck, "pose", asdict(cfg), arrays)
+    assert run(["evaluate", "--checkpoint", ck, "--dataset", dataset_dir,
+                "--conditioning-frames", n, "--out", tmp_path / "o"]) == cli.EXIT_NUMERIC
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
 def test_conditioning_frames_below_one_is_usage_error(tmp_path, dataset_dir, training_checkpoint,
                                                       capsys, command):

@@ -189,7 +189,7 @@ def test_positional_loss_gradient_through_fk(rng):
                              np.zeros((2, 3)))
 
     def builder(t):
-        pos = forward_kinematics_tensor(skel, ad.qnormalize(t),
+        pos = forward_kinematics_tensor(skel, ad.quat_head(t),
                                         np.zeros((2, 3)))
         return position_error_tensor(pos, ref)
 

@@ -29,6 +29,37 @@ def test_qmul_matches_matrix_product(a, b):
     assert np.allclose(got, want, atol=1e-9)
 
 
+def _qmul_written_out(a, b):
+    """The Hamilton product term by term, as its 16 products."""
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack([aw * bw - ax * bx - ay * by - az * bz,
+                     aw * bx + ax * bw + ay * bz - az * by,
+                     aw * by - ax * bz + ay * bw + az * bx,
+                     aw * bz + ax * by - ay * bx + az * bw], axis=-1)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("sa, sb", [((4,), (50, 4)), ((50, 4), (4,)), ((7, 1, 4), (1, 9, 4)),
+                                    ((2, 8, 24, 4), (2, 8, 24, 4)), ((1, 10, 4), (1, 10, 4))])
+def test_qmul_is_written_out_product_bit_for_bit(sa, sb, scale, rng):
+    # a single-quaternion operand is where a BLAS matrix product would
+    # reorder the sum
+    a, b = scale * rng.normal(size=sa), rng.normal(size=sb)
+    assert np.array_equal(rm.qmul(a, b), _qmul_written_out(a, b))
+    assert np.array_equal(rm.qmul(b, a), _qmul_written_out(b, a))
+
+
+def test_qmul_is_written_out_product_on_strided_views(rng):
+    # forward kinematics multiplies per-joint views [..., j, :] of poses
+    a, b = rng.normal(size=(3, 6, 5, 4)), rng.normal(size=(3, 6, 5, 4))
+    for j in range(5):
+        assert np.array_equal(rm.qmul(a[..., j, :], b[..., j, :]),
+                              _qmul_written_out(a[..., j, :], b[..., j, :]))
+    va, vb = a[:, ::2, 1], b[:, 1::2, 3]
+    assert np.array_equal(rm.qmul(va, vb), _qmul_written_out(va, vb))
+
+
 @given(unit_quat, st.tuples(*(st.floats(-5, 5) for _ in range(3))))
 @settings(max_examples=100, deadline=None)
 def test_rotate_vector_matches_matrix(q, v):

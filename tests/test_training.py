@@ -8,7 +8,7 @@ import pytest
 from quatmotion import models as mo
 from quatmotion import rotmath as rm
 from quatmotion import training as tr
-from quatmotion.autodiff import Tensor
+from quatmotion.autodiff import NumericalError, Tensor
 from quatmotion.optim import AdamState, adam_step, clip_global_norm
 
 from conftest import random_unit_quats
@@ -88,16 +88,23 @@ def _tape_nodes(root) -> int:
     return len(seen)
 
 
-@pytest.mark.parametrize("parameterization,loss,most", [("euler-xyz", "euler_l1", 200),
-                                                         ("expmap", "positional", 149)])
-def test_rollout_tape_nodes(corpus, parameterization, loss, most):
-    # each conversion is one node, so a rollout of a desk GRU at batch 8
-    # (n = 10, k = 6) stays near the quaternion one's 177 nodes
+@pytest.mark.parametrize("parameterization,loss,most,net_kw,n", [
+    pytest.param("euler-xyz", "euler_l1", 200, {"mode": "absolute"}, 10,
+                 id="euler-xyz-euler_l1-200"),
+    pytest.param("expmap", "positional", 149, {"mode": "absolute"}, 10,
+                 id="expmap-positional-149"),
+    pytest.param("quaternion", "quat_dot", 165, {}, 10, id="quaternion-velocity-165"),
+    pytest.param("quaternion", "quat_dot", 193, {"backbone": "convolutional"}, 32,
+                 id="conv-quaternion-velocity-193"),
+])
+def test_rollout_tape_nodes(corpus, parameterization, loss, most, net_kw, n):
+    # a rollout of a desk model at batch 8 (k = 6) builds one node per
+    # conversion, per quaternion head and per conv layer
     skel, clips = corpus
-    rots = np.stack([clip.active_rotations[:16] for clip in clips * 3][:8])
-    net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(skel.num_active, mode="absolute",
-                                                   parameterization=parameterization), seed=0)
-    cfg = tr.TrainConfig(conditioning_frames=10, prediction_frames=6, loss=loss)
+    rots = np.stack([clip.active_rotations[:n + 6] for clip in clips * 3][:8])
+    net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(skel.num_active, parameterization=parameterization,
+                                                   **net_kw), seed=0)
+    cfg = tr.TrainConfig(conditioning_frames=n, prediction_frames=6, loss=loss)
     out = tr.scheduled_sampling_rollout(net, rots, skel, cfg, 0.5, np.random.default_rng(0))
     assert _tape_nodes(out) <= most
 
@@ -217,6 +224,22 @@ def test_free_run_predict_shapes_both_backbones(corpus):
         assert np.abs(np.linalg.norm(pred, axis=-1) - 1).max() < 1e-9
         with pytest.raises(ValueError, match="conditioning frame"):
             tr.free_run_predict(net, rots[:0], 5)
+
+
+@pytest.mark.parametrize("horizon", [1, 5])
+@pytest.mark.parametrize("backbone,weight,n", [("recurrent", "gru1.b", 10),
+                                               ("recurrent", "head.b", 10),
+                                               ("convolutional", "conv3.b", 32),
+                                               ("convolutional", "conv4.b", 32)])
+def test_free_run_predict_raises_on_non_finite_weights(corpus, backbone, weight, n, horizon):
+    # a NaN in the head's weights leaves the window's state finite, so
+    # only the check of the returned chunk sees it
+    skel, clips = corpus
+    net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(
+        skel.num_active, hidden=16, channels=16, backbone=backbone), seed=0)
+    net.params[weight].data[0] = np.nan
+    with pytest.raises(NumericalError):
+        tr.free_run_predict(net, clips[0].active_rotations[:n], horizon)
 
 
 def test_positional_loss_value(rng, corpus):
