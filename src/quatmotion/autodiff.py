@@ -384,7 +384,8 @@ def l2norm(a, axis: int = -1, keepdims: bool = False) -> Tensor:
 def _normalized(q):
     """Rows of ``q`` (..., 4) over their norms, and the norms (at least
     ``EPS_NORM``)."""
-    n = np.maximum(np.linalg.norm(q, axis=-1, keepdims=True), EPS_NORM)
+    # np.linalg.norm's own arithmetic for one axis, without its dispatch
+    n = np.maximum(np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True)), EPS_NORM)
     return q / n, n
 
 
@@ -521,6 +522,8 @@ def gru_cell(x, h, wx, wh, b) -> Tensor:
     """
     x, h, wx, wh, b = (as_tensor(t) for t in (x, h, wx, wh, b))
     data, saved = _gru_forward(x.data @ wx.data + b.data, h.data, wh.data)
+    if not _recording:  # free-run builds no adjoint
+        return Tensor(data)
     memo = [None, None]
 
     def gates(g):
@@ -559,6 +562,8 @@ def gru_sequence(xs, h0, wx, wh, b) -> Tensor:
     rz, n, gh_n = (np.empty((bsz, steps, k * hidden)) for k in (2, 1, 1))
     for t in range(steps):
         hs[:, t + 1], (rz[:, t], n[:, t], gh_n[:, t]) = _gru_forward(gx[:, t], hs[:, t], wh.data)
+    if not _recording:
+        return Tensor(hs[:, 1:])
     memo = [None, None]
 
     def bptt(g):

@@ -303,6 +303,14 @@ def cmd_predict(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.frames < 1:
+        raise CliError(f"--frames must be at least 1, got {args.frames}", EXIT_USAGE)
+    if not (np.isfinite(args.frame_rate) and args.frame_rate > 0):
+        raise CliError(f"--frame-rate must be positive and finite, got {args.frame_rate}",
+                       EXIT_USAGE)
+    if not args.segment_length > 0:
+        raise CliError(f"--segment-length must be positive, got {args.segment_length}",
+                       EXIT_USAGE)
     write_manifest(args.out, args, args.seed)
     pose_net = _load_pose_net(args.pose_checkpoint)
     pace_net = _from_checkpoint(args.pace_checkpoint, mo.pace_network_from_checkpoint,

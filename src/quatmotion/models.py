@@ -475,63 +475,66 @@ def _rotate2(v: np.ndarray, by: np.ndarray) -> np.ndarray:
                      by[..., 1] * v[..., 0] + by[..., 0] * v[..., 1]], axis=-1)
 
 
+def _pace_schedule(spline, pace: dict, steps: int, frame_rate: float):
+    """Arc positions (steps,) and control frames (steps, CONTROL_DIM) from
+    the pace network's outputs: frame k reads [tangent, world facing, gait
+    signal] of the segment under its arc position, whose speed and
+    frequency advance arc and gait phase to frame k + 1, as a scalar loop."""
+    speed = np.maximum(pace["speed"].data, 0.0)
+    step_speed, freq = speed.tolist(), pace["frequency"].data.tolist()
+    last = spline.num_segments - 1
+    arc, phase, seg = np.empty(steps), np.empty(steps), np.empty(steps, dtype=int)
+    s = theta = 0.0
+    for k in range(steps):
+        i = seg[k] = int(min(max(s / spline.segment_length, 0), last))
+        arc[k], phase[k] = s, theta
+        s += step_speed[i] / frame_rate
+        theta += 2.0 * np.pi * freq[i] / frame_rate
+    tangent = spline.tangents[seg]
+    gait = speed[seg][:, None] * np.stack([np.cos(phase), np.sin(phase)], axis=1)
+    return arc, np.concatenate([tangent, _rotate2(pace["facing"].data[seg], tangent), gait], axis=1)
+
+
 @ad.no_grad()
 def generate_locomotion(pose_net: PoseNetwork, pace_net: PaceNetwork, spline,
                         init_clip, num_frames: int, frame_rate: float):
     """Closed-loop locomotion along a trajectory spline.
 
     The pace network supplies per-segment facing/frequency/speed; frequency
-    integrates to the gait phase and speed to the arc position. The pose
-    network consumes its own outputs (pose, translations) plus the control
-    frame, and the root follows the spline at the current arc position
-    plus the predicted trajectory offset.
+    integrates to the gait phase and speed to the arc position. That
+    schedule comes from the pace network alone and is built before the
+    loop. The pose network consumes its own outputs (pose, translations)
+    plus the control frame, and the root follows the spline at the frame's
+    arc position plus the predicted trajectory offset.
     """
     cfg = pose_net.config
     skel = init_clip.skeleton
     if not (cfg.include_controls and cfg.include_translations):
         raise ValueError("generation needs a model with controls and translations")
+    if num_frames < 1:
+        raise ValueError(f"need at least 1 frame to generate, got {num_frames}")
+    if not (np.isfinite(frame_rate) and frame_rate > 0):
+        raise ValueError(f"frame rate must be positive and finite, got {frame_rate}")
+    n_init = init_clip.num_frames
+    if n_init < 1:
+        raise ValueError("the init clip has no frames")
 
-    pace = pace_net.forward(spline.curvatures)
-    seg_facing = pace["facing"].data
-    seg_freq = pace["frequency"].data
-    seg_speed = np.maximum(pace["speed"].data, 0.0)
-
-    active = skel.active_indices
+    arc, controls = _pace_schedule(spline, pace_net.forward(spline.curvatures),
+                                   n_init + num_frames + 1, frame_rate)
     init_q = init_clip.active_rotations
-    n_init = init_q.shape[0]
     height_limit = 10.0 * max(skel.height(), 1e-6)
 
     # warm up on the conditioning frames
     state = pose_net.init_state(1)
-    theta = 0.0
-    arc = 0.0
-    offset = 0.0
-    root_height = float(init_clip.root_positions[-1, 1])
-
-    def seg_index(s):
-        return int(np.clip(s / spline.segment_length, 0, spline.num_segments - 1))
-
-    def control_frame():
-        i = seg_index(arc)
-        tangent = spline.tangents[i]
-        facing = _rotate2(seg_facing[i], tangent)
-        a = seg_speed[i]
-        gait = a * np.array([np.cos(theta), np.sin(theta)])
-        return np.concatenate([tangent, facing, gait])[None, :]
-
-    out = None
     for f in range(n_init):
         pose = Tensor(encode_pose(init_q[f][None], cfg.parameterization))
         trans = Tensor(np.array([[init_clip.root_positions[f, 1], 0.0]]))
         out = pose_net.step(pose, state, prev_quats=Tensor(init_q[f][None]),
-                            translations=trans, controls=Tensor(control_frame()))
+                            translations=trans, controls=Tensor(controls[f][None]))
         state = out["state"]
-        i = seg_index(arc)
-        arc += seg_speed[i] / frame_rate
-        theta += 2.0 * np.pi * seg_freq[i] / frame_rate
 
     frames_q = []
-    frames_root = []
+    frames_t = []
     for f in range(num_frames):
         quats = out["quats"].data[0]
         trans_pred = out["translations"].data[0]
@@ -540,26 +543,20 @@ def generate_locomotion(pose_net: PoseNetwork, pace_net: PaceNetwork, spline,
             raise GenerationDivergedError(
                 f"pose or translation left the {height_limit:.3g} envelope "
                 f"at frame {f}")
-        root_height = float(trans_pred[0])
-        offset = float(trans_pred[1])
-        ground = spline.position_at(np.clip(arc + offset, 0.0, spline.total_length))
-        root = np.array([ground[0], root_height, ground[1]])
         frames_q.append(quats)
-        frames_root.append(root)
-
-        i = seg_index(arc)
-        arc += seg_speed[i] / frame_rate
-        theta += 2.0 * np.pi * seg_freq[i] / frame_rate
+        frames_t.append(trans_pred)
         out = pose_net.step(out["feedback"], state, prev_quats=out["quats"],
                             translations=out["translations"],
-                            controls=Tensor(control_frame()))
+                            controls=Tensor(controls[n_init + f + 1][None]))
         state = out["state"]
 
+    trans = np.stack(frames_t)  # root height, arc offset
+    ground = spline.position_at(arc[n_init:n_init + num_frames] + trans[:, 1])
     rotations = np.zeros((num_frames, skel.num_joints, 4))
     rotations[..., 0] = 1.0
-    rotations[:, active] = np.stack(frames_q)
-    return MotionClip(skel, frame_rate, np.stack(frames_root), rotations,
-                      subject="generated", action="locomotion")
+    rotations[:, skel.active_indices] = np.stack(frames_q)
+    return MotionClip(skel, frame_rate, np.stack([ground[:, 0], trans[:, 0], ground[:, 1]], axis=1),
+                      rotations, subject="generated", action="locomotion")
 
 
 # -- checkpoints ------------------------------------------------------------------

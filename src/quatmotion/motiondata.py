@@ -203,17 +203,15 @@ def _swap_permutation(skel: Skeleton, joint_swap_map: dict) -> np.ndarray:
         perm[ib] = ia
     if not np.array_equal(perm[perm], np.arange(skel.num_joints)):
         raise ValueError("joint swap map is not an involution")
-    for j in range(skel.num_joints):
-        m = perm[j]
-        pj, pm = skel.parents[j], skel.parents[m]
-        if pj >= 0 and perm[pj] != pm:
-            raise ValueError(
-                f"swap map breaks topology at joint {skel.names[j]!r}")
-        mirrored = skel.offsets[j] * np.array([-1.0, 1.0, 1.0])
-        if not np.allclose(mirrored, skel.offsets[m], atol=1e-6):
-            raise ValueError(
-                f"offsets of {skel.names[j]!r} and {skel.names[m]!r} are not "
-                "mirror images; swap map is incomplete or skeleton asymmetric")
+    topology = (skel.parents >= 0) & (perm[skel.parents] != skel.parents[perm])
+    mirrored = skel.offsets * np.array([-1.0, 1.0, 1.0])
+    offsets = ~np.isclose(mirrored, skel.offsets[perm], atol=1e-6).all(axis=1)
+    for j in np.flatnonzero(topology | offsets):  # the first failing joint raises
+        if topology[j]:
+            raise ValueError(f"swap map breaks topology at joint {skel.names[j]!r}")
+        raise ValueError(
+            f"offsets of {skel.names[j]!r} and {skel.names[perm[j]]!r} are not "
+            "mirror images; swap map is incomplete or skeleton asymmetric")
     return perm
 
 
@@ -335,14 +333,25 @@ def fit_spline(root_positions: np.ndarray, segment_length: float) -> TrajectoryS
         path = pos
     if len(path) < 2:
         raise ValueError("need at least 2 points")
+    if not segment_length > 0:  # a zero length would append knots forever
+        raise ValueError(f"segment length must be positive, got {segment_length}")
     points = [path[0]]
     cur = path[0]
     i = 0
+    # a segment with both ends inside 0.98 L^2 of the knot cannot cross the
+    # circle, whatever the rounding (convex, negative at both ends): skip it
+    xs, zs = path[:, 0].tolist(), path[:, 1].tolist()
+    inside = 0.98 * segment_length ** 2
     while True:
         # Walk forward to the first polyline point at Euclidean distance
         # >= L from the current spline knot, then solve on that segment.
         nxt = None
+        cx, cz = cur.tolist()
         while i < len(path) - 1:
+            if ((xs[i] - cx) ** 2 + (zs[i] - cz) ** 2 < inside
+                    and (xs[i + 1] - cx) ** 2 + (zs[i + 1] - cz) ** 2 < inside):
+                i += 1
+                continue
             a, b = path[i], path[i + 1]
             # |a + t(b-a) - cur| = L for t in (0, 1]
             d = b - a

@@ -161,6 +161,19 @@ def test_gru_sequence_matches_gru_cell_loop(rng):
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
+@pytest.mark.parametrize("node", ["gru_cell", "gru_sequence"])
+def test_gru_node_off_the_tape_matches_taped(node, rng):
+    b, t, i, h = 3, 6, 4, 5
+    x = rng.normal(size=(b, i) if node == "gru_cell" else (b, t, i))
+    args = [x, rng.normal(size=(b, h)), rng.normal(size=(i, 3 * h)),
+            rng.normal(size=(h, 3 * h)), rng.normal(size=3 * h)]
+    taped = getattr(ad, node)(*(Tensor(a, requires_grad=True) for a in args))
+    with ad.no_grad():
+        free = getattr(ad, node)(*(Tensor(a, requires_grad=True) for a in args))
+    assert taped._parents and free._parents == () and not free.requires_grad
+    assert np.array_equal(free.data, taped.data)
+
+
 @pytest.mark.parametrize("name", ["quat_to_euler", "euler_to_quat", "expmap_to_quat"])
 def test_conversion_node_forward_is_rotmath_kernel(name, rng):
     # raw quaternions off the unit sphere, angles, and exponential maps

@@ -246,6 +246,44 @@ def test_train_pace_and_generate(tmp_path):
 
 
 @pytest.fixture(scope="module")
+def generate_args(generate_inputs, dataset_dir):
+    """generate's inputs with a pose checkpoint that can drive generation
+    (controls and translations)."""
+    from quatmotion import models as mo
+    skel = md.load_dataset(dataset_dir)[0].skeleton
+    cfg = mo.PoseNetworkConfig.desk(skel.num_active, hidden=8, include_controls=True,
+                                    include_translations=True)
+    mo.save_checkpoint(generate_inputs / "walker.ckpt", "pose", asdict(cfg),
+                       mo.PoseNetwork(cfg).param_arrays())
+    np.savetxt(generate_inputs / "line.csv",
+               np.stack([np.linspace(0, 3, 30), np.zeros(30), np.zeros(30)], 1), delimiter=",")
+    return ["generate", "--pose-checkpoint", generate_inputs / "walker.ckpt",
+            "--pace-checkpoint", generate_inputs / "pace.ckpt",
+            "--spline", generate_inputs / "line.csv",
+            "--init-clip", dataset_dir / "clip_00000.qmc"]
+
+
+@pytest.mark.parametrize("flag,value", [("--frames", "0"), ("--frames", "-3"),
+                                        ("--frame-rate", "0"), ("--frame-rate", "nan"),
+                                        ("--frame-rate", "-25"), ("--segment-length", "0"),
+                                        ("--segment-length", "nan")])
+def test_generate_bad_number_option_is_usage_error(tmp_path, generate_args, capsys,
+                                                   flag, value):
+    assert run(generate_args + ["--frames", "5", flag, value, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+
+
+def test_generate_empty_init_clip_is_data_error(tmp_path, generate_args, dataset_dir, capsys):
+    md.save_clip(tmp_path / "empty.qmc", md.load_clip(dataset_dir / "clip_00000.qmc").slice(0, 0))
+    args = generate_args[:-1] + [tmp_path / "empty.qmc", "--frames", "5"]
+    assert run(args + ["--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "init clip has no frames" in err and "Traceback" not in err
+    assert run(generate_args + ["--frames", "5", "--out", tmp_path / "ok"]) == 0
+
+
+@pytest.fixture(scope="module")
 def training_checkpoint(tmp_path_factory, dataset_dir):
     """A resumable pose checkpoint of a desk GRU."""
     from quatmotion import models as mo, training as tr

@@ -7,6 +7,7 @@ from quatmotion import autodiff as ad
 from quatmotion import models as mo
 from quatmotion import rotmath as rm
 from quatmotion.autodiff import Tensor
+from quatmotion.motiondata import MotionClip, fit_spline
 
 from conftest import random_unit_quats
 
@@ -265,6 +266,105 @@ def test_generation_divergence_guard(corpus):
     with pytest.raises(mo.GenerationDivergedError):
         mo.generate_locomotion(pose_net, pace_net, spline, clips[0],
                                num_frames=200, frame_rate=25.0)
+
+
+@pytest.mark.parametrize("frames,rate,init_frames,message", [
+    (0, 25.0, 4, "at least 1 frame"), (-3, 25.0, 4, "at least 1 frame"),
+    (10, 0.0, 4, "frame rate"), (10, float("nan"), 4, "frame rate"),
+    (10, 25.0, 0, "init clip has no frames")])
+def test_generation_rejects_bad_inputs(corpus, frames, rate, init_frames, message):
+    skel, clips = corpus
+    pose_net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(
+        skel.num_active, hidden=8, include_controls=True, include_translations=True), seed=0)
+    spline = fit_spline(np.stack([np.linspace(0, 4, 60), np.zeros(60), np.zeros(60)], 1), 0.25)
+    with pytest.raises(ValueError, match=message):
+        mo.generate_locomotion(pose_net, mo.PaceNetwork(mo.PaceNetworkConfig(), seed=0), spline,
+                               clips[0].slice(0, init_frames), frames, rate)
+
+
+def _generate_reference(pose_net, pace_net, spline, init_clip, num_frames, frame_rate):
+    """generate_locomotion as a per-frame loop: each frame looks up its
+    segment, builds its control frame and places its root on its own."""
+    cfg, skel = pose_net.config, init_clip.skeleton
+    pace = pace_net.forward(spline.curvatures)
+    seg_facing, seg_freq = pace["facing"].data, pace["frequency"].data
+    seg_speed = np.maximum(pace["speed"].data, 0.0)
+    init_q = init_clip.active_rotations
+    height_limit = 10.0 * max(skel.height(), 1e-6)
+    state, theta, arc = pose_net.init_state(1), 0.0, 0.0
+
+    def seg_index(s):
+        return int(np.clip(s / spline.segment_length, 0, spline.num_segments - 1))
+
+    def control_frame():
+        i = seg_index(arc)
+        tangent = spline.tangents[i]
+        gait = seg_speed[i] * np.array([np.cos(theta), np.sin(theta)])
+        return np.concatenate([tangent, mo._rotate2(seg_facing[i], tangent), gait])[None, :]
+
+    def advance():
+        nonlocal arc, theta
+        i = seg_index(arc)
+        arc += seg_speed[i] / frame_rate
+        theta += 2.0 * np.pi * seg_freq[i] / frame_rate
+
+    for f in range(init_q.shape[0]):
+        out = pose_net.step(Tensor(mo.encode_pose(init_q[f][None], cfg.parameterization)),
+                            state, prev_quats=Tensor(init_q[f][None]),
+                            translations=Tensor(np.array([[init_clip.root_positions[f, 1], 0.0]])),
+                            controls=Tensor(control_frame()))
+        state = out["state"]
+        advance()
+    frames_q, frames_root = [], []
+    for f in range(num_frames):
+        quats, trans = out["quats"].data[0], out["translations"].data[0]
+        if (not np.isfinite(quats).all() or not np.isfinite(trans).all()
+                or np.abs(trans).max() > height_limit):
+            raise mo.GenerationDivergedError(
+                f"pose or translation left the {height_limit:.3g} envelope at frame {f}")
+        ground = spline.position_at(np.clip(arc + float(trans[1]), 0.0, spline.total_length))
+        frames_q.append(quats)
+        frames_root.append(np.array([ground[0], float(trans[0]), ground[1]]))
+        advance()
+        out = pose_net.step(out["feedback"], state, prev_quats=out["quats"],
+                            translations=out["translations"], controls=Tensor(control_frame()))
+        state = out["state"]
+    rotations = np.zeros((num_frames, skel.num_joints, 4))
+    rotations[..., 0] = 1.0
+    rotations[:, skel.active_indices] = np.stack(frames_q)
+    return MotionClip(skel, frame_rate, np.stack(frames_root), rotations)
+
+
+def test_generation_matches_reference_loop(corpus):
+    skel, clips = corpus
+    t = np.linspace(0.0, 1.0, 80)
+    heading = 1.3 * np.sin(2 * np.pi * t)
+    ground = np.cumsum(0.05 * np.stack([np.cos(heading), np.sin(heading)], 1), 0)
+    spline = fit_spline(np.stack([ground[:, 0], np.zeros(80), ground[:, 1]], 1), 0.2)
+    pose_net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(
+        skel.num_active, hidden=16, include_controls=True, include_translations=True), seed=0)
+    pace_net = mo.PaceNetwork(mo.PaceNetworkConfig(), seed=0)
+    pace_net.params["head.b"].data[3] = 2.0  # fast enough to run off the spline's end
+    init = clips[0].slice(0, 8)
+    clip = mo.generate_locomotion(pose_net, pace_net, spline, init, 150, 25.0)
+    want = _generate_reference(pose_net, pace_net, spline, init, 150, 25.0)
+    assert clip.rotations.tobytes() == want.rotations.tobytes()
+    assert clip.root_positions.tobytes() == want.root_positions.tobytes()
+    roots = want.root_positions
+    # the last frames stand clamped at the spline's end
+    assert np.array_equal(roots[-1, [0, 2]], roots[-2, [0, 2]])
+    assert np.abs(roots[-1, [0, 2]] - spline.points[-1]).max() < 1e-9
+
+    # root height just under the envelope, at the pace network's own speed:
+    # the run leaves the envelope after its first frame
+    pose_net.params["head.b"].data[pose_net.config.pose_dim] = 10.0 * skel.height() - 0.0486
+    pace_net = mo.PaceNetwork(mo.PaceNetworkConfig(), seed=0)
+    messages = []
+    for generate in (mo.generate_locomotion, _generate_reference):
+        with pytest.raises(mo.GenerationDivergedError) as err:
+            generate(pose_net, pace_net, spline, init, 150, 25.0)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] and not messages[0].endswith("at frame 0")
 
 
 @pytest.mark.parametrize("backbone,mode,sides", [

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,22 @@ def test_mirror_rejects_bad_map(gait):
         md.mirror(clip, {"l_foot": "r_upleg"})
 
 
+@pytest.mark.parametrize("asymmetric, swap, message", [
+    # offsets fail at spine1 (joint 2), topology at l_lowleg (joint 6)
+    ("spine1", {"l_upleg": "r_upleg", "l_lowleg": "r_foot"},
+     "offsets of 'spine1' and 'spine1' are not mirror images"),
+    # spine2 (joint 3) fails both ways, l_foot (joint 7) its offsets
+    ("l_foot", dict(md.SYNTH_SWAP_MAP, spine2="head_end"),
+     "swap map breaks topology at joint 'spine2'"),
+])
+def test_swap_map_error_names_first_failing_joint(gait, asymmetric, swap, message):
+    skel = gait[0]
+    offsets = skel.offsets.copy()
+    offsets[skel.names.index(asymmetric), 0] += 0.1
+    with pytest.raises(ValueError, match=message):
+        md._swap_permutation(dataclasses.replace(skel, offsets=offsets), swap)
+
+
 def test_rotate_clip_fk_oracle(gait):
     skel, clip, _ = gait
     ang = 1.1
@@ -141,6 +159,13 @@ def test_spline_straight_line():
     sp = md.fit_spline(pts, segment_length=0.5)
     assert np.abs(sp.curvatures).max() < 1e-12
     assert np.allclose(sp.tangents, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("length", [0.0, -0.5, float("nan")])
+def test_spline_rejects_non_positive_segment_length(length):
+    pts = np.stack([np.linspace(0, 5, 50), np.zeros(50), np.zeros(50)], axis=1)
+    with pytest.raises(ValueError, match="segment length must be positive"):
+        md.fit_spline(pts, segment_length=length)
 
 
 def test_gait_contacts_and_frequency(gait):
@@ -239,6 +264,23 @@ def test_fit_spline_knots_match_reference_loop():
     # a stop-and-go path with repeated points
     line = np.stack([np.arange(60) * 0.25, np.zeros(60)], axis=1)
     paths += [(line, 0.25), (line * 1.0004 + 1e4, 0.25), (np.repeat(line, 3, axis=0), 0.75)]
+    # points a hair inside and outside the squared distance 0.98 L^2 that
+    # lets a segment be skipped: on a line, and on an arc round the first knot
+    band = np.sqrt(0.98) * 0.25 * (1.0 + np.array([-1e-13, 1e-13]))
+    paths.append((np.stack([(np.arange(40)[:, None] * 0.25 + np.r_[0.0, band]).ravel(),
+                            np.zeros(120)], axis=1), 0.25))
+    angle = np.linspace(0.0, 3.0, 30)
+    arc = np.repeat(band, 15)[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    paths.append((np.concatenate([[[0.0, 0.0]], arc, arc[-1] * np.arange(2, 30)[:, None]]), 0.25))
+    # steps of 2 to 4 L, each crossing several circles
+    heading = rng.uniform(0, 2 * np.pi, 30)
+    steps = rng.uniform(0.5, 1.0, (30, 1)) * np.stack([np.cos(heading), np.sin(heading)], 1)
+    paths.append((np.cumsum(np.concatenate([[[0.0, 0.0]], steps]), axis=0), 0.25))
+    # a path that doubles back inside the circle a few times, then leaves
+    t = np.linspace(0.0, 6 * np.pi, 90)
+    wiggle = 0.25 * np.stack([0.6 * np.sin(t), 0.1 * (1.0 - np.cos(t))], axis=1)
+    paths.append((np.concatenate([wiggle, wiggle[-1] + np.linspace(0, 3, 40)[:, None] * [1.0, 0.5]]),
+                  0.25))
     for path, length in paths:
         got = md.fit_spline(np.stack([path[:, 0], np.zeros(len(path)), path[:, 1]], 1), length)
         want = _fit_spline_reference(path, length)
