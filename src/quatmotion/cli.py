@@ -147,42 +147,37 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def cmd_train_pose(args) -> int:
+def _train_setup(args, **keys):
+    """Read ``args.config``: the values of ``keys`` (their defaults as
+    given), the TrainConfig the other keys build, and the clips of the
+    dataset named by the config or ``--dataset``. Writes the manifest."""
     raw = read_config(args.config) if args.config else {}
     dataset = raw.pop("dataset", args.dataset)
-    preset = raw.pop("preset", args.preset)
-    backbone = raw.pop("backbone", "recurrent")
-    mode = raw.pop("mode", "velocity")
-    parameterization = raw.pop("parameterization", "quaternion")
+    values = {k: raw.pop(k, default) for k, default in keys.items()}
     config = _make_config(tr.TrainConfig, **_coerce(raw, tr.TrainConfig()))
     if dataset is None:
         raise CliError("no dataset given (flag --dataset or config key)", EXIT_USAGE)
     write_manifest(args.out, args, config.seed)
-    clips = _load_clips(dataset)
-    skel = clips[0].skeleton
+    return values, config, _load_clips(dataset)
 
-    resume = None
+
+def cmd_train_pose(args) -> int:
+    opts, config, clips = _train_setup(args, preset=args.preset, backbone="recurrent",
+                                       mode="velocity", parameterization="quaternion")
+    skel = clips[0].skeleton
+    resume = {}
     if args.resume:
-        ck = _load_checkpoint(args.resume, "pose")
-        resume = _from_checkpoint(args.resume, tr.resume_state, ck)
-        config = resume["train_config"]
-        net = _from_checkpoint(args.resume, mo.pose_network_from_checkpoint,
-                               {"config": ck["config"], "arrays": resume["arrays"]})
+        net, (config, resume) = _load_checkpoint(
+            args.resume, "pose", lambda ck: (tr.network_from_checkpoint(ck), tr.resume_state(ck)))
     else:
-        make = mo.PoseNetworkConfig.desk if preset == "desk" else mo.PoseNetworkConfig
-        cfg = _make_config(make, skel.num_active, backbone=backbone, mode=mode,
-                           parameterization=parameterization)
-        net = mo.PoseNetwork(cfg, seed=config.seed)
+        make = mo.PoseNetworkConfig.desk if opts.pop("preset") == "desk" else mo.PoseNetworkConfig
+        net = mo.PoseNetwork(_make_config(make, skel.num_active, **opts), seed=config.seed)
     _check_conditioning(net, config.conditioning_frames)
     ck_path = os.path.join(args.out, "pose.ckpt")
     log_path = os.path.join(args.out, "training_log.csv")
-    kwargs = {}
-    if resume is not None:
-        kwargs = {"start_epoch": resume["epoch"], "adam": resume["adam"],
-                  "rng_state": resume["rng_state"]}
     try:
         tr.train_pose(net, clips, skel, config, log_path=log_path,
-                      checkpoint_path=ck_path, **kwargs)
+                      checkpoint_path=ck_path, **resume)
     except NumericalError as e:
         raise CliError(f"training aborted: {e}", EXIT_NUMERIC)
     except ValueError as e:
@@ -192,21 +187,13 @@ def cmd_train_pose(args) -> int:
 
 
 def cmd_train_pace(args) -> int:
-    raw = read_config(args.config) if args.config else {}
-    dataset = raw.pop("dataset", args.dataset)
-    variant = raw.pop("variant", "bidirectional")
-    left = raw.pop("left_foot", args.left_foot)
-    right = raw.pop("right_foot", args.right_foot)
-    config = _make_config(tr.TrainConfig, **_coerce(raw, tr.TrainConfig()))
-    pace_config = _make_config(mo.PaceNetworkConfig, variant=variant)
-    if dataset is None:
-        raise CliError("no dataset given", EXIT_USAGE)
-    write_manifest(args.out, args, config.seed)
-    clips = _load_clips(dataset)
+    opts, config, clips = _train_setup(args, variant="bidirectional",
+                                       left_foot=args.left_foot, right_foot=args.right_foot)
+    pace_config = _make_config(mo.PaceNetworkConfig, variant=opts["variant"])
     skel = clips[0].skeleton
     try:
-        li = skel.names.index(left)
-        ri = skel.names.index(right)
+        li = skel.names.index(opts["left_foot"])
+        ri = skel.names.index(opts["right_foot"])
     except ValueError as e:
         raise CliError(f"unknown foot joint: {e}", EXIT_DATA)
     examples = []
@@ -231,7 +218,10 @@ def cmd_train_pace(args) -> int:
     return EXIT_OK
 
 
-def _load_checkpoint(path, kind: str) -> dict:
+def _load_checkpoint(path, kind: str, build):
+    """``build(ck)`` for the ``kind`` checkpoint at ``path``. A file that
+    cannot be read or is of another kind is a usage error; a corrupt one,
+    or one whose stored config or arrays cannot build, a data error."""
     try:
         ck = mo.load_checkpoint(path)
     except ValueError as e:
@@ -240,41 +230,34 @@ def _load_checkpoint(path, kind: str) -> dict:
         raise CliError(f"cannot read checkpoint: {e}", EXIT_USAGE)
     if ck["kind"] != kind:
         raise CliError(f"{path}: not a {kind} checkpoint", EXIT_USAGE)
-    return ck
-
-
-def _from_checkpoint(path, build, ck):
-    """``build(ck)``; a stored config or array set that cannot build is a
-    data error."""
     try:
         return build(ck)
     except (KeyError, TypeError, ValueError) as e:
         raise CliError(f"{path}: stored checkpoint is unusable: {e!r}", EXIT_DATA)
 
 
-def _load_pose_net(path) -> mo.PoseNetwork:
-    ck = _load_checkpoint(path, "pose")
-    ck["arrays"] = {k: v for k, v in ck["arrays"].items()
-                    if not k.startswith("adam.")}
-    return _from_checkpoint(path, mo.pose_network_from_checkpoint, ck)
-
-
 def _check_conditioning(net: mo.PoseNetwork, n: int) -> None:
     cfg = net.config
-    need = cfg.receptive_field if cfg.backbone == "convolutional" else 1
-    if n < need:
-        raise CliError(f"the {cfg.backbone} backbone needs conditioning_frames >= {need}, "
-                       f"got {n}", EXIT_USAGE)
+    if n < cfg.min_conditioning_frames:
+        raise CliError(f"the {cfg.backbone} backbone needs conditioning_frames >= "
+                       f"{cfg.min_conditioning_frames}, got {n}", EXIT_USAGE)
+
+
+def _load_model_and_data(args) -> tuple:
+    """The pose network of ``--checkpoint`` and the clips of ``--dataset``,
+    checked against ``--conditioning-frames`` and each other."""
+    net = _load_checkpoint(args.checkpoint, "pose", tr.network_from_checkpoint)
+    _check_conditioning(net, args.conditioning_frames)
+    clips = _load_clips(args.dataset)
+    if clips[0].skeleton.num_active != net.config.num_joints:
+        raise CliError("checkpoint and dataset skeletons are incompatible", EXIT_DATA)
+    return net, clips
 
 
 def cmd_predict(args) -> int:
     write_manifest(args.out, args, args.seed)
-    net = _load_pose_net(args.checkpoint)
-    _check_conditioning(net, args.conditioning_frames)
-    clips = _load_clips(args.dataset)
+    net, clips = _load_model_and_data(args)
     skel = clips[0].skeleton
-    if skel.num_active != net.config.num_joints:
-        raise CliError("checkpoint and dataset skeletons are incompatible", EXIT_DATA)
     horizon = max(1, int(round(args.horizon_ms * clips[0].frame_rate / 1000.0)))
     n = args.conditioning_frames
     rows = []
@@ -312,9 +295,8 @@ def cmd_generate(args) -> int:
         raise CliError(f"--segment-length must be positive, got {args.segment_length}",
                        EXIT_USAGE)
     write_manifest(args.out, args, args.seed)
-    pose_net = _load_pose_net(args.pose_checkpoint)
-    pace_net = _from_checkpoint(args.pace_checkpoint, mo.pace_network_from_checkpoint,
-                                _load_checkpoint(args.pace_checkpoint, "pace"))
+    pose_net = _load_checkpoint(args.pose_checkpoint, "pose", tr.network_from_checkpoint)
+    pace_net = _load_checkpoint(args.pace_checkpoint, "pace", mo.pace_network_from_checkpoint)
     init = _load_clips(args.init_clip)[0]
     try:
         waypoints = np.loadtxt(args.spline, delimiter=",", ndmin=2)
@@ -335,44 +317,36 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _protocol_from_arg(spec: str, seed: int, n: int, frame_rate: float) -> ev.EvalProtocol:
-    if spec == "standard":
-        s = 4
-    elif spec == "proposed":
-        s = 128
-    elif spec.startswith("S="):
-        s = int(spec[2:])
+def _report(args, predictor, clips) -> int:
+    """Run the protocol ``--protocol`` names (standard, proposed or
+    S=<integer >= 1>) with ``predictor`` on ``clips``; write report.csv."""
+    kw = {"seed": args.seed, "conditioning_frames": args.conditioning_frames,
+          "frame_rate": clips[0].frame_rate}
+    spec = args.protocol
+    presets = {"standard": ev.EvalProtocol.standard, "proposed": ev.EvalProtocol.proposed}
+    if spec in presets:
+        proto = presets[spec](**kw)
+    elif spec.startswith("S=") and spec[2:].isdecimal() and int(spec[2:]) >= 1:
+        proto = ev.EvalProtocol(samples_per_sequence=int(spec[2:]), **kw)
     else:
-        raise CliError(f"unknown protocol {spec!r}", EXIT_USAGE)
-    return ev.EvalProtocol(samples_per_sequence=s, seed=seed,
-                           conditioning_frames=n, frame_rate=frame_rate)
-
-
-def cmd_evaluate(args) -> int:
-    write_manifest(args.out, args, args.seed)
-    clips = _load_clips(args.dataset)
-    proto = _protocol_from_arg(args.protocol, args.seed,
-                               args.conditioning_frames, clips[0].frame_rate)
-    net = _load_pose_net(args.checkpoint)
-    _check_conditioning(net, args.conditioning_frames)
-    if clips[0].skeleton.num_active != net.config.num_joints:
-        raise CliError("checkpoint and dataset skeletons are incompatible", EXIT_DATA)
-    report = ev.run_protocol(lambda p, h: tr.free_run_predict(net, p, h),
-                             clips, proto)
+        raise CliError(f"unknown protocol {spec!r}: use standard, proposed or "
+                       f"S=<integer >= 1>", EXIT_USAGE)
+    report = ev.run_protocol(predictor, clips, proto)
     report.to_csv(os.path.join(args.out, "report.csv"), ci=True)
     print(report.summary())
     return EXIT_OK
 
 
+def cmd_evaluate(args) -> int:
+    write_manifest(args.out, args, args.seed)
+    net, clips = _load_model_and_data(args)
+    return _report(args, lambda p, h: tr.free_run_predict(net, p, h), clips)
+
+
 def cmd_baseline(args) -> int:
     write_manifest(args.out, args, args.seed)
     clips = _load_clips(args.dataset)
-    proto = _protocol_from_arg(args.protocol, args.seed,
-                               args.conditioning_frames, clips[0].frame_rate)
-    windows = {"zerovel": 1, "runavg2": 2, "runavg4": 4}
-    if args.kind not in windows:
-        raise CliError(f"unknown baseline {args.kind!r}", EXIT_USAGE)
-    need = windows[args.kind]
+    need = {"zerovel": 1, "runavg2": 2, "runavg4": 4}[args.kind]
     if args.conditioning_frames < need:
         raise CliError(f"the {args.kind} baseline needs conditioning_frames >= {need}, "
                        f"got {args.conditioning_frames}", EXIT_USAGE)
@@ -380,10 +354,7 @@ def cmd_baseline(args) -> int:
         predictor = ev.baseline_zero_velocity
     else:
         predictor = lambda p, h: ev.baseline_running_average(p, h, window=need)
-    report = ev.run_protocol(predictor, clips, proto)
-    report.to_csv(os.path.join(args.out, "report.csv"), ci=True)
-    print(report.summary())
-    return EXIT_OK
+    return _report(args, predictor, clips)
 
 
 def cmd_gradcheck(args) -> int:

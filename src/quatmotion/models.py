@@ -21,9 +21,6 @@ through a small feed-forward encoder outside the recurrent path.
 
 from __future__ import annotations
 
-import json
-import os
-import struct
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -31,11 +28,12 @@ import numpy as np
 from . import autodiff as ad
 from . import rotmath as rm
 from .autodiff import Tensor
-from .motiondata import MotionClip, _read_exact, _read_header
+from .motiondata import MotionClip, _read_exact, _read_header, _write_container
 
 CHECKPOINT_MAGIC = b"QMN1"
 CHECKPOINT_VERSION = 1
 CONTROL_DIM = 6
+CONV_TAPS = 2  # every causal convolution reads frames t - d and t
 ENCODER_UNITS = 30
 LEAKY_SLOPE = 0.05
 
@@ -90,7 +88,6 @@ class PoseNetworkConfig:
     hidden: int = 1000
     layers: int = 2
     channels: int = 1024
-    filter_width: int = 2
     conv_layers: int = 5
     parameterization: str = "quaternion"
     include_controls: bool = False
@@ -107,8 +104,6 @@ class PoseNetworkConfig:
         if self.backbone != "recurrent" and (self.include_controls
                                              or self.include_translations):
             raise ValueError("controls and translations need the recurrent backbone")
-        if self.filter_width != 2:
-            raise ValueError(f"filter_width must be 2 (two taps), got {self.filter_width}")
 
     @classmethod
     def desk(cls, num_joints: int, **kw) -> "PoseNetworkConfig":
@@ -145,8 +140,14 @@ class PoseNetworkConfig:
 
     @property
     def receptive_field(self) -> int:
-        # width-2 taps: 1 + sum of dilations
+        # two taps per layer: 1 + sum of dilations
         return 1 + sum(self.dilations)
+
+    @property
+    def min_conditioning_frames(self) -> int:
+        """The fewest frames ``forward_window`` conditions on: the
+        receptive field of the convolutional backbone, else 1."""
+        return self.receptive_field if self.backbone == "convolutional" else 1
 
 
 def expected_param_count(config: PoseNetworkConfig) -> int:
@@ -164,10 +165,9 @@ def expected_param_count(config: PoseNetworkConfig) -> int:
             i = h
         n += (h + 1) * config.output_dim
         return n
-    w = config.filter_width
     dims = config.conv_dims
     for fin, fout in zip(dims[:-1], dims[1:]):
-        n += fout * (fin * w + 1)
+        n += fout * (fin * CONV_TAPS + 1)
     return n
 
 
@@ -274,7 +274,7 @@ class PoseNetwork(ParamContainer):
         else:
             dims = config.conv_dims
             for layer, (fin, fout) in enumerate(zip(dims[:-1], dims[1:])):
-                scale = 1.0 / np.sqrt(fin * config.filter_width)
+                scale = 1.0 / np.sqrt(fin * CONV_TAPS)
                 params[f"conv{layer}.w0"] = ad.parameter((fin, fout), rng, scale)
                 params[f"conv{layer}.w1"] = ad.parameter((fin, fout), rng, scale)
                 params[f"conv{layer}.b"] = ad.parameter(np.zeros(fout))
@@ -358,9 +358,13 @@ class PoseNetwork(ParamContainer):
         output. Side inputs are per frame, (B, T, 2) and (B, T, 6);
         ``prev_quats`` (B, A, 4) is the last frame's. The recurrent backbone
         builds each frame's inputs as ``step`` does; the convolutional one
-        reads the last ``receptive_field`` frames and needs T to reach it."""
+        reads the last ``receptive_field`` frames. T below
+        ``config.min_conditioning_frames`` is a ValueError."""
         cfg = self.config
         b, t = pose_window.shape[:2]
+        if t < cfg.min_conditioning_frames:
+            raise ValueError(f"the {cfg.backbone} backbone needs >= "
+                             f"{cfg.min_conditioning_frames} frames, got {t}")
         state = self.init_state(b)
         if cfg.backbone == "recurrent":
             _, state = self._gru.sequence(
@@ -368,8 +372,6 @@ class PoseNetwork(ParamContainer):
             raw = _linear(self.params, "head", state[-1])
         else:
             rf = cfg.receptive_field
-            if t < rf:
-                raise ValueError(f"the convolutional backbone needs >= {rf} frames, got {t}")
             raw, state = self._conv_stack(self._inputs(pose_window[:, t - rf:], prev_quats),
                                           state)
         if not all(np.isfinite(s.data).all() for s in state):
@@ -519,8 +521,10 @@ def generate_locomotion(pose_net: PoseNetwork, pace_net: PaceNetwork, spline,
     if n_init < 1:
         raise ValueError("the init clip has no frames")
 
-    arc, controls = _pace_schedule(spline, pace_net.forward(spline.curvatures),
-                                   n_init + num_frames + 1, frame_rate)
+    pace = pace_net.forward(spline.curvatures)
+    if not all(np.isfinite(pace[k].data).all() for k in ("facing", "frequency", "speed")):
+        raise GenerationDivergedError("the pace network's output is not finite")
+    arc, controls = _pace_schedule(spline, pace, n_init + num_frames + 1, frame_rate)
     init_q = init_clip.active_rotations
     height_limit = 10.0 * max(skel.height(), 1e-6)
 
@@ -562,9 +566,9 @@ def generate_locomotion(pose_net: PoseNetwork, pace_net: PaceNetwork, spline,
 # -- checkpoints ------------------------------------------------------------------
 
 def save_checkpoint(path, kind: str, config: dict, arrays: dict, meta: dict | None = None) -> None:
-    """Versioned container: magic, uint32 header length, JSON header
-    (kind, config, meta, array manifest), then float64 LE array bodies in
-    manifest order."""
+    """Versioned container (see ``motiondata._write_container``): a JSON
+    header (version, kind, config, meta, array manifest of names and
+    shapes), then the arrays as float64 in manifest (sorted-name) order."""
     names = sorted(arrays)
     header = {
         "version": CHECKPOINT_VERSION,
@@ -573,16 +577,7 @@ def save_checkpoint(path, kind: str, config: dict, arrays: dict, meta: dict | No
         "meta": meta or {},
         "arrays": [{"name": n, "shape": list(np.asarray(arrays[n]).shape)} for n in names],
     }
-    blob = json.dumps(header).encode("utf-8")
-    # write aside, then swap in: a crash mid-save keeps the previous file
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for n in names:
-            fh.write(np.asarray(arrays[n], dtype=float).astype("<f8").tobytes())
-    os.replace(tmp, path)
+    _write_container(path, CHECKPOINT_MAGIC, header, (arrays[n] for n in names), "<f8")
 
 
 def load_checkpoint(path) -> dict:
@@ -612,7 +607,12 @@ def _checked_params(arrays: dict, fresh: ParamContainer) -> dict:
 
 
 def pose_network_from_checkpoint(ck: dict) -> PoseNetwork:
-    config = PoseNetworkConfig(**ck["config"])
+    stored = dict(ck["config"])
+    # older checkpoints store the two taps as "filter_width"
+    taps = stored.pop("filter_width", CONV_TAPS)
+    if taps != CONV_TAPS:
+        raise ValueError(f"filter_width must be {CONV_TAPS} (two taps), got {taps!r}")
+    config = PoseNetworkConfig(**stored)
     return PoseNetwork(config, params=_checked_params(ck["arrays"], PoseNetwork(config)))
 
 

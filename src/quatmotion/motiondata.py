@@ -96,8 +96,8 @@ def save_bvh(path, clip: MotionClip) -> None:
 
 
 def save_clip(path, clip: MotionClip) -> None:
-    """Write one clip: magic, uint32 header length, JSON header, then
-    little-endian float32 root positions (T, 3) and rotations (T, J, 4)."""
+    """Write one clip: a container (see ``_write_container``) whose bodies
+    are the float32 root positions (T, 3) and rotations (T, J, 4)."""
     header = {
         "skeleton": clip.skeleton.to_dict(),
         "frame_rate": clip.frame_rate,
@@ -105,13 +105,23 @@ def save_clip(path, clip: MotionClip) -> None:
         "subject": clip.subject,
         "action": clip.action,
     }
+    _write_container(path, QMC_MAGIC, header, (clip.root_positions, clip.rotations), "<f4")
+
+
+def _write_container(path, magic: bytes, header: dict, arrays, dtype: str) -> None:
+    """Write magic bytes, a little-endian uint32 header length, the JSON
+    header, then each array's values as ``dtype``. The file is written to
+    ``path.tmp`` and then moved over ``path``, so a crash mid-write keeps
+    the previous file."""
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(QMC_MAGIC)
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(magic)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(clip.root_positions.astype("<f4").tobytes())
-        fh.write(clip.rotations.astype("<f4").tobytes())
+        for a in arrays:
+            fh.write(np.asarray(a, dtype=float).astype(dtype).tobytes())
+    os.replace(tmp, path)
 
 
 def _read_exact(fh, size: int) -> bytes:

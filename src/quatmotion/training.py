@@ -23,7 +23,7 @@ from .autodiff import Tensor
 from .kinematics import (Skeleton, forward_kinematics, forward_kinematics_tensor,
                          position_error, position_error_tensor, velocity_error)
 from .models import (CONTROL_DIM, PaceNetwork, PoseNetwork, _rotate2, encode_pose,
-                     save_checkpoint)
+                     pose_network_from_checkpoint, save_checkpoint)
 from .optim import AdamState, adam_step
 
 LR_DECAY = 0.999
@@ -410,20 +410,26 @@ def save_pose_checkpoint(path, net: PoseNetwork, skel: Skeleton,
     save_checkpoint(path, "pose", asdict(net.config), arrays, meta)
 
 
-def resume_state(ck: dict) -> dict:
-    """Split a training checkpoint back into net arrays + optimizer/rng
-    state for passing to train_pose."""
+def network_from_checkpoint(ck: dict) -> PoseNetwork:
+    """The pose network a checkpoint stores, without the optimizer's
+    ``adam.m.*``/``adam.v.*`` arrays that training checkpoints add."""
     arrays = {k: v for k, v in ck["arrays"].items() if not k.startswith("adam.")}
+    return pose_network_from_checkpoint({"config": ck["config"], "arrays": arrays})
+
+
+def resume_state(ck: dict) -> tuple:
+    """A training checkpoint's TrainConfig, and the ``start_epoch``,
+    ``adam`` and ``rng_state`` arguments that make ``train_pose`` resume
+    the run bit-exactly."""
     adam = AdamState(step=int(ck["meta"]["adam_step"]))
     for k, v in ck["arrays"].items():
         if k.startswith("adam.m."):
             adam.m[k[len("adam.m."):]] = v.copy()
         elif k.startswith("adam.v."):
             adam.v[k[len("adam.v."):]] = v.copy()
-    return {"arrays": arrays, "adam": adam,
-            "epoch": int(ck["meta"]["epoch"]),
-            "rng_state": ck["meta"]["rng_state"],
-            "train_config": TrainConfig(**ck["meta"]["train_config"])}
+    return (TrainConfig(**ck["meta"]["train_config"]),
+            {"start_epoch": int(ck["meta"]["epoch"]), "adam": adam,
+             "rng_state": ck["meta"]["rng_state"]})
 
 
 # -- pace training -------------------------------------------------------------------

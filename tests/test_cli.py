@@ -313,6 +313,10 @@ def _sideways_variant(ck):
     ck["config"]["variant"] = "sideways"
 
 
+def _filter_width_3(ck):
+    ck["config"]["filter_width"] = 3
+
+
 def _drop_head_w(ck):
     del ck["arrays"]["head.w"]
 
@@ -329,6 +333,7 @@ def _short_head_w(ck):
     ("generate", "--pace-checkpoint", _sideways_variant),
     ("train-pose", "--resume", _rename_hidden),
     ("train-pose", "--resume", _bad_train_config),
+    ("predict", "--checkpoint", _filter_width_3),
     ("predict", "--checkpoint", _drop_head_w),
     ("evaluate", "--checkpoint", _short_head_w),
     ("generate", "--pace-checkpoint", _drop_head_w),
@@ -371,6 +376,60 @@ def test_conv_checkpoint_needs_its_receptive_field(tmp_path, dataset_dir, capsys
                 "--out", tmp_path / "o"]) == 1
     err = capsys.readouterr().err
     assert f">= {cfg.receptive_field}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("backbone", ["recurrent", "convolutional"])
+def test_window_and_cli_share_the_conditioning_minimum(tmp_path, dataset_dir, capsys, backbone):
+    from quatmotion import models as mo
+    from quatmotion.autodiff import Tensor
+    clip = md.load_dataset(dataset_dir)[0]
+    cfg = mo.PoseNetworkConfig.desk(clip.skeleton.num_active, backbone=backbone,
+                                    hidden=8, channels=8)
+    net = mo.PoseNetwork(cfg)
+    ck = tmp_path / "net.ckpt"
+    mo.save_checkpoint(ck, "pose", asdict(cfg), net.param_arrays())
+    need = cfg.min_conditioning_frames
+    assert need == (32 if backbone == "convolutional" else 1)
+    rots = clip.active_rotations[None]
+    window = mo.encode_pose(rots, cfg.parameterization)
+    for n, code in ((need - 1, 1), (need, 0)):
+        assert run(["predict", "--checkpoint", ck, "--dataset", dataset_dir,
+                    "--conditioning-frames", n, "--out", tmp_path / f"o{n}"]) == code
+        if code:
+            with pytest.raises(ValueError, match=f">= {need} frames"):
+                net.forward_window(Tensor(window[:, :n]), Tensor(rots[:, n - 1]))
+        else:
+            net.forward_window(Tensor(window[:, :n]), Tensor(rots[:, n - 1]))
+    err = capsys.readouterr().err
+    assert f"conditioning_frames >= {need}, got {need - 1}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "baseline"])
+@pytest.mark.parametrize("spec", ["S=abc", "S=-2", "S=0", "S=", "bogus"])
+def test_bad_protocol_is_usage_error(tmp_path, dataset_dir, training_checkpoint, capsys,
+                                     command, spec):
+    model = {"evaluate": ["--checkpoint", training_checkpoint],
+             "baseline": ["--kind", "zerovel"]}[command]
+    out = tmp_path / "o"
+    assert run([command, *model, "--dataset", dataset_dir, "--protocol", spec,
+                "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert repr(spec) in err and "Traceback" not in err
+    assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("output", [2, 3], ids=["frequency", "speed"])
+def test_generate_non_finite_pace_output_is_numeric_error(tmp_path, generate_args, capsys,
+                                                          output):
+    from quatmotion import models as mo
+    ck = mo.load_checkpoint(generate_args[4])
+    ck["arrays"]["head.b"][output] = np.nan
+    pace = tmp_path / "nan_pace.ckpt"
+    mo.save_checkpoint(pace, "pace", ck["config"], ck["arrays"], ck["meta"])
+    args = generate_args[:4] + [pace] + generate_args[5:]
+    assert run(args + ["--frames", "5", "--out", tmp_path / "o"]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "pace network" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("backbone,weight,n", [("recurrent", "head.b", 10),

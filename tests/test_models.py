@@ -83,15 +83,21 @@ def test_side_inputs_require_recurrent_backbone(side):
     assert getattr(mo.PoseNetworkConfig(4, **{side: True}), side)
 
 
-def test_filter_width_other_than_2_is_rejected():
-    # the layers have two taps; any other width would change only the init
-    # scale and make expected_param_count disagree with the built network
-    for width in (1, 3):
-        with pytest.raises(ValueError, match="filter_width"):
-            mo.PoseNetworkConfig.desk(4, channels=16, backbone="convolutional",
-                                      filter_width=width)
-    cfg = mo.PoseNetworkConfig.desk(4, channels=16, backbone="convolutional", filter_width=2)
-    assert count_params(mo.PoseNetwork(cfg)) == mo.expected_param_count(cfg) == 2640
+def test_stored_filter_width_loads_only_at_2(tmp_path):
+    # older checkpoints store the two taps of every layer as filter_width
+    cfg = mo.PoseNetworkConfig.desk(4, channels=16, backbone="convolutional")
+    arrays = mo.PoseNetwork(cfg, seed=0).param_arrays()
+    for width in (2, 3):
+        path = tmp_path / f"width{width}.ckpt"
+        mo.save_checkpoint(path, "pose", {**asdict(cfg), "filter_width": width}, arrays)
+        ck = mo.load_checkpoint(path)
+        if width != 2:
+            with pytest.raises(ValueError, match="filter_width"):
+                mo.pose_network_from_checkpoint(ck)
+            continue
+        back = mo.pose_network_from_checkpoint(ck)
+        assert back.config == cfg
+        assert count_params(back) == mo.expected_param_count(cfg) == 2640
 
 
 def test_conv_receptive_field_is_32(rng):
@@ -266,6 +272,18 @@ def test_generation_divergence_guard(corpus):
     with pytest.raises(mo.GenerationDivergedError):
         mo.generate_locomotion(pose_net, pace_net, spline, clips[0],
                                num_frames=200, frame_rate=25.0)
+
+
+@pytest.mark.parametrize("output", [0, 2, 3], ids=["facing", "frequency", "speed"])
+def test_generation_rejects_non_finite_pace_output(corpus, output):
+    skel, clips = corpus
+    pose_net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(
+        skel.num_active, hidden=8, include_controls=True, include_translations=True), seed=0)
+    pace_net = mo.PaceNetwork(mo.PaceNetworkConfig(), seed=0)
+    pace_net.params["head.b"].data[output] = np.nan
+    spline = fit_spline(np.stack([np.linspace(0, 4, 60), np.zeros(60), np.zeros(60)], 1), 0.25)
+    with pytest.raises(mo.GenerationDivergedError, match="pace network"):
+        mo.generate_locomotion(pose_net, pace_net, spline, clips[0], 10, 25.0)
 
 
 @pytest.mark.parametrize("frames,rate,init_frames,message", [

@@ -43,6 +43,21 @@ def test_qmc_round_trip(tmp_path, gait):
     assert np.array_equal(again.root_positions, back.root_positions)
 
 
+def test_qmc_failed_save_keeps_previous(tmp_path, gait):
+    skel, clip, _ = gait
+    path = tmp_path / "clip.qmc"
+    md.save_clip(path, clip)
+    before = path.read_bytes()
+    bad = clip.slice(0, 5)
+    # the rotations fail to convert after the header and root positions are written
+    bad.rotations = bad.rotations.astype(object)
+    bad.rotations[0, 0, 0] = "x"
+    with pytest.raises(ValueError):
+        md.save_clip(path, bad)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.glob("*.qmc")] == ["clip.qmc"]
+
+
 def test_dataset_round_trip(tmp_path, corpus):
     skel, clips = corpus
     md.save_dataset(tmp_path / "ds", clips)

@@ -204,11 +204,11 @@ def test_checkpoint_resume_continues_exactly(tmp_path, corpus, backbone, n):
     ck = tmp_path / "part.ckpt"
     tr.train_pose(part, clips, skel, half_cfg, checkpoint_path=ck)
 
-    state = tr.resume_state(mo.load_checkpoint(ck))
-    resumed = mo.pose_network_from_checkpoint(
-        {"config": mo.load_checkpoint(ck)["config"], "arrays": state["arrays"]})
-    tr.train_pose(resumed, clips, skel, cfg, start_epoch=state["epoch"],
-                  adam=state["adam"], rng_state=state["rng_state"])
+    stored = mo.load_checkpoint(ck)
+    stored_cfg, resume = tr.resume_state(stored)
+    assert stored_cfg == half_cfg and resume["start_epoch"] == 2
+    resumed = tr.network_from_checkpoint(stored)
+    tr.train_pose(resumed, clips, skel, cfg, **resume)
     for k in full.params:
         assert np.array_equal(full.params[k].data, resumed.params[k].data), k
 
