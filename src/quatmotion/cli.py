@@ -25,7 +25,6 @@ from . import models as mo
 from . import training as tr
 from .autodiff import NumericalError
 from .bvh import BvhParseError
-from .kinematics import forward_kinematics
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -459,13 +458,19 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    except BrokenPipeError:
+        # a closed stdout (`| head`): exit quietly, also at the flush on exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -20,8 +20,8 @@ from . import rotmath as rm
 from .autodiff import Tensor
 from .kinematics import (Skeleton, forward_kinematics, ik_reproject,
                          per_frame_velocity_error, position_error)
-from .models import (ParamContainer, PoseNetwork, PoseNetworkConfig, _GruStack,
-                     _init_linear, _linear)
+from .models import (ParamContainer, PoseNetwork, PoseNetworkConfig, _GruStack, _linear,
+                     gru_specs, linear_specs)
 from .optim import AdamState, adam_step
 from .training import TrainConfig, euler_error, free_run_chunks, train_pose
 
@@ -173,12 +173,6 @@ def bootstrap_ci(errors, resamples: int = 1000, quantiles=(25.0, 75.0),
 
 # -- ablation harnesses ------------------------------------------------------------
 
-def ablate_conditioning(evaluate_for_n, n_values) -> list:
-    """Error-vs-conditioning-length table: [(n, error), ...] using the
-    caller-supplied ``evaluate_for_n(n) -> error``."""
-    return [(int(n), float(evaluate_for_n(int(n)))) for n in n_values]
-
-
 def detect_plateau(errors, rel_tol: float = 0.05) -> int:
     """First index after which every successive change stays below
     rel_tol of the current value."""
@@ -242,13 +236,12 @@ class PositionNetwork(ParamContainer):
     joints, flattened."""
 
     def __init__(self, num_joints: int, hidden: int = 64, layers: int = 2,
-                 seed: int = 0):
+                 seed: int = 0, params: dict | None = None):
         self.num_joints = num_joints
-        rng = np.random.default_rng(seed)
-        self.params = {}
-        self._gru = _GruStack(self.params, [f"gru{layer}" for layer in range(layers)], hidden)
-        self._gru.init(rng, 3 * num_joints)
-        _init_linear(rng, "head", hidden, 3 * num_joints, self.params)
+        prefixes = [f"gru{layer}" for layer in range(layers)]
+        super().__init__(gru_specs(prefixes, 3 * num_joints, hidden)
+                         + linear_specs("head", hidden, 3 * num_joints), seed, params)
+        self._gru = _GruStack(self.params, prefixes, hidden)
 
     def init_state(self, batch: int) -> list:
         return self._gru.init_state(batch)

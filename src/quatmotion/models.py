@@ -17,11 +17,15 @@ Exponential-map and Euler heads decode through autodiff's conversion nodes.
 Optional side inputs, recurrent backbone only: 2 translation channels
 (root height, trajectory offset) and a 6-feature control frame passed
 through a small feed-forward encoder outside the recurrent path.
+
+Each network declares its parameters once, as ``(name, shape, scale)``
+entries: ``ParamContainer`` draws a new network's values from them and
+checks a checkpoint's arrays against them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,16 +185,6 @@ class _GruStack:
     def __init__(self, params: dict, prefixes: list, hidden: int):
         self.params, self.prefixes, self.hidden = params, prefixes, hidden
 
-    def init(self, rng, input_dim: int) -> None:
-        """Draw every layer's parameters into the params dict."""
-        scale = 1.0 / np.sqrt(self.hidden)
-        for prefix in self.prefixes:
-            self.params[f"{prefix}.wx"] = ad.parameter((input_dim, 3 * self.hidden), rng, scale)
-            self.params[f"{prefix}.wh"] = ad.parameter((self.hidden, 3 * self.hidden), rng, scale)
-            self.params[f"{prefix}.b"] = ad.parameter(np.zeros(3 * self.hidden))
-            self.params[f"{prefix}.h0"] = ad.parameter(np.zeros(self.hidden))
-            input_dim = self.hidden
-
     def init_state(self, batch_size: int) -> list:
         """Per-layer hidden states: the learned h0 broadcast over the batch."""
         return [self.params[f"{prefix}.h0"] + ad.zeros((batch_size, self.hidden))
@@ -216,12 +210,6 @@ class _GruStack:
         return x, new_state
 
 
-def _init_linear(rng, prefix: str, input_dim: int, output_dim: int, params: dict) -> None:
-    scale = 1.0 / np.sqrt(input_dim)
-    params[f"{prefix}.w"] = ad.parameter((input_dim, output_dim), rng, scale)
-    params[f"{prefix}.b"] = ad.parameter(np.zeros(output_dim))
-
-
 def _linear(params: dict, prefix: str, x: Tensor) -> Tensor:
     return x @ params[f"{prefix}.w"] + params[f"{prefix}.b"]
 
@@ -234,11 +222,42 @@ def encode_controls(params: dict, controls: Tensor) -> Tensor:
 
 # -- parameter container ---------------------------------------------------------
 
+def gru_specs(prefixes, input_dim: int, hidden: int) -> list:
+    """The ``(name, shape, scale)`` entries of stacked GRU layers, each
+    feeding the next, in draw order."""
+    scale, specs = 1.0 / np.sqrt(hidden), []
+    for prefix in prefixes:
+        specs += [(f"{prefix}.wx", (input_dim, 3 * hidden), scale),
+                  (f"{prefix}.wh", (hidden, 3 * hidden), scale),
+                  (f"{prefix}.b", (3 * hidden,), None), (f"{prefix}.h0", (hidden,), None)]
+        input_dim = hidden
+    return specs
+
+
+def linear_specs(prefix: str, fin: int, fout: int) -> list:
+    return [(f"{prefix}.w", (fin, fout), 1.0 / np.sqrt(fin)), (f"{prefix}.b", (fout,), None)]
+
+
 class ParamContainer:
     """Base of the networks: a ``params`` dict of trainable leaf tensors,
-    exposed to the optimizer and checkpoints as plain arrays."""
+    exposed to the optimizer and checkpoints as plain arrays. ``specs``
+    declares them as ``(name, shape, scale)`` in draw order: without
+    ``params`` each is drawn uniform(-scale, scale) from one seeded stream,
+    or is zeros (drawing nothing) for a scale of None; given ``params``,
+    their names and shapes must be the declared ones (else ValueError)."""
 
-    params: dict
+    def __init__(self, specs: list, seed: int = 0, params: dict | None = None):
+        if params is None:
+            rng = np.random.default_rng(seed)
+            params = {name: ad.parameter(shape, rng, scale) if scale is not None
+                      else ad.parameter(np.zeros(shape)) for name, shape, scale in specs}
+        want = {name: tuple(shape) for name, shape, _ in specs}
+        got = {k: v.shape for k, v in params.items()}
+        bad = [f"{k} {got.get(k)} (config: {want.get(k)})"
+               for k in sorted(want.keys() | got.keys()) if got.get(k) != want.get(k)]
+        if bad:
+            raise ValueError(f"stored arrays do not fit the config: {'; '.join(bad)}")
+        self.params = params
 
     def param_arrays(self) -> dict:
         return {k: v.data for k, v in self.params.items()}
@@ -258,26 +277,22 @@ class PoseNetwork(ParamContainer):
 
     def __init__(self, config: PoseNetworkConfig, seed: int = 0, params: dict | None = None):
         self.config = config
-        self.params = {} if params is None else params
-        self._gru = _GruStack(self.params, [f"gru{layer}" for layer in range(config.layers)],
-                              config.hidden)
-        if params is not None:
-            return
-        rng = np.random.default_rng(seed)
-        params = self.params
+        prefixes = [f"gru{layer}" for layer in range(config.layers)]
+        specs = []
         if config.include_controls:
-            _init_linear(rng, "enc.l1", CONTROL_DIM, ENCODER_UNITS, params)
-            _init_linear(rng, "enc.l2", ENCODER_UNITS, ENCODER_UNITS, params)
+            specs += (linear_specs("enc.l1", CONTROL_DIM, ENCODER_UNITS)
+                      + linear_specs("enc.l2", ENCODER_UNITS, ENCODER_UNITS))
         if config.backbone == "recurrent":
-            self._gru.init(rng, config.input_dim)
-            _init_linear(rng, "head", config.hidden, config.output_dim, params)
+            specs += (gru_specs(prefixes, config.input_dim, config.hidden)
+                      + linear_specs("head", config.hidden, config.output_dim))
         else:
             dims = config.conv_dims
             for layer, (fin, fout) in enumerate(zip(dims[:-1], dims[1:])):
                 scale = 1.0 / np.sqrt(fin * CONV_TAPS)
-                params[f"conv{layer}.w0"] = ad.parameter((fin, fout), rng, scale)
-                params[f"conv{layer}.w1"] = ad.parameter((fin, fout), rng, scale)
-                params[f"conv{layer}.b"] = ad.parameter(np.zeros(fout))
+                specs += [(f"conv{layer}.w{tap}", (fin, fout), scale) for tap in range(CONV_TAPS)]
+                specs.append((f"conv{layer}.b", (fout,), None))
+        super().__init__(specs, seed, params)
+        self._gru = _GruStack(self.params, prefixes, config.hidden)
 
     def init_state(self, batch_size: int) -> list:
         """The state before the first frame. Recurrent: per-layer hidden
@@ -429,18 +444,12 @@ class PaceNetwork(ParamContainer):
 
     def __init__(self, config: PaceNetworkConfig, seed: int = 0, params: dict | None = None):
         self.config = config
-        self.params = {} if params is None else params
+        prefixes = ["fwd", "bwd"] if config.variant == "bidirectional" else ["fwd"]
+        specs = [spec for prefix in prefixes for spec in gru_specs([prefix], 1, config.hidden)]
+        super().__init__(specs + linear_specs("head", len(prefixes) * config.hidden, self.OUT_DIM),
+                         seed, params)
         self._grus = {prefix: _GruStack(self.params, [prefix], config.hidden)
-                      for prefix in ("fwd", "bwd")}
-        if params is not None:
-            return
-        rng = np.random.default_rng(seed)
-        self._grus["fwd"].init(rng, 1)
-        head_in = config.hidden
-        if config.variant == "bidirectional":
-            self._grus["bwd"].init(rng, 1)
-            head_in = 2 * config.hidden
-        _init_linear(rng, "head", head_in, self.OUT_DIM, self.params)
+                      for prefix in prefixes}
 
     def forward(self, curvatures) -> dict:
         """Per-segment outputs for a curvature sequence of length S.
@@ -594,18 +603,6 @@ def load_checkpoint(path) -> dict:
                 "meta": header["meta"], "arrays": arrays}
 
 
-def _checked_params(arrays: dict, fresh: ParamContainer) -> dict:
-    """``arrays`` as parameters, if their names and shapes are those of
-    ``fresh``, a network built from the same config; ValueError otherwise."""
-    want = {k: v.data.shape for k, v in fresh.params.items()}
-    got = {k: np.shape(v) for k, v in arrays.items()}
-    bad = [f"{k} {got.get(k)} (config: {want.get(k)})"
-           for k in sorted(want.keys() | got.keys()) if got.get(k) != want.get(k)]
-    if bad:
-        raise ValueError(f"stored arrays do not fit the config: {'; '.join(bad)}")
-    return {k: ad.parameter(v) for k, v in arrays.items()}
-
-
 def pose_network_from_checkpoint(ck: dict) -> PoseNetwork:
     stored = dict(ck["config"])
     # older checkpoints store the two taps as "filter_width"
@@ -613,9 +610,9 @@ def pose_network_from_checkpoint(ck: dict) -> PoseNetwork:
     if taps != CONV_TAPS:
         raise ValueError(f"filter_width must be {CONV_TAPS} (two taps), got {taps!r}")
     config = PoseNetworkConfig(**stored)
-    return PoseNetwork(config, params=_checked_params(ck["arrays"], PoseNetwork(config)))
+    return PoseNetwork(config, params={k: ad.parameter(v) for k, v in ck["arrays"].items()})
 
 
 def pace_network_from_checkpoint(ck: dict) -> PaceNetwork:
     config = PaceNetworkConfig(**ck["config"])
-    return PaceNetwork(config, params=_checked_params(ck["arrays"], PaceNetwork(config)))
+    return PaceNetwork(config, params={k: ad.parameter(v) for k, v in ck["arrays"].items()})

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,16 +112,21 @@ def _write_container(path, magic: bytes, header: dict, arrays, dtype: str) -> No
     """Write magic bytes, a little-endian uint32 header length, the JSON
     header, then each array's values as ``dtype``. The file is written to
     ``path.tmp`` and then moved over ``path``, so a crash mid-write keeps
-    the previous file."""
+    the previous file; a write or rename that raises removes ``path.tmp``."""
     blob = json.dumps(header).encode("utf-8")
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for a in arrays:
-            fh.write(np.asarray(a, dtype=float).astype(dtype).tobytes())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(magic)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for a in arrays:
+                fh.write(np.asarray(a, dtype=float).astype(dtype).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _read_exact(fh, size: int) -> bytes:

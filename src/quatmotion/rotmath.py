@@ -264,14 +264,6 @@ def wrap_angle(x: np.ndarray) -> np.ndarray:
     return np.pi - np.mod(np.pi - x, 2.0 * np.pi)
 
 
-def angle_distance_l1(pred, target) -> np.ndarray:
-    """Absolute angular distance taking the best match modulo 2*pi.
-
-    Equals ``min_k |pred - target + 2 pi k|`` and lies in [0, pi].
-    """
-    return np.abs(wrap_angle(np.asarray(pred, dtype=float) - np.asarray(target, dtype=float)))
-
-
 def slerp(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
     """Spherical linear interpolation along the shorter arc.
 

@@ -302,16 +302,23 @@ def validate_pose(net: PoseNetwork, clips, skel: Skeleton,
 
 def _open_log(path, start_epoch: int):
     """Open ``training_log.csv`` for this run's rows. A run from epoch 0
-    starts a new log; a resumed run appends to the existing one, which must
-    have the current header. A new or empty log gets the header first."""
+    starts a new log. A resumed run appends to the existing one, which must
+    have the current header, after cutting it at its first row that is
+    unreadable or at or after ``start_epoch``. A new or empty log gets the
+    header first."""
     header = ",".join(LOG_COLUMNS)
     first = ""
     if start_epoch > 0 and os.path.exists(path):
-        with open(path, newline="", errors="replace") as fh:
-            first = fh.readline().rstrip("\r\n")
-        if first and first != header:
-            raise ValueError(f"{path}: header {first!r} is not {header!r}; "
-                             f"resumed rows cannot be appended to it")
+        with open(path, "rb+") as fh:
+            first = fh.readline().decode(errors="replace").rstrip("\r\n")
+            if first and first != header:
+                raise ValueError(f"{path}: header {first!r} is not {header!r}; "
+                                 f"resumed rows cannot be appended to it")
+            for line in iter(fh.readline, b""):
+                epoch = line.split(b",", 1)[0]
+                if not (line.endswith(b"\n") and epoch.isdigit() and int(epoch) < start_epoch):
+                    fh.truncate(fh.tell() - len(line))
+                    break
     fh = open(path, "a" if first else "w", newline="")
     if not first:
         csv.writer(fh).writerow(LOG_COLUMNS)

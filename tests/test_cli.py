@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -504,3 +507,24 @@ def test_clips_too_short_to_train_is_data_error(tmp_path):
     skel, clips = md.make_synth_corpus(2, seed=11, duration=0.3)
     md.save_dataset(tmp_path / "short", clips)
     assert run(["train-pose", "--dataset", tmp_path / "short", "--out", tmp_path / "o"]) == 2
+
+
+@pytest.mark.parametrize("command", ["evaluate", "baseline"])
+def test_closed_stdout_exits_quietly(tmp_path, dataset_dir, training_checkpoint, command):
+    # as in `quatmotion evaluate ... | head -0`: the reader is gone before the report
+    model = {"evaluate": ["--checkpoint", training_checkpoint],
+             "baseline": ["--kind", "zerovel"]}[command]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quatmotion.cli", command, *map(str, model),
+         "--dataset", str(dataset_dir), "--conditioning-frames", "6",
+         "--out", str(tmp_path / "o")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert (tmp_path / "o" / "report.csv").exists()

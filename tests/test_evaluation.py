@@ -95,11 +95,6 @@ def test_detect_plateau():
     assert ev.detect_plateau([1.0, 0.5, 0.3, 0.29, 0.285]) >= 2
 
 
-def test_ablate_conditioning():
-    table = ev.ablate_conditioning(lambda n: 1.0 / n, [1, 2, 4])
-    assert table == [(1, 1.0), (2, 0.5), (4, 0.25)]
-
-
 def test_position_network_free_run(corpus):
     skel, clips = corpus
     net = ev.PositionNetwork(skel.num_joints, hidden=16, seed=0)

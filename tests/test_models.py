@@ -1,3 +1,5 @@
+import hashlib
+import os
 from dataclasses import asdict
 
 import numpy as np
@@ -7,6 +9,7 @@ from quatmotion import autodiff as ad
 from quatmotion import models as mo
 from quatmotion import rotmath as rm
 from quatmotion.autodiff import Tensor
+from quatmotion.evaluation import PositionNetwork
 from quatmotion.motiondata import MotionClip, fit_spline
 
 from conftest import random_unit_quats
@@ -25,6 +28,51 @@ def test_param_count_matches_closed_form(kwargs):
     cfg = mo.PoseNetworkConfig.desk(24, **kwargs)
     net = mo.PoseNetwork(cfg, seed=0)
     assert count_params(net) == mo.expected_param_count(cfg)
+
+
+def _init_digest(net):
+    h = hashlib.sha256()
+    for name in sorted(net.params):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(net.params[name].data, dtype=np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
+# first 16 hex digits of sha256 over sorted names and float64 bytes, seed 3
+@pytest.mark.parametrize("build,digest", [
+    (lambda: mo.PoseNetwork(mo.PoseNetworkConfig.desk(24), seed=3), "896c118c8a683442"),
+    (lambda: mo.PoseNetwork(mo.PoseNetworkConfig.desk(24, backbone="convolutional"), seed=3),
+     "3917b082cc1f685e"),
+    (lambda: mo.PoseNetwork(mo.PoseNetworkConfig.desk(
+        24, include_controls=True, include_translations=True), seed=3), "119ddffa4512763e"),
+    (lambda: mo.PoseNetwork(mo.PoseNetworkConfig.desk(
+        24, mode="absolute", parameterization="expmap"), seed=3), "9ac7d6c73c011559"),
+    (lambda: mo.PaceNetwork(mo.PaceNetworkConfig(), seed=3), "93ba51e6bf1fa219"),
+    (lambda: mo.PaceNetwork(mo.PaceNetworkConfig(variant="online"), seed=3), "1c93fca7dbdf45cf"),
+    (lambda: PositionNetwork(17, seed=3), "e04f56a6379595f9"),
+], ids=["gru", "conv", "controls_translations", "absolute_expmap", "pace_bidirectional",
+        "pace_online", "position"])
+def test_initial_parameters_unchanged(build, digest):
+    assert _init_digest(build()) == digest
+
+
+@pytest.mark.parametrize("build", [
+    lambda **kw: mo.PoseNetwork(mo.PoseNetworkConfig.desk(3, hidden=4), **kw),
+    lambda **kw: mo.PaceNetwork(mo.PaceNetworkConfig(hidden=4), **kw),
+    lambda **kw: PositionNetwork(3, hidden=4, **kw),
+], ids=["pose", "pace", "position"])
+@pytest.mark.parametrize("edit", ["missing", "extra", "misshaped"])
+def test_params_must_fit_the_declaration(build, edit):
+    params = {k: ad.parameter(v) for k, v in build(seed=1).param_arrays().items()}
+    assert build(params=dict(params)).params.keys() == params.keys()
+    if edit == "missing":
+        del params["head.w"]
+    elif edit == "extra":
+        params["head.x"] = ad.parameter(np.zeros(2))
+    else:
+        params["head.w"] = ad.parameter(params["head.w"].data[:-1])
+    with pytest.raises(ValueError, match="stored arrays do not fit the config: head"):
+        build(params=params)
 
 
 def test_full_scale_param_count():
@@ -157,6 +205,22 @@ def test_checkpoint_failed_save_keeps_previous(tmp_path):
     with pytest.raises(ValueError):
         mo.save_checkpoint(path, "pose", {}, {"a": np.zeros(3), "b": "x"})
     assert np.array_equal(mo.load_checkpoint(path)["arrays"]["a"], np.ones(3))
+    assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]
+
+
+def test_checkpoint_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch):
+    path = tmp_path / "net.ckpt"
+    mo.save_checkpoint(path, "pose", {}, {"a": np.ones(3)})
+
+    def failing_replace(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename refused"):
+        mo.save_checkpoint(path, "pose", {}, {"a": np.zeros(3)})
+    monkeypatch.undo()
+    assert np.array_equal(mo.load_checkpoint(path)["arrays"]["a"], np.ones(3))
+    assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]
 
 
 @pytest.mark.parametrize("batch,inputs,hidden", [(1, 20, 16), (8, 20, 16), (1, 1, 30)],

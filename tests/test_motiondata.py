@@ -55,7 +55,7 @@ def test_qmc_failed_save_keeps_previous(tmp_path, gait):
     with pytest.raises(ValueError):
         md.save_clip(path, bad)
     assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.glob("*.qmc")] == ["clip.qmc"]
+    assert [p.name for p in tmp_path.iterdir()] == ["clip.qmc"]  # no clip.qmc.tmp
 
 
 def test_dataset_round_trip(tmp_path, corpus):

@@ -198,9 +198,9 @@ def test_wrap_angle_examples():
 
 
 def test_angle_distance_shortest_path():
-    a = np.pi - 0.1
-    b = -np.pi + 0.1
-    assert rm.angle_distance_l1(a, b) == pytest.approx(0.2)
+    # the shortest path between two angles across the +-pi seam
+    a, b = np.pi - 0.1, -np.pi + 0.1
+    assert abs(rm.wrap_angle(a - b)) == pytest.approx(0.2)
 
 
 def test_fix_continuity_nonnegative_dots(rng):

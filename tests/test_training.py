@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +319,58 @@ def test_resume_appends_and_writes_missing_header(tmp_path, corpus):
     with open(log, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == list(tr.LOG_COLUMNS) and [r[0] for r in rows[1:]] == ["1", "2"]
+
+
+@pytest.mark.parametrize("fail_at", range(4))
+def test_crashed_save_resumes_to_an_uninterrupted_run(tmp_path, corpus, monkeypatch, fail_at):
+    skel, clips = corpus
+    net_cfg = mo.PoseNetworkConfig.desk(skel.num_active, hidden=8)
+    cfg = tr.TrainConfig(epochs=4, conditioning_frames=6, prediction_frames=2,
+                         batch_size=3, seed=1)
+    full = mo.PoseNetwork(net_cfg, seed=0)
+    tr.train_pose(full, clips, skel, cfg)
+
+    log, ck = tmp_path / "log.csv", tmp_path / "pose.ckpt"
+    real_replace, calls = os.replace, []
+
+    def failing_replace(src, dst):
+        # one checkpoint per epoch: the save at epoch fail_at fails after
+        # its temporary file is written
+        calls.append(dst)
+        if len(calls) == fail_at + 1:
+            raise OSError("disk went away")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk went away"):
+        tr.train_pose(mo.PoseNetwork(net_cfg, seed=0), clips, skel, cfg,
+                      log_path=log, checkpoint_path=ck)
+    monkeypatch.setattr(os, "replace", real_replace)
+
+    if fail_at == 0:  # no checkpoint yet: the run starts over
+        net, resume = mo.PoseNetwork(net_cfg, seed=0), {}
+    else:
+        stored = mo.load_checkpoint(ck)
+        net, (_, resume) = tr.network_from_checkpoint(stored), tr.resume_state(stored)
+        assert resume["start_epoch"] == fail_at
+    tr.train_pose(net, clips, skel, cfg, log_path=log, checkpoint_path=ck, **resume)
+    with open(log, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == list(tr.LOG_COLUMNS) and [r[0] for r in rows[1:]] == ["0", "1", "2", "3"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv", "pose.ckpt"]
+    for k in full.params:
+        assert np.array_equal(full.params[k].data, net.params[k].data), k
+
+
+def test_resume_cuts_a_torn_last_row(tmp_path, corpus):
+    log = tmp_path / "log.csv"
+    _tiny_train(corpus, log, epochs=2)
+    log.write_bytes(log.read_bytes() + b"2,0.001,1.0,0.5")  # a row cut short
+    _tiny_train(corpus, log, epochs=3, start_epoch=2)
+    with open(log, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
+    assert all(len(r) == len(tr.LOG_COLUMNS) for r in rows)
 
 
 def _window_recompute(net, prefix, horizon):
