@@ -254,6 +254,9 @@ def _load_model_and_data(args) -> tuple:
 
 
 def cmd_predict(args) -> int:
+    if not (np.isfinite(args.horizon_ms) and args.horizon_ms > 0):
+        raise CliError(f"--horizon-ms must be positive and finite, got {args.horizon_ms}",
+                       EXIT_USAGE)
     write_manifest(args.out, args, args.seed)
     net, clips = _load_model_and_data(args)
     skel = clips[0].skeleton

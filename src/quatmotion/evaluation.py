@@ -22,8 +22,12 @@ from .kinematics import (Skeleton, forward_kinematics, ik_reproject,
                          per_frame_velocity_error, position_error)
 from .models import (ParamContainer, PoseNetwork, PoseNetworkConfig, _GruStack, _linear,
                      gru_specs, linear_specs)
-from .optim import AdamState, adam_step
-from .training import TrainConfig, euler_error, free_run_chunks, train_pose
+from .optim import AdamState
+from .training import (TrainConfig, _adam_epoch, _minibatches, euler_error, free_run_chunks,
+                       train_pose)
+
+BOOTSTRAP_RESAMPLES = 1000
+PLATEAU_REL_TOL = 0.05
 
 
 # -- baselines -----------------------------------------------------------------
@@ -92,13 +96,13 @@ class EvalReport:
                 for e in v]
         return float(np.mean(errs))
 
-    def rows(self, ci: bool = False, resamples: int = 1000, seed: int = 0):
+    def rows(self, ci: bool = False):
         out = []
         for (action, ms) in sorted(self.per_sample):
             errs = np.array(self.per_sample[(action, ms)])
             lo = hi = float("nan")
             if ci and len(errs) >= 2:
-                lo, hi = bootstrap_ci(errs, resamples=resamples, seed=seed)
+                lo, hi = bootstrap_ci(errs)
             out.append({"action": action, "horizon_ms": ms,
                         "mean_error": float(errs.mean()), "ci_low": lo,
                         "ci_high": hi, "n_samples": len(errs)})
@@ -122,8 +126,7 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def run_protocol(predictor, clips, protocol: EvalProtocol,
-                 orders=None) -> EvalReport:
+def run_protocol(predictor, clips, protocol: EvalProtocol) -> EvalReport:
     """Evaluate ``predictor(prefix (n, A, 4), horizon) -> (horizon, A, 4)``
     under the seeded chunk-sampling protocol.
 
@@ -137,11 +140,7 @@ def run_protocol(predictor, clips, protocol: EvalProtocol,
     max_h = max(hframes)
     report = EvalReport(protocol=protocol.describe())
     for clip in clips:
-        if orders is None:
-            active = clip.skeleton.active_indices
-            clip_orders = [clip.skeleton.euler_orders[a] for a in active]
-        else:
-            clip_orders = orders
+        orders = [clip.skeleton.euler_orders[a] for a in clip.skeleton.active_indices]
         limit = clip.num_frames - n - max_h
         if limit < 0:
             warnings.warn(f"clip {clip.action!r} too short for the protocol; skipped")
@@ -152,20 +151,20 @@ def run_protocol(predictor, clips, protocol: EvalProtocol,
         sel = np.array(hframes) - 1
         for s in starts:
             pred = predictor(rots[s:s + n], max_h)
-            errs = euler_error(pred[sel], rots[s + n + sel], clip_orders)
+            errs = euler_error(pred[sel], rots[s + n + sel], orders)
             for ms, err in zip(protocol.horizons_ms, errs):
                 report.add(clip.action, ms, err)
     return report
 
 
-def bootstrap_ci(errors, resamples: int = 1000, quantiles=(25.0, 75.0),
-                 seed: int = 0):
-    """Percentile bootstrap interval for the mean of ``errors``."""
+def bootstrap_ci(errors, quantiles=(25.0, 75.0)):
+    """Percentile bootstrap interval for the mean of ``errors`` over
+    ``BOOTSTRAP_RESAMPLES`` resamples drawn from seed 0."""
     errors = np.asarray(errors, dtype=float)
     if errors.size == 0:
         raise ValueError("empty sample")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, errors.size, size=(resamples, errors.size))
+    rng = np.random.default_rng(0)
+    idx = rng.integers(0, errors.size, size=(BOOTSTRAP_RESAMPLES, errors.size))
     means = errors[idx].mean(axis=1)
     lo, hi = np.percentile(means, quantiles)
     return float(lo), float(hi)
@@ -173,12 +172,12 @@ def bootstrap_ci(errors, resamples: int = 1000, quantiles=(25.0, 75.0),
 
 # -- ablation harnesses ------------------------------------------------------------
 
-def detect_plateau(errors, rel_tol: float = 0.05) -> int:
+def detect_plateau(errors) -> int:
     """First index after which every successive change stays below
-    rel_tol of the current value."""
+    ``PLATEAU_REL_TOL`` of the current value."""
     errors = [float(e) for e in errors]
     for i in range(len(errors)):
-        flat = all(abs(errors[j + 1] - errors[j]) < rel_tol * max(abs(errors[j]), 1e-12)
+        flat = all(abs(errors[j + 1] - errors[j]) < PLATEAU_REL_TOL * max(abs(errors[j]), 1e-12)
                    for j in range(i, len(errors) - 1))
         if flat:
             return i
@@ -279,29 +278,22 @@ def train_position_network(net: PositionNetwork, clips, skel: Skeleton,
     episode_len = config.conditioning_frames + config.prediction_frames
     sampler = EpisodeSampler(clips, episode_len, seed=config.seed)
     adam = AdamState()
-    arrays = net.param_arrays()
+    n = config.conditioning_frames
+
+    def loss_of(batch):
+        rots = batch["rotations"]
+        b, t = rots.shape[:2]
+        pos = forward_kinematics(skel, rots, np.zeros((b, t, 3)))
+        # predictions from frames n-1 .. t-2 of the teacher-forced inputs
+        out, _ = net.sequence(Tensor(pos.reshape(b, t, -1)[:, :t - 1]), net.init_state(b))
+        diff = ad.reshape(out[:, n - 1:], (b, t - n, skel.num_joints, 3)) - Tensor(pos[:, n:])
+        return ad.tmean(ad.l2norm(diff, axis=-1))
+
     history = []
     for epoch in range(config.epochs):
         lr = config.lr_at(epoch)
-        losses = []
-        remaining = len(clips)
-        while remaining > 0:
-            take = min(config.batch_size, remaining)
-            remaining -= take
-            batch = sampler.sample(take)
-            rots = batch["rotations"]
-            b, t = rots.shape[:2]
-            pos = forward_kinematics(skel, rots, np.zeros((b, t, 3)))
-            flat = pos.reshape(b, t, -1)
-            net.zero_grad()
-            # predictions from frames n-1 .. t-2 of the teacher-forced inputs
-            out, _ = net.sequence(Tensor(flat[:, :t - 1]), net.init_state(b))
-            n = config.conditioning_frames
-            diff = ad.reshape(out[:, n - 1:], (b, t - n, skel.num_joints, 3)) - Tensor(pos[:, n:])
-            loss = ad.tmean(ad.l2norm(diff, axis=-1))
-            loss.backward()
-            adam_step(arrays, net.grads(), adam, lr, clip_norm=config.clip_norm)
-            losses.append(loss.item())
+        losses, _ = _adam_epoch(net, adam, lr, config.clip_norm,
+                                _minibatches(sampler, len(clips), config.batch_size), loss_of)
         history.append({"epoch": epoch, "lr": lr, "train_loss": float(np.mean(losses))})
     return history
 

@@ -37,6 +37,7 @@ from .motiondata import MotionClip, _read_exact, _read_header, _write_container
 CHECKPOINT_MAGIC = b"QMN1"
 CHECKPOINT_VERSION = 1
 CONTROL_DIM = 6
+CONV_LAYERS = 5  # dilations 1, 2, 4, 8, 16: a 32-frame receptive field
 CONV_TAPS = 2  # every causal convolution reads frames t - d and t
 ENCODER_UNITS = 30
 LEAKY_SLOPE = 0.05
@@ -92,7 +93,6 @@ class PoseNetworkConfig:
     hidden: int = 1000
     layers: int = 2
     channels: int = 1024
-    conv_layers: int = 5
     parameterization: str = "quaternion"
     include_controls: bool = False
     include_translations: bool = False
@@ -135,12 +135,12 @@ class PoseNetworkConfig:
     @property
     def conv_dims(self) -> list:
         """Input width of each convolutional layer, then the output width."""
-        return ([self.input_dim] + [self.channels] * (self.conv_layers - 1)
+        return ([self.input_dim] + [self.channels] * (CONV_LAYERS - 1)
                 + [self.output_dim])
 
     @property
     def dilations(self) -> list:
-        return [2 ** k for k in range(self.conv_layers)]
+        return [2 ** k for k in range(CONV_LAYERS)]
 
     @property
     def receptive_field(self) -> int:
@@ -605,10 +605,12 @@ def load_checkpoint(path) -> dict:
 
 def pose_network_from_checkpoint(ck: dict) -> PoseNetwork:
     stored = dict(ck["config"])
-    # older checkpoints store the two taps as "filter_width"
-    taps = stored.pop("filter_width", CONV_TAPS)
-    if taps != CONV_TAPS:
-        raise ValueError(f"filter_width must be {CONV_TAPS} (two taps), got {taps!r}")
+    # older checkpoints store the fixed conv geometry as "filter_width"
+    # (the two taps) and "conv_layers"
+    for key, fixed in (("filter_width", CONV_TAPS), ("conv_layers", CONV_LAYERS)):
+        value = stored.pop(key, fixed)
+        if value != fixed:
+            raise ValueError(f"{key} must be {fixed}, got {value!r}")
     config = PoseNetworkConfig(**stored)
     return PoseNetwork(config, params={k: ad.parameter(v) for k, v in ck["arrays"].items()})
 

@@ -55,8 +55,8 @@ class MotionClip:
             raise ValueError("rotation joint count does not match skeleton")
         if self.root_positions.shape != (self.rotations.shape[0], 3):
             raise ValueError("root_positions must have shape (T, 3)")
-        if self.frame_rate <= 0:
-            raise ValueError("frame_rate must be positive")
+        if not 0 < self.frame_rate < np.inf:
+            raise ValueError(f"frame_rate must be positive and finite, got {self.frame_rate}")
         self.rotations = rm.fix_continuity(self.rotations)
 
     @property
@@ -342,10 +342,9 @@ def fit_spline(root_positions: np.ndarray, segment_length: float) -> TrajectoryS
     """Resample a trajectory's ground-plane projection into chords of
     exactly ``segment_length`` by marching along the polyline."""
     pos = np.asarray(root_positions, dtype=float)
-    if pos.shape[-1] == 3:
-        path = pos[:, [0, 2]]
-    else:
-        path = pos
+    if pos.ndim != 2 or pos.shape[1] not in (2, 3):
+        raise ValueError(f"spline points must have shape (N, 2) or (N, 3), got {pos.shape}")
+    path = pos[:, [0, 2]] if pos.shape[1] == 3 else pos
     if len(path) < 2:
         raise ValueError("need at least 2 points")
     if not segment_length > 0:  # a zero length would append knots forever

@@ -12,6 +12,8 @@ import numpy as np
 
 from .autodiff import NumericalError
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def global_norm(grads: dict) -> float:
     # sorted so the accumulation order, and hence the exact float result,
@@ -37,9 +39,6 @@ def _clipped(grads: dict, max_norm: float, norm: float) -> dict:
 
 @dataclass
 class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -61,18 +60,17 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
     if clip_norm is not None:
         grads = _clipped(grads, clip_norm, norm)
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bias1 = 1.0 - b1 ** state.step
-    bias2 = 1.0 - b2 ** state.step
+    bias1 = 1.0 - BETA1 ** state.step
+    bias2 = 1.0 - BETA2 ** state.step
     for name, g in grads.items():
         m = state.m.get(name)
         if m is None:
             m = np.zeros_like(g)
             state.v[name] = np.zeros_like(g)
         v = state.v[name]
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * g * g
         state.m[name] = m
         state.v[name] = v
-        params[name] -= lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        params[name] -= lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
     return norm

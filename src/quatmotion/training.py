@@ -13,6 +13,7 @@ import csv
 import functools
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -32,6 +33,7 @@ CLIP_NORM = 0.1
 REG_WEIGHT = 0.01
 LOG_COLUMNS = ("epoch", "lr", "p", "train_loss", "val_position_loss",
                "val_velocity_loss", "wall_seconds", "grad_norm", "clip_fraction")
+PACE_LOG_COLUMNS = ("epoch", "lr", "mae")
 
 
 @dataclass
@@ -300,13 +302,17 @@ def validate_pose(net: PoseNetwork, clips, skel: Skeleton,
 
 # -- training loops -----------------------------------------------------------------
 
-def _open_log(path, start_epoch: int):
-    """Open ``training_log.csv`` for this run's rows. A run from epoch 0
-    starts a new log. A resumed run appends to the existing one, which must
-    have the current header, after cutting it at its first row that is
-    unreadable or at or after ``start_epoch``. A new or empty log gets the
-    header first."""
-    header = ",".join(LOG_COLUMNS)
+@contextmanager
+def _epoch_log(path, columns, start_epoch: int):
+    """Yield a function that writes an epoch's row (a dict over ``columns``)
+    to the CSV log at ``path`` and flushes it, or does nothing without one.
+    A run from epoch 0 starts a new log; a resumed run appends to the old
+    one, which must have this header, after cutting it at its first row
+    that is unreadable or at or after ``start_epoch``."""
+    if path is None:
+        yield lambda row: None
+        return
+    header = ",".join(columns)
     first = ""
     if start_epoch > 0 and os.path.exists(path):
         with open(path, "rb+") as fh:
@@ -319,14 +325,36 @@ def _open_log(path, start_epoch: int):
                 if not (line.endswith(b"\n") and epoch.isdigit() and int(epoch) < start_epoch):
                     fh.truncate(fh.tell() - len(line))
                     break
-    fh = open(path, "a" if first else "w", newline="")
-    if not first:
-        csv.writer(fh).writerow(LOG_COLUMNS)
-    return fh
+    with open(path, "a" if first else "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if not first:
+            writer.writerow(columns)
+
+        def write(row: dict) -> None:
+            writer.writerow([row[c] for c in columns])
+            fh.flush()
+        yield write
 
 
-def _rng_state(rng: np.random.Generator) -> dict:
-    return rng.bit_generator.state
+def _minibatches(sampler, count: int, size: int):
+    """``count`` episodes from ``sampler`` in minibatches of at most ``size``."""
+    for start in range(0, count, size):
+        yield sampler.sample(min(size, count - start))
+
+
+def _adam_epoch(net, adam: AdamState, lr: float, clip_norm: float, batches, loss_of):
+    """One epoch of clipped Adam updates of ``net``, one per batch: zero the
+    gradients, backpropagate ``loss_of(batch)``, step. Returns the batch
+    losses and the global gradient norms before clipping."""
+    arrays = net.param_arrays()
+    losses, norms = [], []
+    for batch in batches:
+        net.zero_grad()
+        loss = loss_of(batch)
+        loss.backward()
+        norms.append(adam_step(arrays, net.grads(), adam, lr, clip_norm=clip_norm))
+        losses.append(loss.item())
+    return losses, norms
 
 
 def train_pose(net: PoseNetwork, clips, skel: Skeleton, config: TrainConfig,
@@ -352,32 +380,17 @@ def train_pose(net: PoseNetwork, clips, skel: Skeleton, config: TrainConfig,
     adam = adam or AdamState()
     val_clips = val_clips or clips
 
-    arrays = net.param_arrays()
     history = []
-    writer = None
-    log_fh = None
-    if log_path is not None:
-        log_fh = _open_log(log_path, start_epoch)
-        writer = csv.writer(log_fh)
-    try:
+    with _epoch_log(log_path, LOG_COLUMNS, start_epoch) as log:
         for epoch in range(start_epoch, config.epochs):
             t0 = time.time()
-            lr = config.lr_at(epoch)
-            p = config.p_at(epoch)
-            epoch_losses, norms = [], []
-            remaining = len(clips)
-            while remaining > 0:
-                take = min(config.batch_size, remaining)
-                remaining -= take
-                batch = sampler.sample(take)
-                net.zero_grad()
-                loss = scheduled_sampling_rollout(
+            lr, p = config.lr_at(epoch), config.p_at(epoch)
+            epoch_losses, norms = _adam_epoch(
+                net, adam, lr, config.clip_norm,
+                _minibatches(sampler, len(clips), config.batch_size),
+                lambda batch: scheduled_sampling_rollout(
                     net, batch["rotations"], skel, config, p, rng,
-                    root_positions=batch["root_positions"])
-                loss.backward()
-                norms.append(adam_step(arrays, net.grads(), adam, lr,
-                                       clip_norm=config.clip_norm))
-                epoch_losses.append(loss.item())
+                    root_positions=batch["root_positions"]))
             last = (epoch == config.epochs - 1)
             if last or epoch % validate_every == 0:
                 val_pos, val_vel = validate_pose(net, val_clips, skel, config)
@@ -390,17 +403,12 @@ def train_pose(net: PoseNetwork, clips, skel: Skeleton, config: TrainConfig,
                    "grad_norm": float(np.mean(norms)),
                    "clip_fraction": float(np.mean(np.array(norms) > config.clip_norm))}
             history.append(row)
-            if writer is not None:
-                writer.writerow([row[c] for c in LOG_COLUMNS])
-                log_fh.flush()
+            log(row)
             if checkpoint_path is not None:
                 save_pose_checkpoint(checkpoint_path, net, skel, config,
                                      epoch + 1, adam,
-                                     {"sampler": _rng_state(sampler.rng),
-                                      "rollout": _rng_state(rng)})
-    finally:
-        if log_fh is not None:
-            log_fh.close()
+                                     {"sampler": sampler.rng.bit_generator.state,
+                                      "rollout": rng.bit_generator.state})
     return history
 
 
@@ -487,29 +495,21 @@ def train_pace(net: PaceNetwork, examples, config: TrainConfig,
         raise ValueError("empty dataset")
     rng = np.random.default_rng(config.seed)
     adam = AdamState()
-    arrays = net.param_arrays()
+
+    def loss_of(example):
+        curv, targets = example[0], example[1]
+        out = net.forward(curv)
+        pred = ad.concat([out["facing"],
+                          ad.reshape(out["frequency"], (len(curv), 1)),
+                          ad.reshape(out["speed"], (len(curv), 1))], axis=-1)
+        return ad.tmean(ad.absval(pred - Tensor(targets)))
+
     history = []
-    rows = []
-    for epoch in range(config.epochs):
-        lr = config.lr_at(epoch)
-        order = rng.permutation(len(examples))
-        losses = []
-        for ei in order:
-            curv, targets = examples[ei][0], examples[ei][1]
-            net.zero_grad()
-            out = net.forward(curv)
-            pred = ad.concat([out["facing"],
-                              ad.reshape(out["frequency"], (len(curv), 1)),
-                              ad.reshape(out["speed"], (len(curv), 1))], axis=-1)
-            loss = ad.tmean(ad.absval(pred - Tensor(targets)))
-            loss.backward()
-            adam_step(arrays, net.grads(), adam, lr, clip_norm=config.clip_norm)
-            losses.append(loss.item())
-        history.append({"epoch": epoch, "lr": lr, "mae": float(np.mean(losses))})
-        rows.append([epoch, lr, float(np.mean(losses))])
-    if log_path is not None:
-        with open(log_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["epoch", "lr", "mae"])
-            w.writerows(rows)
+    with _epoch_log(log_path, PACE_LOG_COLUMNS, 0) as log:
+        for epoch in range(config.epochs):
+            lr = config.lr_at(epoch)
+            batches = (examples[i] for i in rng.permutation(len(examples)))
+            losses, _ = _adam_epoch(net, adam, lr, config.clip_norm, batches, loss_of)
+            history.append({"epoch": epoch, "lr": lr, "mae": float(np.mean(losses))})
+            log(history[-1])
     return history

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import asdict
@@ -320,6 +321,10 @@ def _filter_width_3(ck):
     ck["config"]["filter_width"] = 3
 
 
+def _conv_layers_4(ck):
+    ck["config"]["conv_layers"] = 4
+
+
 def _drop_head_w(ck):
     del ck["arrays"]["head.w"]
 
@@ -337,6 +342,7 @@ def _short_head_w(ck):
     ("train-pose", "--resume", _rename_hidden),
     ("train-pose", "--resume", _bad_train_config),
     ("predict", "--checkpoint", _filter_width_3),
+    ("evaluate", "--checkpoint", _conv_layers_4),
     ("predict", "--checkpoint", _drop_head_w),
     ("evaluate", "--checkpoint", _short_head_w),
     ("generate", "--pace-checkpoint", _drop_head_w),
@@ -528,3 +534,40 @@ def test_closed_stdout_exits_quietly(tmp_path, dataset_dir, training_checkpoint,
     assert proc.wait(timeout=60) == 0, err
     assert "Traceback" not in err and "BrokenPipeError" not in err
     assert (tmp_path / "o" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("rate", ["NaN", "Infinity"])
+def test_non_finite_clip_frame_rate_is_data_error(tmp_path, dataset_dir, capsys, rate):
+    blob = (dataset_dir / "clip_00000.qmc").read_bytes()
+    start = len(md.QMC_MAGIC) + 4
+    (hlen,) = struct.unpack("<I", blob[len(md.QMC_MAGIC):start])
+    header = json.loads(blob[start:start + hlen])
+    header["frame_rate"] = float(rate)
+    new = json.dumps(header).encode()
+    assert rate.encode() in new
+    bad = tmp_path / "bad.qmc"
+    bad.write_bytes(md.QMC_MAGIC + struct.pack("<I", len(new)) + new + blob[start + hlen:])
+    assert run(["baseline", "--kind", "zerovel", "--dataset", bad, "--out", tmp_path / "o"]) == 2
+    out, err = capsys.readouterr()
+    assert "bad.qmc" in err and "frame_rate" in err and "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-80"])
+def test_predict_bad_horizon_is_usage_error(tmp_path, dataset_dir, training_checkpoint, capsys,
+                                            value):
+    assert run(["predict", "--checkpoint", training_checkpoint, "--dataset", dataset_dir,
+                f"--horizon-ms={value}", "--conditioning-frames", "6",
+                "--out", tmp_path / "o"]) == 1
+    out, err = capsys.readouterr()
+    assert "--horizon-ms" in err and "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("columns", [1, 4])
+def test_generate_spline_of_other_width_is_data_error(tmp_path, generate_args, capsys, columns):
+    spline = tmp_path / "spline.csv"
+    np.savetxt(spline, np.linspace(0, 3, 30)[:, None].repeat(columns, 1), delimiter=",")
+    args = list(generate_args)
+    args[args.index("--spline") + 1] = spline
+    assert run(args + ["--frames", "5", "--out", tmp_path / "o"]) == 2
+    out, err = capsys.readouterr()
+    assert "(N, 2) or (N, 3)" in err and "Traceback" not in out + err

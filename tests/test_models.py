@@ -148,6 +148,23 @@ def test_stored_filter_width_loads_only_at_2(tmp_path):
         assert count_params(back) == mo.expected_param_count(cfg) == 2640
 
 
+def test_stored_conv_layers_loads_only_at_5(tmp_path):
+    # checkpoints written while the layer count was a config field store it
+    cfg = mo.PoseNetworkConfig.desk(4, channels=16, backbone="convolutional")
+    arrays = mo.PoseNetwork(cfg, seed=0).param_arrays()
+    for layers in (5, 4, 6):
+        path = tmp_path / f"layers{layers}.ckpt"
+        mo.save_checkpoint(path, "pose", {**asdict(cfg), "conv_layers": layers}, arrays)
+        ck = mo.load_checkpoint(path)
+        if layers != 5:
+            with pytest.raises(ValueError, match="conv_layers must be 5"):
+                mo.pose_network_from_checkpoint(ck)
+            continue
+        assert mo.pose_network_from_checkpoint(ck).config == cfg
+    with pytest.raises(TypeError):
+        mo.PoseNetworkConfig(4, backbone="convolutional", conv_layers=3)
+
+
 def test_conv_receptive_field_is_32(rng):
     cfg = mo.PoseNetworkConfig.desk(4, channels=16, backbone="convolutional")
     assert cfg.receptive_field == 32

@@ -26,6 +26,9 @@ def test_clip_shape_validation(gait):
     with pytest.raises(ValueError):
         md.MotionClip(skel, 25.0, clip.root_positions[:-1],
                       clip.rotations)
+    for rate in (0.0, -25.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="frame_rate must be positive and finite"):
+            md.MotionClip(skel, rate, clip.root_positions, clip.rotations)
 
 
 def test_qmc_round_trip(tmp_path, gait):
@@ -301,3 +304,9 @@ def test_fit_spline_knots_match_reference_loop():
         want = _fit_spline_reference(path, length)
         assert got.points.shape == want.shape
         assert got.points.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(10,), (10, 1), (10, 4), (2, 10, 3)])
+def test_spline_rejects_points_of_other_shape(shape):
+    with pytest.raises(ValueError, match=r"\(N, 2\) or \(N, 3\)"):
+        md.fit_spline(np.zeros(shape), segment_length=0.5)

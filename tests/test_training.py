@@ -531,3 +531,97 @@ def test_pace_training_example_matches_reference_loop(gait):
             assert empty > 0
             assert got.tobytes() == want.tobytes()
             assert np.array_equal(got[0, :2], [1.0, 0.0])
+
+
+# -- the shared epoch loop ------------------------------------------------------
+
+def _pace_examples(gait):
+    from quatmotion.motiondata import extract_gait_features
+    skel, clip, _ = gait
+    feats = extract_gait_features(clip, skel.names.index("l_foot"), skel.names.index("r_foot"))
+    curv, targets, _ = tr.pace_training_example(clip, feats)
+    return [(curv, targets), (curv[:7], targets[:7]), (curv[3:], targets[3:])]
+
+
+def _train_pace(gait, variant, **kw):
+    net = mo.PaceNetwork(mo.PaceNetworkConfig(variant=variant), seed=0)
+    return net, tr.train_pace(net, _pace_examples(gait), tr.TrainConfig(epochs=6, seed=2), **kw)
+
+
+def _train_position(corpus):
+    from quatmotion.evaluation import PositionNetwork, train_position_network
+    skel, clips = corpus
+    net = PositionNetwork(skel.num_joints, hidden=16, seed=0)
+    return net, train_position_network(net, clips, skel, tr.TrainConfig(
+        epochs=3, conditioning_frames=6, prediction_frames=3, batch_size=2, seed=1))
+
+
+@pytest.mark.parametrize("name", ["pace-bidirectional", "pace-online", "position"])
+def test_pace_and_position_fingerprint(corpus, gait, name):
+    want = json.loads(FINGERPRINT_FILE.read_text())[name]
+    if name == "position":
+        net, hist = _train_position(corpus)
+        key = "train_loss"
+    else:
+        net, hist = _train_pace(gait, name.split("-")[1])
+        key = "mae"
+    params = {k: [float(a.sum()), float(np.sqrt(np.sum(a * a)))]
+              for k, a in sorted(net.param_arrays().items())}
+    assert params.keys() == want["params"].keys()
+    # GRU networks: pinned up to summation order, as train_pose's are
+    for k, values in want["params"].items():
+        np.testing.assert_allclose(params[k], values, rtol=1e-9, atol=0, err_msg=k)
+    np.testing.assert_allclose([h[key] for h in hist], want["history"][key], rtol=1e-9, atol=0)
+
+
+def test_pace_log_has_one_row_per_epoch(tmp_path, gait):
+    log = tmp_path / "log.csv"
+    _, hist = _train_pace(gait, "bidirectional", log_path=log)
+    want = "epoch,lr,mae\r\n" + "".join(f"{h['epoch']},{h['lr']!r},{h['mae']!r}\r\n"
+                                        for h in hist)
+    assert log.read_bytes().decode() == want
+
+
+def test_each_trainer_steps_once_per_batch(monkeypatch, corpus, gait):
+    from quatmotion.motiondata import EpisodeSampler
+    events = []
+
+    def record(name, fn):
+        return lambda *a, **k: events.append(name) or fn(*a, **k)
+
+    monkeypatch.setattr(Tensor, "backward", record("backward", Tensor.backward))
+    monkeypatch.setattr(tr, "adam_step", record("adam_step", tr.adam_step))
+    monkeypatch.setattr(EpisodeSampler, "sample", record("sample", EpisodeSampler.sample))
+    skel, clips = corpus  # 3 clips: batches of 2 and 1 per epoch
+
+    net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(skel.num_active, hidden=8), seed=0)
+    tr.train_pose(net, clips, skel, tr.TrainConfig(epochs=2, conditioning_frames=6,
+                                                   prediction_frames=2, batch_size=2))
+    assert events == ["sample", "backward", "adam_step"] * 4
+    events.clear()
+    _train_position(corpus)
+    assert events == ["sample", "backward", "adam_step"] * 6
+    events.clear()
+    _train_pace(gait, "online")
+    assert events == ["backward", "adam_step"] * 6 * 3
+
+
+@pytest.mark.parametrize("fail_epoch", [0, 1, 4])
+def test_failed_pace_run_keeps_the_rows_of_finished_epochs(tmp_path, gait, monkeypatch,
+                                                           fail_epoch):
+    real, calls = tr.adam_step, []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > fail_epoch * 3:  # three examples per epoch
+            raise NumericalError("non-finite gradient")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "adam_step", failing)
+    log = tmp_path / "log.csv"
+    with pytest.raises(NumericalError):
+        _train_pace(gait, "bidirectional", log_path=log)
+    with open(log, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == list(tr.PACE_LOG_COLUMNS)
+    assert [r[0] for r in rows[1:]] == [str(e) for e in range(fail_epoch)]
