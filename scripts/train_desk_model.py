@@ -26,8 +26,7 @@ def main():
     frame_rate = test_clips[0].frame_rate
     protocol = ev.EvalProtocol(samples_per_sequence=16, seed=123,
                                conditioning_frames=10,
-                               horizons_ms=(1000 * args.horizon / frame_rate,),
-                               frame_rate=frame_rate)
+                               horizons_ms=(1000 * args.horizon / frame_rate,))
 
     def eval_mean(predict):
         report = ev.run_protocol(predict, test_clips, protocol)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kinematics import Skeleton
-from .rotmath import euler_to_quat, quat_to_euler
+from .rotmath import euler_to_quat, joint_euler
 
 _ROT_CHANNELS = {"Xrotation": "x", "Yrotation": "y", "Zrotation": "z"}
 _POS_CHANNELS = ("Xposition", "Yposition", "Zposition")
@@ -209,7 +209,7 @@ def save_bvh(path, skel: Skeleton, frame_rate: float,
         children[int(skel.parents[j])].append(j)
 
     lines: list[str] = ["HIERARCHY"]
-    columns: list[tuple[int, str]] = []
+    columns: list[int] = []  # joints with channels, root first
 
     def chan_names(order: str) -> list[str]:
         inv = {v: k for k, v in _ROT_CHANNELS.items()}
@@ -233,7 +233,7 @@ def save_bvh(path, skel: Skeleton, frame_rate: float,
             lines.append(f"{pad}  CHANNELS 6 Xposition Yposition Zposition " + " ".join(names))
         else:
             lines.append(f"{pad}  CHANNELS 3 " + " ".join(names))
-        columns.append((j, skel.euler_orders[j]))
+        columns.append(j)
         kids = children[j]
         if kids:
             for k in kids:
@@ -250,15 +250,8 @@ def save_bvh(path, skel: Skeleton, frame_rate: float,
     lines.append(f"Frames: {n_frames}")
     lines.append(f"Frame Time: {1.0 / frame_rate:.8f}")
 
-    cols = []
-    for j, order in columns:
-        e = quat_to_euler(rotations[:, j], order)
-        deg = np.rad2deg(e.angles)
-        if j == 0:
-            cols.append(np.concatenate([root_positions, deg], axis=1))
-        else:
-            cols.append(deg)
-    data = np.concatenate(cols, axis=1)
+    deg = np.rad2deg(joint_euler(rotations[:, columns], [skel.euler_orders[j] for j in columns]))
+    data = np.concatenate([root_positions, deg.reshape(n_frames, 3 * len(columns))], axis=1)
     if n_frames:
         row = " ".join(["%.6f"] * data.shape[1])
         lines.append("\n".join([row] * n_frames) % tuple(data.ravel().tolist()))

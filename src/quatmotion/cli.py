@@ -2,7 +2,8 @@
 evaluation, baselines, and gradient checking.
 
 Every run writes ``manifest.json`` (resolved config, package version,
-seed) into the output directory before producing any other file. Exit
+seed, null for commands that draw no random numbers) into the output
+directory before producing any other file. Exit
 codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numerical failure.
 """
@@ -25,6 +26,7 @@ from . import models as mo
 from . import training as tr
 from .autodiff import NumericalError
 from .bvh import BvhParseError
+from .kinematics import expand_active
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,7 +86,7 @@ def _make_config(cls, *args, **kwargs):
         raise CliError(f"bad config value: {e}", EXIT_USAGE)
 
 
-def write_manifest(out_dir, args: argparse.Namespace, seed: int) -> None:
+def write_manifest(out_dir, args: argparse.Namespace, seed: int | None) -> None:
     os.makedirs(out_dir, exist_ok=True)
     manifest = {"version": __version__, "seed": seed,
                 "config": {k: v for k, v in vars(args).items() if k != "func"}}
@@ -254,27 +256,25 @@ def _load_model_and_data(args) -> tuple:
 
 
 def cmd_predict(args) -> int:
-    if not (np.isfinite(args.horizon_ms) and args.horizon_ms > 0):
-        raise CliError(f"--horizon-ms must be positive and finite, got {args.horizon_ms}",
-                       EXIT_USAGE)
-    write_manifest(args.out, args, args.seed)
+    write_manifest(args.out, args, None)
     net, clips = _load_model_and_data(args)
     skel = clips[0].skeleton
-    horizon = max(1, int(round(args.horizon_ms * clips[0].frame_rate / 1000.0)))
+    try:
+        horizons = [ev.horizon_frames(args.horizon_ms, clip.frame_rate) for clip in clips]
+    except ValueError as e:
+        raise CliError(f"--horizon-ms {args.horizon_ms}: {e}", EXIT_USAGE)
     n = args.conditioning_frames
     rows = []
-    for ci, clip in enumerate(clips):
+    for ci, (clip, horizon) in enumerate(zip(clips, horizons)):
         if clip.num_frames < n + horizon:
             continue
         rots = clip.active_rotations
         pred = tr.free_run_predict(net, rots[:n], horizon)
-        orders = [skel.euler_orders[a] for a in skel.active_indices]
-        err = tr.euler_error(pred[-1][None], rots[n + horizon - 1][None], orders)[0]
+        err = tr.euler_error(pred[-1][None], rots[n + horizon - 1][None],
+                             skel.active_euler_orders)[0]
         rows.append([ci, clip.action, args.horizon_ms, err])
-        out_rot = clip.rotations[n:n + horizon].copy()
-        out_rot[:, skel.active_indices] = pred
         out_clip = md.MotionClip(skel, clip.frame_rate,
-                                 clip.root_positions[n:n + horizon], out_rot,
+                                 clip.root_positions[n:n + horizon], expand_active(skel, pred),
                                  clip.subject, clip.action + "_pred")
         md.save_clip(os.path.join(args.out, f"pred_{ci:05d}.qmc"), out_clip)
         if args.bvh:
@@ -296,7 +296,7 @@ def cmd_generate(args) -> int:
     if not args.segment_length > 0:
         raise CliError(f"--segment-length must be positive, got {args.segment_length}",
                        EXIT_USAGE)
-    write_manifest(args.out, args, args.seed)
+    write_manifest(args.out, args, None)
     pose_net = _load_checkpoint(args.pose_checkpoint, "pose", tr.network_from_checkpoint)
     pace_net = _load_checkpoint(args.pace_checkpoint, "pace", mo.pace_network_from_checkpoint)
     init = _load_clips(args.init_clip)[0]
@@ -322,8 +322,7 @@ def cmd_generate(args) -> int:
 def _report(args, predictor, clips) -> int:
     """Run the protocol ``--protocol`` names (standard, proposed or
     S=<integer >= 1>) with ``predictor`` on ``clips``; write report.csv."""
-    kw = {"seed": args.seed, "conditioning_frames": args.conditioning_frames,
-          "frame_rate": clips[0].frame_rate}
+    kw = {"seed": args.seed, "conditioning_frames": args.conditioning_frames}
     spec = args.protocol
     presets = {"standard": ev.EvalProtocol.standard, "proposed": ev.EvalProtocol.proposed}
     if spec in presets:
@@ -333,7 +332,10 @@ def _report(args, predictor, clips) -> int:
     else:
         raise CliError(f"unknown protocol {spec!r}: use standard, proposed or "
                        f"S=<integer >= 1>", EXIT_USAGE)
-    report = ev.run_protocol(predictor, clips, proto)
+    try:
+        report = ev.run_protocol(predictor, clips, proto)
+    except ValueError as e:
+        raise CliError(str(e), EXIT_DATA)
     report.to_csv(os.path.join(args.out, "report.csv"), ci=True)
     print(report.summary())
     return EXIT_OK
@@ -409,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--horizon-ms", dest="horizon_ms", type=float, default=400)
     pr.add_argument("--conditioning-frames", dest="conditioning_frames",
                     type=int, default=10)
-    pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--bvh", action="store_true")
     pr.add_argument("--out", required=True)
     pr.set_defaults(func=cmd_predict)
@@ -422,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--segment-length", dest="segment_length", type=float, default=0.25)
     g.add_argument("--frames", type=int, default=300)
     g.add_argument("--frame-rate", dest="frame_rate", type=float, default=25.0)
-    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--bvh", action="store_true")
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from . import rotmath as rm
 from .autodiff import Tensor
 from .kinematics import (Skeleton, forward_kinematics, ik_reproject,
-                         per_frame_velocity_error, position_error)
+                         per_frame_velocity_error, position_error, position_error_tensor)
 from .models import (ParamContainer, PoseNetwork, PoseNetworkConfig, _GruStack, _linear,
                      gru_specs, linear_specs)
 from .optim import AdamState
@@ -53,13 +53,23 @@ def baseline_running_average(prefix: np.ndarray, horizon: int,
 
 # -- protocol -------------------------------------------------------------------
 
+def horizon_frames(ms: float, frame_rate: float) -> int:
+    """The whole number of frames nearest to ``ms`` milliseconds at
+    ``frame_rate`` Hz (halves round to even). Raises ValueError if that is
+    not finite or below 1 frame."""
+    frames = ms * frame_rate / 1000.0
+    if not np.isfinite(frames) or round(frames) < 1:
+        raise ValueError(f"{ms} ms at {frame_rate} Hz is {frames:.3g} frames, "
+                         f"not a finite count of at least 1")
+    return int(round(frames))
+
+
 @dataclass(frozen=True)
 class EvalProtocol:
     samples_per_sequence: int = 4
     seed: int = 1234
     conditioning_frames: int = 10
     horizons_ms: tuple = (80, 160, 320, 400)
-    frame_rate: float = 25.0
 
     @classmethod
     def standard(cls, **kw) -> "EvalProtocol":
@@ -68,11 +78,6 @@ class EvalProtocol:
     @classmethod
     def proposed(cls, **kw) -> "EvalProtocol":
         return cls(samples_per_sequence=128, **kw)
-
-    @property
-    def horizon_frames(self) -> list:
-        return [max(1, int(round(ms * self.frame_rate / 1000.0)))
-                for ms in self.horizons_ms]
 
     def describe(self) -> str:
         return (f"S={self.samples_per_sequence} seed={self.seed} "
@@ -130,25 +135,32 @@ def run_protocol(predictor, clips, protocol: EvalProtocol) -> EvalReport:
     """Evaluate ``predictor(prefix (n, A, 4), horizon) -> (horizon, A, 4)``
     under the seeded chunk-sampling protocol.
 
-    Chunk starts are uniform over [0, len - n - max_horizon] with one rng
-    stream over clips in order; too-short clips are skipped with a warning
-    and counted in the report.
+    Each clip's horizons are its own frames (see :func:`horizon_frames`);
+    a clip at a rate that gives no horizon a frame count raises ValueError
+    naming it, before any prediction. Chunk starts are uniform over
+    [0, len - n - max_horizon] with one rng stream over clips in order;
+    too-short clips are skipped with a warning and counted in the report.
     """
+    clips = list(clips)
+    hframes = []
+    for i, clip in enumerate(clips):
+        try:
+            hframes.append([horizon_frames(ms, clip.frame_rate) for ms in protocol.horizons_ms])
+        except ValueError as e:
+            raise ValueError(f"clip {i} ({clip.action!r}): {e}") from None
     rng = np.random.default_rng(protocol.seed)
     n = protocol.conditioning_frames
-    hframes = protocol.horizon_frames
-    max_h = max(hframes)
     report = EvalReport(protocol=protocol.describe())
-    for clip in clips:
-        orders = [clip.skeleton.euler_orders[a] for a in clip.skeleton.active_indices]
+    for clip, frames in zip(clips, hframes):
+        max_h = max(frames)
         limit = clip.num_frames - n - max_h
         if limit < 0:
             warnings.warn(f"clip {clip.action!r} too short for the protocol; skipped")
             report.skipped_clips += 1
             continue
         starts = rng.integers(0, limit + 1, size=protocol.samples_per_sequence)
-        rots = clip.active_rotations
-        sel = np.array(hframes) - 1
+        rots, orders = clip.active_rotations, clip.skeleton.active_euler_orders
+        sel = np.array(frames) - 1
         for s in starts:
             pred = predictor(rots[s:s + n], max_h)
             errs = euler_error(pred[sel], rots[s + n + sel], orders)
@@ -286,8 +298,8 @@ def train_position_network(net: PositionNetwork, clips, skel: Skeleton,
         pos = forward_kinematics(skel, rots, np.zeros((b, t, 3)))
         # predictions from frames n-1 .. t-2 of the teacher-forced inputs
         out, _ = net.sequence(Tensor(pos.reshape(b, t, -1)[:, :t - 1]), net.init_state(b))
-        diff = ad.reshape(out[:, n - 1:], (b, t - n, skel.num_joints, 3)) - Tensor(pos[:, n:])
-        return ad.tmean(ad.l2norm(diff, axis=-1))
+        return position_error_tensor(ad.reshape(out[:, n - 1:], (b, t - n, skel.num_joints, 3)),
+                                     pos[:, n:])
 
     history = []
     for epoch in range(config.epochs):

@@ -77,6 +77,11 @@ class Skeleton:
     def num_active(self) -> int:
         return int(self.dof_active.sum())
 
+    @property
+    def active_euler_orders(self) -> tuple:
+        """Euler orders of the active joints, in model-I/O order."""
+        return tuple(self.euler_orders[a] for a in self.active_indices)
+
     def bone_lengths(self) -> np.ndarray:
         return np.linalg.norm(self.offsets, axis=-1)
 
@@ -115,8 +120,9 @@ class IkConfig:
     step_decay: float = 0.999
 
 
-def _expand_active(skel: Skeleton, rotations: np.ndarray) -> np.ndarray:
-    """Insert constant rotations for inactive joints: (..., A, 4) -> (..., J, 4)."""
+def expand_active(skel: Skeleton, rotations: np.ndarray) -> np.ndarray:
+    """All-joint rotations (..., J, 4) from active-joint ones (..., A, 4),
+    each inactive joint at the skeleton's constant rotation."""
     j = skel.num_joints
     if rotations.shape[-2] == j and skel.num_active == j:
         return rotations
@@ -156,7 +162,7 @@ def forward_kinematics(skel: Skeleton, rotations: np.ndarray,
     norms = np.linalg.norm(rotations, axis=-1)
     if np.any(np.abs(norms - 1.0) > 1e-6):
         raise InvalidRotationError("forward_kinematics requires unit rotations")
-    return _fk(skel, _expand_active(skel, rotations), root_position)[1]
+    return _fk(skel, expand_active(skel, rotations), root_position)[1]
 
 
 def forward_kinematics_tensor(skel: Skeleton, rotations: Tensor,
@@ -170,7 +176,7 @@ def forward_kinematics_tensor(skel: Skeleton, rotations: Tensor,
     Every library caller normalizes first, so this only shows in gradient
     checks.
     """
-    full = _expand_active(skel, rotations.data)
+    full = expand_active(skel, rotations.data)
     world_q, positions = _fk(skel, full, root_position)
 
     def grad(g):
@@ -272,7 +278,7 @@ def ik_reproject(skel: Skeleton, target: np.ndarray, init: np.ndarray,
         below[:, k] |= below[:, skel.parents[k]]
 
     def evaluate(r):
-        world_q, pos = _fk(skel, _expand_active(skel, r), root)
+        world_q, pos = _fk(skel, expand_active(skel, r), root)
         return world_q, pos, np.sum((target - pos) ** 2, axis=(-2, -1))
 
     world_q, pos, cost = evaluate(rots)

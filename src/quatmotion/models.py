@@ -32,6 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from . import rotmath as rm
 from .autodiff import Tensor
+from .kinematics import expand_active
 from .motiondata import MotionClip, _read_exact, _read_header, _write_container
 
 CHECKPOINT_MAGIC = b"QMN1"
@@ -565,11 +566,9 @@ def generate_locomotion(pose_net: PoseNetwork, pace_net: PaceNetwork, spline,
 
     trans = np.stack(frames_t)  # root height, arc offset
     ground = spline.position_at(arc[n_init:n_init + num_frames] + trans[:, 1])
-    rotations = np.zeros((num_frames, skel.num_joints, 4))
-    rotations[..., 0] = 1.0
-    rotations[:, skel.active_indices] = np.stack(frames_q)
     return MotionClip(skel, frame_rate, np.stack([ground[:, 0], trans[:, 0], ground[:, 1]], axis=1),
-                      rotations, subject="generated", action="locomotion")
+                      expand_active(skel, np.stack(frames_q)), subject="generated",
+                      action="locomotion")
 
 
 # -- checkpoints ------------------------------------------------------------------

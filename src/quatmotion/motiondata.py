@@ -655,11 +655,8 @@ class EpisodeSampler:
     def sample_indices(self, batch_size: int) -> list:
         """[(clip_index, start_frame)] drawn uniformly over valid starts."""
         flat = self.rng.integers(0, self._cum[-1], size=batch_size)
-        out = []
-        for v in flat:
-            ci = int(np.searchsorted(self._cum, v, side="right") - 1)
-            out.append((ci, int(v - self._cum[ci])))
-        return out
+        ci = np.searchsorted(self._cum, flat, side="right") - 1
+        return list(zip(ci.tolist(), (flat - self._cum[ci]).tolist()))
 
     def sample(self, batch_size: int) -> dict:
         """Batched episode arrays: active rotations (B, n, A, 4) and root

@@ -15,6 +15,7 @@ All functions are pure and broadcast over leading axes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,6 +203,32 @@ def quat_to_euler(q: np.ndarray, order: str) -> EulerAngles:
         a1 = np.where(singular, a1_sing, a1)
         a3 = np.where(singular, 0.0, a3)
     return EulerAngles(np.stack([a1, a2, a3], axis=-1), order, singular)
+
+
+@functools.lru_cache(maxsize=16)
+def order_groups(orders: tuple, num_joints: int) -> tuple:
+    """(order, joints) pairs of a per-joint Euler order tuple, sorted by
+    order, with ``joints`` the array of joint columns using that order.
+    Raises ValueError unless there is one order per joint."""
+    if len(orders) != num_joints:
+        raise ValueError(f"need one Euler order per joint: {len(orders)} orders "
+                         f"for {num_joints} joints")
+    groups = tuple((order, np.array([a for a, o in enumerate(orders) if o == order]))
+                   for order in sorted(set(orders)))
+    for _, joints in groups:
+        joints.flags.writeable = False  # every caller gets the same array
+    return groups
+
+
+def joint_euler(q: np.ndarray, orders) -> np.ndarray:
+    """Euler angles ``(..., J, 3)`` of joint rotations ``(..., J, 4)``,
+    joint j in ``orders[j]``: one :func:`quat_to_euler` call per order,
+    which works per quaternion, so the angles are those of per-joint calls."""
+    q = np.asarray(q, dtype=float)
+    angles = np.empty(q.shape[:-1] + (3,))
+    for order, joints in order_groups(tuple(orders), q.shape[-2]):
+        angles[..., joints, :] = quat_to_euler(q[..., joints, :], order).angles
+    return angles
 
 
 def expmap_to_quat(e: np.ndarray) -> np.ndarray:

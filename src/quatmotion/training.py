@@ -10,7 +10,6 @@ Adam update.
 from __future__ import annotations
 
 import csv
-import functools
 import os
 import time
 from contextlib import contextmanager
@@ -80,26 +79,12 @@ def loss_positional(pred_quats: Tensor, ref_positions: np.ndarray,
     return position_error_tensor(pos, ref_positions)
 
 
-@functools.lru_cache(maxsize=16)
-def _order_groups(orders: tuple) -> tuple:
-    """(order, joints) pairs of a per-joint Euler order tuple, sorted by
-    order, with ``joints`` the array of joint columns using that order."""
-    groups = tuple((order, np.array([a for a, o in enumerate(orders) if o == order]))
-                   for order in sorted(set(orders)))
-    for _, joints in groups:
-        joints.flags.writeable = False  # every caller gets the same array
-    return groups
-
-
 def loss_euler_l1(pred_quats: Tensor, ref_euler: np.ndarray, orders) -> Tensor:
     """Mean per-component L1 distance in Euler space, each component taken
-    modulo 2*pi to its nearest representative."""
+    modulo 2*pi to its nearest representative; one Euler order per joint."""
     ref_euler = np.asarray(ref_euler, dtype=float)
-    orders = (orders,) * pred_quats.shape[-2] if isinstance(orders, str) else tuple(orders)
-    if len(orders) != pred_quats.shape[-2]:
-        raise ValueError("need one Euler order per joint")
     total = None
-    for order, joints in _order_groups(orders):
+    for order, joints in rm.order_groups(tuple(orders), pred_quats.shape[-2]):
         angles = ad.quat_to_euler(pred_quats[..., joints, :], order)
         diff = ad.wrap_angle(angles - ref_euler[..., joints, :])
         part = ad.tsum(ad.absval(diff))
@@ -109,17 +94,11 @@ def loss_euler_l1(pred_quats: Tensor, ref_euler: np.ndarray, orders) -> Tensor:
 
 def euler_error(pred_quats: np.ndarray, ref_quats: np.ndarray, orders) -> np.ndarray:
     """Protocol metric: per-frame Euclidean norm of the vector of wrapped
-    per-component Euler differences across all joints."""
-    pred_quats = np.asarray(pred_quats, dtype=float)
-    ref_quats = np.asarray(ref_quats, dtype=float)
-    orders = (orders,) * pred_quats.shape[-2] if isinstance(orders, str) else tuple(orders)
-    diffs = np.empty(pred_quats.shape[:-1] + (3,))
-    for order, joints in _order_groups(orders):
-        # one conversion for both; it works per quaternion, so the angles
-        # are those of two separate calls
-        both = rm.quat_to_euler(np.stack([pred_quats[..., joints, :],
-                                          ref_quats[..., joints, :]]), order).angles
-        diffs[..., joints, :] = rm.wrap_angle(both[0] - both[1])
+    per-component Euler differences across all joints, one order per joint."""
+    # one conversion for both; it works per quaternion, so the angles are
+    # those of two separate calls
+    both = rm.joint_euler(np.stack([pred_quats, ref_quats]), orders)
+    diffs = rm.wrap_angle(both[0] - both[1])
     lead = diffs.shape[:-2]
     return np.linalg.norm(diffs.reshape(lead + (-1,)), axis=-1)
 
@@ -145,11 +124,8 @@ def _step_loss(out, target_quats, target_pos, skel, config: TrainConfig):
     elif config.loss == "positional":
         base = loss_positional(out["quats"], target_pos, skel)
     else:
-        orders = tuple(skel.euler_orders[a] for a in skel.active_indices)
-        ref = np.empty(target_quats.shape[:-1] + (3,))
-        for order, joints in _order_groups(orders):
-            ref[..., joints, :] = rm.quat_to_euler(target_quats[..., joints, :], order).angles
-        base = loss_euler_l1(out["quats"], ref, orders)
+        orders = skel.active_euler_orders
+        base = loss_euler_l1(out["quats"], rm.joint_euler(target_quats, orders), orders)
     if out["raw_quats"] is not None and config.reg_weight > 0:
         base = base + penalty_unit_norm(out["raw_quats"], config.reg_weight)
     return base

@@ -281,8 +281,7 @@ def test_criterion_7_learning_smoke():
     frame_rate = test_clips[0].frame_rate
     protocol = ev.EvalProtocol(samples_per_sequence=16, seed=123,
                                conditioning_frames=10,
-                               horizons_ms=(1000 * 2 / frame_rate,),
-                               frame_rate=frame_rate)
+                               horizons_ms=(1000 * 2 / frame_rate,))
 
     def eval_80ms(predict):
         report = ev.run_protocol(predict, test_clips, protocol)

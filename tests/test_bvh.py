@@ -209,3 +209,31 @@ def test_save_motion_block_is_per_value_six_decimals(tmp_path, gait):
     assert lines[lines.index("MOTION") + 3:] == want
     assert lines[lines.index("MOTION") + 3].startswith("-0.000000 -0.000000 1000000000000.000000")
     assert p.read_text().endswith(want[-1] + "\n")
+
+
+def test_save_mixed_orders_bytes_are_pinned(tmp_path):
+    import hashlib
+    from quatmotion.kinematics import Skeleton
+    from quatmotion.rotmath import TAIT_BRYAN_ORDERS, euler_to_quat
+
+    # an 11-joint binary tree using every Euler order, one joint at gimbal lock
+    rng = np.random.default_rng(11)
+    skel = Skeleton.from_joints([
+        {"name": f"j{i}", "parent": (i - 1) // 2, "offset": rng.normal(size=3).tolist(),
+         "euler_order": TAIT_BRYAN_ORDERS[i % 6]} for i in range(11)])
+    q = rng.normal(size=(6, 11, 4))
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    q[2, 3] = euler_to_quat([0.3, np.pi / 2, 0.2], skel.euler_orders[3])
+    p = tmp_path / "mixed.bvh"
+    save_bvh(p, skel, 30.0, rng.normal(size=(6, 3)), q)
+    # recorded with the per-joint conversion loop the writer had before
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "247bf4cf3438dc4f9d6369e5a93b1d71bb2846b85d26a5b4674b02e5d13f8ae9")
+
+
+def test_save_zero_frames(tmp_path, gait):
+    skel = gait[0]
+    p = tmp_path / "empty.bvh"
+    save_bvh(p, skel, 30.0, np.zeros((0, 3)), np.zeros((0, skel.num_joints, 4)))
+    assert p.read_text().endswith("Frames: 0\nFrame Time: 0.03333333\n")
+    assert load_bvh(p)[3].shape[0] == 0

@@ -12,6 +12,8 @@ import pytest
 from quatmotion import cli
 from quatmotion import motiondata as md
 
+from conftest import SPINE_BEND, freeze_joint
+
 
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
@@ -536,8 +538,9 @@ def test_closed_stdout_exits_quietly(tmp_path, dataset_dir, training_checkpoint,
     assert (tmp_path / "o" / "report.csv").exists()
 
 
-@pytest.mark.parametrize("rate", ["NaN", "Infinity"])
-def test_non_finite_clip_frame_rate_is_data_error(tmp_path, dataset_dir, capsys, rate):
+def _write_clip_at_rate(path, dataset_dir, rate: str) -> None:
+    """Write the first dataset clip to ``path`` with ``rate`` as its
+    header's frame rate, which the writer would not accept."""
     blob = (dataset_dir / "clip_00000.qmc").read_bytes()
     start = len(md.QMC_MAGIC) + 4
     (hlen,) = struct.unpack("<I", blob[len(md.QMC_MAGIC):start])
@@ -545,21 +548,81 @@ def test_non_finite_clip_frame_rate_is_data_error(tmp_path, dataset_dir, capsys,
     header["frame_rate"] = float(rate)
     new = json.dumps(header).encode()
     assert rate.encode() in new
+    path.write_bytes(md.QMC_MAGIC + struct.pack("<I", len(new)) + new + blob[start + hlen:])
+
+
+@pytest.mark.parametrize("rate", ["NaN", "Infinity"])
+def test_non_finite_clip_frame_rate_is_data_error(tmp_path, dataset_dir, capsys, rate):
     bad = tmp_path / "bad.qmc"
-    bad.write_bytes(md.QMC_MAGIC + struct.pack("<I", len(new)) + new + blob[start + hlen:])
+    _write_clip_at_rate(bad, dataset_dir, rate)
     assert run(["baseline", "--kind", "zerovel", "--dataset", bad, "--out", tmp_path / "o"]) == 2
     out, err = capsys.readouterr()
     assert "bad.qmc" in err and "frame_rate" in err and "Traceback" not in out + err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-80"])
+@pytest.mark.parametrize("command", ["baseline", "evaluate"])
+def test_clip_rate_without_whole_horizon_is_data_error(tmp_path, dataset_dir, training_checkpoint,
+                                                       capsys, command):
+    # a finite rate at which 80 ms is no finite number of frames
+    bad = tmp_path / "bad.qmc"
+    _write_clip_at_rate(bad, dataset_dir, "1e+308")
+    model = {"evaluate": ["--checkpoint", training_checkpoint],
+             "baseline": ["--kind", "zerovel"]}[command]
+    assert run([command, *model, "--dataset", bad, "--conditioning-frames", "6",
+                "--out", tmp_path / "o"]) == 2
+    out, err = capsys.readouterr()
+    assert "clip 0" in err and "80 ms at 1e+308 Hz" in err and "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-80", "1", "19.9"])
 def test_predict_bad_horizon_is_usage_error(tmp_path, dataset_dir, training_checkpoint, capsys,
                                             value):
+    # at 25 Hz, 1 and 19.9 ms are under half a frame
     assert run(["predict", "--checkpoint", training_checkpoint, "--dataset", dataset_dir,
                 f"--horizon-ms={value}", "--conditioning-frames", "6",
                 "--out", tmp_path / "o"]) == 1
     out, err = capsys.readouterr()
     assert "--horizon-ms" in err and "Traceback" not in out + err
+
+
+def test_predict_writes_inactive_joints_at_their_constants(tmp_path, dataset_dir):
+    from quatmotion import models as mo, rotmath as rm, training as tr
+    from quatmotion.optim import AdamState
+
+    clips = []
+    for clip in md.load_dataset(dataset_dir):
+        clip = freeze_joint(clip, "spine0", SPINE_BEND)
+        # the recorded joint wobbles by 1e-5 rad about its constant, as a
+        # joint pruned at the default tolerance may
+        rots, j = clip.rotations.copy(), clip.skeleton.names.index("spine0")
+        wobble = 1e-5 * np.sin(np.arange(clip.num_frames))
+        rots[:, j] = rm.qmul(SPINE_BEND, rm.axis_angle_quat([0.0, 1.0, 0.0], wobble))
+        clips.append(md.MotionClip(clip.skeleton, clip.frame_rate, clip.root_positions, rots))
+    skel = clips[0].skeleton
+    md.save_dataset(tmp_path / "ds", clips)
+    net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(skel.num_active, hidden=8))
+    tr.save_pose_checkpoint(tmp_path / "pose.ckpt", net, skel, tr.TrainConfig(), 1,
+                            AdamState(), {"sampler": {}, "rollout": {}})
+    assert run(["predict", "--checkpoint", tmp_path / "pose.ckpt", "--dataset", tmp_path / "ds",
+                "--horizon-ms", "200", "--conditioning-frames", "6",
+                "--out", tmp_path / "o"]) == 0
+    pred = md.load_clip(tmp_path / "o" / "pred_00000.qmc")
+    assert pred.num_frames == 5
+    want = SPINE_BEND.astype(np.float32).astype(float)  # clips are stored as float32
+    assert np.array_equal(pred.rotations[:, j], np.tile(want, (5, 1)))
+
+
+@pytest.mark.parametrize("command", ["predict", "generate"])
+def test_commands_without_randomness_take_no_seed(tmp_path, dataset_dir, training_checkpoint,
+                                                  generate_args, capsys, command):
+    args = {"predict": ["predict", "--checkpoint", training_checkpoint, "--dataset", dataset_dir,
+                        "--conditioning-frames", "6"],
+            "generate": generate_args + ["--frames", "5"]}[command]
+    assert run(args + ["--seed", "0", "--out", tmp_path / "s"]) == 1
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    assert run(args + ["--out", tmp_path / "o"]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["seed"] is None and "seed" not in manifest["config"]
 
 
 @pytest.mark.parametrize("columns", [1, 4])

@@ -31,7 +31,46 @@ def test_protocol_descriptors():
     prop = ev.EvalProtocol.proposed()
     assert std.samples_per_sequence == 4
     assert prop.samples_per_sequence == 128
-    assert std.horizon_frames == [2, 4, 8, 10]
+    assert [ev.horizon_frames(ms, 25.0) for ms in std.horizons_ms] == [2, 4, 8, 10]
+
+
+@pytest.mark.parametrize("ms,rate", [(1.0, 25.0), (19.9, 25.0), (20.0, 25.0), (400.0, 1e308),
+                                     (float("nan"), 25.0), (-80.0, 25.0)])
+def test_horizon_frames_rejects_no_whole_frame(ms, rate):
+    with pytest.raises(ValueError, match="finite count of at least 1"):
+        ev.horizon_frames(ms, rate)
+
+
+def test_horizon_frames_rounds_to_nearest_frame():
+    # 30 ms at 25 Hz is 0.75 frames, 60 ms 1.5 (halves round to even)
+    assert [ev.horizon_frames(ms, 25.0) for ms in (30.0, 60.0, 100.0, 80)] == [1, 2, 2, 2]
+    assert ev.horizon_frames(400, 12.5) == 5
+
+
+def test_run_protocol_takes_horizons_from_each_clip(corpus):
+    skel, clips = corpus
+    slow = md.MotionClip(skel, 12.5, clips[0].root_positions[::2], clips[0].rotations[::2],
+                         action="slow")
+    asked = []
+
+    def predict(prefix, horizon):
+        asked.append(horizon)
+        return ev.baseline_zero_velocity(prefix, horizon)
+
+    rep = ev.run_protocol(predict, [slow, clips[1]], ev.EvalProtocol.standard())
+    # 400 ms is 5 frames at 12.5 Hz and 10 at 25 Hz
+    assert asked == [5] * 4 + [10] * 4
+    assert sorted({ms for _, ms in rep.per_sample}) == [80, 160, 320, 400]
+
+
+def test_run_protocol_names_clip_without_whole_horizon(corpus):
+    skel, clips = corpus
+    fast = md.MotionClip(skel, 1e308, clips[0].root_positions, clips[0].rotations, action="fast")
+    asked = []
+    with pytest.raises(ValueError, match=r"clip 1 \('fast'\)"):
+        ev.run_protocol(lambda p, h: asked.append(h), [clips[0], fast],
+                        ev.EvalProtocol.standard())
+    assert asked == []  # checked before any prediction
 
 
 def test_run_protocol_deterministic(corpus):

@@ -12,7 +12,7 @@ from quatmotion.autodiff import Tensor
 from quatmotion.evaluation import PositionNetwork
 from quatmotion.motiondata import MotionClip, fit_spline
 
-from conftest import random_unit_quats
+from conftest import SPINE_BEND, freeze_joint, random_unit_quats
 
 
 def count_params(net):
@@ -428,8 +428,7 @@ def _generate_reference(pose_net, pace_net, spline, init_clip, num_frames, frame
         out = pose_net.step(out["feedback"], state, prev_quats=out["quats"],
                             translations=out["translations"], controls=Tensor(control_frame()))
         state = out["state"]
-    rotations = np.zeros((num_frames, skel.num_joints, 4))
-    rotations[..., 0] = 1.0
+    rotations = np.tile(skel.constant_rotations, (num_frames, 1, 1))
     rotations[:, skel.active_indices] = np.stack(frames_q)
     return MotionClip(skel, frame_rate, np.stack(frames_root), rotations)
 
@@ -508,3 +507,30 @@ def test_window_rejects_non_finite_state(rng, backbone):
     q = random_unit_quats(rng, (1, 32, 4))
     with pytest.raises(ad.NumericalError):
         net.forward_window(Tensor(q.reshape(1, 32, -1)), prev_quats=Tensor(q[:, -1]))
+
+
+def test_generation_holds_inactive_joints_at_their_constants(corpus, tmp_path):
+    from quatmotion import bvh
+    from quatmotion.kinematics import forward_kinematics
+
+    skel, clips = corpus
+    init = freeze_joint(clips[0].slice(0, 8), "spine0", SPINE_BEND)
+    frozen, j = init.skeleton, init.skeleton.names.index("spine0")
+    pose_net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(
+        frozen.num_active, hidden=16, include_controls=True, include_translations=True), seed=0)
+    pace_net = mo.PaceNetwork(mo.PaceNetworkConfig(), seed=0)
+    spline = fit_spline(np.stack([np.linspace(0, 4, 60), np.zeros(60), np.zeros(60)], 1), 0.25)
+    clip = mo.generate_locomotion(pose_net, pace_net, spline, init, 40, 25.0)
+    want = _generate_reference(pose_net, pace_net, spline, init, 40, 25.0)
+    assert clip.rotations.tobytes() == want.rotations.tobytes()
+    assert np.array_equal(clip.rotations[:, j], np.tile(frozen.constant_rotations[j], (40, 1)))
+    # the BVH export, which writes the stored rotations, poses the clip as its FK does
+    path = tmp_path / "gen.bvh"
+    bvh.save_bvh(path, frozen, clip.frame_rate, clip.root_positions, clip.rotations)
+    loaded, rate, root, rots = bvh.load_bvh(path)
+    got = forward_kinematics(loaded, rots[:, loaded.active_indices], root)
+    # an End Site loads as its parent's name + "_end"
+    cols = [loaded.names.index(name if name in loaded.names else
+                               frozen.names[frozen.parents[i]] + "_end")
+            for i, name in enumerate(frozen.names)]
+    assert np.abs(got[:, cols] - clip.positions()).max() < 1e-4

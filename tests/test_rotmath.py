@@ -105,6 +105,22 @@ def test_euler_to_quat_matches_axis_composition(order, rng):
                            atol=1e-12)
 
 
+def test_joint_euler_is_per_joint_quat_to_euler_bit_for_bit(rng):
+    orders = [rm.TAIT_BRYAN_ORDERS[j % 6] for j in range(9)]
+    q = random_unit_quats(rng, (7, 9))
+    q[3, 4] = rm.euler_to_quat([0.3, np.pi / 2, -0.2], orders[4])  # gimbal lock
+    got = rm.joint_euler(q, orders)
+    want = np.stack([rm.quat_to_euler(q[:, j], orders[j]).angles for j in range(9)], axis=1)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_order_groups_need_one_order_per_joint():
+    assert [(o, j.tolist()) for o, j in rm.order_groups(("zyx", "xyz", "zyx"), 3)] == [
+        ("xyz", [1]), ("zyx", [0, 2])]
+    with pytest.raises(ValueError, match="one Euler order per joint"):
+        rm.order_groups(("zyx", "xyz"), 3)
+
+
 def test_gimbal_lock_representative_round_trips():
     for order in rm.TAIT_BRYAN_ORDERS:
         for sign in (1.0, -1.0):
