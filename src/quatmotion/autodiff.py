@@ -16,7 +16,9 @@ and exponential-map encodings train through (:func:`quat_to_euler`,
 (``kinematics.forward_kinematics_tensor``); a GRU cell (:func:`gru_cell`,
 for frames fed back one at a time) and a GRU layer over a whole sequence
 (:func:`gru_sequence`), which share one gate forward and one gate adjoint;
-and a causal convolution layer (:func:`causal_conv`).
+a causal convolution layer (:func:`causal_conv`); and a row select
+(:func:`select`). The step losses ``training.loss_quat_dot`` and
+``training.penalty_unit_norm`` are single nodes too.
 """
 
 from __future__ import annotations
@@ -273,6 +275,14 @@ def absval(a) -> Tensor:
     a = as_tensor(a)
     sign = np.sign(a.data)
     return _make(np.abs(a.data), (a,), (lambda g: g * sign,))
+
+
+def select(keep, const, x) -> Tensor:
+    """``np.where(keep, const, x)`` as one node, for a constant boolean
+    ``keep`` and a constant array ``const`` that broadcast against ``x``."""
+    x = as_tensor(x)
+    return _make(np.where(keep, const, x.data), (x,),
+                 (lambda g: _unbroadcast(np.where(keep, 0.0, g), x.data.shape),))
 
 
 def wrap_angle(a) -> Tensor:

@@ -1,7 +1,7 @@
 """Finite-difference gradient checks over the differentiable ops (the fused
-GRU cell and GRU sequence, the quaternion head and the causal convolution
-among them), both pose network backbones and both pace network variants.
-Used by the ``gradcheck`` CLI command and the tests."""
+GRU cell and sequence, the quaternion head, causal convolution, row select
+and step losses among them), both pose network backbones and both pace
+network variants. Used by the ``gradcheck`` CLI command and the tests."""
 
 from __future__ import annotations
 
@@ -49,6 +49,8 @@ def check_scalar_fn(builder, x: np.ndarray, eps: float = EPS) -> float:
 
 
 def _op_cases(rng: np.random.Generator) -> list:
+    from .training import loss_quat_dot, penalty_unit_norm
+
     q = rng.normal(size=(3, 4))
     q /= np.linalg.norm(q, axis=-1, keepdims=True)
     v = rng.normal(size=(3, 3))
@@ -63,6 +65,7 @@ def _op_cases(rng: np.random.Generator) -> list:
     w52 = rng.normal(size=(5, 2))
     w34 = rng.normal(size=(3, 4))
     w64 = rng.normal(size=(6, 4))
+    keep = np.array([[True], [False], [True]])  # rows 0 and 2 kept, row 1 not
     cases = [
         ("add_mul", lambda t: ad.tsum(t * t + 2.0 * t), rng.normal(size=(3, 4))),
         ("matmul", lambda t: ad.tsum(ad.matmul(t, Tensor(w52))), m.copy()),
@@ -91,6 +94,11 @@ def _op_cases(rng: np.random.Generator) -> list:
          rng.normal(size=(3, 4))),
         ("wrap_angle", lambda t: ad.tsum(ad.wrap_angle(t)),
          rng.uniform(-2.5, 2.5, size=(6,))),
+        ("select", lambda t: ad.tsum(ad.select(keep, q, t) * Tensor(w34)),
+         rng.normal(size=(3, 4))),
+        ("loss_quat_dot", lambda t: loss_quat_dot(t, q), rng.normal(size=(3, 4))),
+        ("penalty_unit_norm", lambda t: penalty_unit_norm(t, 0.05),
+         1.5 * q + 0.1 * rng.normal(size=(3, 4))),
     ]
     # the fused GRU cell at batch 3, and a GRU sequence at batch 2 over 4
     # steps from one h0 broadcast over the batch, varying each of their

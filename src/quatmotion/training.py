@@ -56,9 +56,12 @@ class TrainConfig:
             raise ValueError(f"reg_weight {self.reg_weight} outside its useful range")
         if self.loss not in ("quat_dot", "euler_l1", "positional"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        for name in ("conditioning_frames", "prediction_frames", "batch_size"):
+        for name in ("epochs", "conditioning_frames", "prediction_frames", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("lr0", "clip_norm"):
+            if not 0.0 < getattr(self, name) < float("inf"):
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
     def lr_at(self, epoch: int) -> float:
         return self.lr0 * self.lr_decay ** epoch
@@ -104,16 +107,23 @@ def euler_error(pred_quats: np.ndarray, ref_quats: np.ndarray, orders) -> np.nda
 
 
 def loss_quat_dot(pred: Tensor, ref: np.ndarray) -> Tensor:
-    """Mean of 1 - <p, q>; equals half the squared chord distance for unit
-    inputs."""
-    return ad.tmean(1.0 - ad.tsum(pred * Tensor(np.asarray(ref, dtype=float)),
-                                  axis=-1))
+    """Mean of 1 - <p, q> over quaternions of one shape, half the squared
+    chord distance for unit inputs; one node, the composite ops' arithmetic."""
+    ref = np.asarray(ref, dtype=float)
+    dot = (pred.data * ref).sum(axis=-1)
+    scale = 1.0 / dot.size
+    return ad._make((1.0 + dot * -1.0).sum() * scale, (pred,),
+                    (lambda g: ((g * scale) * -1.0) * ref,))
 
 
 def penalty_unit_norm(raw_quats: Tensor, weight: float = REG_WEIGHT) -> Tensor:
-    """weight * mean((|q|^2 - 1)^2) over raw (pre-normalization) outputs."""
-    sq = ad.tsum(ad.square(raw_quats), axis=-1)
-    return ad.tmean(ad.square(sq - 1.0)) * weight
+    """weight * mean((|q|^2 - 1)^2) over raw (pre-normalization) outputs;
+    one node, the composite ops' arithmetic."""
+    raw = raw_quats.data
+    d = (raw * raw).sum(axis=-1) - 1.0
+    scale = 1.0 / d.size
+    return ad._make(((d * d).sum() * scale) * weight, (raw_quats,),
+                    (lambda g: (2.0 * raw) * ((2.0 * d) * ((g * weight) * scale))[..., None],))
 
 
 # -- scheduled sampling rollouts ------------------------------------------------
@@ -126,7 +136,7 @@ def _step_loss(out, target_quats, target_pos, skel, config: TrainConfig):
     else:
         orders = skel.active_euler_orders
         base = loss_euler_l1(out["quats"], rm.joint_euler(target_quats, orders), orders)
-    if out["raw_quats"] is not None and config.reg_weight > 0:
+    if out["raw_quats"] is not None:
         base = base + penalty_unit_norm(out["raw_quats"], config.reg_weight)
     return base
 
@@ -165,8 +175,9 @@ def _autoregress(net: PoseNetwork, enc: np.ndarray, quats: np.ndarray, n: int,
     ground-truth next frame with probability p, otherwise its own
     prediction. Without an rng the prediction is always fed back
     (free-run; callers run it under ``autodiff.no_grad()``). With one, the
-    recurrent backbone keeps fed-back predictions on the tape through the
-    mask blend and draws nothing at p >= 1, while the convolutional
+    recurrent backbone keeps fed-back predictions on the tape, one
+    ``autodiff.select`` node per input picking each row from ground truth
+    or prediction, and draws nothing at p >= 1, while the convolutional
     backbone reads them detached and always draws; so each keeps the rng
     stream, and training the results, it has had from the start.
     """
@@ -187,10 +198,9 @@ def _autoregress(net: PoseNetwork, enc: np.ndarray, quats: np.ndarray, n: int,
         elif p >= 1.0:
             pose, prev_q = Tensor(enc[:, f]), Tensor(quats[:, f])
         else:
-            keep = (rng.random(b) < p).astype(float)
-            mask, qmask = Tensor(keep[:, None]), Tensor(keep[:, None, None])
-            pose = mask * Tensor(enc[:, f]) + (1.0 - mask) * pose
-            prev_q = qmask * Tensor(quats[:, f]) + (1.0 - qmask) * prev_q
+            keep = rng.random(b) < p
+            pose = ad.select(keep[:, None], enc[:, f], pose)
+            prev_q = ad.select(keep[:, None, None], quats[:, f], prev_q)
         out = net.step(pose, out["state"], prev_quats=prev_q,
                        **_aux_inputs(net, b, f, root_positions))
         yield out
@@ -247,18 +257,20 @@ def free_run_chunks(net: PoseNetwork, clips, skel: Skeleton, n: int, k: int,
     """Free-run ``net`` from up to ``max_chunks`` evenly spaced n-frame
     prefixes per clip; clips shorter than n + k frames are skipped. Yields
     ``(clip, start, predicted, reference)``, the last two root-relative FK
-    positions (k, J, 3) of the prediction and of the frames it predicts."""
-    root = np.zeros((k, 3))
+    positions (k, J, 3) of the prediction and of the frames it predicts. One
+    FK call per clip covers all its chunks, so a ``NumericalError`` in any
+    of them raises before the clip's first chunk is yielded."""
     for clip in clips:
         limit = clip.num_frames - n - k
         if limit < 0:
             continue
         starts = np.unique(np.linspace(0, limit, min(max_chunks, limit + 1), dtype=int))
         rots = clip.active_rotations
-        for s in starts:
-            pred = free_run_predict(net, rots[s:s + n], k)
-            yield (clip, s, forward_kinematics(skel, pred, root),
-                   forward_kinematics(skel, rots[s + n:s + n + k], root))
+        preds = [free_run_predict(net, rots[s:s + n], k) for s in starts]
+        refs = [rots[s + n:s + n + k] for s in starts]
+        got, ref = forward_kinematics(skel, np.stack([preds, refs]))
+        for s, g, r in zip(starts, got, ref):
+            yield clip, s, g, r
 
 
 def validate_pose(net: PoseNetwork, clips, skel: Skeleton,

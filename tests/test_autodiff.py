@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from quatmotion import autodiff as ad
 from quatmotion import rotmath as rm
+from quatmotion import training as tr
 from quatmotion.autodiff import Tensor, TapeConsumedError
 from quatmotion.gradcheck import check_scalar_fn, run_gradcheck
 
@@ -100,6 +101,42 @@ def test_causal_conv_matches_composite(rng, t, slope, skip):
 
     for got, want in zip(run(ad.causal_conv), run(_causal_conv_composite)):
         assert np.array_equal(got, want)
+
+
+def _mutated_node_cases(rng):
+    """name -> (op building the node from a tensor, input, a wrong adjoint
+    of the node's one input from its right one)."""
+    q = rng.normal(size=(3, 4))
+    keep = np.array([[True], [False], [True]])
+    return {
+        # the sign of 1 - <p, q> dropped
+        "loss_quat_dot": (lambda t: tr.loss_quat_dot(t, q), rng.normal(size=(3, 4)),
+                          lambda fn: lambda g: -fn(g)),
+        # d|q|^2/dq taken as q, not 2q
+        "penalty_unit_norm": (lambda t: tr.penalty_unit_norm(t, 0.05),
+                              1.5 * q + 0.1 * rng.normal(size=(3, 4)),
+                              lambda fn: lambda g: 0.5 * fn(g)),
+        # the kept rows' adjoint given to the unkept input
+        "select": (lambda t: ad.select(keep, q, t), rng.normal(size=(3, 4)),
+                   lambda fn: lambda g: np.where(keep, g, 0.0)),
+    }
+
+
+@pytest.mark.parametrize("name", ["loss_quat_dot", "penalty_unit_norm", "select"])
+def test_wrong_adjoint_of_new_node_fails_gradcheck(rng, name):
+    op, x, mutate = _mutated_node_cases(rng)[name]
+    weights = Tensor(rng.normal(size=(3, 4)))
+
+    def builder(wrong):
+        def f(t):
+            node = op(t)
+            if wrong and node._parents:
+                node._grad_fns = tuple(mutate(fn) for fn in node._grad_fns)
+            return ad.tsum(node * weights)
+        return f
+
+    assert check_scalar_fn(builder(False), x) < 1e-5
+    assert check_scalar_fn(builder(True), x) > 0.1
 
 
 @given(st.lists(st.floats(-3, 3), min_size=1, max_size=8))

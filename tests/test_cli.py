@@ -496,7 +496,13 @@ def test_bad_swap_map_is_usage_error(tmp_path, dataset_dir, capsys, swap):
     ("train-pose", "conditioning_frames = 0"),
     ("train-pose", "prediction_frames = 0"),
     ("train-pose", "batch_size = 0"),
+    ("train-pose", "lr0 = -0.001"),
+    ("train-pose", "lr0 = inf"),
+    ("train-pose", "clip_norm = -0.1"),
+    ("train-pose", "clip_norm = 0"),
+    ("train-pose", "epochs = -3"),
     ("train-pace", "epochs = abc"),
+    ("train-pace", "clip_norm = 0"),
     ("train-pace", "variant = sideways"),
 ])
 def test_bad_config_value_is_usage_error(tmp_path, dataset_dir, capsys, command, line):
@@ -504,9 +510,10 @@ def test_bad_config_value_is_usage_error(tmp_path, dataset_dir, capsys, command,
     cfgfile.write_text(f"{line}\ndataset = {dataset_dir}\n")
     out = tmp_path / "o"
     assert run([command, "--config", cfgfile, "--out", out]) == 1
-    err = capsys.readouterr().err
-    assert line.split(" = ")[1] in err and "Traceback" not in err
-    # rejected before training starts: no log and no checkpoint
+    captured = capsys.readouterr()
+    assert line.split(" = ")[1] in captured.err and "Traceback" not in captured.err
+    # rejected before training starts: no log and no checkpoint, and none named
+    assert "checkpoint" not in captured.out
     assert not (out / "training_log.csv").exists()
     assert not list(out.glob("*.ckpt"))
 

@@ -6,10 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quatmotion import autodiff as ad
 from quatmotion import models as mo
 from quatmotion import rotmath as rm
 from quatmotion import training as tr
 from quatmotion.autodiff import NumericalError, Tensor
+from quatmotion.kinematics import forward_kinematics
+from quatmotion.motiondata import MotionClip
 from quatmotion.optim import AdamState, adam_step, clip_global_norm
 
 from conftest import random_unit_quats
@@ -20,6 +23,18 @@ def test_schedules_exact():
     for e in range(0, 500, 7):
         assert cfg.lr_at(e) == 1e-3 * 0.999 ** e
         assert cfg.p_at(e) == 0.995 ** e
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lr0", -1e-3), ("lr0", 0.0), ("lr0", float("inf")), ("lr0", float("nan")),
+    ("clip_norm", -0.1), ("clip_norm", 0.0), ("clip_norm", float("inf")),
+    ("epochs", -3), ("epochs", 0),
+])
+def test_train_config_rejects_values_that_break_training(field, value):
+    # a negative step trains uphill, a zero clip norm freezes every
+    # parameter, and no epoch trains nothing
+    with pytest.raises(ValueError, match=field):
+        tr.TrainConfig(**{field: value})
 
 
 def test_reg_weight_range_enforced():
@@ -89,18 +104,21 @@ def _tape_nodes(root) -> int:
     return len(seen)
 
 
+# the ids keep the looser bounds these cases were first pinned at, so that
+# test names stay stable; ``most`` is the bound checked
 @pytest.mark.parametrize("parameterization,loss,most,net_kw,n", [
-    pytest.param("euler-xyz", "euler_l1", 200, {"mode": "absolute"}, 10,
+    pytest.param("euler-xyz", "euler_l1", 103, {"mode": "absolute"}, 10,
                  id="euler-xyz-euler_l1-200"),
-    pytest.param("expmap", "positional", 149, {"mode": "absolute"}, 10,
+    pytest.param("expmap", "positional", 91, {"mode": "absolute"}, 10,
                  id="expmap-positional-149"),
-    pytest.param("quaternion", "quat_dot", 165, {}, 10, id="quaternion-velocity-165"),
-    pytest.param("quaternion", "quat_dot", 193, {"backbone": "convolutional"}, 32,
+    pytest.param("quaternion", "quat_dot", 89, {}, 10, id="quaternion-velocity-165"),
+    pytest.param("quaternion", "quat_dot", 127, {"backbone": "convolutional"}, 32,
                  id="conv-quaternion-velocity-193"),
 ])
 def test_rollout_tape_nodes(corpus, parameterization, loss, most, net_kw, n):
     # a rollout of a desk model at batch 8 (k = 6) builds one node per
-    # conversion, per quaternion head and per conv layer
+    # conversion, per quaternion head, per conv layer, per step loss and
+    # per scheduled-sampling select
     skel, clips = corpus
     rots = np.stack([clip.active_rotations[:n + 6] for clip in clips * 3][:8])
     net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(skel.num_active, parameterization=parameterization,
@@ -122,6 +140,71 @@ def test_unit_norm_penalty():
     raw = Tensor(np.array([[2.0, 0, 0, 0], [1.0, 0, 0, 0]]))
     got = tr.penalty_unit_norm(raw, weight=0.01).item()
     assert got == pytest.approx(0.01 * ((4 - 1) ** 2 + 0) / 2)
+
+
+def _loss_quat_dot_composite(pred, ref):
+    """loss_quat_dot from the elementary ops, as the rollout once built it."""
+    return ad.tmean(1.0 - ad.tsum(pred * Tensor(ref), axis=-1))
+
+
+def _penalty_unit_norm_composite(raw, weight):
+    """penalty_unit_norm from the elementary ops."""
+    return ad.tmean(ad.square(ad.tsum(ad.square(raw), axis=-1) - 1.0)) * weight
+
+
+@pytest.mark.parametrize("shape", [(8, 5), (3, 2, 7)])
+def test_step_loss_nodes_match_composite(rng, shape):
+    # one node each, bit for bit the composite's value and gradient, under
+    # an upstream gradient that is not 1 as in a rollout's mean over frames
+    pred, ref = random_unit_quats(rng, shape), random_unit_quats(rng, shape)
+    raw = pred * rng.uniform(0.5, 1.5, size=shape + (1,))
+    for fused, composite, x, arg in (
+            (tr.loss_quat_dot, _loss_quat_dot_composite, pred, ref),
+            (tr.penalty_unit_norm, _penalty_unit_norm_composite, raw, 0.03)):
+        runs = []
+        for op in (fused, composite):
+            t = Tensor(x.copy(), requires_grad=True)
+            out = op(t, arg)
+            (out / 6.0).backward()
+            runs.append((out.data, t.grad))
+        (got, got_grad), (want, want_grad) = runs
+        assert np.array_equal(got, want) and np.array_equal(got_grad, want_grad)
+        leaf = Tensor(x, requires_grad=True)
+        assert fused(leaf, arg)._parents == (leaf,)
+
+
+def _free_run_chunks_reference(net, clips, skel, n, k, max_chunks):
+    """free_run_chunks with two FK calls per chunk, as it once ran."""
+    root = np.zeros((k, 3))
+    for clip in clips:
+        limit = clip.num_frames - n - k
+        if limit < 0:
+            continue
+        starts = np.unique(np.linspace(0, limit, min(max_chunks, limit + 1), dtype=int))
+        rots = clip.active_rotations
+        for s in starts:
+            pred = tr.free_run_predict(net, rots[s:s + n], k)
+            yield (clip, s, forward_kinematics(skel, pred, root),
+                   forward_kinematics(skel, rots[s + n:s + n + k], root))
+
+
+@pytest.mark.parametrize("max_chunks", [8, 4])
+@pytest.mark.parametrize("backbone,n", [("recurrent", 10), ("convolutional", 32)])
+def test_free_run_chunks_match_per_chunk_fk(corpus, backbone, n, max_chunks):
+    skel, clips = corpus
+    k = 5
+    # one clip too short to use and one with only three starts
+    short = [MotionClip(skel, c.frame_rate, c.root_positions[:m], c.rotations[:m])
+             for c, m in ((clips[0], n + k - 1), (clips[1], n + k + 2))]
+    net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(skel.num_active, backbone=backbone,
+                                                   hidden=16, channels=16), seed=2)
+    got = list(tr.free_run_chunks(net, clips + short, skel, n, k, max_chunks=max_chunks))
+    want = list(_free_run_chunks_reference(net, clips + short, skel, n, k, max_chunks))
+    assert len(got) == len(want) == 3 * max_chunks + 3
+    for (clip, s, pred, ref), (want_clip, want_s, want_pred, want_ref) in zip(got, want):
+        assert clip is want_clip and s == want_s
+        assert pred.shape == (k, skel.num_joints, 3)
+        assert np.array_equal(pred, want_pred) and np.array_equal(ref, want_ref)
 
 
 def test_scheduled_sampling_extremes(corpus, rng):
