@@ -3,9 +3,11 @@ evaluation, baselines, and gradient checking.
 
 Every run writes ``manifest.json`` (resolved config, package version,
 seed, null for commands that draw no random numbers) into the output
-directory before producing any other file. Exit
-codes: 0 success, 1 usage or configuration error, 2 data error,
-3 numerical failure.
+directory before producing any other file. Exit codes: 0 success,
+1 usage or configuration error, 2 data error, 3 numerical failure.
+Only :func:`main` maps exceptions onto them: a ``CliError`` carries its
+code, a ``ValueError`` is a data error, an ``OSError`` a usage error, and
+a ``NumericalError`` or ``GenerationDivergedError`` a numerical failure.
 """
 
 from __future__ import annotations
@@ -43,18 +45,15 @@ class CliError(Exception):
 def read_config(path) -> dict:
     """Plain key=value config, one pair per line, '#' comments."""
     out = {}
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise CliError(f"{path}:{lineno}: expected key=value", EXIT_USAGE)
-                key, val = line.split("=", 1)
-                out[key.strip()] = val.strip()
-    except OSError as e:
-        raise CliError(f"cannot read config: {e}", EXIT_USAGE)
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise CliError(f"{path}:{lineno}: expected key=value", EXIT_USAGE)
+            key, val = line.split("=", 1)
+            out[key.strip()] = val.strip()
     return out
 
 
@@ -95,26 +94,22 @@ def write_manifest(out_dir, args: argparse.Namespace, seed: int | None) -> None:
 
 
 def _load_clips(path) -> list:
-    if not os.path.exists(path):
-        raise CliError(f"dataset path {path!r} does not exist", EXIT_USAGE)
+    """The clips of a directory of ``.qmc`` clips, a ``.bvh`` file or a
+    ``.qmc`` file, all on clip 0's skeleton."""
     try:
         if os.path.isdir(path):
-            return md.load_dataset(path)
-        if path.endswith(".bvh"):
-            return [md.load_bvh(path)[1]]
-        return [md.load_clip(path)]
+            clips = md.load_dataset(path)
+        elif path.endswith(".bvh"):
+            clips = [md.load_bvh(path)[1]]
+        else:
+            clips = [md.load_clip(path)]
     except BvhParseError as e:
         raise CliError(f"{path}: {e}", EXIT_DATA)
-    except ValueError as e:
-        raise CliError(str(e), EXIT_DATA)
-
-
-def _load_swap_map(path) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as e:
-        raise CliError(f"cannot read swap map {path!r}: {e}", EXIT_USAGE)
+    skel = clips[0].skeleton.to_dict()
+    for i, clip in enumerate(clips[1:], start=1):
+        if clip.skeleton.to_dict() != skel:
+            raise ValueError(f"{path}: clip {i} has a skeleton other than clip 0's")
+    return clips
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -129,10 +124,11 @@ def cmd_convert(args) -> int:
     if args.downsample > 1:
         clips = [p for c in clips for p in md.downsample_all_phases(c, args.downsample)]
     if args.mirror is not None:
-        swap = _load_swap_map(args.mirror)
         try:
+            with open(args.mirror) as fh:
+                swap = json.load(fh)
             clips = clips + [md.mirror(c, swap) for c in clips]
-        except ValueError as e:
+        except (OSError, ValueError) as e:
             raise CliError(f"swap map {args.mirror!r}: {e}", EXIT_USAGE)
     if args.augment_rotations > 0:
         rng = np.random.default_rng(args.seed)
@@ -176,13 +172,7 @@ def cmd_train_pose(args) -> int:
     _check_conditioning(net, config.conditioning_frames)
     ck_path = os.path.join(args.out, "pose.ckpt")
     log_path = os.path.join(args.out, "training_log.csv")
-    try:
-        tr.train_pose(net, clips, skel, config, log_path=log_path,
-                      checkpoint_path=ck_path, **resume)
-    except NumericalError as e:
-        raise CliError(f"training aborted: {e}", EXIT_NUMERIC)
-    except ValueError as e:
-        raise CliError(f"cannot train: {e}", EXIT_DATA)
+    tr.train_pose(net, clips, skel, config, log_path=log_path, checkpoint_path=ck_path, **resume)
     print(f"checkpoint -> {ck_path}\nlog -> {log_path}")
     return EXIT_OK
 
@@ -207,11 +197,7 @@ def cmd_train_pace(args) -> int:
     if not examples:
         raise CliError("no clip produced usable gait features", EXIT_DATA)
     net = mo.PaceNetwork(pace_config, seed=config.seed)
-    try:
-        tr.train_pace(net, examples, config,
-                      log_path=os.path.join(args.out, "training_log.csv"))
-    except NumericalError as e:
-        raise CliError(f"training aborted: {e}", EXIT_NUMERIC)
+    tr.train_pace(net, examples, config, log_path=os.path.join(args.out, "training_log.csv"))
     ck = os.path.join(args.out, "pace.ckpt")
     mo.save_checkpoint(ck, "pace", asdict(net.config), net.param_arrays(),
                        {"train_config": vars(config)})
@@ -220,15 +206,10 @@ def cmd_train_pace(args) -> int:
 
 
 def _load_checkpoint(path, kind: str, build):
-    """``build(ck)`` for the ``kind`` checkpoint at ``path``. A file that
-    cannot be read or is of another kind is a usage error; a corrupt one,
-    or one whose stored config or arrays cannot build, a data error."""
-    try:
-        ck = mo.load_checkpoint(path)
-    except ValueError as e:
-        raise CliError(str(e), EXIT_DATA)
-    except OSError as e:
-        raise CliError(f"cannot read checkpoint: {e}", EXIT_USAGE)
+    """``build(ck)`` for the ``kind`` checkpoint at ``path``. A checkpoint
+    of another kind is a usage error; one whose stored config or arrays
+    cannot build, a data error naming ``path``."""
+    ck = mo.load_checkpoint(path)
     if ck["kind"] != kind:
         raise CliError(f"{path}: not a {kind} checkpoint", EXIT_USAGE)
     try:
@@ -279,6 +260,9 @@ def cmd_predict(args) -> int:
         md.save_clip(os.path.join(args.out, f"pred_{ci:05d}.qmc"), out_clip)
         if args.bvh:
             md.save_bvh(os.path.join(args.out, f"pred_{ci:05d}.bvh"), out_clip)
+    if not rows:
+        raise ValueError(f"no clip has the {n} conditioning frames and "
+                         f"{args.horizon_ms} ms that a prediction needs")
     with open(os.path.join(args.out, "metrics.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["clip", "action", "horizon_ms", "euler_error"])
@@ -288,29 +272,13 @@ def cmd_predict(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if args.frames < 1:
-        raise CliError(f"--frames must be at least 1, got {args.frames}", EXIT_USAGE)
-    if not (np.isfinite(args.frame_rate) and args.frame_rate > 0):
-        raise CliError(f"--frame-rate must be positive and finite, got {args.frame_rate}",
-                       EXIT_USAGE)
-    if not args.segment_length > 0:
-        raise CliError(f"--segment-length must be positive, got {args.segment_length}",
-                       EXIT_USAGE)
     write_manifest(args.out, args, None)
     pose_net = _load_checkpoint(args.pose_checkpoint, "pose", tr.network_from_checkpoint)
     pace_net = _load_checkpoint(args.pace_checkpoint, "pace", mo.pace_network_from_checkpoint)
     init = _load_clips(args.init_clip)[0]
-    try:
-        waypoints = np.loadtxt(args.spline, delimiter=",", ndmin=2)
-        spline = md.fit_spline(waypoints, args.segment_length)
-        clip = mo.generate_locomotion(pose_net, pace_net, spline, init,
-                                      args.frames, args.frame_rate)
-    except OSError as e:
-        raise CliError(f"cannot read spline: {e}", EXIT_USAGE)
-    except mo.GenerationDivergedError as e:
-        raise CliError(str(e), EXIT_NUMERIC)
-    except ValueError as e:
-        raise CliError(str(e), EXIT_DATA)
+    waypoints = np.loadtxt(args.spline, delimiter=",", ndmin=2)
+    spline = md.fit_spline(waypoints, args.segment_length)
+    clip = mo.generate_locomotion(pose_net, pace_net, spline, init, args.frames, args.frame_rate)
     md.save_clip(os.path.join(args.out, "generated.qmc"), clip)
     if args.bvh:
         md.save_bvh(os.path.join(args.out, "generated.bvh"), clip)
@@ -332,10 +300,7 @@ def _report(args, predictor, clips) -> int:
     else:
         raise CliError(f"unknown protocol {spec!r}: use standard, proposed or "
                        f"S=<integer >= 1>", EXIT_USAGE)
-    try:
-        report = ev.run_protocol(predictor, clips, proto)
-    except ValueError as e:
-        raise CliError(str(e), EXIT_DATA)
+    report = ev.run_protocol(predictor, clips, proto)
     report.to_csv(os.path.join(args.out, "report.csv"), ci=True)
     print(report.summary())
     return EXIT_OK
@@ -373,80 +338,84 @@ def cmd_gradcheck(args) -> int:
 
 # -- parser -------------------------------------------------------------------------
 
+def _at_least(kind, low, strict: bool = False):
+    """An argparse ``type=``: a finite ``kind`` ``>= low``, or ``> low`` if ``strict``."""
+    def parse(text: str):
+        value = kind(text)
+        if not (low < value < float("inf") or value == low and not strict):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {kind.__name__} {'>' if strict else '>='} {low}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+def _shared(*flags, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser declaring one option that several subcommands take."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument(*flags, **kwargs)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="quatmotion",
                                 description="Quaternion motion modeling toolkit")
     sub = p.add_subparsers(dest="command", required=True)
+    out = _shared("--out", required=True, help="output directory")
+    bvh = _shared("--bvh", action="store_true", help="also write BVH files")
+    config = _shared("--config", help="key=value config file")
+    checkpoint = _shared("--checkpoint", required=True, help="pose checkpoint")
+    conditioning = _shared("--conditioning-frames", type=int, default=10)
+    protocol = _shared("--protocol", default="standard", help="standard | proposed | S=<int>")
 
-    c = sub.add_parser("convert", help="import/preprocess motion data")
-    c.add_argument("--in", dest="input", required=True)
-    c.add_argument("--out", required=True)
-    c.add_argument("--downsample", type=int, default=1)
+    c = sub.add_parser("convert", parents=[out, bvh], help="import/preprocess motion data")
+    c.add_argument("--in", dest="input", required=True, help=".bvh file, .qmc file or .qmc dir")
+    c.add_argument("--downsample", type=_at_least(int, 1), default=1)
     c.add_argument("--mirror", help="JSON file with a left/right joint swap map")
-    c.add_argument("--prune-tol", dest="prune_tol", type=float)
-    c.add_argument("--augment-rotations", dest="augment_rotations", type=int, default=0)
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--bvh", action="store_true", help="also write BVH files")
+    c.add_argument("--prune-tol", type=_at_least(float, 0))
+    c.add_argument("--augment-rotations", type=_at_least(int, 0), default=0)
+    c.add_argument("--seed", type=_at_least(int, 0), default=0)
     c.set_defaults(func=cmd_convert)
 
-    t = sub.add_parser("train-pose", help="train a pose network")
-    t.add_argument("--config", help="key=value config file")
+    t = sub.add_parser("train-pose", parents=[out, config], help="train a pose network")
     t.add_argument("--dataset")
     t.add_argument("--preset", choices=["desk", "full"], default="desk")
     t.add_argument("--resume", help="checkpoint to resume from")
-    t.add_argument("--out", required=True)
     t.set_defaults(func=cmd_train_pose)
 
-    tp = sub.add_parser("train-pace", help="train the pace network")
-    tp.add_argument("--config")
+    tp = sub.add_parser("train-pace", parents=[out, config], help="train the pace network")
     tp.add_argument("--dataset")
-    tp.add_argument("--left-foot", dest="left_foot", default="l_foot")
-    tp.add_argument("--right-foot", dest="right_foot", default="r_foot")
-    tp.add_argument("--out", required=True)
+    tp.add_argument("--left-foot", default="l_foot")
+    tp.add_argument("--right-foot", default="r_foot")
     tp.set_defaults(func=cmd_train_pace)
 
-    pr = sub.add_parser("predict", help="short-term prediction from a checkpoint")
-    pr.add_argument("--checkpoint", required=True)
+    pr = sub.add_parser("predict", parents=[out, bvh, checkpoint, conditioning],
+                        help="short-term prediction from a checkpoint")
     pr.add_argument("--dataset", required=True)
-    pr.add_argument("--horizon-ms", dest="horizon_ms", type=float, default=400)
-    pr.add_argument("--conditioning-frames", dest="conditioning_frames",
-                    type=int, default=10)
-    pr.add_argument("--bvh", action="store_true")
-    pr.add_argument("--out", required=True)
+    pr.add_argument("--horizon-ms", type=float, default=400)
     pr.set_defaults(func=cmd_predict)
 
-    g = sub.add_parser("generate", help="long-term locomotion along a spline")
-    g.add_argument("--pose-checkpoint", dest="pose_checkpoint", required=True)
-    g.add_argument("--pace-checkpoint", dest="pace_checkpoint", required=True)
+    g = sub.add_parser("generate", parents=[out, bvh], help="long-term locomotion along a spline")
+    g.add_argument("--pose-checkpoint", required=True)
+    g.add_argument("--pace-checkpoint", required=True)
     g.add_argument("--spline", required=True, help="CSV of ground-plane waypoints")
-    g.add_argument("--init-clip", dest="init_clip", required=True)
-    g.add_argument("--segment-length", dest="segment_length", type=float, default=0.25)
-    g.add_argument("--frames", type=int, default=300)
-    g.add_argument("--frame-rate", dest="frame_rate", type=float, default=25.0)
-    g.add_argument("--bvh", action="store_true")
-    g.add_argument("--out", required=True)
+    g.add_argument("--init-clip", required=True)
+    g.add_argument("--segment-length", type=_at_least(float, 0, strict=True), default=0.25)
+    g.add_argument("--frames", type=_at_least(int, 1), default=300)
+    g.add_argument("--frame-rate", type=_at_least(float, 0, strict=True), default=25.0)
     g.set_defaults(func=cmd_generate)
 
-    e = sub.add_parser("evaluate", help="run the short-term protocol on a model")
-    e.add_argument("--checkpoint", required=True)
+    e = sub.add_parser("evaluate", parents=[out, checkpoint, conditioning, protocol],
+                       help="run the short-term protocol on a model")
     e.add_argument("--dataset", required=True)
-    e.add_argument("--protocol", default="standard",
-                   help="standard | proposed | S=<int>")
-    e.add_argument("--conditioning-frames", dest="conditioning_frames",
-                   type=int, default=10)
-    e.add_argument("--seed", type=int, default=1234)
-    e.add_argument("--out", required=True)
+    e.add_argument("--seed", type=_at_least(int, 0), default=1234)
     e.set_defaults(func=cmd_evaluate)
 
-    b = sub.add_parser("baseline", help="run the protocol on a baseline")
-    b.add_argument("--kind", choices=["zerovel", "runavg2", "runavg4"],
-                   required=True)
+    b = sub.add_parser("baseline", parents=[out, conditioning, protocol],
+                       help="run the protocol on a baseline")
+    b.add_argument("--kind", choices=["zerovel", "runavg2", "runavg4"], required=True)
     b.add_argument("--dataset", required=True)
-    b.add_argument("--protocol", default="standard")
-    b.add_argument("--conditioning-frames", dest="conditioning_frames",
-                   type=int, default=10)
-    b.add_argument("--seed", type=int, default=1234)
-    b.add_argument("--out", required=True)
+    b.add_argument("--seed", type=_at_least(int, 0), default=1234)
     b.set_defaults(func=cmd_baseline)
 
     gc = sub.add_parser("gradcheck", help="finite-difference gradient suite")
@@ -464,16 +433,22 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except NumericalError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
     except BrokenPipeError:
         # a closed stdout (`| head`): exit quietly, also at the flush on exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+    except (NumericalError, mo.GenerationDivergedError) as e:
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except CliError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return e.code
+    except ValueError as e:
+        print(f"data error: {e}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

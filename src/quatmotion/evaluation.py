@@ -139,7 +139,8 @@ def run_protocol(predictor, clips, protocol: EvalProtocol) -> EvalReport:
     a clip at a rate that gives no horizon a frame count raises ValueError
     naming it, before any prediction. Chunk starts are uniform over
     [0, len - n - max_horizon] with one rng stream over clips in order;
-    too-short clips are skipped with a warning and counted in the report.
+    too-short clips are skipped with a warning and counted in the report,
+    and ValueError is raised, before any prediction, if every clip is.
     """
     clips = list(clips)
     hframes = []
@@ -148,8 +149,13 @@ def run_protocol(predictor, clips, protocol: EvalProtocol) -> EvalReport:
             hframes.append([horizon_frames(ms, clip.frame_rate) for ms in protocol.horizons_ms])
         except ValueError as e:
             raise ValueError(f"clip {i} ({clip.action!r}): {e}") from None
-    rng = np.random.default_rng(protocol.seed)
     n = protocol.conditioning_frames
+    needs = [n + max(frames) for frames in hframes]
+    if clips and all(c.num_frames < need for c, need in zip(clips, needs)):
+        raise ValueError(f"every clip is too short for the protocol, which needs {min(needs)} "
+                         f"frames or more ({n} conditioning frames and the "
+                         f"{max(protocol.horizons_ms)} ms horizon)")
+    rng = np.random.default_rng(protocol.seed)
     report = EvalReport(protocol=protocol.describe())
     for clip, frames in zip(clips, hframes):
         max_h = max(frames)

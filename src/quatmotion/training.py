@@ -62,6 +62,8 @@ class TrainConfig:
         for name in ("lr0", "clip_norm"):
             if not 0.0 < getattr(self, name) < float("inf"):
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def lr_at(self, epoch: int) -> float:
         return self.lr0 * self.lr_decay ** epoch

@@ -1,8 +1,10 @@
+import argparse
 import json
 import os
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -280,6 +282,91 @@ def test_generate_bad_number_option_is_usage_error(tmp_path, generate_args, caps
     assert flag in err and "Traceback" not in err
 
 
+# each subcommand's parser, by name, as build_parser declares them
+SUBCOMMANDS = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+NUMERIC_OPTIONS = [(name, action.option_strings[0])
+                   for name, sub in SUBCOMMANDS.items() for action in sub._actions
+                   if action.type is not None]
+OUT_COMMANDS = [name for name, sub in SUBCOMMANDS.items()
+                if any("--out" in action.option_strings for action in sub._actions)]
+
+
+@pytest.fixture(scope="module")
+def valid_args(tmp_path_factory, dataset_dir, training_checkpoint, generate_args):
+    """A command line that runs each subcommand taking --out, less --out."""
+    root = tmp_path_factory.mktemp("cfg")
+    (root / "pose.cfg").write_text("epochs = 1\nbatch_size = 2\nconditioning_frames = 6\n"
+                                   "prediction_frames = 2\n")
+    (root / "pace.cfg").write_text("epochs = 1\n")
+    model = ["--checkpoint", training_checkpoint, "--dataset", dataset_dir,
+             "--conditioning-frames", "6"]
+    return {"convert": ["--in", dataset_dir],
+            "train-pose": ["--config", root / "pose.cfg", "--dataset", dataset_dir],
+            "train-pace": ["--config", root / "pace.cfg", "--dataset", dataset_dir],
+            "predict": model + ["--horizon-ms", "80"],
+            "generate": generate_args[1:] + ["--frames", "5"],
+            "evaluate": model + ["--protocol", "S=1"],
+            "baseline": ["--kind", "zerovel", "--dataset", dataset_dir]}
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command,flag", NUMERIC_OPTIONS)
+def test_numeric_option_is_used_or_refused_by_name(tmp_path, valid_args, capsys,
+                                                   command, flag, value):
+    # every option argparse converts: a value outside the type's declared
+    # range is a usage error naming the option; any other value runs
+    parse = next(a.type for a in SUBCOMMANDS[command]._actions if flag in a.option_strings)
+    try:
+        parse(value)
+        refused = False
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        refused = True
+    code = run([command, *valid_args[command], f"{flag}={value}", "--out", tmp_path / "o"])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and code in (0, 1, 2, 3)
+    if refused:
+        assert code == 1 and f"argument {flag}:" in err
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_below_a_regular_file_is_usage_error(tmp_path, valid_args, capsys, command):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "o"
+    assert run([command, *valid_args[command], "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert str(out) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["convert", "train-pose"])
+def test_dataset_of_two_skeletons_is_data_error(tmp_path, capsys, command):
+    clips = [md.synth_gait(n_joints=10, duration=4)[1], md.synth_gait(n_joints=8, duration=4)[1]]
+    md.save_dataset(tmp_path / "mixed", clips)
+    args = {"convert": ["--in", tmp_path / "mixed", "--prune-tol", "1e-4"],
+            "train-pose": ["--dataset", tmp_path / "mixed"]}[command]
+    assert run([command, *args, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "clip 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,args,message", [
+    ("convert", ["--downsample", "1000"], "factor exceeds frame count"),
+    ("baseline", ["--kind", "zerovel", "--conditioning-frames", "100000"], "100010 frames"),
+    ("predict", ["--conditioning-frames", "100000"], "no clip has"),
+])
+def test_clips_too_short_for_the_command_is_data_error(tmp_path, dataset_dir, training_checkpoint,
+                                                       capsys, command, args, message):
+    data = {"convert": ["--in", dataset_dir], "baseline": ["--dataset", dataset_dir],
+            "predict": ["--checkpoint", training_checkpoint, "--dataset", dataset_dir]}[command]
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # refused before any clip is skipped
+        assert run([command, *data, *args, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 def test_generate_empty_init_clip_is_data_error(tmp_path, generate_args, dataset_dir, capsys):
     md.save_clip(tmp_path / "empty.qmc", md.load_clip(dataset_dir / "clip_00000.qmc").slice(0, 0))
     args = generate_args[:-1] + [tmp_path / "empty.qmc", "--frames", "5"]
@@ -501,9 +588,11 @@ def test_bad_swap_map_is_usage_error(tmp_path, dataset_dir, capsys, swap):
     ("train-pose", "clip_norm = -0.1"),
     ("train-pose", "clip_norm = 0"),
     ("train-pose", "epochs = -3"),
+    ("train-pose", "seed = -1"),
     ("train-pace", "epochs = abc"),
     ("train-pace", "clip_norm = 0"),
     ("train-pace", "variant = sideways"),
+    ("train-pace", "seed = -1"),
 ])
 def test_bad_config_value_is_usage_error(tmp_path, dataset_dir, capsys, command, line):
     cfgfile = tmp_path / "bad.cfg"

@@ -97,6 +97,8 @@ def test_run_protocol_skips_short_clips(corpus):
         rep = ev.run_protocol(ev.baseline_zero_velocity,
                               [short, clips[0]], ev.EvalProtocol.standard())
     assert rep.skipped_clips == 1
+    with pytest.raises(ValueError, match="needs 20 frames"):  # 10 + 400 ms at 25 Hz
+        ev.run_protocol(ev.baseline_zero_velocity, [short, short], ev.EvalProtocol.standard())
 
 
 def test_report_csv(tmp_path, corpus):

@@ -28,11 +28,12 @@ def test_schedules_exact():
 @pytest.mark.parametrize("field,value", [
     ("lr0", -1e-3), ("lr0", 0.0), ("lr0", float("inf")), ("lr0", float("nan")),
     ("clip_norm", -0.1), ("clip_norm", 0.0), ("clip_norm", float("inf")),
-    ("epochs", -3), ("epochs", 0),
+    ("epochs", -3), ("epochs", 0), ("seed", -1),
 ])
 def test_train_config_rejects_values_that_break_training(field, value):
     # a negative step trains uphill, a zero clip norm freezes every
-    # parameter, and no epoch trains nothing
+    # parameter, no epoch trains nothing, and numpy seeds no generator
+    # from a negative seed
     with pytest.raises(ValueError, match=field):
         tr.TrainConfig(**{field: value})
 
