@@ -43,17 +43,22 @@ class CliError(Exception):
 
 
 def read_config(path) -> dict:
-    """Plain key=value config, one pair per line, '#' comments."""
+    """Plain UTF-8 key=value config, one pair per line, '#' comments."""
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{lineno}: expected key=value", EXIT_USAGE)
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as e:
+            raise CliError(f"{path}: not a UTF-8 text config ({e.reason} at byte {e.start})",
+                           EXIT_USAGE)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{lineno}: expected key=value", EXIT_USAGE)
+        key, val = line.split("=", 1)
+        out[key.strip()] = val.strip()
     return out
 
 
@@ -132,7 +137,7 @@ def cmd_convert(args) -> int:
             raise CliError(f"swap map {args.mirror!r}: {e}", EXIT_USAGE)
     if args.augment_rotations > 0:
         rng = np.random.default_rng(args.seed)
-        clips = clips + [md.random_rotate(c, rng)
+        clips = clips + [md.rotate_clip(c, rng.uniform(0.0, 2.0 * np.pi))
                          for _ in range(args.augment_rotations) for c in clips]
     if args.bvh:
         for i, c in enumerate(clips):
@@ -152,28 +157,44 @@ def _train_setup(args, **keys):
     dataset = raw.pop("dataset", args.dataset)
     values = {k: raw.pop(k, default) for k, default in keys.items()}
     config = _make_config(tr.TrainConfig, **_coerce(raw, tr.TrainConfig()))
+    return values, config, _train_clips(args, dataset, config)
+
+
+def _train_clips(args, dataset, config: tr.TrainConfig) -> list:
+    """Write the manifest with ``config``'s seed and load ``dataset``."""
     if dataset is None:
         raise CliError("no dataset given (flag --dataset or config key)", EXIT_USAGE)
     write_manifest(args.out, args, config.seed)
-    return values, config, _load_clips(dataset)
+    return _load_clips(dataset)
 
 
 def cmd_train_pose(args) -> int:
-    opts, config, clips = _train_setup(args, preset=args.preset, backbone="recurrent",
-                                       mode="velocity", parameterization="quaternion")
-    skel = clips[0].skeleton
-    resume = {}
     if args.resume:
+        if args.config:
+            raise CliError("--config cannot be given with --resume: a resumed run "
+                           "keeps the configuration its checkpoint stores", EXIT_USAGE)
         net, (config, resume) = _load_checkpoint(
             args.resume, "pose", lambda ck: (tr.network_from_checkpoint(ck), tr.resume_state(ck)))
+        clips = _train_clips(args, args.dataset, config)
     else:
+        opts, config, clips = _train_setup(args, preset=args.preset, backbone="recurrent",
+                                           mode="velocity", parameterization="quaternion")
         make = mo.PoseNetworkConfig.desk if opts.pop("preset") == "desk" else mo.PoseNetworkConfig
-        net = mo.PoseNetwork(_make_config(make, skel.num_active, **opts), seed=config.seed)
+        net = mo.PoseNetwork(_make_config(make, clips[0].skeleton.num_active, **opts),
+                             seed=config.seed)
+        resume = {}
     _check_conditioning(net, config.conditioning_frames)
     ck_path = os.path.join(args.out, "pose.ckpt")
     log_path = os.path.join(args.out, "training_log.csv")
-    tr.train_pose(net, clips, skel, config, log_path=log_path, checkpoint_path=ck_path, **resume)
-    print(f"checkpoint -> {ck_path}\nlog -> {log_path}")
+    # with no epoch left this trains nothing, but still checks and cuts the log
+    tr.train_pose(net, clips, clips[0].skeleton, config, log_path=log_path,
+                  checkpoint_path=ck_path, **resume)
+    start = resume.get("start_epoch", 0)
+    if start >= config.epochs:
+        print(f"nothing to train: {args.resume} is at epoch {start} of {config.epochs}")
+    else:
+        print(f"checkpoint -> {ck_path}")
+    print(f"log -> {log_path}")
     return EXIT_OK
 
 
@@ -181,15 +202,15 @@ def cmd_train_pace(args) -> int:
     opts, config, clips = _train_setup(args, variant="bidirectional",
                                        left_foot=args.left_foot, right_foot=args.right_foot)
     pace_config = _make_config(mo.PaceNetworkConfig, variant=opts["variant"])
-    skel = clips[0].skeleton
-    try:
-        li = skel.names.index(opts["left_foot"])
-        ri = skel.names.index(opts["right_foot"])
-    except ValueError as e:
-        raise CliError(f"unknown foot joint: {e}", EXIT_DATA)
+    names, feet = clips[0].skeleton.names, []
+    for key in ("left_foot", "right_foot"):
+        if opts[key] not in names:
+            raise CliError(f"--{key.replace('_', '-')} (config key {key}) {opts[key]!r} is not "
+                           f"a joint of the dataset's skeleton: {', '.join(names)}", EXIT_USAGE)
+        feet.append(names.index(opts[key]))
     examples = []
     for clip in clips:
-        feats = md.extract_gait_features(clip, li, ri)
+        feats = md.extract_gait_features(clip, *feet)
         if feats.degenerate:
             continue
         curv, targets, _ = tr.pace_training_example(clip, feats)
@@ -301,7 +322,7 @@ def _report(args, predictor, clips) -> int:
         raise CliError(f"unknown protocol {spec!r}: use standard, proposed or "
                        f"S=<integer >= 1>", EXIT_USAGE)
     report = ev.run_protocol(predictor, clips, proto)
-    report.to_csv(os.path.join(args.out, "report.csv"), ci=True)
+    report.to_csv(os.path.join(args.out, "report.csv"))
     print(report.summary())
     return EXIT_OK
 

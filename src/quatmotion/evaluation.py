@@ -20,8 +20,8 @@ from . import rotmath as rm
 from .autodiff import Tensor
 from .kinematics import (Skeleton, forward_kinematics, ik_reproject,
                          per_frame_velocity_error, position_error, position_error_tensor)
-from .models import (ParamContainer, PoseNetwork, PoseNetworkConfig, _GruStack, _linear,
-                     gru_specs, linear_specs)
+from .models import (GRU_LAYERS, ParamContainer, PoseNetwork, PoseNetworkConfig, _GruStack,
+                     _linear, gru_specs, linear_specs)
 from .optim import AdamState
 from .training import (TrainConfig, _adam_epoch, _minibatches, euler_error, free_run_chunks,
                        train_pose)
@@ -47,7 +47,7 @@ def baseline_running_average(prefix: np.ndarray, horizon: int,
     prefix = np.asarray(prefix, dtype=float)
     if prefix.shape[0] < window:
         raise ValueError(f"prefix shorter than averaging window ({window})")
-    avg = rm.quat_mean(prefix[-window:], axis=0)
+    avg = rm.quat_mean(prefix[-window:])
     return np.repeat(avg[None], horizon, axis=0)
 
 
@@ -93,9 +93,6 @@ class EvalReport:
     def add(self, action: str, horizon_ms: int, error: float) -> None:
         self.per_sample.setdefault((action, horizon_ms), []).append(float(error))
 
-    def mean(self, action: str, horizon_ms: int) -> float:
-        return float(np.mean(self.per_sample[(action, horizon_ms)]))
-
     def overall_mean(self, horizon_ms: int) -> float:
         errs = [e for (_, ms), v in self.per_sample.items() if ms == horizon_ms
                 for e in v]
@@ -113,12 +110,13 @@ class EvalReport:
                         "ci_high": hi, "n_samples": len(errs)})
         return out
 
-    def to_csv(self, path, ci: bool = False) -> None:
+    def to_csv(self, path) -> None:
+        """The rows, with bootstrap intervals, as CSV."""
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["action", "horizon_ms", "mean_error", "ci_low",
                         "ci_high", "n_samples"])
-            for r in self.rows(ci=ci):
+            for r in self.rows(ci=True):
                 w.writerow([r["action"], r["horizon_ms"], r["mean_error"],
                             r["ci_low"], r["ci_high"], r["n_samples"]])
 
@@ -211,13 +209,12 @@ def tail_mass(errors: np.ndarray, threshold: float) -> float:
 def compare_parameterizations(clips, skel: Skeleton, config: TrainConfig,
                               parameterizations=("quaternion", "expmap",
                                                  "euler-xyz", "euler-yzx"),
-                              seeds=(0, 1), val_clips=None,
-                              hidden: int = 64, validate_every: int = 10) -> dict:
+                              seeds=(0, 1), hidden: int = 64,
+                              validate_every: int = 10) -> dict:
     """Train one absolute-mode model per parameterization and seed under an
     identical budget; all variants share the FK layer through conversion
     to quaternions. Returns per-variant loss curves and pooled free-run
-    velocity errors."""
-    val_clips = val_clips or clips
+    velocity errors, both validated on ``clips``."""
     a = skel.num_active
     out = {}
     for param in parameterizations:
@@ -226,11 +223,10 @@ def compare_parameterizations(clips, skel: Skeleton, config: TrainConfig,
             net = PoseNetwork(PoseNetworkConfig.desk(
                 a, hidden=hidden, mode="absolute", parameterization=param), seed=seed)
             cfg = replace(config, seed=config.seed + seed)
-            hist = train_pose(net, clips, skel, cfg, val_clips=val_clips,
-                              validate_every=validate_every)
+            hist = train_pose(net, clips, skel, cfg, validate_every=validate_every)
             vel = np.concatenate([
                 per_frame_velocity_error(got, ref) for _, _, got, ref in free_run_chunks(
-                    net, val_clips, skel, cfg.conditioning_frames, cfg.prediction_frames)])
+                    net, clips, skel, cfg.conditioning_frames, cfg.prediction_frames)])
             runs.append({
                 "seed": seed,
                 "train_curve": [h["train_loss"] for h in hist],
@@ -252,10 +248,10 @@ class PositionNetwork(ParamContainer):
     comparison. Input and output are root-relative positions of all
     joints, flattened."""
 
-    def __init__(self, num_joints: int, hidden: int = 64, layers: int = 2,
-                 seed: int = 0, params: dict | None = None):
+    def __init__(self, num_joints: int, hidden: int = 64, seed: int = 0,
+                 params: dict | None = None):
         self.num_joints = num_joints
-        prefixes = [f"gru{layer}" for layer in range(layers)]
+        prefixes = [f"gru{layer}" for layer in range(GRU_LAYERS)]
         super().__init__(gru_specs(prefixes, 3 * num_joints, hidden)
                          + linear_specs("head", hidden, 3 * num_joints), seed, params)
         self._gru = _GruStack(self.params, prefixes, hidden)
@@ -326,11 +322,10 @@ def bone_length_spread(positions: np.ndarray, skel: Skeleton) -> float:
 
 
 def compare_position_regression(clips, skel: Skeleton, config: TrainConfig,
-                                val_clips=None, hidden: int = 64,
-                                ik_cfg=None) -> dict:
+                                hidden: int = 64, ik_cfg=None) -> dict:
     """Quaternion model vs direct position regression vs IK-reprojected
-    positions: losses, velocity-error pools, and bone-length checks."""
-    val_clips = val_clips or clips
+    positions: losses, velocity-error pools, and bone-length checks, all
+    on ``clips``."""
     a = skel.num_active
     n, k = config.conditioning_frames, config.prediction_frames
 
@@ -338,8 +333,7 @@ def compare_position_regression(clips, skel: Skeleton, config: TrainConfig,
         a, hidden=hidden, mode="absolute",
         parameterization="quaternion"), seed=config.seed)
     qcfg = replace(config, loss="positional")
-    train_pose(qnet, clips, skel, qcfg, val_clips=val_clips,
-               validate_every=max(1, config.epochs // 2))
+    train_pose(qnet, clips, skel, qcfg, validate_every=max(1, config.epochs // 2))
     pnet = PositionNetwork(skel.num_joints, hidden=hidden, seed=config.seed)
     train_position_network(pnet, clips, skel, config)
 
@@ -348,7 +342,7 @@ def compare_position_regression(clips, skel: Skeleton, config: TrainConfig,
                         "bone_spread": 0.0},
            "reprojected": {"velocity_errors": [], "position_errors": [],
                            "bone_spread": 0.0}}
-    for clip, s, qpos, ref in free_run_chunks(qnet, val_clips, skel, n, k, max_chunks=4):
+    for clip, s, qpos, ref in free_run_chunks(qnet, clips, skel, n, k, max_chunks=4):
         rots = clip.active_rotations
         out["quaternion"]["position_errors"].append(position_error(qpos, ref))
         out["quaternion"]["velocity_errors"].append(per_frame_velocity_error(qpos, ref))

@@ -211,19 +211,19 @@ def _network_cases(rng: np.random.Generator) -> list:
             ("recurrent_rollout_sides", pose_case, ("recurrent", True))]
 
 
-def run_gradcheck(verbose: bool = False, tol: float = TOL) -> int:
-    """Run the whole suite; returns the number of failures."""
+def run_gradcheck(verbose: bool = False) -> int:
+    """Run the whole suite; returns the number of errors of ``TOL`` or more."""
     rng = np.random.default_rng(7)
     failures = 0
     for name, builder, x in _op_cases(rng):
         err = check_scalar_fn(builder, x)
-        ok = err < tol
+        ok = err < TOL
         failures += not ok
         if verbose:
             print(f"{'ok  ' if ok else 'FAIL'} {name:24s} rel={err:.3e}")
     for name, case, arg in _network_cases(rng):
         err = case(arg)
-        ok = err < tol
+        ok = err < TOL
         failures += not ok
         if verbose:
             print(f"{'ok  ' if ok else 'FAIL'} {name:24s} rel={err:.3e}")

@@ -20,6 +20,7 @@ IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 # IK damping floor: an active leaf joint has a zero Jacobian column, and this
 # keeps its normal equations nonsingular with a step of exactly zero
 _LM_EPS = 1e-9
+_LM_TOL = 1e-8  # IK stop rule: the relative cost decrease at which a frame is done
 
 
 @dataclass
@@ -108,13 +109,12 @@ class Skeleton:
 
 @dataclass
 class IkConfig:
-    """Stop rule of :func:`ik_reproject`, which reads ``max_steps``, ``tol``
-    and ``patience``. ``step_size`` and ``step_decay`` are accepted, so that
+    """Step limits of :func:`ik_reproject`, which reads ``max_steps`` and
+    ``patience``. ``step_size`` and ``step_decay`` are accepted, so that
     existing configs keep working, and ignored: Levenberg-Marquardt sizes
     its steps by its own per-frame damping."""
 
     step_size: float = 1e-2
-    tol: float = 1e-8
     patience: int = 2000
     max_steps: int = 5000
     step_decay: float = 0.999
@@ -245,7 +245,7 @@ def ik_reproject(skel: Skeleton, target: np.ndarray, init: np.ndarray,
     so the output always yields exact bone lengths. The root translation is
     taken from the target (or ``root_position``), never optimized.
 
-    A frame is done once a step lowers its cost by at most ``cfg.tol`` times
+    A frame is done once a step lowers its cost by at most ``_LM_TOL`` times
     that cost (for a rejected step, the decrease the linearized model
     predicted, which shrinks as the damping grows). The solve stops when all
     frames are done (``"tol"``), after ``cfg.patience`` iterations in a row
@@ -302,7 +302,7 @@ def ik_reproject(skel: Skeleton, target: np.ndarray, init: np.ndarray,
         t_world_q, t_pos, t_cost = evaluate(trial)
 
         accept, gain = (t_cost <= cost) & ~done, cost - t_cost
-        done |= np.where(accept, gain, predicted) <= cfg.tol * cost
+        done |= np.where(accept, gain, predicted) <= _LM_TOL * cost
         for cur, new in ((rots, trial), (world_q, t_world_q), (pos, t_pos), (cost, t_cost)):
             cur[accept] = new[accept]
         lam = np.clip(lam * np.where(accept, 1.0 / 3.0, 10.0), 1e-12, 1e12)

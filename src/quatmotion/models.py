@@ -40,6 +40,7 @@ CHECKPOINT_VERSION = 1
 CONTROL_DIM = 6
 CONV_LAYERS = 5  # dilations 1, 2, 4, 8, 16: a 32-frame receptive field
 CONV_TAPS = 2  # every causal convolution reads frames t - d and t
+GRU_LAYERS = 2  # the recurrent pose and position networks
 ENCODER_UNITS = 30
 LEAKY_SLOPE = 0.05
 
@@ -92,7 +93,6 @@ class PoseNetworkConfig:
     mode: str = "velocity"  # velocity | absolute
     backbone: str = "recurrent"  # recurrent | convolutional
     hidden: int = 1000
-    layers: int = 2
     channels: int = 1024
     parameterization: str = "quaternion"
     include_controls: bool = False
@@ -165,7 +165,7 @@ def expected_param_count(config: PoseNetworkConfig) -> int:
     if config.backbone == "recurrent":
         h = config.hidden
         i = config.input_dim
-        for _ in range(config.layers):
+        for _ in range(GRU_LAYERS):
             n += 3 * h * (i + h + 1) + h
             i = h
         n += (h + 1) * config.output_dim
@@ -278,7 +278,7 @@ class PoseNetwork(ParamContainer):
 
     def __init__(self, config: PoseNetworkConfig, seed: int = 0, params: dict | None = None):
         self.config = config
-        prefixes = [f"gru{layer}" for layer in range(config.layers)]
+        prefixes = [f"gru{layer}" for layer in range(GRU_LAYERS)]
         specs = []
         if config.include_controls:
             specs += (linear_specs("enc.l1", CONTROL_DIM, ENCODER_UNITS)
@@ -453,11 +453,10 @@ class PaceNetwork(ParamContainer):
                       for prefix in prefixes}
 
     def forward(self, curvatures) -> dict:
-        """Per-segment outputs for a curvature sequence of length S.
+        """Per-segment outputs for an array of S curvatures.
 
         Returns facing (S, 2) unit versors, frequency (S,), speed (S,)."""
-        curv = np.asarray(curvatures if not isinstance(curvatures, Tensor)
-                          else curvatures.data, dtype=float).reshape(1, -1, 1)
+        curv = np.asarray(curvatures, dtype=float).reshape(1, -1, 1)
         s = curv.shape[1]
         if s == 0:
             raise ValueError("need at least one segment")
@@ -605,8 +604,9 @@ def load_checkpoint(path) -> dict:
 def pose_network_from_checkpoint(ck: dict) -> PoseNetwork:
     stored = dict(ck["config"])
     # older checkpoints store the fixed conv geometry as "filter_width"
-    # (the two taps) and "conv_layers"
-    for key, fixed in (("filter_width", CONV_TAPS), ("conv_layers", CONV_LAYERS)):
+    # (the two taps) and "conv_layers", and the GRU depth as "layers"
+    for key, fixed in (("filter_width", CONV_TAPS), ("conv_layers", CONV_LAYERS),
+                       ("layers", GRU_LAYERS)):
         value = stored.pop(key, fixed)
         if value != fixed:
             raise ValueError(f"{key} must be {fixed}, got {value!r}")

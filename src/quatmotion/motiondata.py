@@ -255,10 +255,6 @@ def rotate_clip(clip: MotionClip, angle: float) -> MotionClip:
                       clip.subject, clip.action)
 
 
-def random_rotate(clip: MotionClip, rng: np.random.Generator) -> MotionClip:
-    return rotate_clip(clip, rng.uniform(0.0, 2.0 * np.pi))
-
-
 def spin_clip(clip: MotionClip, revolutions: float) -> MotionClip:
     """Add a steady vertical-axis spin to the root rotation across the
     clip. Root-heading Euler angles then sweep repeatedly through the
@@ -652,20 +648,17 @@ class EpisodeSampler:
         self._counts = counts
         self._cum = np.concatenate([[0], np.cumsum(counts)])
 
-    def sample_indices(self, batch_size: int) -> list:
-        """[(clip_index, start_frame)] drawn uniformly over valid starts."""
+    def sample(self, batch_size: int) -> dict:
+        """Batched episode arrays, each drawn uniformly over the valid
+        (clip, start frame) pairs: active rotations (B, n, A, 4) and root
+        positions (B, n, 3)."""
         flat = self.rng.integers(0, self._cum[-1], size=batch_size)
         ci = np.searchsorted(self._cum, flat, side="right") - 1
-        return list(zip(ci.tolist(), (flat - self._cum[ci]).tolist()))
-
-    def sample(self, batch_size: int) -> dict:
-        """Batched episode arrays: active rotations (B, n, A, 4) and root
-        positions (B, n, 3)."""
-        idx = self.sample_indices(batch_size)
+        idx = list(zip(ci.tolist(), (flat - self._cum[ci]).tolist()))
         rots = np.stack([
             self.clips[ci].active_rotations[s:s + self.episode_length]
             for ci, s in idx])
         root = np.stack([
             self.clips[ci].root_positions[s:s + self.episode_length]
             for ci, s in idx])
-        return {"rotations": rots, "root_positions": root, "indices": idx}
+        return {"rotations": rots, "root_positions": root}

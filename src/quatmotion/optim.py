@@ -1,7 +1,8 @@
 """Adam optimizer with global-norm gradient clipping.
 
-Operates on dicts of named numpy parameter arrays so that model parameters,
-IK variables, and training state all share one code path.
+Operates on dicts of named numpy parameter arrays, so that the pose, pace
+and position networks share one code path. (Inverse kinematics does not
+use it: ``kinematics.ik_reproject`` is Levenberg-Marquardt.)
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ class AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
-              clip_norm: float | None = 0.1) -> float:
+              clip_norm: float) -> float:
     """One in-place Adam update after global-norm clipping; returns the
     global gradient norm before clipping (the step clipped iff it exceeds
-    ``clip_norm``).
+    ``clip_norm``; ``inf`` clips nothing).
 
     Raises :class:`NumericalError` on non-finite gradients instead of
     corrupting the parameters.
@@ -57,8 +58,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient for parameter {name!r}")
     norm = global_norm(grads)
-    if clip_norm is not None:
-        grads = _clipped(grads, clip_norm, norm)
+    grads = _clipped(grads, clip_norm, norm)
     state.step += 1
     bias1 = 1.0 - BETA1 ** state.step
     bias2 = 1.0 - BETA2 ** state.step

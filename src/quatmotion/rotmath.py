@@ -262,8 +262,8 @@ def quat_to_expmap(q: np.ndarray) -> np.ndarray:
     return v * factor[..., None]
 
 
-def fix_continuity(wxyz: np.ndarray, time_axis: int = 0) -> np.ndarray:
-    """Resolve antipodal sign flips along the time axis.
+def fix_continuity(wxyz: np.ndarray) -> np.ndarray:
+    """Resolve antipodal sign flips along the time axis, axis 0.
 
     For every joint and every ``t >= 1`` the output frame is negated iff its
     dot product with the (already fixed) previous frame is negative. Frame 0
@@ -274,7 +274,7 @@ def fix_continuity(wxyz: np.ndarray, time_axis: int = 0) -> np.ndarray:
     odd: a zero or NaN dot is never negative, whatever the previous sign, so
     it resets frame t to unflipped. That parity is one pass over the raw dots.
     """
-    q = np.moveaxis(np.asarray(wxyz, dtype=float), time_axis, 0)
+    q = np.asarray(wxyz, dtype=float)
     dots = np.sum(q[1:] * q[:-1], axis=-1, keepdims=True)
     negative = dots < 0.0
     negatives = np.cumsum(negative, axis=0)
@@ -282,7 +282,7 @@ def fix_continuity(wxyz: np.ndarray, time_axis: int = 0) -> np.ndarray:
     negatives -= np.maximum.accumulate(np.where(reset, negatives, 0), axis=0)
     flip = np.zeros(q.shape[:-1] + (1,), dtype=bool)
     flip[1:] = negatives % 2 == 1
-    return np.moveaxis(np.where(flip, -q, q), 0, time_axis)
+    return np.where(flip, -q, q)
 
 
 def wrap_angle(x: np.ndarray) -> np.ndarray:
@@ -319,12 +319,13 @@ def quat_geodesic_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 2.0 * np.arccos(np.clip(dot, -1.0, 1.0))
 
 
-def quat_mean(quats: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Normalized arithmetic mean after aligning signs to the last entry.
+def quat_mean(quats: np.ndarray) -> np.ndarray:
+    """Normalized arithmetic mean over axis 0 after aligning signs to the
+    last entry.
 
     This is the quaternion-space analogue of a running average over frames.
     """
-    quats = np.moveaxis(np.asarray(quats, dtype=float), axis, 0)
+    quats = np.asarray(quats, dtype=float)
     ref = quats[-1]
     dots = np.sum(quats * ref, axis=-1, keepdims=True)
     aligned = np.where(dots < 0.0, -quats, quats)

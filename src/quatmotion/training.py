@@ -74,13 +74,11 @@ class TrainConfig:
 
 # -- losses -------------------------------------------------------------------
 
-def loss_positional(pred_quats: Tensor, ref_positions: np.ndarray,
-                    skel: Skeleton, root_positions=None) -> Tensor:
-    """Mean joint distance between FK(pred) and reference positions."""
+def loss_positional(pred_quats: Tensor, ref_positions: np.ndarray, skel: Skeleton) -> Tensor:
+    """Mean joint distance between FK(pred), rooted at the reference root,
+    and reference positions."""
     ref_positions = np.asarray(ref_positions, dtype=float)
-    if root_positions is None:
-        root_positions = ref_positions[..., 0, :]
-    pos = forward_kinematics_tensor(skel, pred_quats, root_positions)
+    pos = forward_kinematics_tensor(skel, pred_quats, ref_positions[..., 0, :])
     return position_error_tensor(pos, ref_positions)
 
 

@@ -99,6 +99,29 @@ def test_resume_training(tmp_path, dataset_dir):
                 "--dataset", dataset_dir, "--out", tmp_path / "run2"]) == 0
 
 
+def test_resume_takes_its_configuration_from_the_checkpoint(tmp_path, dataset_dir, capsys):
+    cfgfile = tmp_path / "train.cfg"
+    cfgfile.write_text("epochs = 2\nbatch_size = 2\nconditioning_frames = 6\n"
+                       f"prediction_frames = 2\nseed = 7\ndataset = {dataset_dir}\n")
+    assert run(["train-pose", "--config", cfgfile, "--out", tmp_path / "run"]) == 0
+    capsys.readouterr()
+    ck = tmp_path / "run" / "pose.ckpt"
+    cfgfile.write_text("epochs = 4\n")
+    assert run(["train-pose", "--resume", ck, "--config", cfgfile,
+                "--dataset", dataset_dir, "--out", tmp_path / "run2"]) == 1
+    err = capsys.readouterr().err
+    assert "--config" in err and "--resume" in err and "Traceback" not in err
+    assert not (tmp_path / "run2" / "pose.ckpt").exists()
+
+    # a finished run: nothing to train and no checkpoint written or named
+    assert run(["train-pose", "--resume", ck, "--dataset", dataset_dir,
+                "--out", tmp_path / "run3"]) == 0
+    out = capsys.readouterr().out
+    assert "epoch 2 of 2" in out and "checkpoint" not in out
+    assert not (tmp_path / "run3" / "pose.ckpt").exists()
+    assert json.loads((tmp_path / "run3" / "manifest.json").read_text())["seed"] == 7
+
+
 def test_resume_onto_old_log_is_data_error(tmp_path, dataset_dir, capsys):
     out = tmp_path / "run"
     cfgfile = tmp_path / "train.cfg"
@@ -414,6 +437,10 @@ def _conv_layers_4(ck):
     ck["config"]["conv_layers"] = 4
 
 
+def _layers_3(ck):
+    ck["config"]["layers"] = 3
+
+
 def _drop_head_w(ck):
     del ck["arrays"]["head.w"]
 
@@ -432,6 +459,8 @@ def _short_head_w(ck):
     ("train-pose", "--resume", _bad_train_config),
     ("predict", "--checkpoint", _filter_width_3),
     ("evaluate", "--checkpoint", _conv_layers_4),
+    ("predict", "--checkpoint", _layers_3),
+    ("train-pose", "--resume", _layers_3),
     ("predict", "--checkpoint", _drop_head_w),
     ("evaluate", "--checkpoint", _short_head_w),
     ("generate", "--pace-checkpoint", _drop_head_w),
@@ -605,6 +634,26 @@ def test_bad_config_value_is_usage_error(tmp_path, dataset_dir, capsys, command,
     assert "checkpoint" not in captured.out
     assert not (out / "training_log.csv").exists()
     assert not list(out.glob("*.ckpt"))
+
+
+@pytest.mark.parametrize("command", ["train-pose", "train-pace"])
+def test_config_that_is_not_utf8_is_usage_error(tmp_path, dataset_dir, capsys, command):
+    cfgfile = tmp_path / "binary.cfg"
+    cfgfile.write_bytes(b"epochs = 2\n\xff\xfe\x00\x81\n")
+    assert run([command, "--config", cfgfile, "--dataset", dataset_dir,
+                "--out", tmp_path / "o"]) == 1
+    out, err = capsys.readouterr()
+    assert "binary.cfg" in err and "UTF-8" in err and "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("flag", ["--left-foot", "--right-foot"])
+def test_train_pace_unknown_foot_is_usage_error(tmp_path, dataset_dir, capsys, flag):
+    assert run(["train-pace", "--dataset", dataset_dir, flag, "nope",
+                "--out", tmp_path / "o"]) == 1
+    out, err = capsys.readouterr()
+    joints = md.load_dataset(dataset_dir)[0].skeleton.names
+    assert flag in err and "'nope'" in err and "Traceback" not in out + err
+    assert ", ".join(joints) in err
 
 
 def test_clips_too_short_to_train_is_data_error(tmp_path):

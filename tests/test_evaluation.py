@@ -106,7 +106,7 @@ def test_report_csv(tmp_path, corpus):
     rep = ev.run_protocol(ev.baseline_zero_velocity, clips,
                           ev.EvalProtocol.standard())
     p = tmp_path / "report.csv"
-    rep.to_csv(p, ci=True)
+    rep.to_csv(p)
     lines = p.read_text().strip().splitlines()
     assert len(lines) > 1
     assert "mean_error" in lines[0]

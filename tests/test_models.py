@@ -165,6 +165,25 @@ def test_stored_conv_layers_loads_only_at_5(tmp_path):
         mo.PoseNetworkConfig(4, backbone="convolutional", conv_layers=3)
 
 
+def test_stored_gru_layers_loads_only_at_2(tmp_path):
+    # checkpoints written while the GRU depth was a config field store it
+    cfg = mo.PoseNetworkConfig.desk(4, hidden=8)
+    arrays = mo.PoseNetwork(cfg, seed=0).param_arrays()
+    for layers in (2, 1, 3):
+        path = tmp_path / f"layers{layers}.ckpt"
+        mo.save_checkpoint(path, "pose", {**asdict(cfg), "layers": layers}, arrays)
+        ck = mo.load_checkpoint(path)
+        if layers != 2:
+            with pytest.raises(ValueError, match="layers must be 2"):
+                mo.pose_network_from_checkpoint(ck)
+            continue
+        back = mo.pose_network_from_checkpoint(ck)
+        assert back.config == cfg
+        assert count_params(back) == mo.expected_param_count(cfg)
+    with pytest.raises(TypeError):
+        mo.PoseNetworkConfig(4, layers=3)
+
+
 def test_conv_receptive_field_is_32(rng):
     cfg = mo.PoseNetworkConfig.desk(4, channels=16, backbone="convolutional")
     assert cfg.receptive_field == 32
@@ -256,12 +275,16 @@ def test_fused_gru_cell_matches_composite(rng, batch, inputs, hidden):
     assert np.array_equal(ad.gru_cell(x, h, wx, wh, b).data, want.data)
 
 
-@pytest.mark.parametrize("layers", [1, 3])
-def test_pose_step_adds_one_tape_node_per_gru_layer(rng, layers):
-    cfg = mo.PoseNetworkConfig.desk(3, hidden=8, layers=layers, mode="absolute")
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_pose_step_adds_one_tape_node_per_gru_layer(rng, monkeypatch, layers):
+    # the depth is fixed at GRU_LAYERS, but the stack is written for any depth
+    monkeypatch.setattr(mo, "GRU_LAYERS", layers)
+    cfg = mo.PoseNetworkConfig.desk(3, hidden=8, mode="absolute")
     net = mo.PoseNetwork(cfg, seed=0)
+    assert count_params(net) == mo.expected_param_count(cfg)
     pose = Tensor(random_unit_quats(rng, (2, 3)).reshape(2, -1), requires_grad=True)
     state = net.init_state(2)
+    assert len(state) == layers
     x = pose
     for layer, h in enumerate(net.step(pose, state)["state"]):
         p = [net.params[f"gru{layer}.{k}"] for k in ("wx", "wh", "b")]

@@ -59,7 +59,7 @@ def test_adam_matches_reference_formula():
     grads = {"w": np.array([0.01, -0.02])}
     state = AdamState()
     adam_step(params, {k: v.copy() for k, v in grads.items()}, state,
-              lr=1e-3, clip_norm=None)
+              lr=1e-3, clip_norm=float("inf"))
     m = 0.1 * grads["w"]
     v = 0.001 * grads["w"] ** 2
     mhat = m / (1 - 0.9)
