@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -173,9 +174,10 @@ def cmd_train_pose(args) -> int:
         if args.config:
             raise CliError("--config cannot be given with --resume: a resumed run "
                            "keeps the configuration its checkpoint stores", EXIT_USAGE)
-        net, (config, resume) = _load_checkpoint(
-            args.resume, "pose", lambda ck: (tr.network_from_checkpoint(ck), tr.resume_state(ck)))
+        (net, joints), (config, resume) = _load_checkpoint(
+            args.resume, "pose", lambda ck: (_pose_checkpoint(ck), tr.resume_state(ck)))
         clips = _train_clips(args, args.dataset, config)
+        _check_skeleton(args.resume, joints, net, args.dataset, clips[0].skeleton)
     else:
         opts, config, clips = _train_setup(args, preset=args.preset, backbone="recurrent",
                                            mode="velocity", parameterization="quaternion")
@@ -246,14 +248,43 @@ def _check_conditioning(net: mo.PoseNetwork, n: int) -> None:
                        f"{cfg.min_conditioning_frames}, got {n}", EXIT_USAGE)
 
 
+def _pose_checkpoint(ck: dict) -> tuple:
+    """The pose network a checkpoint stores, and (name, parent, active) per
+    joint of the skeleton it stores, or None for a checkpoint without one."""
+    skel = ck["meta"].get("skeleton")
+    joints = None if skel is None else [
+        (str(name), int(parent), bool(active)) for name, parent, active
+        in zip(skel["names"], skel["parents"], skel["dof_active"], strict=True)]
+    return tr.network_from_checkpoint(ck), joints
+
+
+def _check_skeleton(ck_path, joints: list | None, net: mo.PoseNetwork, data_path,
+                    skel) -> None:
+    """Data read from ``data_path`` on ``skel`` must have the joint names,
+    parents and active joints of the checkpoint's skeleton (``joints``, as
+    :func:`_pose_checkpoint` gives them), which define the network's inputs
+    and outputs; offsets and Euler orders may differ. Without a stored
+    skeleton only the count of active joints is checked."""
+    if joints is None:
+        if skel.num_active != net.config.num_joints:
+            raise CliError(f"{ck_path} and {data_path}: checkpoint and data skeletons are "
+                           f"incompatible", EXIT_DATA)
+        return
+    have = [(name, int(parent), bool(active)) for name, parent, active
+            in zip(skel.names, skel.parents, skel.dof_active)]
+    for j, (got, want) in enumerate(itertools.zip_longest(have, joints)):
+        if got != want:
+            raise CliError(f"{data_path}: joint {j} (name, parent, active) is {got}, but the "
+                           f"skeleton {ck_path} was trained on has {want}", EXIT_DATA)
+
+
 def _load_model_and_data(args) -> tuple:
     """The pose network of ``--checkpoint`` and the clips of ``--dataset``,
     checked against ``--conditioning-frames`` and each other."""
-    net = _load_checkpoint(args.checkpoint, "pose", tr.network_from_checkpoint)
+    net, joints = _load_checkpoint(args.checkpoint, "pose", _pose_checkpoint)
     _check_conditioning(net, args.conditioning_frames)
     clips = _load_clips(args.dataset)
-    if clips[0].skeleton.num_active != net.config.num_joints:
-        raise CliError("checkpoint and dataset skeletons are incompatible", EXIT_DATA)
+    _check_skeleton(args.checkpoint, joints, net, args.dataset, clips[0].skeleton)
     return net, clips
 
 
@@ -294,12 +325,13 @@ def cmd_predict(args) -> int:
 
 def cmd_generate(args) -> int:
     write_manifest(args.out, args, None)
-    pose_net = _load_checkpoint(args.pose_checkpoint, "pose", tr.network_from_checkpoint)
+    pose_net, joints = _load_checkpoint(args.pose_checkpoint, "pose", _pose_checkpoint)
     pace_net = _load_checkpoint(args.pace_checkpoint, "pace", mo.pace_network_from_checkpoint)
     init = _load_clips(args.init_clip)[0]
+    _check_skeleton(args.pose_checkpoint, joints, pose_net, args.init_clip, init.skeleton)
     waypoints = np.loadtxt(args.spline, delimiter=",", ndmin=2)
     spline = md.fit_spline(waypoints, args.segment_length)
-    clip = mo.generate_locomotion(pose_net, pace_net, spline, init, args.frames, args.frame_rate)
+    clip = mo.generate_locomotion(pose_net, pace_net, spline, init, args.frames, init.frame_rate)
     md.save_clip(os.path.join(args.out, "generated.qmc"), clip)
     if args.bvh:
         md.save_bvh(os.path.join(args.out, "generated.bvh"), clip)
@@ -423,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--init-clip", required=True)
     g.add_argument("--segment-length", type=_at_least(float, 0, strict=True), default=0.25)
     g.add_argument("--frames", type=_at_least(int, 1), default=300)
-    g.add_argument("--frame-rate", type=_at_least(float, 0, strict=True), default=25.0)
     g.set_defaults(func=cmd_generate)
 
     e = sub.add_parser("evaluate", parents=[out, checkpoint, conditioning, protocol],

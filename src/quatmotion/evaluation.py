@@ -71,6 +71,13 @@ class EvalProtocol:
     conditioning_frames: int = 10
     horizons_ms: tuple = (80, 160, 320, 400)
 
+    def __post_init__(self):
+        for name in ("samples_per_sequence", "conditioning_frames"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not self.horizons_ms:
+            raise ValueError("horizons_ms needs at least one horizon")
+
     @classmethod
     def standard(cls, **kw) -> "EvalProtocol":
         return cls(samples_per_sequence=4, **kw)

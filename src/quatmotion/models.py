@@ -509,7 +509,8 @@ def _pace_schedule(spline, pace: dict, steps: int, frame_rate: float):
 @ad.no_grad()
 def generate_locomotion(pose_net: PoseNetwork, pace_net: PaceNetwork, spline,
                         init_clip, num_frames: int, frame_rate: float):
-    """Closed-loop locomotion along a trajectory spline.
+    """Closed-loop locomotion along a trajectory spline, at the init clip's
+    frame rate (``frame_rate`` must equal it).
 
     The pace network supplies per-segment facing/frequency/speed; frequency
     integrates to the gait phase and speed to the arc position. That
@@ -524,8 +525,8 @@ def generate_locomotion(pose_net: PoseNetwork, pace_net: PaceNetwork, spline,
         raise ValueError("generation needs a model with controls and translations")
     if num_frames < 1:
         raise ValueError(f"need at least 1 frame to generate, got {num_frames}")
-    if not (np.isfinite(frame_rate) and frame_rate > 0):
-        raise ValueError(f"frame rate must be positive and finite, got {frame_rate}")
+    if frame_rate != init_clip.frame_rate:
+        raise ValueError(f"frame rate {frame_rate} is not the init clip's {init_clip.frame_rate}")
     n_init = init_clip.num_frames
     if n_init < 1:
         raise ValueError("the init clip has no frames")
@@ -533,38 +534,37 @@ def generate_locomotion(pose_net: PoseNetwork, pace_net: PaceNetwork, spline,
     pace = pace_net.forward(spline.curvatures)
     if not all(np.isfinite(pace[k].data).all() for k in ("facing", "frequency", "speed")):
         raise GenerationDivergedError("the pace network's output is not finite")
-    arc, controls = _pace_schedule(spline, pace, n_init + num_frames + 1, frame_rate)
+    arc, controls = _pace_schedule(spline, pace, n_init + num_frames, frame_rate)
     init_q = init_clip.active_rotations
+    init_pose = encode_pose(init_q, cfg.parameterization)
+    init_trans = np.stack([init_clip.root_positions[:, 1], np.zeros(n_init)], axis=1)
     height_limit = 10.0 * max(skel.height(), 1e-6)
 
-    # warm up on the conditioning frames
+    # Step g consumes frame g with control g: an init frame, or from n_init
+    # on the fed-back prediction, checked and recorded first. The last
+    # step's prediction is never used. The benchmark pins these
+    # n_init + num_frames steps; conditioning with one forward_window call,
+    # as _autoregress does, would drop that step together with the pin.
     state = pose_net.init_state(1)
-    for f in range(n_init):
-        pose = Tensor(encode_pose(init_q[f][None], cfg.parameterization))
-        trans = Tensor(np.array([[init_clip.root_positions[f, 1], 0.0]]))
-        out = pose_net.step(pose, state, prev_quats=Tensor(init_q[f][None]),
-                            translations=trans, controls=Tensor(controls[f][None]))
-        state = out["state"]
-
-    frames_q = []
-    frames_t = []
-    for f in range(num_frames):
-        quats = out["quats"].data[0]
-        trans_pred = out["translations"].data[0]
-        if (not np.isfinite(quats).all() or not np.isfinite(trans_pred).all()
-                or np.abs(trans_pred).max() > height_limit):
-            raise GenerationDivergedError(
-                f"pose or translation left the {height_limit:.3g} envelope "
-                f"at frame {f}")
-        frames_q.append(quats)
-        frames_t.append(trans_pred)
-        out = pose_net.step(out["feedback"], state, prev_quats=out["quats"],
-                            translations=out["translations"],
-                            controls=Tensor(controls[n_init + f + 1][None]))
+    frames_q, frames_t = [], []
+    for g in range(n_init + num_frames):
+        if g < n_init:
+            pose, quats, trans = (Tensor(a[g][None]) for a in (init_pose, init_q, init_trans))
+        else:
+            pose, quats, trans = out["feedback"], out["quats"], out["translations"]
+            if (not np.isfinite(quats.data).all() or not np.isfinite(trans.data).all()
+                    or np.abs(trans.data).max() > height_limit):
+                raise GenerationDivergedError(
+                    f"pose or translation left the {height_limit:.3g} envelope "
+                    f"at frame {g - n_init}")
+            frames_q.append(quats.data[0])
+            frames_t.append(trans.data[0])
+        out = pose_net.step(pose, state, prev_quats=quats, translations=trans,
+                            controls=Tensor(controls[g][None]))
         state = out["state"]
 
     trans = np.stack(frames_t)  # root height, arc offset
-    ground = spline.position_at(arc[n_init:n_init + num_frames] + trans[:, 1])
+    ground = spline.position_at(arc[n_init:] + trans[:, 1])
     return MotionClip(skel, frame_rate, np.stack([ground[:, 0], trans[:, 0], ground[:, 1]], axis=1),
                       expand_active(skel, np.stack(frames_q)), subject="generated",
                       action="locomotion")

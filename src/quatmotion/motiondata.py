@@ -340,6 +340,9 @@ def fit_spline(root_positions: np.ndarray, segment_length: float) -> TrajectoryS
     pos = np.asarray(root_positions, dtype=float)
     if pos.ndim != 2 or pos.shape[1] not in (2, 3):
         raise ValueError(f"spline points must have shape (N, 2) or (N, 3), got {pos.shape}")
+    bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
+    if len(bad):  # a NaN would silently bridge or cut the march
+        raise ValueError(f"spline point {bad[0]} is not finite: {pos[bad[0]].tolist()}")
     path = pos[:, [0, 2]] if pos.shape[1] == 3 else pos
     if len(path) < 2:
         raise ValueError("need at least 2 points")

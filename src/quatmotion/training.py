@@ -183,6 +183,8 @@ def _autoregress(net: PoseNetwork, enc: np.ndarray, quats: np.ndarray, n: int,
     """
     if n < 1:
         raise ValueError(f"need at least one conditioning frame, got {n}")
+    if steps < 1:
+        raise ValueError(f"need at least one step to predict, got {steps}")
     b = enc.shape[0]
     out = net.forward_window(Tensor(enc[:, :n]), Tensor(quats[:, n - 1]),
                              **_aux_inputs(net, b, np.arange(n), root_positions))

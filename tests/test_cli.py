@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shlex
 import struct
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 from quatmotion import cli
 from quatmotion import motiondata as md
+from quatmotion.kinematics import Skeleton
 
 from conftest import SPINE_BEND, freeze_joint
 
@@ -295,9 +297,7 @@ def generate_args(generate_inputs, dataset_dir):
 
 
 @pytest.mark.parametrize("flag,value", [("--frames", "0"), ("--frames", "-3"),
-                                        ("--frame-rate", "0"), ("--frame-rate", "nan"),
-                                        ("--frame-rate", "-25"), ("--segment-length", "0"),
-                                        ("--segment-length", "nan")])
+                                        ("--segment-length", "0"), ("--segment-length", "nan")])
 def test_generate_bad_number_option_is_usage_error(tmp_path, generate_args, capsys,
                                                    flag, value):
     assert run(generate_args + ["--frames", "5", flag, value, "--out", tmp_path / "o"]) == 1
@@ -313,6 +313,21 @@ NUMERIC_OPTIONS = [(name, action.option_strings[0])
                    if action.type is not None]
 OUT_COMMANDS = [name for name, sub in SUBCOMMANDS.items()
                 if any("--out" in action.option_strings for action in sub._actions)]
+
+
+def test_readme_command_lines_parse():
+    # each documented command line, continuations joined, is one the
+    # parser takes, and every subcommand has one
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("quatmotion ")]
+    assert {shlex.split(line)[1] for line in lines} == set(SUBCOMMANDS)
+    for line in lines:
+        try:
+            cli.build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README.md documents a command line the parser refuses: {line}")
 
 
 @pytest.fixture(scope="module")
@@ -768,6 +783,95 @@ def test_commands_without_randomness_take_no_seed(tmp_path, dataset_dir, trainin
     assert run(args + ["--out", tmp_path / "o"]) == 0
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["seed"] is None and "seed" not in manifest["config"]
+
+
+def test_generate_runs_at_the_init_clips_frame_rate(tmp_path, generate_args):
+    clip = md.load_clip(generate_args[-1]).slice(0, 10)
+    md.save_clip(tmp_path / "init.qmc",
+                 md.MotionClip(clip.skeleton, 12.5, clip.root_positions, clip.rotations))
+    args = generate_args[:-1] + [tmp_path / "init.qmc", "--frames", "5", "--out", tmp_path / "o"]
+    assert run(args) == 0
+    assert md.load_clip(tmp_path / "o" / "generated.qmc").frame_rate == 12.5
+
+
+def test_generate_non_finite_waypoint_is_data_error(tmp_path, generate_args, capsys):
+    waypoints = np.stack([np.linspace(0, 5, 51), np.zeros(51), np.zeros(51)], 1)
+    waypoints[25, 0] = np.nan
+    np.savetxt(tmp_path / "way.csv", waypoints, delimiter=",")
+    args = list(generate_args)
+    args[args.index("--spline") + 1] = tmp_path / "way.csv"
+    assert run(args + ["--frames", "5", "--out", tmp_path / "o"]) == 2
+    out, err = capsys.readouterr()
+    assert "spline point 25 is not finite" in err and "Traceback" not in out + err
+
+
+def _on_other_skeleton(dataset_dir, path, change: str):
+    """The dataset's clips, saved to ``path``, on a skeleton with every
+    offset doubled and, by ``change``, nothing else ("offsets"), every joint
+    renamed ("renamed") or joint spine0 inactive ("frozen")."""
+    clips = md.load_dataset(dataset_dir)
+    if change == "frozen":
+        clips = [freeze_joint(c, "spine0", SPINE_BEND) for c in clips]
+    skel = clips[0].skeleton
+    names = [f"{n}_x" for n in skel.names] if change == "renamed" else list(skel.names)
+    other = Skeleton(names, skel.parents, 2.0 * skel.offsets, skel.dof_active,
+                     skel.constant_rotations, list(skel.euler_orders))
+    md.save_dataset(path, [md.MotionClip(other, c.frame_rate, c.root_positions, c.rotations)
+                           for c in clips])
+    return clips[0].skeleton
+
+
+@pytest.fixture(scope="module")
+def skeleton_commands(tmp_path_factory, dataset_dir, training_checkpoint, generate_args):
+    """Per command that reads a pose checkpoint, ``(checkpoint, args(data))``:
+    the checkpoint stores the dataset's skeleton, and ``data`` replaces the
+    dataset (for generate, the init clip)."""
+    from quatmotion import models as mo
+    ck = mo.load_checkpoint(generate_args[2])
+    walker = tmp_path_factory.mktemp("walker") / "walker.ckpt"
+    skel = md.load_dataset(dataset_dir)[0].skeleton
+    mo.save_checkpoint(walker, "pose", ck["config"], ck["arrays"], {"skeleton": skel.to_dict()})
+    model = ["--checkpoint", training_checkpoint, "--conditioning-frames", "6"]
+    return {
+        "predict": (training_checkpoint, lambda d: ["predict", *model, "--dataset", d]),
+        "evaluate": (training_checkpoint,
+                     lambda d: ["evaluate", *model, "--protocol", "S=1", "--dataset", d]),
+        "train-pose": (training_checkpoint,
+                       lambda d: ["train-pose", "--resume", training_checkpoint, "--dataset", d]),
+        "generate": (walker, lambda d: ["generate", "--pose-checkpoint", walker,
+                                        *generate_args[3:7], "--init-clip", d / "clip_00000.qmc",
+                                        "--frames", "5"]),
+    }
+
+
+@pytest.mark.parametrize("change", ["renamed", "frozen"])
+@pytest.mark.parametrize("command", ["predict", "evaluate", "train-pose", "generate"])
+def test_data_on_another_skeleton_is_data_error(tmp_path, dataset_dir, skeleton_commands, capsys,
+                                                command, change):
+    # the skeleton a pose checkpoint stores fixes the names, parents and
+    # active joints of the data it reads
+    skel = _on_other_skeleton(dataset_dir, tmp_path / "ds", change)
+    ck, args = skeleton_commands[command]
+    assert run(args(tmp_path / "ds") + ["--out", tmp_path / "o"]) == 2
+    out, err = capsys.readouterr()
+    j = 0 if change == "renamed" else skel.names.index("spine0")
+    assert f"joint {j} " in err and str(ck) in err and str(tmp_path / "ds") in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate", "generate"])
+def test_data_with_other_offsets_runs(tmp_path, dataset_dir, skeleton_commands, command):
+    _on_other_skeleton(dataset_dir, tmp_path / "ds", "offsets")
+    assert run(skeleton_commands[command][1](tmp_path / "ds") + ["--out", tmp_path / "o"]) == 0
+
+
+def test_checkpoint_without_skeleton_checks_the_active_count(tmp_path, dataset_dir,
+                                                             generate_inputs, capsys):
+    _on_other_skeleton(dataset_dir, tmp_path / "ds", "frozen")
+    assert run(["evaluate", "--checkpoint", generate_inputs / "pose.ckpt", "--dataset",
+                tmp_path / "ds", "--out", tmp_path / "o"]) == 2
+    out, err = capsys.readouterr()
+    assert "skeletons are incompatible" in err and "Traceback" not in out + err
 
 
 @pytest.mark.parametrize("columns", [1, 4])

@@ -34,6 +34,17 @@ def test_protocol_descriptors():
     assert [ev.horizon_frames(ms, 25.0) for ms in std.horizons_ms] == [2, 4, 8, 10]
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("samples_per_sequence", 0, "samples_per_sequence must be at least 1, got 0"),
+    ("samples_per_sequence", -4, "samples_per_sequence must be at least 1, got -4"),
+    ("conditioning_frames", 0, "conditioning_frames must be at least 1, got 0"),
+    ("horizons_ms", (), "at least one horizon")])
+def test_protocol_rejects_counts_below_one(field, value, message):
+    # S=0 reported nothing, so overall_mean was NaN; no horizon failed in max()
+    with pytest.raises(ValueError, match=message):
+        ev.EvalProtocol(**{field: value})
+
+
 @pytest.mark.parametrize("ms,rate", [(1.0, 25.0), (19.9, 25.0), (20.0, 25.0), (400.0, 1e308),
                                      (float("nan"), 25.0), (-80.0, 25.0)])
 def test_horizon_frames_rejects_no_whole_frame(ms, rate):

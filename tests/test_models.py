@@ -393,15 +393,48 @@ def test_generation_rejects_non_finite_pace_output(corpus, output):
 @pytest.mark.parametrize("frames,rate,init_frames,message", [
     (0, 25.0, 4, "at least 1 frame"), (-3, 25.0, 4, "at least 1 frame"),
     (10, 0.0, 4, "frame rate"), (10, float("nan"), 4, "frame rate"),
-    (10, 25.0, 0, "init clip has no frames")])
+    (10, 50.0, 4, "frame rate"), (10, 25.0, 0, "init clip has no frames")])
 def test_generation_rejects_bad_inputs(corpus, frames, rate, init_frames, message):
     skel, clips = corpus
     pose_net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(
         skel.num_active, hidden=8, include_controls=True, include_translations=True), seed=0)
     spline = fit_spline(np.stack([np.linspace(0, 4, 60), np.zeros(60), np.zeros(60)], 1), 0.25)
+    assert clips[0].frame_rate == 25.0  # any other rate is not the init clip's
     with pytest.raises(ValueError, match=message):
         mo.generate_locomotion(pose_net, mo.PaceNetwork(mo.PaceNetworkConfig(), seed=0), spline,
                                clips[0].slice(0, init_frames), frames, rate)
+
+
+def test_generation_steps_once_per_frame_with_its_own_control(corpus, monkeypatch):
+    skel, clips = corpus
+    pose_net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(
+        skel.num_active, hidden=8, include_controls=True, include_translations=True), seed=0)
+    pace_net = mo.PaceNetwork(mo.PaceNetworkConfig(), seed=0)
+    pace_net.params["head.b"].data[2:] = 1.0  # 1 Hz at 1 unit/s: no two control rows equal
+    spline = fit_spline(np.stack([np.linspace(0, 4, 60), np.zeros(60), np.zeros(60)], 1), 0.25)
+    schedules, calls = [], []
+    pace_schedule, step = mo._pace_schedule, mo.PoseNetwork.step
+
+    def record_schedule(*args):
+        schedules.append(pace_schedule(*args))
+        return schedules[-1]
+
+    def record_step(self, pose, state, **kw):
+        out = step(self, pose, state, **kw)
+        calls.append((kw["prev_quats"].data[0], kw["controls"].data[0], out["quats"].data[0]))
+        return out
+
+    monkeypatch.setattr(mo, "_pace_schedule", record_schedule)
+    monkeypatch.setattr(mo.PoseNetwork, "step", record_step)
+    init = clips[0].slice(0, 6)
+    mo.generate_locomotion(pose_net, pace_net, spline, init, 20, init.frame_rate)
+    [(_, controls)] = schedules
+    assert len(calls) == len(np.unique(controls, axis=0)) == 6 + 20
+    # step g consumes frame g, an init frame or the step before's output,
+    # with control g
+    for g, (quats, control, _) in enumerate(calls):
+        frame = init.active_rotations[g] if g < 6 else calls[g - 1][2]
+        assert np.array_equal(quats, frame) and np.array_equal(control, controls[g])
 
 
 def _generate_reference(pose_net, pace_net, spline, init_clip, num_frames, frame_rate):
@@ -447,9 +480,10 @@ def _generate_reference(pose_net, pace_net, spline, init_clip, num_frames, frame
         ground = spline.position_at(np.clip(arc + float(trans[1]), 0.0, spline.total_length))
         frames_q.append(quats)
         frames_root.append(np.array([ground[0], float(trans[0]), ground[1]]))
+        controls = Tensor(control_frame())  # this frame's, as in warm-up
         advance()
         out = pose_net.step(out["feedback"], state, prev_quats=out["quats"],
-                            translations=out["translations"], controls=Tensor(control_frame()))
+                            translations=out["translations"], controls=controls)
         state = out["state"]
     rotations = np.tile(skel.constant_rotations, (num_frames, 1, 1))
     rotations[:, skel.active_indices] = np.stack(frames_q)
@@ -542,6 +576,8 @@ def test_generation_holds_inactive_joints_at_their_constants(corpus, tmp_path):
     pose_net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(
         frozen.num_active, hidden=16, include_controls=True, include_translations=True), seed=0)
     pace_net = mo.PaceNetwork(mo.PaceNetworkConfig(), seed=0)
+    # 1 Hz at 1 unit/s, so each frame's gait signal differs from the next
+    pace_net.params["head.b"].data[2:] = 1.0
     spline = fit_spline(np.stack([np.linspace(0, 4, 60), np.zeros(60), np.zeros(60)], 1), 0.25)
     clip = mo.generate_locomotion(pose_net, pace_net, spline, init, 40, 25.0)
     want = _generate_reference(pose_net, pace_net, spline, init, 40, 25.0)

@@ -306,6 +306,18 @@ def test_fit_spline_knots_match_reference_loop():
         assert got.points.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("rows", [[25], [25, 40], list(range(51))],
+                         ids=["one-row", "two-rows", "every-row"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_spline_rejects_non_finite_points(rows, value):
+    # a NaN row used to cut a straight 20-segment path to 7 segments
+    pts = np.stack([np.linspace(0, 5, 51), np.zeros(51), np.zeros(51)], 1)
+    assert md.fit_spline(pts, segment_length=0.25).num_segments == 20
+    pts[rows, 2] = value
+    with pytest.raises(ValueError, match=f"spline point {rows[0]} is not finite"):
+        md.fit_spline(pts, segment_length=0.25)
+
+
 @pytest.mark.parametrize("shape", [(10,), (10, 1), (10, 4), (2, 10, 3)])
 def test_spline_rejects_points_of_other_shape(shape):
     with pytest.raises(ValueError, match=r"\(N, 2\) or \(N, 3\)"):

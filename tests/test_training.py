@@ -311,6 +311,15 @@ def test_free_run_predict_shapes_both_backbones(corpus):
             tr.free_run_predict(net, rots[:0], 5)
 
 
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_free_run_predict_rejects_horizon_below_one(corpus, horizon):
+    # the conditioning output alone would come back as one frame
+    skel, clips = corpus
+    net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(skel.num_active, hidden=8), seed=0)
+    with pytest.raises(ValueError, match=f"at least one step to predict, got {horizon}"):
+        tr.free_run_predict(net, clips[0].active_rotations[:4], horizon)
+
+
 @pytest.mark.parametrize("horizon", [1, 5])
 @pytest.mark.parametrize("backbone,weight,n", [("recurrent", "gru1.b", 10),
                                                ("recurrent", "head.b", 10),
