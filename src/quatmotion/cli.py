@@ -35,6 +35,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+# TrainConfig fields that pace training never reads
+PACE_UNREAD = ("conditioning_frames", "prediction_frames", "loss", "batch_size")
 
 
 class CliError(Exception):
@@ -63,13 +65,13 @@ def read_config(path) -> dict:
     return out
 
 
-def _coerce(raw: dict, defaults) -> dict:
-    """Cast config strings onto a dataclass instance's field types."""
+def _coerce(raw: dict, defaults: dict) -> dict:
+    """Cast config strings onto the types of ``defaults``; other keys are usage errors."""
     out = {}
     for key, val in raw.items():
-        if not hasattr(defaults, key):
-            raise CliError(f"unknown config key {key!r}", EXIT_USAGE)
-        cur = getattr(defaults, key)
+        if key not in defaults:
+            raise CliError(f"config key {key!r} = {val!r} is not read by this command", EXIT_USAGE)
+        cur = defaults[key]
         if isinstance(cur, bool):
             out[key] = val.lower() in ("1", "true", "yes")
         elif isinstance(cur, (int, float)):
@@ -91,10 +93,10 @@ def _make_config(cls, *args, **kwargs):
         raise CliError(f"bad config value: {e}", EXIT_USAGE)
 
 
-def write_manifest(out_dir, args: argparse.Namespace, seed: int | None) -> None:
+def write_manifest(out_dir, args: argparse.Namespace, seed: int | None, **extra) -> None:
     os.makedirs(out_dir, exist_ok=True)
     manifest = {"version": __version__, "seed": seed,
-                "config": {k: v for k, v in vars(args).items() if k != "func"}}
+                "config": {k: v for k, v in vars(args).items() if k != "func"}, **extra}
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, default=str)
 
@@ -150,22 +152,23 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _train_setup(args, **keys):
-    """Read ``args.config``: the values of ``keys`` (their defaults as
-    given), the TrainConfig the other keys build, and the clips of the
-    dataset named by the config or ``--dataset``. Writes the manifest."""
+def _train_setup(args, unread=(), **keys):
+    """Read ``args.config``: the values of ``keys`` (their defaults as given), the
+    TrainConfig the other keys build, none a field in ``unread`` (which the run never
+    reads), and the clips of the dataset the config or ``--dataset`` names."""
     raw = read_config(args.config) if args.config else {}
     dataset = raw.pop("dataset", args.dataset)
     values = {k: raw.pop(k, default) for k, default in keys.items()}
-    config = _make_config(tr.TrainConfig, **_coerce(raw, tr.TrainConfig()))
+    known = {k: v for k, v in asdict(tr.TrainConfig()).items() if k not in unread}
+    config = _make_config(tr.TrainConfig.from_dict, _coerce(raw, {**known, **tr.FIXED}))
     return values, config, _train_clips(args, dataset, config)
 
 
 def _train_clips(args, dataset, config: tr.TrainConfig) -> list:
-    """Write the manifest with ``config``'s seed and load ``dataset``."""
+    """Write the manifest with ``config`` and its seed, and load ``dataset``."""
     if dataset is None:
         raise CliError("no dataset given (flag --dataset or config key)", EXIT_USAGE)
-    write_manifest(args.out, args, config.seed)
+    write_manifest(args.out, args, config.seed, train_config=asdict(config))
     return _load_clips(dataset)
 
 
@@ -201,7 +204,7 @@ def cmd_train_pose(args) -> int:
 
 
 def cmd_train_pace(args) -> int:
-    opts, config, clips = _train_setup(args, variant="bidirectional",
+    opts, config, clips = _train_setup(args, PACE_UNREAD, variant="bidirectional",
                                        left_foot=args.left_foot, right_foot=args.right_foot)
     pace_config = _make_config(mo.PaceNetworkConfig, variant=opts["variant"])
     names, feet = clips[0].skeleton.names, []
@@ -210,13 +213,8 @@ def cmd_train_pace(args) -> int:
             raise CliError(f"--{key.replace('_', '-')} (config key {key}) {opts[key]!r} is not "
                            f"a joint of the dataset's skeleton: {', '.join(names)}", EXIT_USAGE)
         feet.append(names.index(opts[key]))
-    examples = []
-    for clip in clips:
-        feats = md.extract_gait_features(clip, *feet)
-        if feats.degenerate:
-            continue
-        curv, targets, _ = tr.pace_training_example(clip, feats)
-        examples.append((curv, targets))
+    feats = [(clip, md.extract_gait_features(clip, *feet)) for clip in clips]
+    examples = [tr.pace_training_example(clip, f)[:2] for clip, f in feats if not f.degenerate]
     if not examples:
         raise CliError("no clip produced usable gait features", EXIT_DATA)
     net = mo.PaceNetwork(pace_config, seed=config.seed)

@@ -313,7 +313,7 @@ def train_position_network(net: PositionNetwork, clips, skel: Skeleton,
     history = []
     for epoch in range(config.epochs):
         lr = config.lr_at(epoch)
-        losses, _ = _adam_epoch(net, adam, lr, config.clip_norm,
+        losses, _ = _adam_epoch(net, adam, lr,
                                 _minibatches(sampler, len(clips), config.batch_size), loss_of)
         history.append({"epoch": epoch, "lr": lr, "train_loss": float(np.mean(losses))})
     return history

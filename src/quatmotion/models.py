@@ -601,16 +601,19 @@ def load_checkpoint(path) -> dict:
                 "meta": header["meta"], "arrays": arrays}
 
 
+def drop_fixed(stored: dict, fixed: dict) -> dict:
+    """``stored`` without the keys of ``fixed``, settings that became constants;
+    a value other than its fixed one raises ValueError naming key and value."""
+    for key, value in fixed.items():
+        if stored.get(key, value) != value:
+            raise ValueError(f"{key} must be {value}, got {stored[key]!r}")
+    return {k: v for k, v in stored.items() if k not in fixed}
+
+
 def pose_network_from_checkpoint(ck: dict) -> PoseNetwork:
-    stored = dict(ck["config"])
-    # older checkpoints store the fixed conv geometry as "filter_width"
-    # (the two taps) and "conv_layers", and the GRU depth as "layers"
-    for key, fixed in (("filter_width", CONV_TAPS), ("conv_layers", CONV_LAYERS),
-                       ("layers", GRU_LAYERS)):
-        value = stored.pop(key, fixed)
-        if value != fixed:
-            raise ValueError(f"{key} must be {fixed}, got {value!r}")
-    config = PoseNetworkConfig(**stored)
+    # keys older checkpoints store for the conv taps and depth and the GRU depth
+    config = PoseNetworkConfig(**drop_fixed(ck["config"], {
+        "filter_width": CONV_TAPS, "conv_layers": CONV_LAYERS, "layers": GRU_LAYERS}))
     return PoseNetwork(config, params={k: ad.parameter(v) for k, v in ck["arrays"].items()})
 
 

@@ -1,10 +1,10 @@
 """Losses, schedules, scheduled-sampling rollouts, and training loops.
 
 Deterministic by construction: schedules are closed forms of the epoch
-index (lr = lr0 * 0.999^E, ground-truth probability p = 0.995^E), all
-randomness flows through one seeded generator whose state is stored in
-checkpoints, and gradients are clipped to a 0.1 global norm before every
-Adam update.
+index (lr = lr0 * LR_DECAY^E, ground-truth probability p = SAMPLING_DECAY^E),
+all randomness flows through one seeded generator whose state is stored in
+checkpoints, gradients are clipped to a CLIP_NORM global norm before every
+Adam update, and REG_WEIGHT weighs the unit-norm penalty, all four fixed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import rotmath as rm
 from .autodiff import Tensor
 from .kinematics import (Skeleton, forward_kinematics, forward_kinematics_tensor,
                          position_error, position_error_tensor, velocity_error)
-from .models import (CONTROL_DIM, PaceNetwork, PoseNetwork, _rotate2, encode_pose,
+from .models import (CONTROL_DIM, PaceNetwork, PoseNetwork, _rotate2, drop_fixed, encode_pose,
                      pose_network_from_checkpoint, save_checkpoint)
 from .optim import AdamState, adam_step
 
@@ -30,6 +30,9 @@ LR_DECAY = 0.999
 SAMPLING_DECAY = 0.995
 CLIP_NORM = 0.1
 REG_WEIGHT = 0.01
+# their keys in older checkpoints and configs, which load only at these values
+FIXED = {"lr_decay": LR_DECAY, "sampling_decay": SAMPLING_DECAY, "clip_norm": CLIP_NORM,
+         "reg_weight": REG_WEIGHT}
 LOG_COLUMNS = ("epoch", "lr", "p", "train_loss", "val_position_loss",
                "val_velocity_loss", "wall_seconds", "grad_norm", "clip_fraction")
 PACE_LOG_COLUMNS = ("epoch", "lr", "mae")
@@ -39,10 +42,6 @@ PACE_LOG_COLUMNS = ("epoch", "lr", "mae")
 class TrainConfig:
     epochs: int = 100
     lr0: float = 1e-3
-    lr_decay: float = LR_DECAY
-    clip_norm: float = CLIP_NORM
-    sampling_decay: float = SAMPLING_DECAY
-    reg_weight: float = REG_WEIGHT
     conditioning_frames: int = 10
     prediction_frames: int = 4
     loss: str = "quat_dot"  # quat_dot | euler_l1 | positional
@@ -50,26 +49,26 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.lr_decay < 1.0 and 0.0 < self.sampling_decay < 1.0):
-            raise ValueError("decay factors must lie in (0, 1)")
-        if not (1e-3 <= self.reg_weight <= 0.1):
-            raise ValueError(f"reg_weight {self.reg_weight} outside its useful range")
         if self.loss not in ("quat_dot", "euler_l1", "positional"):
             raise ValueError(f"unknown loss {self.loss!r}")
         for name in ("epochs", "conditioning_frames", "prediction_frames", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("lr0", "clip_norm"):
-            if not 0.0 < getattr(self, name) < float("inf"):
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0.0 < self.lr0 < float("inf"):
+            raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
+    @classmethod
+    def from_dict(cls, values: dict) -> TrainConfig:
+        """Stored or configured ``values``, each ``FIXED`` key only at its value."""
+        return cls(**drop_fixed(values, FIXED))
+
     def lr_at(self, epoch: int) -> float:
-        return self.lr0 * self.lr_decay ** epoch
+        return self.lr0 * LR_DECAY ** epoch
 
     def p_at(self, epoch: int) -> float:
-        return self.sampling_decay ** epoch
+        return SAMPLING_DECAY ** epoch
 
 
 # -- losses -------------------------------------------------------------------
@@ -137,7 +136,7 @@ def _step_loss(out, target_quats, target_pos, skel, config: TrainConfig):
         orders = skel.active_euler_orders
         base = loss_euler_l1(out["quats"], rm.joint_euler(target_quats, orders), orders)
     if out["raw_quats"] is not None:
-        base = base + penalty_unit_norm(out["raw_quats"], config.reg_weight)
+        base = base + penalty_unit_norm(out["raw_quats"])
     return base
 
 
@@ -332,7 +331,7 @@ def _minibatches(sampler, count: int, size: int):
         yield sampler.sample(min(size, count - start))
 
 
-def _adam_epoch(net, adam: AdamState, lr: float, clip_norm: float, batches, loss_of):
+def _adam_epoch(net, adam: AdamState, lr: float, batches, loss_of):
     """One epoch of clipped Adam updates of ``net``, one per batch: zero the
     gradients, backpropagate ``loss_of(batch)``, step. Returns the batch
     losses and the global gradient norms before clipping."""
@@ -342,7 +341,7 @@ def _adam_epoch(net, adam: AdamState, lr: float, clip_norm: float, batches, loss
         net.zero_grad()
         loss = loss_of(batch)
         loss.backward()
-        norms.append(adam_step(arrays, net.grads(), adam, lr, clip_norm=clip_norm))
+        norms.append(adam_step(arrays, net.grads(), adam, lr, clip_norm=CLIP_NORM))
         losses.append(loss.item())
     return losses, norms
 
@@ -376,8 +375,7 @@ def train_pose(net: PoseNetwork, clips, skel: Skeleton, config: TrainConfig,
             t0 = time.time()
             lr, p = config.lr_at(epoch), config.p_at(epoch)
             epoch_losses, norms = _adam_epoch(
-                net, adam, lr, config.clip_norm,
-                _minibatches(sampler, len(clips), config.batch_size),
+                net, adam, lr, _minibatches(sampler, len(clips), config.batch_size),
                 lambda batch: scheduled_sampling_rollout(
                     net, batch["rotations"], skel, config, p, rng,
                     root_positions=batch["root_positions"]))
@@ -391,7 +389,7 @@ def train_pose(net: PoseNetwork, clips, skel: Skeleton, config: TrainConfig,
                    "val_position_loss": val_pos, "val_velocity_loss": val_vel,
                    "wall_seconds": time.time() - t0,
                    "grad_norm": float(np.mean(norms)),
-                   "clip_fraction": float(np.mean(np.array(norms) > config.clip_norm))}
+                   "clip_fraction": float(np.mean(np.array(norms) > CLIP_NORM))}
             history.append(row)
             log(row)
             if checkpoint_path is not None:
@@ -428,11 +426,9 @@ def resume_state(ck: dict) -> tuple:
     the run bit-exactly."""
     adam = AdamState(step=int(ck["meta"]["adam_step"]))
     for k, v in ck["arrays"].items():
-        if k.startswith("adam.m."):
-            adam.m[k[len("adam.m."):]] = v.copy()
-        elif k.startswith("adam.v."):
-            adam.v[k[len("adam.v."):]] = v.copy()
-    return (TrainConfig(**ck["meta"]["train_config"]),
+        if k.startswith(("adam.m.", "adam.v.")):  # adam.<moment>.<param>
+            getattr(adam, k[5])[k[7:]] = v.copy()
+    return (TrainConfig.from_dict(ck["meta"]["train_config"]),
             {"start_epoch": int(ck["meta"]["epoch"]), "adam": adam,
              "rng_state": ck["meta"]["rng_state"]})
 
@@ -499,7 +495,7 @@ def train_pace(net: PaceNetwork, examples, config: TrainConfig,
         for epoch in range(config.epochs):
             lr = config.lr_at(epoch)
             batches = (examples[i] for i in rng.permutation(len(examples)))
-            losses, _ = _adam_epoch(net, adam, lr, config.clip_norm, batches, loss_of)
+            losses, _ = _adam_epoch(net, adam, lr, batches, loss_of)
             history.append({"epoch": epoch, "lr": lr, "mae": float(np.mean(losses))})
             log(history[-1])
     return history

@@ -340,7 +340,7 @@ def test_criterion_8_schedules_and_clipping():
             net, batch["rotations"], skel, tcfg, p=0.9, rng=rng,
             root_positions=batch["root_positions"])
         loss.backward()
-        clipped = clip_global_norm(net.grads(), tcfg.clip_norm)
+        clipped = clip_global_norm(net.grads(), tr.CLIP_NORM)
         worst = max(worst, global_norm(clipped))
     ok = exact and worst <= 0.1 + 1e-12
     report(8, "exact schedules, post-clip norm <= 0.1", ok,

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import shlex
 import struct
 import subprocess
@@ -122,6 +123,68 @@ def test_resume_takes_its_configuration_from_the_checkpoint(tmp_path, dataset_di
     assert "epoch 2 of 2" in out and "checkpoint" not in out
     assert not (tmp_path / "run3" / "pose.ckpt").exists()
     assert json.loads((tmp_path / "run3" / "manifest.json").read_text())["seed"] == 7
+
+
+@pytest.mark.parametrize("command,lines,values", [
+    ("train-pose", "epochs = 1\nlr0 = 0.002\nbatch_size = 2\nconditioning_frames = 6\n"
+                   "prediction_frames = 2\nloss = euler_l1\nseed = 3\nclip_norm = 0.1\n",
+     {"epochs": 1, "lr0": 0.002, "batch_size": 2, "conditioning_frames": 6,
+      "prediction_frames": 2, "loss": "euler_l1", "seed": 3}),
+    ("train-pace", "epochs = 1\nlr0 = 0.002\nseed = 3\nlr_decay = 0.999\n",
+     {"epochs": 1, "lr0": 0.002, "seed": 3}),
+], ids=["train-pose", "train-pace"])
+def test_training_manifest_records_the_resolved_train_config(tmp_path, dataset_dir,
+                                                              command, lines, values):
+    # the config file's values over the defaults; a fixed key at its value
+    # is accepted and dropped
+    from quatmotion import training as tr
+    cfgfile = tmp_path / "train.cfg"
+    cfgfile.write_text(f"{lines}dataset = {dataset_dir}\n")
+    assert run([command, "--config", cfgfile, "--out", tmp_path / "o"]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["train_config"] == asdict(tr.TrainConfig(**values))
+
+
+def test_checkpoint_storing_the_fixed_train_keys_resumes_exactly(tmp_path, dataset_dir):
+    # checkpoints written while the four constants were TrainConfig fields
+    # store them in meta.train_config, at their fixed values
+    from quatmotion import models as mo, training as tr
+    cfg = "batch_size = 2\nconditioning_frames = 6\nprediction_frames = 2\nseed = 5\n"
+    (tmp_path / "half.cfg").write_text(f"epochs = 2\n{cfg}")
+    (tmp_path / "full.cfg").write_text(f"epochs = 4\n{cfg}")
+    for name in ("half", "full"):
+        assert run(["train-pose", "--config", tmp_path / f"{name}.cfg", "--dataset", dataset_dir,
+                    "--out", tmp_path / name]) == 0
+    ck = mo.load_checkpoint(tmp_path / "half" / "pose.ckpt")
+    assert not ck["meta"]["train_config"].keys() & tr.FIXED.keys()
+    ck["meta"]["train_config"].update(tr.FIXED, epochs=4)
+    old = tmp_path / "old.ckpt"
+    mo.save_checkpoint(old, ck["kind"], ck["config"], ck["arrays"], ck["meta"])
+    assert run(["train-pose", "--resume", old, "--dataset", dataset_dir,
+                "--out", tmp_path / "resumed"]) == 0
+    got = mo.load_checkpoint(tmp_path / "resumed" / "pose.ckpt")["arrays"]
+    want = mo.load_checkpoint(tmp_path / "full" / "pose.ckpt")["arrays"]
+    assert got.keys() == want.keys()
+    for k in want:
+        assert np.array_equal(got[k], want[k]), k
+    # the resumed run's manifest records the checkpoint's config, less the fixed keys
+    resumed, full = (json.loads((tmp_path / name / "manifest.json").read_text())
+                     for name in ("resumed", "full"))
+    assert resumed["train_config"] == full["train_config"]
+
+
+def test_stored_train_config_off_its_fixed_value_is_data_error(tmp_path, dataset_dir,
+                                                                training_checkpoint, capsys):
+    from quatmotion import models as mo
+    ck = mo.load_checkpoint(training_checkpoint)
+    ck["meta"]["train_config"]["lr_decay"] = 0.99
+    bad = tmp_path / "bad.ckpt"
+    mo.save_checkpoint(bad, ck["kind"], ck["config"], ck["arrays"], ck["meta"])
+    assert run(["train-pose", "--resume", bad, "--dataset", dataset_dir,
+                "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "bad.ckpt" in err and "lr_decay" in err and "0.99" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "pose.ckpt").exists()
 
 
 def test_resume_onto_old_log_is_data_error(tmp_path, dataset_dir, capsys):
@@ -328,6 +391,36 @@ def test_readme_command_lines_parse():
             cli.build_parser().parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README.md documents a command line the parser refuses: {line}")
+
+
+class _SetupSeen(Exception):
+    pass
+
+
+def test_readme_lists_the_config_keys_each_training_command_reads(tmp_path, monkeypatch):
+    # README's bullet for each training command lists the keys its config
+    # accepts: dataset, the command's own keys, the TrainConfig fields its
+    # run reads and the fixed keys, the last at the values they must hold
+    from dataclasses import fields
+    from quatmotion import training as tr
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = {}
+    for item in ("train-pose", "train-pace", "fixed keys"):
+        text = re.search(rf"^- `?{item}`?[^:]*:(.*?)\n(?!  )", readme, re.M | re.S).group(1)
+        documented[item] = dict(re.findall(r"`(\w+)(?: = ([^`]+))?`", text))
+    assert {k: float(v) for k, v in documented.pop("fixed keys").items()} == tr.FIXED
+
+    def setup(args, unread=(), **keys):
+        seen[args.command] = {"dataset", *keys} | {f.name for f in fields(tr.TrainConfig)
+                                                   if f.name not in unread}
+        raise _SetupSeen
+
+    seen = {}
+    monkeypatch.setattr(cli, "_train_setup", setup)
+    for command in documented:
+        with pytest.raises(_SetupSeen):
+            run([command, "--out", tmp_path / command])
+        assert set(documented[command]) == seen[command], command
 
 
 @pytest.fixture(scope="module")
@@ -631,12 +724,19 @@ def test_bad_swap_map_is_usage_error(tmp_path, dataset_dir, capsys, swap):
     ("train-pose", "lr0 = inf"),
     ("train-pose", "clip_norm = -0.1"),
     ("train-pose", "clip_norm = 0"),
+    ("train-pose", "sampling_decay = 0.5"),
+    ("train-pose", "lr_decay = 0.99"),
     ("train-pose", "epochs = -3"),
     ("train-pose", "seed = -1"),
     ("train-pace", "epochs = abc"),
     ("train-pace", "clip_norm = 0"),
     ("train-pace", "variant = sideways"),
     ("train-pace", "seed = -1"),
+    # keys a pace run never reads
+    ("train-pace", "conditioning_frames = 999"),
+    ("train-pace", "prediction_frames = 3"),
+    ("train-pace", "loss = positional"),
+    ("train-pace", "batch_size = 4"),
 ])
 def test_bad_config_value_is_usage_error(tmp_path, dataset_dir, capsys, command, line):
     cfgfile = tmp_path / "bad.cfg"
@@ -645,6 +745,7 @@ def test_bad_config_value_is_usage_error(tmp_path, dataset_dir, capsys, command,
     assert run([command, "--config", cfgfile, "--out", out]) == 1
     captured = capsys.readouterr()
     assert line.split(" = ")[1] in captured.err and "Traceback" not in captured.err
+    assert line.split(" = ")[0] in captured.err
     # rejected before training starts: no log and no checkpoint, and none named
     assert "checkpoint" not in captured.out
     assert not (out / "training_log.csv").exists()

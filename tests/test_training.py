@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,22 +28,28 @@ def test_schedules_exact():
 
 @pytest.mark.parametrize("field,value", [
     ("lr0", -1e-3), ("lr0", 0.0), ("lr0", float("inf")), ("lr0", float("nan")),
-    ("clip_norm", -0.1), ("clip_norm", 0.0), ("clip_norm", float("inf")),
     ("epochs", -3), ("epochs", 0), ("seed", -1),
 ])
 def test_train_config_rejects_values_that_break_training(field, value):
-    # a negative step trains uphill, a zero clip norm freezes every
-    # parameter, no epoch trains nothing, and numpy seeds no generator
-    # from a negative seed
+    # a negative step trains uphill, no epoch trains nothing, and numpy
+    # seeds no generator from a negative seed
     with pytest.raises(ValueError, match=field):
         tr.TrainConfig(**{field: value})
 
 
-def test_reg_weight_range_enforced():
-    with pytest.raises(ValueError):
-        tr.TrainConfig(reg_weight=0.5)
-    with pytest.raises(ValueError):
-        tr.TrainConfig(reg_weight=1e-5)
+def test_train_config_holds_only_what_a_run_varies():
+    assert [f.name for f in fields(tr.TrainConfig)] == [
+        "epochs", "lr0", "conditioning_frames", "prediction_frames", "loss", "batch_size", "seed"]
+
+
+@pytest.mark.parametrize("key", sorted(tr.FIXED))
+def test_fixed_train_keys_load_only_at_their_values(key):
+    # older checkpoints and configs store the four constants as keys
+    fixed = tr.FIXED[key]
+    assert tr.TrainConfig.from_dict({"epochs": 3, key: fixed}) == tr.TrainConfig(epochs=3)
+    for value in (fixed / 2, float("nan"), str(fixed)):
+        with pytest.raises(ValueError, match=f"{key} must be {fixed}, got {value!r}"):
+            tr.TrainConfig.from_dict({"epochs": 3, key: value})
 
 
 def test_clip_global_norm():
@@ -542,12 +549,13 @@ FINGERPRINT_FILE = Path(__file__).with_name("train_fingerprint.json")
 def _train_fingerprint(corpus, net_kw, train_kw):
     """Per-array (sum, norm) of the parameters after a short train_pose
     run, and its per-epoch loss, gradient-norm and validation history.
-    sampling_decay 0.5 lets scheduled sampling feed predictions back."""
+    The caller sets ``training.SAMPLING_DECAY`` to 0.5, which lets scheduled
+    sampling feed predictions back."""
     skel, clips = corpus
     net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(skel.num_active, hidden=16, channels=16,
                                                    **net_kw), seed=3)
     kw = {"epochs": 4, "conditioning_frames": 6, "prediction_frames": 3, "batch_size": 2,
-          "sampling_decay": 0.5, "seed": 5, **train_kw}
+          "seed": 5, **train_kw}
     hist = tr.train_pose(net, clips, skel, tr.TrainConfig(**kw), validate_every=1)
     params = {k: [float(a.sum()), float(np.sqrt(np.sum(a * a)))]
               for k, a in sorted(net.param_arrays().items())}
@@ -556,8 +564,9 @@ def _train_fingerprint(corpus, net_kw, train_kw):
 
 
 @pytest.mark.parametrize("name,net_kw,train_kw", FINGERPRINTS, ids=[f[0] for f in FINGERPRINTS])
-def test_train_pose_fingerprint(corpus, name, net_kw, train_kw):
+def test_train_pose_fingerprint(corpus, monkeypatch, name, net_kw, train_kw):
     want = json.loads(FINGERPRINT_FILE.read_text())[name]
+    monkeypatch.setattr(tr, "SAMPLING_DECAY", 0.5)
     got = _train_fingerprint(corpus, net_kw, train_kw)
     assert got["params"].keys() == want["params"].keys()
     # conv training is pinned exactly; GRU up to summation order, which
