@@ -11,6 +11,7 @@ import numpy as np
 
 from quatmotion import evaluation as ev
 from quatmotion import motiondata as md
+from quatmotion.locomotion import make_synth_corpus
 from quatmotion.training import TrainConfig
 
 
@@ -25,7 +26,7 @@ def main():
                     default=["quaternion", "expmap", "euler-yzx"])
     args = ap.parse_args()
 
-    skel, corpus = md.make_synth_corpus(args.clips, seed=3, duration=10)
+    skel, corpus = make_synth_corpus(args.clips, seed=3, duration=10)
     clips = [md.spin_clip(c, revolutions=args.revolutions) for c in corpus]
     cfg = TrainConfig(epochs=args.epochs, conditioning_frames=10,
                       prediction_frames=4, loss="quat_dot",

@@ -10,7 +10,7 @@ import argparse
 import numpy as np
 
 from quatmotion import evaluation as ev
-from quatmotion import motiondata as md
+from quatmotion.locomotion import make_synth_corpus
 
 
 def main():
@@ -23,8 +23,7 @@ def main():
     ap.add_argument("--horizon-ms", type=int, default=80)
     args = ap.parse_args()
 
-    skel, clips = md.make_synth_corpus(args.clips, seed=args.corpus_seed,
-                                       duration=args.duration)
+    skel, clips = make_synth_corpus(args.clips, seed=args.corpus_seed, duration=args.duration)
     print(f"corpus: {len(clips)} clips, {skel.num_joints} joints")
     print(f"{'S':>5} {'mean':>10} {'IQR':>10} {'95% CI':>24}")
     for s in args.samples:

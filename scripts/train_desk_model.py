@@ -6,7 +6,7 @@ import time
 
 from quatmotion import evaluation as ev
 from quatmotion import models as mo
-from quatmotion import motiondata as md
+from quatmotion.locomotion import make_synth_corpus
 from quatmotion import training as tr
 
 
@@ -20,7 +20,7 @@ def main():
     ap.add_argument("--checkpoint", help="optional checkpoint output path")
     args = ap.parse_args()
 
-    skel, clips = md.make_synth_corpus(args.clips, seed=0, duration=12)
+    skel, clips = make_synth_corpus(args.clips, seed=0, duration=12)
     split = max(1, int(len(clips) * 0.75))
     train_clips, test_clips = clips[:split], clips[split:]
     frame_rate = test_clips[0].frame_rate

@@ -1,6 +1,6 @@
 """Quaternion-based human motion modeling: rotation math, a small
-reverse-mode autodiff engine, kinematics, motion data handling, pose and
-pace networks, training, and an evaluation protocol."""
+reverse-mode autodiff engine, kinematics, motion data handling, pose networks,
+training, the locomotion stage, and an evaluation protocol."""
 
 __version__ = "0.1.0"
 
@@ -44,34 +44,37 @@ from .motiondata import (
     mirror,
     downsample_all_phases,
     prune_constant_joints,
-    TrajectorySpline,
-    fit_spline,
-    GaitFeatures,
-    extract_gait_features,
-    synth_gait,
-    make_synth_corpus,
     EpisodeSampler,
 )
 from .models import (
     PoseNetwork,
     PoseNetworkConfig,
-    PaceNetwork,
-    PaceNetworkConfig,
-    generate_locomotion,
-    GenerationDivergedError,
     save_checkpoint,
     load_checkpoint,
     PARAMETERIZATIONS,
 )
 from .training import (
     TrainConfig,
+    PaceTrainConfig,
     train_pose,
-    train_pace,
     free_run_predict,
     euler_error,
     loss_quat_dot,
     loss_euler_l1,
     loss_positional,
+)
+from .locomotion import (
+    TrajectorySpline,
+    fit_spline,
+    GaitFeatures,
+    extract_gait_features,
+    synth_gait,
+    make_synth_corpus,
+    PaceNetwork,
+    PaceNetworkConfig,
+    generate_locomotion,
+    GenerationDivergedError,
+    train_pace,
 )
 from .evaluation import (
     EvalProtocol,

@@ -24,19 +24,19 @@ import numpy as np
 
 from . import __version__
 from . import evaluation as ev
+from . import locomotion as lo
 from . import motiondata as md
 from . import models as mo
 from . import training as tr
 from .autodiff import NumericalError
 from .bvh import BvhParseError
+from .gradcheck import run_gradcheck
 from .kinematics import expand_active
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-# TrainConfig fields that pace training never reads
-PACE_UNREAD = ("conditioning_frames", "prediction_frames", "loss", "batch_size")
 
 
 class CliError(Exception):
@@ -152,19 +152,18 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _train_setup(args, unread=(), **keys):
+def _train_setup(args, config_cls, **keys):
     """Read ``args.config``: the values of ``keys`` (their defaults as given), the
-    TrainConfig the other keys build, none a field in ``unread`` (which the run never
-    reads), and the clips of the dataset the config or ``--dataset`` names."""
+    ``config_cls`` the other keys build, and the clips of the dataset the config or
+    ``--dataset`` names."""
     raw = read_config(args.config) if args.config else {}
     dataset = raw.pop("dataset", args.dataset)
     values = {k: raw.pop(k, default) for k, default in keys.items()}
-    known = {k: v for k, v in asdict(tr.TrainConfig()).items() if k not in unread}
-    config = _make_config(tr.TrainConfig.from_dict, _coerce(raw, {**known, **tr.FIXED}))
+    config = _make_config(config_cls.from_dict, _coerce(raw, {**asdict(config_cls()), **tr.FIXED}))
     return values, config, _train_clips(args, dataset, config)
 
 
-def _train_clips(args, dataset, config: tr.TrainConfig) -> list:
+def _train_clips(args, dataset, config: tr.PaceTrainConfig) -> list:
     """Write the manifest with ``config`` and its seed, and load ``dataset``."""
     if dataset is None:
         raise CliError("no dataset given (flag --dataset or config key)", EXIT_USAGE)
@@ -182,8 +181,9 @@ def cmd_train_pose(args) -> int:
         clips = _train_clips(args, args.dataset, config)
         _check_skeleton(args.resume, joints, net, args.dataset, clips[0].skeleton)
     else:
-        opts, config, clips = _train_setup(args, preset=args.preset, backbone="recurrent",
-                                           mode="velocity", parameterization="quaternion")
+        opts, config, clips = _train_setup(args, tr.TrainConfig, preset=args.preset,
+                                           backbone="recurrent", mode="velocity",
+                                           parameterization="quaternion")
         make = mo.PoseNetworkConfig.desk if opts.pop("preset") == "desk" else mo.PoseNetworkConfig
         net = mo.PoseNetwork(_make_config(make, clips[0].skeleton.num_active, **opts),
                              seed=config.seed)
@@ -204,21 +204,21 @@ def cmd_train_pose(args) -> int:
 
 
 def cmd_train_pace(args) -> int:
-    opts, config, clips = _train_setup(args, PACE_UNREAD, variant="bidirectional",
+    opts, config, clips = _train_setup(args, tr.PaceTrainConfig, variant="bidirectional",
                                        left_foot=args.left_foot, right_foot=args.right_foot)
-    pace_config = _make_config(mo.PaceNetworkConfig, variant=opts["variant"])
+    pace_config = _make_config(lo.PaceNetworkConfig, variant=opts["variant"])
     names, feet = clips[0].skeleton.names, []
     for key in ("left_foot", "right_foot"):
         if opts[key] not in names:
             raise CliError(f"--{key.replace('_', '-')} (config key {key}) {opts[key]!r} is not "
                            f"a joint of the dataset's skeleton: {', '.join(names)}", EXIT_USAGE)
         feet.append(names.index(opts[key]))
-    feats = [(clip, md.extract_gait_features(clip, *feet)) for clip in clips]
-    examples = [tr.pace_training_example(clip, f)[:2] for clip, f in feats if not f.degenerate]
+    feats = [(clip, lo.extract_gait_features(clip, *feet)) for clip in clips]
+    examples = [lo.pace_training_example(clip, f)[:2] for clip, f in feats if not f.degenerate]
     if not examples:
         raise CliError("no clip produced usable gait features", EXIT_DATA)
-    net = mo.PaceNetwork(pace_config, seed=config.seed)
-    tr.train_pace(net, examples, config, log_path=os.path.join(args.out, "training_log.csv"))
+    net = lo.PaceNetwork(pace_config, seed=config.seed)
+    lo.train_pace(net, examples, config, log_path=os.path.join(args.out, "training_log.csv"))
     ck = os.path.join(args.out, "pace.ckpt")
     mo.save_checkpoint(ck, "pace", asdict(net.config), net.param_arrays(),
                        {"train_config": vars(config)})
@@ -324,12 +324,12 @@ def cmd_predict(args) -> int:
 def cmd_generate(args) -> int:
     write_manifest(args.out, args, None)
     pose_net, joints = _load_checkpoint(args.pose_checkpoint, "pose", _pose_checkpoint)
-    pace_net = _load_checkpoint(args.pace_checkpoint, "pace", mo.pace_network_from_checkpoint)
+    pace_net = _load_checkpoint(args.pace_checkpoint, "pace", lo.pace_network_from_checkpoint)
     init = _load_clips(args.init_clip)[0]
     _check_skeleton(args.pose_checkpoint, joints, pose_net, args.init_clip, init.skeleton)
     waypoints = np.loadtxt(args.spline, delimiter=",", ndmin=2)
-    spline = md.fit_spline(waypoints, args.segment_length)
-    clip = mo.generate_locomotion(pose_net, pace_net, spline, init, args.frames, init.frame_rate)
+    spline = lo.fit_spline(waypoints, args.segment_length)
+    clip = lo.generate_locomotion(pose_net, pace_net, spline, init, args.frames, init.frame_rate)
     md.save_clip(os.path.join(args.out, "generated.qmc"), clip)
     if args.bvh:
         md.save_bvh(os.path.join(args.out, "generated.bvh"), clip)
@@ -378,7 +378,6 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .gradcheck import run_gradcheck
     failures = run_gradcheck(verbose=True)
     if failures:
         print(f"FAILED: {failures} gradient checks", file=sys.stderr)
@@ -487,7 +486,7 @@ def main(argv=None) -> int:
         # a closed stdout (`| head`): exit quietly, also at the flush on exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (NumericalError, mo.GenerationDivergedError) as e:
+    except (NumericalError, lo.GenerationDivergedError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except CliError as e:

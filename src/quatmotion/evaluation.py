@@ -22,6 +22,7 @@ from .kinematics import (Skeleton, forward_kinematics, ik_reproject,
                          per_frame_velocity_error, position_error, position_error_tensor)
 from .models import (GRU_LAYERS, ParamContainer, PoseNetwork, PoseNetworkConfig, _GruStack,
                      _linear, gru_specs, linear_specs)
+from .motiondata import EpisodeSampler
 from .optim import AdamState
 from .training import (TrainConfig, _adam_epoch, _minibatches, euler_error, free_run_chunks,
                        train_pose)
@@ -294,8 +295,6 @@ def train_position_network(net: PositionNetwork, clips, skel: Skeleton,
                            config: TrainConfig) -> list:
     """Teacher-forced next-frame position regression with the shared
     optimizer stack (mean joint distance loss)."""
-    from .motiondata import EpisodeSampler
-
     episode_len = config.conditioning_frames + config.prediction_frames
     sampler = EpisodeSampler(clips, episode_len, seed=config.seed)
     adam = AdamState()

@@ -10,7 +10,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .kinematics import forward_kinematics_tensor
+from .locomotion import PaceNetwork, PaceNetworkConfig
+from .models import PoseNetwork, PoseNetworkConfig
 from .motiondata import synth_skeleton
+from .training import TrainConfig, loss_quat_dot, penalty_unit_norm, scheduled_sampling_rollout
 
 EPS = 1e-5
 TOL = 1e-5
@@ -49,8 +52,6 @@ def check_scalar_fn(builder, x: np.ndarray, eps: float = EPS) -> float:
 
 
 def _op_cases(rng: np.random.Generator) -> list:
-    from .training import loss_quat_dot, penalty_unit_norm
-
     q = rng.normal(size=(3, 4))
     q /= np.linalg.norm(q, axis=-1, keepdims=True)
     v = rng.normal(size=(3, 3))
@@ -158,9 +159,6 @@ def _param_error(params: dict, loss_for, names, rng) -> float:
 
 
 def _network_cases(rng: np.random.Generator) -> list:
-    from .models import PaceNetwork, PaceNetworkConfig, PoseNetwork, PoseNetworkConfig
-    from .training import TrainConfig, scheduled_sampling_rollout
-
     skel = synth_skeleton(2)
     a = skel.num_active
     quats = rng.normal(size=(2, 40, a, 4))

@@ -1,4 +1,4 @@
-"""Autoregressive pose networks, the pace network, and checkpoint I/O.
+"""Autoregressive pose networks and checkpoint I/O.
 
 Two backbones predict the next pose from the previous one: a 2-layer GRU
 with learned initial states, and a stack of 5 causal dilated convolutions
@@ -6,12 +6,11 @@ with learned initial states, and a stack of 5 causal dilated convolutions
 ``PoseNetwork.forward_window`` conditions on a window of frames and
 predicts the next one with a single head output, and ``PoseNetwork.step``
 advances its state by one frame. The recurrent window is one GRU
-sequence node per layer (``autodiff.gru_sequence``), as are both
-directions of the pace network, and each convolution layer is one node
-(``autodiff.causal_conv``). The convolutional state holds each layer's
-inputs over its last ``dilation`` frames, so a step computes one new frame
-per layer instead of rerunning the window (as in Fast WaveNet, Paine et al.
-2016). In velocity mode the quaternion head (one ``autodiff.quat_head``
+sequence node per layer (``autodiff.gru_sequence``), and each convolution
+layer is one node (``autodiff.causal_conv``). The convolutional state
+holds each layer's inputs over its last ``dilation`` frames, so a step
+computes one new frame per layer instead of rerunning the window (as in
+Fast WaveNet, Paine et al. 2016). In velocity mode the quaternion head (one ``autodiff.quat_head``
 node) multiplies onto the previous pose, so the network outputs deltas.
 Exponential-map and Euler heads decode through autodiff's conversion nodes.
 Optional side inputs, recurrent backbone only: 2 translation channels
@@ -25,6 +24,7 @@ checks a checkpoint's arrays against them.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from . import rotmath as rm
 from .autodiff import Tensor
-from .kinematics import expand_active
-from .motiondata import MotionClip, _read_exact, _read_header, _write_container
+from .motiondata import _read_exact, _read_header, _write_container
 
 CHECKPOINT_MAGIC = b"QMN1"
 CHECKPOINT_VERSION = 1
@@ -45,10 +44,6 @@ ENCODER_UNITS = 30
 LEAKY_SLOPE = 0.05
 
 PARAMETERIZATIONS = ("quaternion", "expmap", "euler-xyz", "euler-yzx")
-
-
-class GenerationDivergedError(RuntimeError):
-    pass
 
 
 def pose_dim_per_joint(parameterization: str) -> int:
@@ -419,157 +414,6 @@ class PoseNetwork(ParamContainer):
         return x[:, -1], new_history
 
 
-# -- pace network ---------------------------------------------------------------
-
-@dataclass
-class PaceNetworkConfig:
-    hidden: int = 30
-    variant: str = "bidirectional"  # bidirectional | online
-    delay: int = 4
-
-    def __post_init__(self):
-        if self.variant not in ("bidirectional", "online"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-
-
-class PaceNetwork(ParamContainer):
-    """Maps per-segment spline curvature to (facing versor relative to the
-    tangent, footstep frequency, local speed).
-
-    The offline variant reads the whole spline in both directions; the
-    online variant emits each segment's output after seeing ``delay``
-    further segments.
-    """
-
-    OUT_DIM = 4  # facing (2) + frequency + speed
-
-    def __init__(self, config: PaceNetworkConfig, seed: int = 0, params: dict | None = None):
-        self.config = config
-        prefixes = ["fwd", "bwd"] if config.variant == "bidirectional" else ["fwd"]
-        specs = [spec for prefix in prefixes for spec in gru_specs([prefix], 1, config.hidden)]
-        super().__init__(specs + linear_specs("head", len(prefixes) * config.hidden, self.OUT_DIM),
-                         seed, params)
-        self._grus = {prefix: _GruStack(self.params, [prefix], config.hidden)
-                      for prefix in prefixes}
-
-    def forward(self, curvatures) -> dict:
-        """Per-segment outputs for an array of S curvatures.
-
-        Returns facing (S, 2) unit versors, frequency (S,), speed (S,)."""
-        curv = np.asarray(curvatures, dtype=float).reshape(1, -1, 1)
-        s = curv.shape[1]
-        if s == 0:
-            raise ValueError("need at least one segment")
-
-        def run(prefix, x):
-            gru = self._grus[prefix]
-            return gru.sequence(Tensor(x), gru.init_state(1))[0][0]
-
-        fwd = run("fwd", curv)
-        if self.config.variant == "bidirectional":
-            feats = ad.concat([fwd, run("bwd", curv[:, ::-1])[::-1]], axis=-1)
-        else:
-            feats = fwd[np.minimum(np.arange(s) + self.config.delay, s - 1)]
-        raw = _linear(self.params, "head", feats)
-        # tiny forward bias keeps the norm nonzero when the head outputs
-        # an exactly zero facing (e.g. an untrained net on zero curvature)
-        fac = raw[:, :2] + Tensor(np.array([1e-9, 0.0]))
-        norm = ad.l2norm(fac, axis=-1, keepdims=True)
-        return {"facing": fac / norm, "frequency": raw[:, 2], "speed": raw[:, 3],
-                "raw": raw}
-
-
-def _rotate2(v: np.ndarray, by: np.ndarray) -> np.ndarray:
-    """Rotate ground-plane vector(s) v by the angle of unit vector(s) by,
-    treating (x, z) components as the complex plane."""
-    return np.stack([by[..., 0] * v[..., 0] - by[..., 1] * v[..., 1],
-                     by[..., 1] * v[..., 0] + by[..., 0] * v[..., 1]], axis=-1)
-
-
-def _pace_schedule(spline, pace: dict, steps: int, frame_rate: float):
-    """Arc positions (steps,) and control frames (steps, CONTROL_DIM) from
-    the pace network's outputs: frame k reads [tangent, world facing, gait
-    signal] of the segment under its arc position, whose speed and
-    frequency advance arc and gait phase to frame k + 1, as a scalar loop."""
-    speed = np.maximum(pace["speed"].data, 0.0)
-    step_speed, freq = speed.tolist(), pace["frequency"].data.tolist()
-    last = spline.num_segments - 1
-    arc, phase, seg = np.empty(steps), np.empty(steps), np.empty(steps, dtype=int)
-    s = theta = 0.0
-    for k in range(steps):
-        i = seg[k] = int(min(max(s / spline.segment_length, 0), last))
-        arc[k], phase[k] = s, theta
-        s += step_speed[i] / frame_rate
-        theta += 2.0 * np.pi * freq[i] / frame_rate
-    tangent = spline.tangents[seg]
-    gait = speed[seg][:, None] * np.stack([np.cos(phase), np.sin(phase)], axis=1)
-    return arc, np.concatenate([tangent, _rotate2(pace["facing"].data[seg], tangent), gait], axis=1)
-
-
-@ad.no_grad()
-def generate_locomotion(pose_net: PoseNetwork, pace_net: PaceNetwork, spline,
-                        init_clip, num_frames: int, frame_rate: float):
-    """Closed-loop locomotion along a trajectory spline, at the init clip's
-    frame rate (``frame_rate`` must equal it).
-
-    The pace network supplies per-segment facing/frequency/speed; frequency
-    integrates to the gait phase and speed to the arc position. That
-    schedule comes from the pace network alone and is built before the
-    loop. The pose network consumes its own outputs (pose, translations)
-    plus the control frame, and the root follows the spline at the frame's
-    arc position plus the predicted trajectory offset.
-    """
-    cfg = pose_net.config
-    skel = init_clip.skeleton
-    if not (cfg.include_controls and cfg.include_translations):
-        raise ValueError("generation needs a model with controls and translations")
-    if num_frames < 1:
-        raise ValueError(f"need at least 1 frame to generate, got {num_frames}")
-    if frame_rate != init_clip.frame_rate:
-        raise ValueError(f"frame rate {frame_rate} is not the init clip's {init_clip.frame_rate}")
-    n_init = init_clip.num_frames
-    if n_init < 1:
-        raise ValueError("the init clip has no frames")
-
-    pace = pace_net.forward(spline.curvatures)
-    if not all(np.isfinite(pace[k].data).all() for k in ("facing", "frequency", "speed")):
-        raise GenerationDivergedError("the pace network's output is not finite")
-    arc, controls = _pace_schedule(spline, pace, n_init + num_frames, frame_rate)
-    init_q = init_clip.active_rotations
-    init_pose = encode_pose(init_q, cfg.parameterization)
-    init_trans = np.stack([init_clip.root_positions[:, 1], np.zeros(n_init)], axis=1)
-    height_limit = 10.0 * max(skel.height(), 1e-6)
-
-    # Step g consumes frame g with control g: an init frame, or from n_init
-    # on the fed-back prediction, checked and recorded first. The last
-    # step's prediction is never used. The benchmark pins these
-    # n_init + num_frames steps; conditioning with one forward_window call,
-    # as _autoregress does, would drop that step together with the pin.
-    state = pose_net.init_state(1)
-    frames_q, frames_t = [], []
-    for g in range(n_init + num_frames):
-        if g < n_init:
-            pose, quats, trans = (Tensor(a[g][None]) for a in (init_pose, init_q, init_trans))
-        else:
-            pose, quats, trans = out["feedback"], out["quats"], out["translations"]
-            if (not np.isfinite(quats.data).all() or not np.isfinite(trans.data).all()
-                    or np.abs(trans.data).max() > height_limit):
-                raise GenerationDivergedError(
-                    f"pose or translation left the {height_limit:.3g} envelope "
-                    f"at frame {g - n_init}")
-            frames_q.append(quats.data[0])
-            frames_t.append(trans.data[0])
-        out = pose_net.step(pose, state, prev_quats=quats, translations=trans,
-                            controls=Tensor(controls[g][None]))
-        state = out["state"]
-
-    trans = np.stack(frames_t)  # root height, arc offset
-    ground = spline.position_at(arc[n_init:] + trans[:, 1])
-    return MotionClip(skel, frame_rate, np.stack([ground[:, 0], trans[:, 0], ground[:, 1]], axis=1),
-                      expand_active(skel, np.stack(frames_q)), subject="generated",
-                      action="locomotion")
-
-
 # -- checkpoints ------------------------------------------------------------------
 
 def save_checkpoint(path, kind: str, config: dict, arrays: dict, meta: dict | None = None) -> None:
@@ -617,6 +461,10 @@ def pose_network_from_checkpoint(ck: dict) -> PoseNetwork:
     return PoseNetwork(config, params={k: ad.parameter(v) for k, v in ck["arrays"].items()})
 
 
-def pace_network_from_checkpoint(ck: dict) -> PaceNetwork:
-    config = PaceNetworkConfig(**ck["config"])
-    return PaceNetwork(config, params={k: ad.parameter(v) for k, v in ck["arrays"].items()})
+# perfbench still reaches these locomotion names here and traces some of them by
+# this module, so each is looked up at call time, which finds the traced object.
+# The lookup goes when ROADMAP item 3 renames the spans.
+def __getattr__(name: str):
+    if name in ("PaceNetwork", "PaceNetworkConfig", "generate_locomotion"):
+        return getattr(sys.modules[f"{__package__}.locomotion"], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

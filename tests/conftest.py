@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from quatmotion.kinematics import Skeleton
-from quatmotion.motiondata import MotionClip, make_synth_corpus, synth_gait
+from quatmotion.locomotion import make_synth_corpus, synth_gait
+from quatmotion.motiondata import MotionClip
 from quatmotion.rotmath import axis_angle_quat
 
 # a constant 0.7 rad forward bend, far from the identity rotation

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from quatmotion import evaluation as ev
+from quatmotion import locomotion as lo
 from quatmotion import models as mo
 from quatmotion import motiondata as md
 from quatmotion import rotmath as rm
@@ -130,7 +131,7 @@ def test_criterion_3_gradient_checks():
 
     # positional loss through differentiable FK, by central differences
     rng = np.random.default_rng(2)
-    skel, clips = md.make_synth_corpus(1, seed=4, duration=3)
+    skel, clips = lo.make_synth_corpus(1, seed=4, duration=3)
     rots = clips[0].active_rotations[:3]
     ref = forward_kinematics(skel, rots, np.zeros((3, 3)))
     x0 = rots + rng.normal(scale=0.05, size=rots.shape)
@@ -184,7 +185,7 @@ def test_criterion_4_continuity_fix():
 
 def test_criterion_5_protocol_variance():
     t0 = time.time()
-    skel, clips = md.make_synth_corpus(6, seed=2, duration=12)
+    skel, clips = lo.make_synth_corpus(6, seed=2, duration=12)
 
     def means_for(samples):
         out = []
@@ -259,7 +260,7 @@ def test_criterion_6_h36m_baselines():
 
 
 def test_criterion_6_path_runs_on_synthetic_walking(tmp_path, monkeypatch):
-    _, clips = md.make_synth_corpus(2, seed=3, duration=6)
+    _, clips = lo.make_synth_corpus(2, seed=3, duration=6)
     for clip in clips:
         clip.action = "Walking"
     md.save_dataset(tmp_path / "walking", clips)
@@ -275,7 +276,7 @@ def test_criterion_6_path_runs_on_synthetic_walking(tmp_path, monkeypatch):
 
 def test_criterion_7_learning_smoke():
     t0 = time.time()
-    skel, clips = md.make_synth_corpus(8, seed=0, duration=12)
+    skel, clips = lo.make_synth_corpus(8, seed=0, duration=12)
     train_clips, test_clips = clips[:6], clips[6:]
     a = skel.num_active
     frame_rate = test_clips[0].frame_rate
@@ -326,7 +327,7 @@ def test_criterion_8_schedules_and_clipping():
                 cfg.p_at(e) == 0.995 ** e for e in range(2000))
 
     # post-clip gradient norm on real training batches
-    skel, clips = md.make_synth_corpus(2, seed=9, duration=6)
+    skel, clips = lo.make_synth_corpus(2, seed=9, duration=6)
     net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(skel.num_active), seed=0)
     tcfg = tr.TrainConfig(epochs=1, conditioning_frames=8, prediction_frames=4,
                           seed=0)
@@ -352,7 +353,7 @@ def test_criterion_8_schedules_and_clipping():
 
 def test_criterion_9_parameterization_ablation():
     t0 = time.time()
-    skel, corpus = md.make_synth_corpus(4, seed=3, duration=10, frame_rate=25)
+    skel, corpus = lo.make_synth_corpus(4, seed=3, duration=10, frame_rate=25)
     # spinning the root through several revolutions sweeps yaw across +-pi,
     # the regime where euler and expmap encodings wrap
     clips = [md.spin_clip(c, revolutions=3.0) for c in corpus]
@@ -412,7 +413,7 @@ def test_criterion_10_ik_reprojection():
 
     # perturbed targets: reprojecting noisy positions produces heavier
     # velocity-error tails than the direct quaternion model
-    skel, corpus = md.make_synth_corpus(3, seed=5, duration=8, frame_rate=25)
+    skel, corpus = lo.make_synth_corpus(3, seed=5, duration=8, frame_rate=25)
     cfg = tr.TrainConfig(epochs=100, conditioning_frames=10,
                          prediction_frames=4, loss="quat_dot", seed=3)
     qnet = mo.PoseNetwork(mo.PoseNetworkConfig.desk(

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from quatmotion import cli
+from quatmotion import locomotion as lo
 from quatmotion import motiondata as md
 from quatmotion.kinematics import Skeleton
 
@@ -23,7 +24,7 @@ from conftest import SPINE_BEND, freeze_joint
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("data")
-    skel, clips = md.make_synth_corpus(2, seed=11, duration=5)
+    skel, clips = lo.make_synth_corpus(2, seed=11, duration=5)
     md.save_dataset(root / "ds", clips)
     return root / "ds"
 
@@ -136,13 +137,18 @@ def test_resume_takes_its_configuration_from_the_checkpoint(tmp_path, dataset_di
 def test_training_manifest_records_the_resolved_train_config(tmp_path, dataset_dir,
                                                               command, lines, values):
     # the config file's values over the defaults; a fixed key at its value
-    # is accepted and dropped
-    from quatmotion import training as tr
+    # is accepted and dropped; a pace run records only the fields it reads
+    from quatmotion import models as mo, training as tr
     cfgfile = tmp_path / "train.cfg"
     cfgfile.write_text(f"{lines}dataset = {dataset_dir}\n")
     assert run([command, "--config", cfgfile, "--out", tmp_path / "o"]) == 0
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-    assert manifest["train_config"] == asdict(tr.TrainConfig(**values))
+    if command == "train-pose":
+        assert manifest["train_config"] == asdict(tr.TrainConfig(**values))
+    else:
+        assert manifest["train_config"] == asdict(tr.PaceTrainConfig(**values)) == values
+        ck = mo.load_checkpoint(tmp_path / "o" / "pace.ckpt")
+        assert ck["meta"]["train_config"] == values
 
 
 def test_checkpoint_storing_the_fixed_train_keys_resumes_exactly(tmp_path, dataset_dir):
@@ -238,9 +244,9 @@ def generate_inputs(tmp_path_factory, dataset_dir):
     cfg = mo.PoseNetworkConfig.desk(skel.num_active, hidden=8)
     mo.save_checkpoint(root / "pose.ckpt", "pose", asdict(cfg),
                        mo.PoseNetwork(cfg).param_arrays())
-    pace = mo.PaceNetworkConfig()
+    pace = lo.PaceNetworkConfig()
     mo.save_checkpoint(root / "pace.ckpt", "pace", asdict(pace),
-                       mo.PaceNetwork(pace).param_arrays())
+                       lo.PaceNetwork(pace).param_arrays())
     np.savetxt(root / "way.csv", np.zeros((4, 3)), delimiter=",")
     return root
 
@@ -296,7 +302,7 @@ def test_bad_config_key(tmp_path, dataset_dir):
 
 def test_train_pace_and_generate(tmp_path):
     data = tmp_path / "gaits"
-    skel, clips = md.make_synth_corpus(2, seed=1, duration=8)
+    skel, clips = lo.make_synth_corpus(2, seed=1, duration=8)
     md.save_dataset(data, clips)
     pace_out = tmp_path / "pace"
     cfgfile = tmp_path / "pace.cfg"
@@ -305,7 +311,7 @@ def test_train_pace_and_generate(tmp_path):
     pace_ck = pace_out / "pace.ckpt"
     assert pace_ck.exists()
     from quatmotion import models as mo
-    assert mo.load_checkpoint(pace_ck)["config"] == asdict(mo.PaceNetworkConfig())
+    assert mo.load_checkpoint(pace_ck)["config"] == asdict(lo.PaceNetworkConfig())
 
     pose_out = tmp_path / "pose"
     cfg2 = tmp_path / "pose.cfg"
@@ -399,8 +405,9 @@ class _SetupSeen(Exception):
 
 def test_readme_lists_the_config_keys_each_training_command_reads(tmp_path, monkeypatch):
     # README's bullet for each training command lists the keys its config
-    # accepts: dataset, the command's own keys, the TrainConfig fields its
-    # run reads and the fixed keys, the last at the values they must hold
+    # accepts: dataset, the command's own keys, the fields of the training
+    # config its run builds and the fixed keys, the last at the values they
+    # must hold
     from dataclasses import fields
     from quatmotion import training as tr
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -410,9 +417,8 @@ def test_readme_lists_the_config_keys_each_training_command_reads(tmp_path, monk
         documented[item] = dict(re.findall(r"`(\w+)(?: = ([^`]+))?`", text))
     assert {k: float(v) for k, v in documented.pop("fixed keys").items()} == tr.FIXED
 
-    def setup(args, unread=(), **keys):
-        seen[args.command] = {"dataset", *keys} | {f.name for f in fields(tr.TrainConfig)
-                                                   if f.name not in unread}
+    def setup(args, config_cls, **keys):
+        seen[args.command] = {"dataset", *keys} | {f.name for f in fields(config_cls)}
         raise _SetupSeen
 
     seen = {}
@@ -471,7 +477,7 @@ def test_out_below_a_regular_file_is_usage_error(tmp_path, valid_args, capsys, c
 
 @pytest.mark.parametrize("command", ["convert", "train-pose"])
 def test_dataset_of_two_skeletons_is_data_error(tmp_path, capsys, command):
-    clips = [md.synth_gait(n_joints=10, duration=4)[1], md.synth_gait(n_joints=8, duration=4)[1]]
+    clips = [lo.synth_gait(n_joints=10, duration=4)[1], lo.synth_gait(n_joints=8, duration=4)[1]]
     md.save_dataset(tmp_path / "mixed", clips)
     args = {"convert": ["--in", tmp_path / "mixed", "--prune-tol", "1e-4"],
             "train-pose": ["--dataset", tmp_path / "mixed"]}[command]
@@ -537,6 +543,14 @@ def _sideways_variant(ck):
     ck["config"]["variant"] = "sideways"
 
 
+def _negative_delay(ck):
+    ck["config"]["delay"] = -1
+
+
+def _fractional_delay(ck):
+    ck["config"]["delay"] = 2.5
+
+
 def _filter_width_3(ck):
     ck["config"]["filter_width"] = 3
 
@@ -563,6 +577,8 @@ def _short_head_w(ck):
     ("evaluate", "--checkpoint", _rename_hidden),
     ("generate", "--pose-checkpoint", _sideways_mode),
     ("generate", "--pace-checkpoint", _sideways_variant),
+    ("generate", "--pace-checkpoint", _negative_delay),
+    ("generate", "--pace-checkpoint", _fractional_delay),
     ("train-pose", "--resume", _rename_hidden),
     ("train-pose", "--resume", _bad_train_config),
     ("predict", "--checkpoint", _filter_width_3),
@@ -773,7 +789,7 @@ def test_train_pace_unknown_foot_is_usage_error(tmp_path, dataset_dir, capsys, f
 
 
 def test_clips_too_short_to_train_is_data_error(tmp_path):
-    skel, clips = md.make_synth_corpus(2, seed=11, duration=0.3)
+    skel, clips = lo.make_synth_corpus(2, seed=11, duration=0.3)
     md.save_dataset(tmp_path / "short", clips)
     assert run(["train-pose", "--dataset", tmp_path / "short", "--out", tmp_path / "o"]) == 2
 

@@ -5,6 +5,7 @@ from quatmotion import evaluation as ev
 from quatmotion import motiondata as md
 from quatmotion import rotmath as rm
 from quatmotion.autodiff import Tensor
+from quatmotion.locomotion import make_synth_corpus
 
 from conftest import random_unit_quats
 
@@ -180,7 +181,7 @@ def test_compare_position_regression_tiny():
     from quatmotion.kinematics import IkConfig
     from quatmotion.training import TrainConfig
 
-    skel, clips = md.make_synth_corpus(2, seed=4, duration=4)
+    skel, clips = make_synth_corpus(2, seed=4, duration=4)
     n, k = 10, 4
     cfg = TrainConfig(epochs=2, conditioning_frames=n, prediction_frames=k, seed=1)
     res = ev.compare_position_regression(clips, skel, cfg, hidden=8,
@@ -218,7 +219,7 @@ def test_protocol_means_match_golden():
     from quatmotion import models as mo
     from quatmotion import training as tr
 
-    skel, clips = md.make_synth_corpus(1, seed=21, duration=8.0)
+    skel, clips = make_synth_corpus(1, seed=21, duration=8.0)
     a = skel.num_active
     gru = mo.PoseNetwork(mo.PoseNetworkConfig.desk(a), seed=0)
     conv = mo.PoseNetwork(mo.PoseNetworkConfig.desk(a, backbone="convolutional"), seed=0)

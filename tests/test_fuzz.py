@@ -8,12 +8,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from quatmotion import locomotion as lo
 from quatmotion import models as mo
 from quatmotion import motiondata as md
 
 
 def _valid_blobs(tmp_path) -> dict:
-    skel, clips = md.make_synth_corpus(1, seed=0, duration=2)
+    skel, clips = lo.make_synth_corpus(1, seed=0, duration=2)
     clip = clips[0].slice(0, 3)
     md.save_clip(tmp_path / "valid.qmc", clip)
     md.save_bvh(tmp_path / "valid.bvh", clip)

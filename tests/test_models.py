@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from quatmotion import autodiff as ad
+from quatmotion import locomotion as lo
 from quatmotion import models as mo
 from quatmotion import rotmath as rm
 from quatmotion.autodiff import Tensor
 from quatmotion.evaluation import PositionNetwork
-from quatmotion.motiondata import MotionClip, fit_spline
+from quatmotion.locomotion import fit_spline
+from quatmotion.motiondata import MotionClip
 
 from conftest import SPINE_BEND, freeze_joint, random_unit_quats
 
@@ -47,8 +49,8 @@ def _init_digest(net):
         24, include_controls=True, include_translations=True), seed=3), "119ddffa4512763e"),
     (lambda: mo.PoseNetwork(mo.PoseNetworkConfig.desk(
         24, mode="absolute", parameterization="expmap"), seed=3), "9ac7d6c73c011559"),
-    (lambda: mo.PaceNetwork(mo.PaceNetworkConfig(), seed=3), "93ba51e6bf1fa219"),
-    (lambda: mo.PaceNetwork(mo.PaceNetworkConfig(variant="online"), seed=3), "1c93fca7dbdf45cf"),
+    (lambda: lo.PaceNetwork(lo.PaceNetworkConfig(), seed=3), "93ba51e6bf1fa219"),
+    (lambda: lo.PaceNetwork(lo.PaceNetworkConfig(variant="online"), seed=3), "1c93fca7dbdf45cf"),
     (lambda: PositionNetwork(17, seed=3), "e04f56a6379595f9"),
 ], ids=["gru", "conv", "controls_translations", "absolute_expmap", "pace_bidirectional",
         "pace_online", "position"])
@@ -58,7 +60,7 @@ def test_initial_parameters_unchanged(build, digest):
 
 @pytest.mark.parametrize("build", [
     lambda **kw: mo.PoseNetwork(mo.PoseNetworkConfig.desk(3, hidden=4), **kw),
-    lambda **kw: mo.PaceNetwork(mo.PaceNetworkConfig(hidden=4), **kw),
+    lambda **kw: lo.PaceNetwork(lo.PaceNetworkConfig(hidden=4), **kw),
     lambda **kw: PositionNetwork(3, hidden=4, **kw),
 ], ids=["pose", "pace", "position"])
 @pytest.mark.parametrize("edit", ["missing", "extra", "misshaped"])
@@ -302,25 +304,25 @@ def test_gru_parameter_names_unchanged():
     pose = mo.PoseNetwork(mo.PoseNetworkConfig.desk(3, hidden=4), seed=0)
     assert set(pose.params) == gru("gru0", "gru1") | head
     assert set(PositionNetwork(3, hidden=4).params) == gru("gru0", "gru1") | head
-    pace = mo.PaceNetwork(mo.PaceNetworkConfig(hidden=4), seed=0)
+    pace = lo.PaceNetwork(lo.PaceNetworkConfig(hidden=4), seed=0)
     assert set(pace.params) == gru("fwd", "bwd") | head
-    online = mo.PaceNetwork(mo.PaceNetworkConfig(hidden=4, variant="online"), seed=0)
+    online = lo.PaceNetwork(lo.PaceNetworkConfig(hidden=4, variant="online"), seed=0)
     assert set(online.params) == gru("fwd") | head
 
 
 def test_pace_checkpoint_round_trip(tmp_path, rng):
-    cfg = mo.PaceNetworkConfig(hidden=7, variant="online", delay=2)
-    net = mo.PaceNetwork(cfg, seed=1)
+    cfg = lo.PaceNetworkConfig(hidden=7, variant="online", delay=2)
+    net = lo.PaceNetwork(cfg, seed=1)
     path = tmp_path / "pace.ckpt"
     mo.save_checkpoint(path, "pace", asdict(cfg), net.param_arrays())
-    back = mo.pace_network_from_checkpoint(mo.load_checkpoint(path))
+    back = lo.pace_network_from_checkpoint(mo.load_checkpoint(path))
     assert back.config == cfg
     curv = rng.normal(scale=0.2, size=9)
     assert np.array_equal(back.forward(curv)["raw"].data, net.forward(curv)["raw"].data)
 
 
 def test_pace_bidirectional_shapes(rng):
-    net = mo.PaceNetwork(mo.PaceNetworkConfig(), seed=0)
+    net = lo.PaceNetwork(lo.PaceNetworkConfig(), seed=0)
     curv = rng.normal(scale=0.2, size=17)
     out = net.forward(curv)
     assert out["facing"].data.shape == (17, 2)
@@ -330,8 +332,8 @@ def test_pace_bidirectional_shapes(rng):
 
 
 def test_pace_online_is_causal_with_delay(rng):
-    cfg = mo.PaceNetworkConfig(variant="online", delay=4)
-    net = mo.PaceNetwork(cfg, seed=0)
+    cfg = lo.PaceNetworkConfig(variant="online", delay=4)
+    net = lo.PaceNetwork(cfg, seed=0)
     curv = rng.normal(scale=0.2, size=20)
     base = net.forward(curv)["speed"].data
     bumped = curv.copy()
@@ -347,12 +349,11 @@ def test_generation_follows_spline(corpus):
     pose_net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(
         skel.num_active, hidden=16, include_controls=True,
         include_translations=True), seed=0)
-    pace_net = mo.PaceNetwork(mo.PaceNetworkConfig(), seed=0)
-    from quatmotion.motiondata import fit_spline
+    pace_net = lo.PaceNetwork(lo.PaceNetworkConfig(), seed=0)
     spline = fit_spline(np.stack([np.linspace(0, 4, 60), np.zeros(60),
                                   np.zeros(60)], axis=1)[:, [0, 2, 1]],
                         segment_length=0.25)
-    clip = mo.generate_locomotion(pose_net, pace_net, spline, clips[0],
+    clip = lo.generate_locomotion(pose_net, pace_net, spline, clips[0],
                                   num_frames=50, frame_rate=25.0)
     assert clip.num_frames == 50
     assert np.isfinite(clip.rotations).all()
@@ -368,13 +369,12 @@ def test_generation_divergence_guard(corpus):
     # blow up the translation outputs of the head to force a runaway
     pose_dim = pose_net.config.pose_dim
     pose_net.params["head.b"].data[pose_dim:] = 1e6
-    pace_net = mo.PaceNetwork(mo.PaceNetworkConfig(), seed=0)
-    from quatmotion.motiondata import fit_spline
+    pace_net = lo.PaceNetwork(lo.PaceNetworkConfig(), seed=0)
     spline = fit_spline(np.stack([np.linspace(0, 4, 60), np.zeros(60),
                                   np.zeros(60)], axis=1)[:, [0, 2, 1]],
                         segment_length=0.25)
-    with pytest.raises(mo.GenerationDivergedError):
-        mo.generate_locomotion(pose_net, pace_net, spline, clips[0],
+    with pytest.raises(lo.GenerationDivergedError):
+        lo.generate_locomotion(pose_net, pace_net, spline, clips[0],
                                num_frames=200, frame_rate=25.0)
 
 
@@ -383,11 +383,11 @@ def test_generation_rejects_non_finite_pace_output(corpus, output):
     skel, clips = corpus
     pose_net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(
         skel.num_active, hidden=8, include_controls=True, include_translations=True), seed=0)
-    pace_net = mo.PaceNetwork(mo.PaceNetworkConfig(), seed=0)
+    pace_net = lo.PaceNetwork(lo.PaceNetworkConfig(), seed=0)
     pace_net.params["head.b"].data[output] = np.nan
     spline = fit_spline(np.stack([np.linspace(0, 4, 60), np.zeros(60), np.zeros(60)], 1), 0.25)
-    with pytest.raises(mo.GenerationDivergedError, match="pace network"):
-        mo.generate_locomotion(pose_net, pace_net, spline, clips[0], 10, 25.0)
+    with pytest.raises(lo.GenerationDivergedError, match="pace network"):
+        lo.generate_locomotion(pose_net, pace_net, spline, clips[0], 10, 25.0)
 
 
 @pytest.mark.parametrize("frames,rate,init_frames,message", [
@@ -401,7 +401,7 @@ def test_generation_rejects_bad_inputs(corpus, frames, rate, init_frames, messag
     spline = fit_spline(np.stack([np.linspace(0, 4, 60), np.zeros(60), np.zeros(60)], 1), 0.25)
     assert clips[0].frame_rate == 25.0  # any other rate is not the init clip's
     with pytest.raises(ValueError, match=message):
-        mo.generate_locomotion(pose_net, mo.PaceNetwork(mo.PaceNetworkConfig(), seed=0), spline,
+        lo.generate_locomotion(pose_net, lo.PaceNetwork(lo.PaceNetworkConfig(), seed=0), spline,
                                clips[0].slice(0, init_frames), frames, rate)
 
 
@@ -409,11 +409,11 @@ def test_generation_steps_once_per_frame_with_its_own_control(corpus, monkeypatc
     skel, clips = corpus
     pose_net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(
         skel.num_active, hidden=8, include_controls=True, include_translations=True), seed=0)
-    pace_net = mo.PaceNetwork(mo.PaceNetworkConfig(), seed=0)
+    pace_net = lo.PaceNetwork(lo.PaceNetworkConfig(), seed=0)
     pace_net.params["head.b"].data[2:] = 1.0  # 1 Hz at 1 unit/s: no two control rows equal
     spline = fit_spline(np.stack([np.linspace(0, 4, 60), np.zeros(60), np.zeros(60)], 1), 0.25)
     schedules, calls = [], []
-    pace_schedule, step = mo._pace_schedule, mo.PoseNetwork.step
+    pace_schedule, step = lo._pace_schedule, mo.PoseNetwork.step
 
     def record_schedule(*args):
         schedules.append(pace_schedule(*args))
@@ -424,10 +424,10 @@ def test_generation_steps_once_per_frame_with_its_own_control(corpus, monkeypatc
         calls.append((kw["prev_quats"].data[0], kw["controls"].data[0], out["quats"].data[0]))
         return out
 
-    monkeypatch.setattr(mo, "_pace_schedule", record_schedule)
+    monkeypatch.setattr(lo, "_pace_schedule", record_schedule)
     monkeypatch.setattr(mo.PoseNetwork, "step", record_step)
     init = clips[0].slice(0, 6)
-    mo.generate_locomotion(pose_net, pace_net, spline, init, 20, init.frame_rate)
+    lo.generate_locomotion(pose_net, pace_net, spline, init, 20, init.frame_rate)
     [(_, controls)] = schedules
     assert len(calls) == len(np.unique(controls, axis=0)) == 6 + 20
     # step g consumes frame g, an init frame or the step before's output,
@@ -455,7 +455,7 @@ def _generate_reference(pose_net, pace_net, spline, init_clip, num_frames, frame
         i = seg_index(arc)
         tangent = spline.tangents[i]
         gait = seg_speed[i] * np.array([np.cos(theta), np.sin(theta)])
-        return np.concatenate([tangent, mo._rotate2(seg_facing[i], tangent), gait])[None, :]
+        return np.concatenate([tangent, lo._rotate2(seg_facing[i], tangent), gait])[None, :]
 
     def advance():
         nonlocal arc, theta
@@ -475,7 +475,7 @@ def _generate_reference(pose_net, pace_net, spline, init_clip, num_frames, frame
         quats, trans = out["quats"].data[0], out["translations"].data[0]
         if (not np.isfinite(quats).all() or not np.isfinite(trans).all()
                 or np.abs(trans).max() > height_limit):
-            raise mo.GenerationDivergedError(
+            raise lo.GenerationDivergedError(
                 f"pose or translation left the {height_limit:.3g} envelope at frame {f}")
         ground = spline.position_at(np.clip(arc + float(trans[1]), 0.0, spline.total_length))
         frames_q.append(quats)
@@ -498,10 +498,10 @@ def test_generation_matches_reference_loop(corpus):
     spline = fit_spline(np.stack([ground[:, 0], np.zeros(80), ground[:, 1]], 1), 0.2)
     pose_net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(
         skel.num_active, hidden=16, include_controls=True, include_translations=True), seed=0)
-    pace_net = mo.PaceNetwork(mo.PaceNetworkConfig(), seed=0)
+    pace_net = lo.PaceNetwork(lo.PaceNetworkConfig(), seed=0)
     pace_net.params["head.b"].data[3] = 2.0  # fast enough to run off the spline's end
     init = clips[0].slice(0, 8)
-    clip = mo.generate_locomotion(pose_net, pace_net, spline, init, 150, 25.0)
+    clip = lo.generate_locomotion(pose_net, pace_net, spline, init, 150, 25.0)
     want = _generate_reference(pose_net, pace_net, spline, init, 150, 25.0)
     assert clip.rotations.tobytes() == want.rotations.tobytes()
     assert clip.root_positions.tobytes() == want.root_positions.tobytes()
@@ -513,10 +513,10 @@ def test_generation_matches_reference_loop(corpus):
     # root height just under the envelope, at the pace network's own speed:
     # the run leaves the envelope after its first frame
     pose_net.params["head.b"].data[pose_net.config.pose_dim] = 10.0 * skel.height() - 0.0486
-    pace_net = mo.PaceNetwork(mo.PaceNetworkConfig(), seed=0)
+    pace_net = lo.PaceNetwork(lo.PaceNetworkConfig(), seed=0)
     messages = []
-    for generate in (mo.generate_locomotion, _generate_reference):
-        with pytest.raises(mo.GenerationDivergedError) as err:
+    for generate in (lo.generate_locomotion, _generate_reference):
+        with pytest.raises(lo.GenerationDivergedError) as err:
             generate(pose_net, pace_net, spline, init, 150, 25.0)
         messages.append(str(err.value))
     assert messages[0] == messages[1] and not messages[0].endswith("at frame 0")
@@ -575,11 +575,11 @@ def test_generation_holds_inactive_joints_at_their_constants(corpus, tmp_path):
     frozen, j = init.skeleton, init.skeleton.names.index("spine0")
     pose_net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(
         frozen.num_active, hidden=16, include_controls=True, include_translations=True), seed=0)
-    pace_net = mo.PaceNetwork(mo.PaceNetworkConfig(), seed=0)
+    pace_net = lo.PaceNetwork(lo.PaceNetworkConfig(), seed=0)
     # 1 Hz at 1 unit/s, so each frame's gait signal differs from the next
     pace_net.params["head.b"].data[2:] = 1.0
     spline = fit_spline(np.stack([np.linspace(0, 4, 60), np.zeros(60), np.zeros(60)], 1), 0.25)
-    clip = mo.generate_locomotion(pose_net, pace_net, spline, init, 40, 25.0)
+    clip = lo.generate_locomotion(pose_net, pace_net, spline, init, 40, 25.0)
     want = _generate_reference(pose_net, pace_net, spline, init, 40, 25.0)
     assert clip.rotations.tobytes() == want.rotations.tobytes()
     assert np.array_equal(clip.rotations[:, j], np.tile(frozen.constant_rotations[j], (40, 1)))

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from quatmotion import locomotion as lo
 from quatmotion import motiondata as md
 from quatmotion import rotmath as rm
 from quatmotion.kinematics import forward_kinematics
@@ -163,7 +164,7 @@ def test_spline_circle_curvature():
     t = np.linspace(0, 2 * np.pi, 400, endpoint=False)
     r = 2.0
     pts = np.stack([r * np.cos(t), np.zeros_like(t), r * np.sin(t)], axis=1)
-    sp = md.fit_spline(pts, segment_length=0.1)
+    sp = lo.fit_spline(pts, segment_length=0.1)
     # the first segment has no predecessor, so its turn is defined as zero
     assert np.abs(np.abs(sp.curvatures[1:]) - 1 / r).max() < 2e-2
     assert np.abs(np.abs(np.median(sp.curvatures)) - 1 / r) < 2e-3
@@ -174,7 +175,7 @@ def test_spline_circle_curvature():
 def test_spline_straight_line():
     pts = np.stack([np.linspace(0, 5, 50), np.zeros(50),
                     np.zeros(50)], axis=1)
-    sp = md.fit_spline(pts, segment_length=0.5)
+    sp = lo.fit_spline(pts, segment_length=0.5)
     assert np.abs(sp.curvatures).max() < 1e-12
     assert np.allclose(sp.tangents, [1.0, 0.0])
 
@@ -183,15 +184,15 @@ def test_spline_straight_line():
 def test_spline_rejects_non_positive_segment_length(length):
     pts = np.stack([np.linspace(0, 5, 50), np.zeros(50), np.zeros(50)], axis=1)
     with pytest.raises(ValueError, match="segment length must be positive"):
-        md.fit_spline(pts, segment_length=length)
+        lo.fit_spline(pts, segment_length=length)
 
 
 def test_gait_contacts_and_frequency(gait):
     skel, clip, feats = gait
-    _, _, ref = md.synth_gait(frequency=1.2, speed=1.0, duration=10, seed=0)
+    _, _, ref = lo.synth_gait(frequency=1.2, speed=1.0, duration=10, seed=0)
     li = skel.names.index("l_foot")
     ri = skel.names.index("r_foot")
-    got = md.extract_gait_features(clip, li, ri)
+    got = lo.extract_gait_features(clip, li, ri)
     assert not got.degenerate
     for found, truth in ((got.left_contacts, ref.left_contacts),
                          (got.right_contacts, ref.right_contacts)):
@@ -207,7 +208,7 @@ def test_gait_stationary_clip_degenerate(gait):
     still = md.MotionClip(skel, clip.frame_rate,
                           np.zeros_like(clip.root_positions),
                           np.tile(clip.rotations[0], (clip.num_frames, 1, 1)))
-    feats = md.extract_gait_features(still, skel.names.index("l_foot"),
+    feats = lo.extract_gait_features(still, skel.names.index("l_foot"),
                                      skel.names.index("r_foot"))
     assert feats.degenerate
     assert len(feats.left_contacts) == 0
@@ -216,7 +217,7 @@ def test_gait_stationary_clip_degenerate(gait):
 
 def test_gait_phase_convention(gait):
     skel, clip, feats = gait
-    got = md.extract_gait_features(clip, skel.names.index("l_foot"),
+    got = lo.extract_gait_features(clip, skel.names.index("l_foot"),
                                    skel.names.index("r_foot"))
     # phase hits 0 mod 2pi at left contacts, pi at right contacts
     lphase = np.mod(got.phase[got.left_contacts], 2 * np.pi)
@@ -300,7 +301,7 @@ def test_fit_spline_knots_match_reference_loop():
     paths.append((np.concatenate([wiggle, wiggle[-1] + np.linspace(0, 3, 40)[:, None] * [1.0, 0.5]]),
                   0.25))
     for path, length in paths:
-        got = md.fit_spline(np.stack([path[:, 0], np.zeros(len(path)), path[:, 1]], 1), length)
+        got = lo.fit_spline(np.stack([path[:, 0], np.zeros(len(path)), path[:, 1]], 1), length)
         want = _fit_spline_reference(path, length)
         assert got.points.shape == want.shape
         assert got.points.tobytes() == want.tobytes()
@@ -312,13 +313,13 @@ def test_fit_spline_knots_match_reference_loop():
 def test_spline_rejects_non_finite_points(rows, value):
     # a NaN row used to cut a straight 20-segment path to 7 segments
     pts = np.stack([np.linspace(0, 5, 51), np.zeros(51), np.zeros(51)], 1)
-    assert md.fit_spline(pts, segment_length=0.25).num_segments == 20
+    assert lo.fit_spline(pts, segment_length=0.25).num_segments == 20
     pts[rows, 2] = value
     with pytest.raises(ValueError, match=f"spline point {rows[0]} is not finite"):
-        md.fit_spline(pts, segment_length=0.25)
+        lo.fit_spline(pts, segment_length=0.25)
 
 
 @pytest.mark.parametrize("shape", [(10,), (10, 1), (10, 4), (2, 10, 3)])
 def test_spline_rejects_points_of_other_shape(shape):
     with pytest.raises(ValueError, match=r"\(N, 2\) or \(N, 3\)"):
-        md.fit_spline(np.zeros(shape), segment_length=0.5)
+        lo.fit_spline(np.zeros(shape), segment_length=0.5)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from quatmotion import autodiff as ad
+from quatmotion import locomotion as lo
 from quatmotion import models as mo
 from quatmotion import rotmath as rm
 from quatmotion import training as tr
@@ -38,8 +39,9 @@ def test_train_config_rejects_values_that_break_training(field, value):
 
 
 def test_train_config_holds_only_what_a_run_varies():
+    assert [f.name for f in fields(tr.PaceTrainConfig)] == ["epochs", "lr0", "seed"]
     assert [f.name for f in fields(tr.TrainConfig)] == [
-        "epochs", "lr0", "conditioning_frames", "prediction_frames", "loss", "batch_size", "seed"]
+        "epochs", "lr0", "seed", "conditioning_frames", "prediction_frames", "loss", "batch_size"]
 
 
 @pytest.mark.parametrize("key", sorted(tr.FIXED))
@@ -357,14 +359,14 @@ def test_pace_training_example_and_train(corpus, gait):
     from quatmotion.motiondata import extract_gait_features
     feats = extract_gait_features(clip, skel.names.index("l_foot"),
                                   skel.names.index("r_foot"))
-    curv, targets, spline = tr.pace_training_example(clip, feats)
+    curv, targets, spline = lo.pace_training_example(clip, feats)
     assert curv.shape[0] == targets.shape[0] == spline.num_segments
     assert np.abs(np.linalg.norm(targets[:, :2], axis=-1) - 1).max() < 1e-9
     assert (targets[:, 3] >= 0).all()
 
-    net = mo.PaceNetwork(mo.PaceNetworkConfig(), seed=0)
+    net = lo.PaceNetwork(lo.PaceNetworkConfig(), seed=0)
     cfg = tr.TrainConfig(epochs=40, seed=0)
-    hist = tr.train_pace(net, [(curv, targets)], cfg)
+    hist = lo.train_pace(net, [(curv, targets)], cfg)
     assert hist[-1]["mae"] < hist[0]["mae"]
 
 
@@ -593,7 +595,7 @@ def _pace_targets_reference(clip, features, spline, segment_length):
             if last is not None:
                 targets[si] = last
             continue
-        rel = mo._rotate2(features.facing[frames], spline.tangents[si][None] * [1.0, -1.0])
+        rel = lo._rotate2(features.facing[frames], spline.tangents[si][None] * [1.0, -1.0])
         fmean = rel.mean(axis=0)
         norm = np.linalg.norm(fmean)
         targets[si, :2] = fmean / norm if norm > 1e-9 else (1.0, 0.0)
@@ -625,7 +627,7 @@ def test_pace_training_example_matches_reference_loop(gait):
     # 0.03 leaves segments no frame falls in; with 0.6 segments hold 8 or
     # more frames, whose 1-D means numpy sums pairwise, not in frame order
     for length, rtol in ((0.03, 0.0), (0.6, 1e-14)):
-        curv, got, spline = tr.pace_training_example(curved, feats, segment_length=length)
+        curv, got, spline = lo.pace_training_example(curved, feats, segment_length=length)
         want, empty = _pace_targets_reference(curved, feats, spline, length)
         assert np.array_equal(curv, spline.curvatures)
         np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
@@ -641,13 +643,13 @@ def _pace_examples(gait):
     from quatmotion.motiondata import extract_gait_features
     skel, clip, _ = gait
     feats = extract_gait_features(clip, skel.names.index("l_foot"), skel.names.index("r_foot"))
-    curv, targets, _ = tr.pace_training_example(clip, feats)
+    curv, targets, _ = lo.pace_training_example(clip, feats)
     return [(curv, targets), (curv[:7], targets[:7]), (curv[3:], targets[3:])]
 
 
 def _train_pace(gait, variant, **kw):
-    net = mo.PaceNetwork(mo.PaceNetworkConfig(variant=variant), seed=0)
-    return net, tr.train_pace(net, _pace_examples(gait), tr.TrainConfig(epochs=6, seed=2), **kw)
+    net = lo.PaceNetwork(lo.PaceNetworkConfig(variant=variant), seed=0)
+    return net, lo.train_pace(net, _pace_examples(gait), tr.TrainConfig(epochs=6, seed=2), **kw)
 
 
 def _train_position(corpus):
@@ -725,5 +727,5 @@ def test_failed_pace_run_keeps_the_rows_of_finished_epochs(tmp_path, gait, monke
         _train_pace(gait, "bidirectional", log_path=log)
     with open(log, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == list(tr.PACE_LOG_COLUMNS)
+    assert rows[0] == list(lo.PACE_LOG_COLUMNS)
     assert [r[0] for r in rows[1:]] == [str(e) for e in range(fail_epoch)]
