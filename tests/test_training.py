@@ -356,9 +356,8 @@ def test_positional_loss_value(rng, corpus):
 
 def test_pace_training_example_and_train(corpus, gait):
     skel, clip, _ = gait
-    from quatmotion.motiondata import extract_gait_features
-    feats = extract_gait_features(clip, skel.names.index("l_foot"),
-                                  skel.names.index("r_foot"))
+    feats = lo.extract_gait_features(clip, skel.names.index("l_foot"),
+                                     skel.names.index("r_foot"))
     curv, targets, spline = lo.pace_training_example(clip, feats)
     assert curv.shape[0] == targets.shape[0] == spline.num_segments
     assert np.abs(np.linalg.norm(targets[:, :2], axis=-1) - 1).max() < 1e-9
@@ -640,9 +639,8 @@ def test_pace_training_example_matches_reference_loop(gait):
 # -- the shared epoch loop ------------------------------------------------------
 
 def _pace_examples(gait):
-    from quatmotion.motiondata import extract_gait_features
     skel, clip, _ = gait
-    feats = extract_gait_features(clip, skel.names.index("l_foot"), skel.names.index("r_foot"))
+    feats = lo.extract_gait_features(clip, skel.names.index("l_foot"), skel.names.index("r_foot"))
     curv, targets, _ = lo.pace_training_example(clip, feats)
     return [(curv, targets), (curv[:7], targets[:7]), (curv[3:], targets[3:])]
 
