@@ -37,6 +37,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+# the values of train-pose's --preset flag and preset key, and the network each builds
+PRESETS = {"desk": mo.PoseNetworkConfig.desk, "full": mo.PoseNetworkConfig}
 
 
 class CliError(Exception):
@@ -155,20 +157,30 @@ def cmd_convert(args) -> int:
 def _train_setup(args, config_cls, **keys):
     """Read ``args.config``: the values of ``keys`` (their defaults as given), the
     ``config_cls`` the other keys build, and the clips of the dataset the config or
-    ``--dataset`` names."""
+    ``--dataset`` names. A key that is also a flag (``dataset``, ``preset``,
+    ``left_foot``, ``right_foot``) may be set in one place or in both with one
+    value; its value is stored on ``args``, so the manifest records it."""
     raw = read_config(args.config) if args.config else {}
-    dataset = raw.pop("dataset", args.dataset)
-    values = {k: raw.pop(k, default) for k, default in keys.items()}
+    values = {}
+    for key, default in {"dataset": None, **keys}.items():
+        flag = getattr(args, key, None)
+        if flag is not None and raw.get(key, flag) != flag:
+            raise CliError(f"--{key.replace('_', '-')} {flag!r} and config key {key} = "
+                           f"{raw[key]!r} disagree", EXIT_USAGE)
+        values[key] = raw.pop(key, default if flag is None else flag)
+        if hasattr(args, key):
+            setattr(args, key, values[key])
+    del values["dataset"]  # on args, where _train_clips reads it
     config = _make_config(config_cls.from_dict, _coerce(raw, {**asdict(config_cls()), **tr.FIXED}))
-    return values, config, _train_clips(args, dataset, config)
+    return values, config, _train_clips(args, config)
 
 
-def _train_clips(args, dataset, config: tr.PaceTrainConfig) -> list:
-    """Write the manifest with ``config`` and its seed, and load ``dataset``."""
-    if dataset is None:
+def _train_clips(args, config: tr.PaceTrainConfig) -> list:
+    """Write the manifest with ``config`` and its seed, and load ``args.dataset``."""
+    if args.dataset is None:
         raise CliError("no dataset given (flag --dataset or config key)", EXIT_USAGE)
     write_manifest(args.out, args, config.seed, train_config=asdict(config))
-    return _load_clips(dataset)
+    return _load_clips(args.dataset)
 
 
 def cmd_train_pose(args) -> int:
@@ -176,16 +188,19 @@ def cmd_train_pose(args) -> int:
         if args.config:
             raise CliError("--config cannot be given with --resume: a resumed run "
                            "keeps the configuration its checkpoint stores", EXIT_USAGE)
-        (net, joints), (config, resume) = _load_checkpoint(
-            args.resume, "pose", lambda ck: (_pose_checkpoint(ck), tr.resume_state(ck)))
-        clips = _train_clips(args, args.dataset, config)
-        _check_skeleton(args.resume, joints, net, args.dataset, clips[0].skeleton)
+        net, skel, config, resume = _load_checkpoint(
+            args.resume, "pose", lambda ck: tr.read_pose_checkpoint(ck, resume=True))
+        clips = _train_clips(args, config)
+        _check_skeleton(args.resume, skel, net, args.dataset, clips[0].skeleton)
     else:
-        opts, config, clips = _train_setup(args, tr.TrainConfig, preset=args.preset,
+        opts, config, clips = _train_setup(args, tr.TrainConfig, preset="desk",
                                            backbone="recurrent", mode="velocity",
                                            parameterization="quaternion")
-        make = mo.PoseNetworkConfig.desk if opts.pop("preset") == "desk" else mo.PoseNetworkConfig
-        net = mo.PoseNetwork(_make_config(make, clips[0].skeleton.num_active, **opts),
+        preset = opts.pop("preset")
+        if preset not in PRESETS:
+            raise CliError(f"config key preset = {preset!r}: use one of {', '.join(PRESETS)}",
+                           EXIT_USAGE)
+        net = mo.PoseNetwork(_make_config(PRESETS[preset], clips[0].skeleton.num_active, **opts),
                              seed=config.seed)
         resume = {}
     _check_conditioning(net, config.conditioning_frames)
@@ -205,7 +220,7 @@ def cmd_train_pose(args) -> int:
 
 def cmd_train_pace(args) -> int:
     opts, config, clips = _train_setup(args, tr.PaceTrainConfig, variant="bidirectional",
-                                       left_foot=args.left_foot, right_foot=args.right_foot)
+                                       left_foot="l_foot", right_foot="r_foot")
     pace_config = _make_config(lo.PaceNetworkConfig, variant=opts["variant"])
     names, feet = clips[0].skeleton.names, []
     for key in ("left_foot", "right_foot"):
@@ -220,8 +235,7 @@ def cmd_train_pace(args) -> int:
     net = lo.PaceNetwork(pace_config, seed=config.seed)
     lo.train_pace(net, examples, config, log_path=os.path.join(args.out, "training_log.csv"))
     ck = os.path.join(args.out, "pace.ckpt")
-    mo.save_checkpoint(ck, "pace", asdict(net.config), net.param_arrays(),
-                       {"train_config": vars(config)})
+    lo.save_pace_checkpoint(ck, net, config)
     print(f"checkpoint -> {ck}")
     return EXIT_OK
 
@@ -246,43 +260,32 @@ def _check_conditioning(net: mo.PoseNetwork, n: int) -> None:
                        f"{cfg.min_conditioning_frames}, got {n}", EXIT_USAGE)
 
 
-def _pose_checkpoint(ck: dict) -> tuple:
-    """The pose network a checkpoint stores, and (name, parent, active) per
-    joint of the skeleton it stores, or None for a checkpoint without one."""
-    skel = ck["meta"].get("skeleton")
-    joints = None if skel is None else [
-        (str(name), int(parent), bool(active)) for name, parent, active
-        in zip(skel["names"], skel["parents"], skel["dof_active"], strict=True)]
-    return tr.network_from_checkpoint(ck), joints
-
-
-def _check_skeleton(ck_path, joints: list | None, net: mo.PoseNetwork, data_path,
-                    skel) -> None:
+def _check_skeleton(ck_path, trained, net: mo.PoseNetwork, data_path, skel) -> None:
     """Data read from ``data_path`` on ``skel`` must have the joint names,
-    parents and active joints of the checkpoint's skeleton (``joints``, as
-    :func:`_pose_checkpoint` gives them), which define the network's inputs
-    and outputs; offsets and Euler orders may differ. Without a stored
-    skeleton only the count of active joints is checked."""
-    if joints is None:
+    parents and active joints of ``trained``, the skeleton the checkpoint
+    stores, which define the network's inputs and outputs; offsets and Euler
+    orders may differ. Without a stored skeleton (None) only the count of
+    active joints is checked."""
+    if trained is None:
         if skel.num_active != net.config.num_joints:
             raise CliError(f"{ck_path} and {data_path}: checkpoint and data skeletons are "
                            f"incompatible", EXIT_DATA)
         return
-    have = [(name, int(parent), bool(active)) for name, parent, active
-            in zip(skel.names, skel.parents, skel.dof_active)]
-    for j, (got, want) in enumerate(itertools.zip_longest(have, joints)):
-        if got != want:
+    have, want = ([*zip(s.names, s.parents.tolist(), s.dof_active.tolist())]
+                  for s in (skel, trained))
+    for j, (got, need) in enumerate(itertools.zip_longest(have, want)):
+        if got != need:
             raise CliError(f"{data_path}: joint {j} (name, parent, active) is {got}, but the "
-                           f"skeleton {ck_path} was trained on has {want}", EXIT_DATA)
+                           f"skeleton {ck_path} was trained on has {need}", EXIT_DATA)
 
 
 def _load_model_and_data(args) -> tuple:
     """The pose network of ``--checkpoint`` and the clips of ``--dataset``,
     checked against ``--conditioning-frames`` and each other."""
-    net, joints = _load_checkpoint(args.checkpoint, "pose", _pose_checkpoint)
+    net, skel, _, _ = _load_checkpoint(args.checkpoint, "pose", tr.read_pose_checkpoint)
     _check_conditioning(net, args.conditioning_frames)
     clips = _load_clips(args.dataset)
-    _check_skeleton(args.checkpoint, joints, net, args.dataset, clips[0].skeleton)
+    _check_skeleton(args.checkpoint, skel, net, args.dataset, clips[0].skeleton)
     return net, clips
 
 
@@ -323,10 +326,10 @@ def cmd_predict(args) -> int:
 
 def cmd_generate(args) -> int:
     write_manifest(args.out, args, None)
-    pose_net, joints = _load_checkpoint(args.pose_checkpoint, "pose", _pose_checkpoint)
+    pose_net, skel, _, _ = _load_checkpoint(args.pose_checkpoint, "pose", tr.read_pose_checkpoint)
     pace_net = _load_checkpoint(args.pace_checkpoint, "pace", lo.pace_network_from_checkpoint)
     init = _load_clips(args.init_clip)[0]
-    _check_skeleton(args.pose_checkpoint, joints, pose_net, args.init_clip, init.skeleton)
+    _check_skeleton(args.pose_checkpoint, skel, pose_net, args.init_clip, init.skeleton)
     waypoints = np.loadtxt(args.spline, delimiter=",", ndmin=2)
     spline = lo.fit_spline(waypoints, args.segment_length)
     clip = lo.generate_locomotion(pose_net, pace_net, spline, init, args.frames, init.frame_rate)
@@ -429,14 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train-pose", parents=[out, config], help="train a pose network")
     t.add_argument("--dataset")
-    t.add_argument("--preset", choices=["desk", "full"], default="desk")
+    t.add_argument("--preset", choices=list(PRESETS), help="desk (the default) or full")
     t.add_argument("--resume", help="checkpoint to resume from")
     t.set_defaults(func=cmd_train_pose)
 
     tp = sub.add_parser("train-pace", parents=[out, config], help="train the pace network")
     tp.add_argument("--dataset")
-    tp.add_argument("--left-foot", default="l_foot")
-    tp.add_argument("--right-foot", default="r_foot")
+    tp.add_argument("--left-foot", help="default l_foot")
+    tp.add_argument("--right-foot", help="default r_foot")
     tp.set_defaults(func=cmd_train_pace)
 
     pr = sub.add_parser("predict", parents=[out, bvh, checkpoint, conditioning],

@@ -13,8 +13,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .rotmath import (InvalidRotationError, expmap_to_quat, qconj, qmul, _cross,
-                      _rotate_vector_unchecked)
+from .rotmath import (TAIT_BRYAN_ORDERS, InvalidRotationError, expmap_to_quat, qconj, qmul,
+                      _cross, _rotate_vector_unchecked)
 
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 # IK damping floor: an active leaf joint has a zero Jacobian column, and this
@@ -48,12 +48,22 @@ class Skeleton:
         j = len(self.names)
         if self.parents.shape != (j,) or self.offsets.shape != (j, 3):
             raise ValueError("inconsistent skeleton arrays")
+        if self.constant_rotations.shape != (j, 4):
+            raise ValueError(f"constant_rotations must have shape ({j}, 4), "
+                             f"got {self.constant_rotations.shape}")
         if self.parents[0] != -1 or np.any(self.parents[1:] < 0):
             raise ValueError("skeleton must have exactly one root at index 0")
         if np.any(self.parents[1:] >= np.arange(1, j)):
             raise ValueError("skeleton joints must be topologically sorted")
         if not self.euler_orders:
             self.euler_orders = ["zyx"] * j
+        if len(self.euler_orders) != j:
+            raise ValueError(f"euler_orders must hold one order per joint ({j}), "
+                             f"got {len(self.euler_orders)}")
+        for name, order in zip(self.names, self.euler_orders):
+            if order not in TAIT_BRYAN_ORDERS:
+                raise ValueError(f"joint {name!r} has Euler order {order!r}, not one of "
+                                 f"{', '.join(TAIT_BRYAN_ORDERS)}")
 
     @classmethod
     def from_joints(cls, joints: list) -> "Skeleton":

@@ -15,7 +15,7 @@ pace network's targets from a clip's gait features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from . import rotmath as rm
 from .autodiff import Tensor
 from .kinematics import expand_active
 from .models import (ParamContainer, PoseNetwork, _GruStack, _linear, encode_pose, gru_specs,
-                     linear_specs)
+                     linear_specs, save_checkpoint)
 from .motiondata import MotionClip, rotate_clip, synth_skeleton
 from .optim import AdamState
 from .training import PaceTrainConfig, _adam_epoch, _epoch_log
@@ -408,6 +408,11 @@ class PaceNetwork(ParamContainer):
         norm = ad.l2norm(fac, axis=-1, keepdims=True)
         return {"facing": fac / norm, "frequency": raw[:, 2], "speed": raw[:, 3],
                 "raw": raw}
+
+
+def save_pace_checkpoint(path, net: PaceNetwork, config: PaceTrainConfig) -> None:
+    save_checkpoint(path, "pace", asdict(net.config), net.param_arrays(),
+                    {"train_config": asdict(config)})
 
 
 def pace_network_from_checkpoint(ck: dict) -> PaceNetwork:

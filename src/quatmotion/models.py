@@ -240,20 +240,26 @@ class ParamContainer:
     declares them as ``(name, shape, scale)`` in draw order: without
     ``params`` each is drawn uniform(-scale, scale) from one seeded stream,
     or is zeros (drawing nothing) for a scale of None; given ``params``,
-    their names and shapes must be the declared ones (else ValueError)."""
+    they must pass ``check_arrays``."""
 
     def __init__(self, specs: list, seed: int = 0, params: dict | None = None):
         if params is None:
             rng = np.random.default_rng(seed)
             params = {name: ad.parameter(shape, rng, scale) if scale is not None
                       else ad.parameter(np.zeros(shape)) for name, shape, scale in specs}
-        want = {name: tuple(shape) for name, shape, _ in specs}
-        got = {k: v.shape for k, v in params.items()}
-        bad = [f"{k} {got.get(k)} (config: {want.get(k)})"
+        self.shapes = {name: tuple(shape) for name, shape, _ in specs}
+        self.check_arrays(params)
+        self.params = params
+
+    def check_arrays(self, arrays: dict, names=None, prefix: str = "") -> None:
+        """``arrays`` must hold the parameters ``names`` (default all) at their
+        declared shapes and nothing else; a ValueError lists each misfit."""
+        want = self.shapes if names is None else {k: self.shapes.get(k) for k in names}
+        got = {k: v.shape for k, v in arrays.items()}
+        bad = [f"{prefix}{k} {got.get(k)} (config: {want.get(k)})"
                for k in sorted(want.keys() | got.keys()) if got.get(k) != want.get(k)]
         if bad:
             raise ValueError(f"stored arrays do not fit the config: {'; '.join(bad)}")
-        self.params = params
 
     def param_arrays(self) -> dict:
         return {k: v.data for k, v in self.params.items()}
@@ -452,13 +458,6 @@ def drop_fixed(stored: dict, fixed: dict) -> dict:
         if stored.get(key, value) != value:
             raise ValueError(f"{key} must be {value}, got {stored[key]!r}")
     return {k: v for k, v in stored.items() if k not in fixed}
-
-
-def pose_network_from_checkpoint(ck: dict) -> PoseNetwork:
-    # keys older checkpoints store for the conv taps and depth and the GRU depth
-    config = PoseNetworkConfig(**drop_fixed(ck["config"], {
-        "filter_width": CONV_TAPS, "conv_layers": CONV_LAYERS, "layers": GRU_LAYERS}))
-    return PoseNetwork(config, params={k: ad.parameter(v) for k, v in ck["arrays"].items()})
 
 
 # perfbench still reaches these locomotion names here and traces some of them by

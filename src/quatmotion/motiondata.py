@@ -113,7 +113,8 @@ def _write_container(path, magic: bytes, header: dict, arrays, dtype: str) -> No
             fh.write(struct.pack("<I", len(blob)))
             fh.write(blob)
             for a in arrays:
-                fh.write(np.asarray(a, dtype=float).astype(dtype).tobytes())
+                # converted at most once, and written from the array's own buffer
+                fh.write(np.ascontiguousarray(np.asarray(a, dtype=float), dtype=dtype).data)
         os.replace(tmp, path)
     except BaseException:
         with suppress(OSError):

@@ -23,8 +23,8 @@ from . import rotmath as rm
 from .autodiff import Tensor
 from .kinematics import (Skeleton, forward_kinematics, forward_kinematics_tensor,
                          position_error, position_error_tensor, velocity_error)
-from .models import (CONTROL_DIM, PoseNetwork, drop_fixed, encode_pose,
-                     pose_network_from_checkpoint, save_checkpoint)
+from .models import (CONTROL_DIM, CONV_LAYERS, CONV_TAPS, GRU_LAYERS, PoseNetwork,
+                     PoseNetworkConfig, drop_fixed, encode_pose, save_checkpoint)
 from .motiondata import EpisodeSampler
 from .optim import AdamState, adam_step
 
@@ -412,34 +412,38 @@ def train_pose(net: PoseNetwork, clips, skel: Skeleton, config: TrainConfig,
 def save_pose_checkpoint(path, net: PoseNetwork, skel: Skeleton,
                          config: TrainConfig, epoch: int, adam: AdamState,
                          rng_state: dict) -> None:
-    arrays = dict(net.param_arrays())
-    for name, m in adam.m.items():
-        arrays[f"adam.m.{name}"] = m
-        arrays[f"adam.v.{name}"] = adam.v[name]
+    moments = {f"adam.{m}.{name}": a for m in "mv" for name, a in getattr(adam, m).items()}
     meta = {"train_config": asdict(config), "epoch": epoch,
             "adam_step": adam.step, "rng_state": rng_state,
             "skeleton": skel.to_dict()}
-    save_checkpoint(path, "pose", asdict(net.config), arrays, meta)
+    save_checkpoint(path, "pose", asdict(net.config), {**net.param_arrays(), **moments}, meta)
 
 
-def network_from_checkpoint(ck: dict) -> PoseNetwork:
-    """The pose network a checkpoint stores, without the optimizer's
-    ``adam.m.*``/``adam.v.*`` arrays that training checkpoints add."""
-    arrays = {k: v for k, v in ck["arrays"].items() if not k.startswith("adam.")}
-    return pose_network_from_checkpoint({"config": ck["config"], "arrays": arrays})
-
-
-def resume_state(ck: dict) -> tuple:
-    """A training checkpoint's TrainConfig, and the ``start_epoch``,
-    ``adam`` and ``rng_state`` arguments that make ``train_pose`` resume
-    the run bit-exactly."""
-    adam = AdamState(step=int(ck["meta"]["adam_step"]))
-    for k, v in ck["arrays"].items():
-        if k.startswith(("adam.m.", "adam.v.")):  # adam.<moment>.<param>
-            getattr(adam, k[5])[k[7:]] = v.copy()
-    return (TrainConfig.from_dict(ck["meta"]["train_config"]),
-            {"start_epoch": int(ck["meta"]["epoch"]), "adam": adam,
-             "rng_state": ck["meta"]["rng_state"]})
+def read_pose_checkpoint(ck: dict, resume: bool = False) -> tuple:
+    """``(network, skeleton, config, resume)`` of the pose checkpoint ``ck``
+    (as ``models.load_checkpoint`` gives it). The skeleton is None in
+    checkpoints older than that field. With ``resume``, ``config`` is the
+    run's TrainConfig and ``resume`` the ``train_pose`` arguments that
+    continue it bit-exactly; else they are None and {}. The network's arrays
+    and Adam's moments must fit the declared parameters (``adam.m.*`` and
+    ``adam.v.*`` name the same ones, each at its shape); what cannot be used
+    raises KeyError, TypeError or ValueError."""
+    moments = {m: {k[7:]: a for k, a in ck["arrays"].items() if k.startswith(f"adam.{m}.")}
+               for m in "mv"}
+    arrays = {k: a for k, a in ck["arrays"].items() if not k.startswith(("adam.m.", "adam.v."))}
+    # keys older checkpoints store for the conv taps and depth and the GRU depth
+    config = PoseNetworkConfig(**drop_fixed(ck["config"], {
+        "filter_width": CONV_TAPS, "conv_layers": CONV_LAYERS, "layers": GRU_LAYERS}))
+    net = PoseNetwork(config, params={k: ad.parameter(v) for k, v in arrays.items()})
+    for m, stored in moments.items():
+        net.check_arrays(stored, moments["m"].keys() | moments["v"].keys(), f"adam.{m}.")
+    meta = ck["meta"]
+    skel = None if meta.get("skeleton") is None else Skeleton.from_dict(meta["skeleton"])
+    if not resume:
+        return net, skel, None, {}
+    return net, skel, TrainConfig.from_dict(meta["train_config"]), {
+        "start_epoch": int(meta["epoch"]), "rng_state": meta["rng_state"],
+        "adam": AdamState(int(meta["adam_step"]), **moments)}
 
 
 # perfbench still reaches these locomotion names here and traces some of them by

@@ -521,9 +521,12 @@ def training_checkpoint(tmp_path_factory, dataset_dir):
     skel = md.load_dataset(dataset_dir)[0].skeleton
     path = tmp_path_factory.mktemp("train_ck") / "pose.ckpt"
     net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(skel.num_active, hidden=8))
+    zeros = {k: np.zeros_like(v) for k, v in net.param_arrays().items()}
     tr.save_pose_checkpoint(path, net, skel, tr.TrainConfig(conditioning_frames=6,
                                                             prediction_frames=2),
-                            1, AdamState(), {"sampler": {}, "rollout": {}})
+                            1, AdamState(1, zeros, dict(zeros)),
+                            {"sampler": np.random.default_rng(0).bit_generator.state,
+                             "rollout": np.random.default_rng(1).bit_generator.state})
     return path
 
 
@@ -571,6 +574,18 @@ def _short_head_w(ck):
     ck["arrays"]["head.w"] = ck["arrays"]["head.w"][:-1]
 
 
+def _drop_adam_v(ck):
+    del ck["arrays"]["adam.v.head.b"]
+
+
+def _short_adam_m(ck):
+    ck["arrays"]["adam.m.head.w"] = ck["arrays"]["adam.m.head.w"][:-1]
+
+
+def _adam_nope(ck):
+    ck["arrays"]["adam.m.nope"] = ck["arrays"]["adam.v.nope"] = np.zeros(3)
+
+
 @pytest.mark.parametrize("command,flag,edit", [
     ("predict", "--checkpoint", _rename_hidden),
     ("predict", "--checkpoint", _sideways_mode),
@@ -590,6 +605,9 @@ def _short_head_w(ck):
     ("generate", "--pace-checkpoint", _drop_head_w),
     ("generate", "--pace-checkpoint", _short_head_w),
     ("train-pose", "--resume", _short_head_w),
+    ("train-pose", "--resume", _drop_adam_v),
+    ("train-pose", "--resume", _short_adam_m),
+    ("train-pose", "--resume", _adam_nope),
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_unbuildable_checkpoint_config_is_data_error(tmp_path, dataset_dir, generate_inputs,
                                                      training_checkpoint, capsys,
@@ -613,6 +631,8 @@ def test_unbuildable_checkpoint_config_is_data_error(tmp_path, dataset_dir, gene
     assert run([command] + [a for kv in args.items() for a in kv]) == 2
     err = capsys.readouterr().err
     assert "bad.ckpt" in err and "Traceback" not in err
+    if command == "train-pose":  # refused before the manifest or log is written
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
@@ -744,6 +764,7 @@ def test_bad_swap_map_is_usage_error(tmp_path, dataset_dir, capsys, swap):
     ("train-pose", "lr_decay = 0.99"),
     ("train-pose", "epochs = -3"),
     ("train-pose", "seed = -1"),
+    ("train-pose", "preset = deks"),
     ("train-pace", "epochs = abc"),
     ("train-pace", "clip_norm = 0"),
     ("train-pace", "variant = sideways"),
@@ -766,6 +787,40 @@ def test_bad_config_value_is_usage_error(tmp_path, dataset_dir, capsys, command,
     assert "checkpoint" not in captured.out
     assert not (out / "training_log.csv").exists()
     assert not list(out.glob("*.ckpt"))
+
+
+@pytest.mark.parametrize("command,flag,value,line", [
+    ("train-pose", "--dataset", None, "dataset = nowhere"),
+    ("train-pose", "--preset", "full", "preset = desk"),
+    ("train-pace", "--dataset", None, "dataset = nowhere"),
+    ("train-pace", "--left-foot", "l_foot", "left_foot = r_foot"),
+    ("train-pace", "--right-foot", "r_foot", "right_foot = l_foot"),
+])
+def test_flag_and_config_key_that_disagree_are_usage_error(tmp_path, dataset_dir, capsys,
+                                                           command, flag, value, line):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(f"{line}\n")
+    args = [command, "--config", cfgfile, "--out", tmp_path / "o"]
+    args += [flag, value or dataset_dir] + (["--dataset", dataset_dir] if value else [])
+    assert run(args) == 1
+    out, err = capsys.readouterr()
+    key = line.split(" = ")[0]
+    assert f"{flag} " in err and f"config key {key}" in err and "Traceback" not in out + err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,flags,lines", [
+    ("train-pose", ["--preset", "desk"], "preset = desk\nbatch_size = 2\n"
+                                         "conditioning_frames = 6\nprediction_frames = 2\n"),
+    ("train-pace", ["--left-foot", "l_foot"], "left_foot = l_foot\n"),
+])
+def test_flag_and_config_key_that_agree_run(tmp_path, dataset_dir, command, flags, lines):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(f"epochs = 1\ndataset = {dataset_dir}\n{lines}")
+    assert run([command, "--config", cfgfile, "--dataset", dataset_dir, *flags,
+                "--out", tmp_path / "o"]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["config"]["dataset"] == str(dataset_dir)
 
 
 @pytest.mark.parametrize("command", ["train-pose", "train-pace"])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from quatmotion import cli
 from quatmotion import locomotion as lo
 from quatmotion import models as mo
 from quatmotion import motiondata as md
@@ -91,3 +92,37 @@ def test_corrupt_file_raises_only_value_error(tmp_path, blobs, kind, data):
     except ValueError as e:
         if names_file:
             assert str(path) in str(e)
+
+
+def _one_order(skel: dict) -> None:
+    skel["euler_orders"] = skel["euler_orders"][:1]
+
+
+def _order_abc(skel: dict) -> None:
+    skel["euler_orders"][3] = "abc"
+
+
+def _one_constant_rotation(skel: dict) -> None:
+    skel["constant_rotations"] = skel["constant_rotations"][:1]
+
+
+@pytest.mark.parametrize("command", [["baseline", "--kind", "zerovel", "--dataset"],
+                                     ["convert", "--bvh", "--in"], ["train-pose", "--dataset"]],
+                         ids=lambda c: c[0])
+@pytest.mark.parametrize("edit", [_one_order, _order_abc, _one_constant_rotation],
+                         ids=lambda e: e.__name__)
+def test_qmc_skeleton_without_one_order_and_rotation_per_joint_is_data_error(
+        tmp_path, capsys, command, edit):
+    # a header whose skeleton lists Euler orders or constant rotations for
+    # other than one joint each, or an order that is not Tait-Bryan
+    _, clips = lo.make_synth_corpus(1, seed=0, duration=2)
+    clip = clips[0]
+    skel = clip.skeleton.to_dict()
+    edit(skel)
+    header = {"skeleton": skel, "frame_rate": clip.frame_rate, "num_frames": clip.num_frames,
+              "subject": "", "action": ""}
+    path = tmp_path / "odd.qmc"
+    md._write_container(path, md.QMC_MAGIC, header, (clip.root_positions, clip.rotations), "<f4")
+    assert cli.main(command + [str(path), "--out", str(tmp_path / "o")]) == 2
+    out, err = capsys.readouterr()
+    assert str(path) in err and "Traceback" not in out + err

@@ -9,6 +9,7 @@ from quatmotion import autodiff as ad
 from quatmotion import locomotion as lo
 from quatmotion import models as mo
 from quatmotion import rotmath as rm
+from quatmotion import training as tr
 from quatmotion.autodiff import Tensor
 from quatmotion.evaluation import PositionNetwork
 from quatmotion.locomotion import fit_spline
@@ -143,9 +144,9 @@ def test_stored_filter_width_loads_only_at_2(tmp_path):
         ck = mo.load_checkpoint(path)
         if width != 2:
             with pytest.raises(ValueError, match="filter_width"):
-                mo.pose_network_from_checkpoint(ck)
+                tr.read_pose_checkpoint(ck)[0]
             continue
-        back = mo.pose_network_from_checkpoint(ck)
+        back = tr.read_pose_checkpoint(ck)[0]
         assert back.config == cfg
         assert count_params(back) == mo.expected_param_count(cfg) == 2640
 
@@ -160,9 +161,9 @@ def test_stored_conv_layers_loads_only_at_5(tmp_path):
         ck = mo.load_checkpoint(path)
         if layers != 5:
             with pytest.raises(ValueError, match="conv_layers must be 5"):
-                mo.pose_network_from_checkpoint(ck)
+                tr.read_pose_checkpoint(ck)[0]
             continue
-        assert mo.pose_network_from_checkpoint(ck).config == cfg
+        assert tr.read_pose_checkpoint(ck)[0].config == cfg
     with pytest.raises(TypeError):
         mo.PoseNetworkConfig(4, backbone="convolutional", conv_layers=3)
 
@@ -177,9 +178,9 @@ def test_stored_gru_layers_loads_only_at_2(tmp_path):
         ck = mo.load_checkpoint(path)
         if layers != 2:
             with pytest.raises(ValueError, match="layers must be 2"):
-                mo.pose_network_from_checkpoint(ck)
+                tr.read_pose_checkpoint(ck)[0]
             continue
-        back = mo.pose_network_from_checkpoint(ck)
+        back = tr.read_pose_checkpoint(ck)[0]
         assert back.config == cfg
         assert count_params(back) == mo.expected_param_count(cfg)
     with pytest.raises(TypeError):
@@ -212,7 +213,7 @@ def test_checkpoint_round_trip(tmp_path, rng):
     ck = mo.load_checkpoint(path)
     assert ck["kind"] == "pose"
     assert ck["meta"]["note"] == 1
-    back = mo.pose_network_from_checkpoint(ck)
+    back = tr.read_pose_checkpoint(ck)[0]
     for k, v in net.param_arrays().items():
         assert np.array_equal(back.params[k].data, v)
 

@@ -1,9 +1,12 @@
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
 
 from quatmotion import locomotion as lo
+from quatmotion import models as mo
 from quatmotion import motiondata as md
 from quatmotion import rotmath as rm
 from quatmotion.kinematics import forward_kinematics
@@ -60,6 +63,31 @@ def test_qmc_failed_save_keeps_previous(tmp_path, gait):
         md.save_clip(path, bad)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["clip.qmc"]  # no clip.qmc.tmp
+
+
+def _container_bytes(magic: bytes, header: dict, arrays, dtype: str) -> bytes:
+    blob = json.dumps(header).encode("utf-8")
+    return (magic + struct.pack("<I", len(blob)) + blob
+            + b"".join(np.asarray(a, dtype=float).astype(dtype).tobytes() for a in arrays))
+
+
+def test_saved_bytes_are_the_header_then_each_converted_array(tmp_path, gait):
+    skel, clip, _ = gait
+    md.save_clip(tmp_path / "clip.qmc", clip)
+    header = {"skeleton": skel.to_dict(), "frame_rate": clip.frame_rate,
+              "num_frames": clip.num_frames, "subject": clip.subject, "action": clip.action}
+    assert (tmp_path / "clip.qmc").read_bytes() == _container_bytes(
+        md.QMC_MAGIC, header, (clip.root_positions, clip.rotations), "<f4")
+    # a transposed view, integers, float32 and a scalar are widened, then stored
+    arrays = {"w": np.arange(6.0).reshape(2, 3).T / 7, "i": np.arange(4),
+              "h": np.float32([0.1, 2.5]), "s": np.float64(-3.25), "e": np.zeros((0, 4))}
+    mo.save_checkpoint(tmp_path / "net.ckpt", "pose", {"hidden": 2}, arrays, {"epoch": 1})
+    names = sorted(arrays)
+    header = {"version": mo.CHECKPOINT_VERSION, "kind": "pose", "config": {"hidden": 2},
+              "meta": {"epoch": 1},
+              "arrays": [{"name": n, "shape": list(np.shape(arrays[n]))} for n in names]}
+    assert (tmp_path / "net.ckpt").read_bytes() == _container_bytes(
+        mo.CHECKPOINT_MAGIC, header, [arrays[n] for n in names], "<f8")
 
 
 def test_dataset_round_trip(tmp_path, corpus):

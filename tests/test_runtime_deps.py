@@ -1,7 +1,8 @@
 """numpy is the only runtime dependency: importing every quatmotion module
 and building the command-line parser loads nothing outside the standard
 library, numpy and quatmotion itself. Sibling modules are imported at
-module top, never inside a function."""
+module top, never inside a function. Checkpoint files are read and written
+only by the modules that own their kinds."""
 import ast
 import json
 import os
@@ -50,4 +51,23 @@ def test_no_function_body_imports_a_quatmotion_module():
                     continue
                 if any(name.split(".")[0] == "quatmotion" for name in names):
                     found.append(f"{path.name}:{node.lineno} in {fn.name}")
+    assert found == []
+
+
+def test_only_the_owners_of_a_checkpoint_kind_read_or_write_one():
+    # pose checkpoints belong to training and pace ones to locomotion; the
+    # command line only loads a file to check its kind (cli._load_checkpoint)
+    owners = {"training.py", "locomotion.py"}
+    found = []
+    for path in sorted((SRC / "quatmotion").glob("*.py")):
+        if path.name in owners:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and path.name == "cli.py"
+                   and fn.name == "_load_checkpoint" for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in ("save_checkpoint", "load_checkpoint") and id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []

@@ -298,10 +298,8 @@ def test_checkpoint_resume_continues_exactly(tmp_path, corpus, backbone, n):
     ck = tmp_path / "part.ckpt"
     tr.train_pose(part, clips, skel, half_cfg, checkpoint_path=ck)
 
-    stored = mo.load_checkpoint(ck)
-    stored_cfg, resume = tr.resume_state(stored)
+    resumed, _, stored_cfg, resume = tr.read_pose_checkpoint(mo.load_checkpoint(ck), resume=True)
     assert stored_cfg == half_cfg and resume["start_epoch"] == 2
-    resumed = tr.network_from_checkpoint(stored)
     tr.train_pose(resumed, clips, skel, cfg, **resume)
     for k in full.params:
         assert np.array_equal(full.params[k].data, resumed.params[k].data), k
@@ -451,8 +449,7 @@ def test_crashed_save_resumes_to_an_uninterrupted_run(tmp_path, corpus, monkeypa
     if fail_at == 0:  # no checkpoint yet: the run starts over
         net, resume = mo.PoseNetwork(net_cfg, seed=0), {}
     else:
-        stored = mo.load_checkpoint(ck)
-        net, (_, resume) = tr.network_from_checkpoint(stored), tr.resume_state(stored)
+        net, _, _, resume = tr.read_pose_checkpoint(mo.load_checkpoint(ck), resume=True)
         assert resume["start_epoch"] == fail_at
     tr.train_pose(net, clips, skel, cfg, log_path=log, checkpoint_path=ck, **resume)
     with open(log, newline="") as fh:
