@@ -6,7 +6,11 @@ The "tape" is the implicit operation graph: every op returns a
 topological order and accumulates gradients into the ``requires_grad``
 leaves. A graph can be backpropagated through only once. Inside
 ``with no_grad():`` nothing is recorded: every op returns a plain leaf,
-which is how free-run prediction and generation run.
+which is how free-run prediction and generation run. There the fused ops
+(:func:`gru_cell`, :func:`gru_sequence`, :func:`causal_conv`,
+:func:`quat_head`) and :func:`reshape` run their array kernel first and
+return its result, building no Tensor for their inputs and no adjoint;
+their values are those of the recorded nodes, byte for byte.
 
 Larger operations are single nodes with hand-written adjoints over numpy
 and the :mod:`rotmath` kernels: the quaternion head (:func:`quat_head`,
@@ -165,6 +169,11 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _array(x) -> np.ndarray:
+    """The array ``as_tensor(x).data``, without building a Tensor."""
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=float)
+
+
 @contextlib.contextmanager
 def no_grad():
     """Record no tape while active: every op returns a plain leaf with no
@@ -321,6 +330,8 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def reshape(a, shape) -> Tensor:
+    if not _recording:
+        return Tensor(_array(a).reshape(shape))
     a = as_tensor(a)
     return _make(a.data.reshape(shape), (a,), (lambda g: g.reshape(a.data.shape),))
 
@@ -410,6 +421,9 @@ def quat_head(raw, prev=None) -> Tensor:
     prev))`` on ``(..., 4)`` arrays, or ``qnormalize(raw)`` without ``prev``
     (absolute mode). The product's adjoints are g_a = g x b* and
     g_b = a* x g."""
+    if not _recording:
+        unit = _normalized(_array(raw))[0]
+        return Tensor(unit if prev is None else _normalized(rm.qmul(unit, _array(prev)))[0])
     raw = as_tensor(raw)
     unit, n1 = _normalized(raw.data)
     if prev is None:
@@ -520,6 +534,22 @@ def _gru_adjoint(h, saved):
     return np.concatenate([drz, dn], axis=-1), np.concatenate([drz, dn * r], axis=-1), z
 
 
+def _gru_states(xs, h0, wx, wh, b, saved=None):
+    """A GRU layer's states over a (B, T, I) sequence on arrays, (B, T + 1, H)
+    with [:, t] step t's input state. Given ``saved``, buffers (B, T, kH)
+    for (rz, n, gh_n), it keeps every step's activations there."""
+    bsz, steps, inputs = xs.shape
+    gx = (xs.reshape(-1, inputs) @ wx + b).reshape(bsz, steps, -1)
+    hs = np.empty((bsz, steps + 1, wh.shape[0]))
+    hs[:, 0] = h0
+    for t in range(steps):
+        hs[:, t + 1], acts = _gru_forward(gx[:, t], hs[:, t], wh)
+        if saved is not None:
+            for buf, act in zip(saved, acts):
+                buf[:, t] = act
+    return hs
+
+
 def gru_cell(x, h, wx, wh, b) -> Tensor:
     """One GRU cell as a single tape node: ``x`` (B, I), ``h`` (B, H),
     ``wx`` (I, 3H), ``wh`` (H, 3H), ``b`` (3H,), gate blocks ordered r, z, n.
@@ -530,10 +560,10 @@ def gru_cell(x, h, wx, wh, b) -> Tensor:
     to them. The backward computes the gate adjoints once and derives all
     five input gradients from them.
     """
+    if not _recording:  # free-run builds no adjoint
+        return Tensor(_gru_forward(_array(x) @ _array(wx) + _array(b), _array(h), _array(wh))[0])
     x, h, wx, wh, b = (as_tensor(t) for t in (x, h, wx, wh, b))
     data, saved = _gru_forward(x.data @ wx.data + b.data, h.data, wh.data)
-    if not _recording:  # free-run builds no adjoint
-        return Tensor(data)
     memo = [None, None]
 
     def gates(g):
@@ -563,17 +593,13 @@ def gru_sequence(xs, h0, wx, wh, b) -> Tensor:
     time over the state's adjoint, then one matmul each for the gradients
     of ``xs``, ``wx`` and ``wh``.
     """
+    if not _recording:  # free-run keeps only the states
+        return Tensor(_gru_states(*(_array(t) for t in (xs, h0, wx, wh, b)))[:, 1:])
     xs, h0, wx, wh, b = (as_tensor(t) for t in (xs, h0, wx, wh, b))
     bsz, steps, inputs = xs.data.shape
     hidden = wh.data.shape[0]
-    gx = (xs.data.reshape(-1, inputs) @ wx.data + b.data).reshape(bsz, steps, -1)
-    hs = np.empty((bsz, steps + 1, hidden))  # hs[:, t] is step t's input state
-    hs[:, 0] = h0.data
     rz, n, gh_n = (np.empty((bsz, steps, k * hidden)) for k in (2, 1, 1))
-    for t in range(steps):
-        hs[:, t + 1], (rz[:, t], n[:, t], gh_n[:, t]) = _gru_forward(gx[:, t], hs[:, t], wh.data)
-    if not _recording:
-        return Tensor(hs[:, 1:])
+    hs = _gru_states(xs.data, h0.data, wx.data, wh.data, b.data, (rz, n, gh_n))
     memo = [None, None]
 
     def bptt(g):
@@ -601,6 +627,21 @@ def gru_sequence(xs, h0, wx, wh, b) -> Tensor:
 # -- convolution -----------------------------------------------------------------
 
 
+def _conv_forward(x, past, w0, w1, b, slope=None, skip=None):
+    """:func:`causal_conv`'s value on arrays, then the lagged frames and the
+    leaky ReLU's mask (None without ``slope``) that its adjoint reads."""
+    t, d = x.shape[1], past.shape[1]
+    lag = past[:, :t] if t <= d else np.concatenate([past, x[:, :t - d]], axis=1)
+    data = lag @ w0 + x @ w1 + b
+    mask = None
+    if slope is not None:
+        mask = data > 0.0
+        data = np.where(mask, data, slope * data)
+    if skip is not None:
+        data = data + skip
+    return data, lag, mask
+
+
 def causal_conv(x, past, w0, w1, b, slope=None, skip=None) -> Tensor:
     """One width-2 causal convolution layer as one tape node: with ``x``
     (B, t, I) the new frames and ``past`` (B, d, I) the d before them,
@@ -608,18 +649,14 @@ def causal_conv(x, past, w0, w1, b, slope=None, skip=None) -> Tensor:
     ``slope`` is given, then ``+ skip``, in the composite ops' order. The
     two taps' adjoints of ``x`` are separate contributions, the current
     tap's first, so gradients sum as the composite's tape sums them."""
+    if not _recording:  # free-run builds no adjoint
+        return Tensor(_conv_forward(*(_array(a) for a in (x, past, w0, w1, b)), slope,
+                                    None if skip is None else _array(skip))[0])
     x, past, w0, w1, b = (as_tensor(t) for t in (x, past, w0, w1, b))
     t, d = x.data.shape[1], past.data.shape[1]
-    lag = past.data[:, :t] if t <= d else np.concatenate([past.data, x.data[:, :t - d]], axis=1)
-    data = lag @ w0.data + x.data @ w1.data + b.data
-    if slope is not None:
-        mask = data > 0.0
-        data = np.where(mask, data, slope * data)
-    if skip is not None:
-        skip = as_tensor(skip)
-        data = data + skip.data
-    if not _recording:  # free-run builds no adjoint
-        return Tensor(data)
+    skip = None if skip is None else as_tensor(skip)
+    data, lag, mask = _conv_forward(x.data, past.data, w0.data, w1.data, b.data, slope,
+                                    None if skip is None else skip.data)
     memo = [None, None]
 
     def gpre(g):

@@ -105,6 +105,8 @@ def _parse_joint(tokens: _Tokens, parent: int, joints: list, channels: list) -> 
         name = tokens.next()
     else:
         raise BvhParseError(f"expected ROOT/JOINT/End, got {kind!r}", tokens.lineno)
+    if any(joint["name"] == name for joint in joints):
+        raise BvhParseError(f"duplicate joint name {name!r}", tokens.lineno)
     tokens.expect("{")
     tokens.expect("OFFSET")
     offset = [tokens.number() for _ in range(3)]

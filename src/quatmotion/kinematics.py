@@ -41,13 +41,24 @@ class Skeleton:
     euler_orders: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.parents = np.asarray(self.parents, dtype=int)
+        parents = np.asarray(self.parents)
+        if parents.dtype.kind == "f" and not np.all(np.isfinite(parents)
+                                                    & (parents == np.trunc(parents))):
+            raise ValueError(f"skeleton parents must be integers, got {parents.tolist()}")
+        self.parents = parents.astype(int)
         self.offsets = np.asarray(self.offsets, dtype=float)
         self.dof_active = np.asarray(self.dof_active, dtype=bool)
         self.constant_rotations = np.asarray(self.constant_rotations, dtype=float)
         j = len(self.names)
         if self.parents.shape != (j,) or self.offsets.shape != (j, 3):
             raise ValueError("inconsistent skeleton arrays")
+        if self.dof_active.shape != (j,):
+            raise ValueError(f"dof_active must have shape ({j},), got {self.dof_active.shape}")
+        if not all(isinstance(name, str) for name in self.names):
+            raise ValueError("joint names must be strings")
+        repeated = sorted({name for name in self.names if self.names.count(name) > 1})
+        if repeated:
+            raise ValueError(f"duplicate joint names: {', '.join(map(repr, repeated))}")
         if self.constant_rotations.shape != (j, 4):
             raise ValueError(f"constant_rotations must have shape ({j}, 4), "
                              f"got {self.constant_rotations.shape}")

@@ -295,6 +295,9 @@ class PoseNetwork(ParamContainer):
                 specs.append((f"conv{layer}.b", (fout,), None))
         super().__init__(specs, seed, params)
         self._gru = _GruStack(self.params, prefixes, config.hidden)
+        if config.backbone == "convolutional":
+            self._conv_params = [tuple(self.params[f"conv{layer}.{k}"] for k in ("w0", "w1", "b"))
+                                 for layer in range(CONV_LAYERS)]
 
     def init_state(self, batch_size: int) -> list:
         """The state before the first frame. Recurrent: per-layer hidden
@@ -403,21 +406,28 @@ class PoseNetwork(ParamContainer):
         are leaky ReLUs, and additive skips connect every other same-width
         layer (1->3, 2->4). Layer l reads the frames before x from
         ``history[l]`` (B, d, C). Returns the last layer's output for the
-        last frame (B, out) and each layer's inputs over the last d frames."""
-        t = x.shape[1]
+        last frame (B, out) and each layer's inputs over the last d frames.
+        Off the tape, arrays pass from layer to layer through
+        ``autodiff._conv_forward``, and only the results are Tensors."""
+        t, tape = x.shape[1], ad._recording
+        if not tape:
+            x, history = x.data, [past.data for past in history]
         outs, new_history = [], []
         last = len(history) - 1
-        for layer, past in enumerate(history):
-            if x.requires_grad or past.requires_grad:
-                new_history.append(ad.concat([past, x], axis=1)[:, t:])
-            else:  # off the tape, a plain array
-                new_history.append(Tensor(np.concatenate([past.data, x.data], axis=1)[:, t:]))
-            x = ad.causal_conv(x, past, self.params[f"conv{layer}.w0"],
-                               self.params[f"conv{layer}.w1"], self.params[f"conv{layer}.b"],
-                               LEAKY_SLOPE if layer < last else None,
-                               outs[layer - 2] if layer in (2, 3) else None)
+        for layer, (past, (w0, w1, b)) in enumerate(zip(history, self._conv_params)):
+            slope = LEAKY_SLOPE if layer < last else None
+            skip = outs[layer - 2] if layer in (2, 3) else None
+            if not tape:
+                new_history.append(Tensor(np.concatenate([past, x], axis=1)[:, t:]))
+                x = ad._conv_forward(x, past, w0.data, w1.data, b.data, slope, skip)[0]
+            else:
+                if x.requires_grad or past.requires_grad:
+                    new_history.append(ad.concat([past, x], axis=1)[:, t:])
+                else:  # constant inputs: a plain array
+                    new_history.append(Tensor(np.concatenate([past.data, x.data], axis=1)[:, t:]))
+                x = ad.causal_conv(x, past, w0, w1, b, slope, skip)
             outs.append(x)
-        return x[:, -1], new_history
+        return (x[:, -1] if tape else Tensor(x[:, -1])), new_history
 
 
 # -- checkpoints ------------------------------------------------------------------

@@ -87,7 +87,8 @@ def normalize(q: np.ndarray) -> np.ndarray:
     Raises :class:`DegenerateQuaternionError` if any norm is below 1e-12.
     """
     q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q, axis=-1, keepdims=True)
+    # np.linalg.norm's own arithmetic for one axis, without its dispatch
+    n = np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
     if np.any(n < DEGENERATE_NORM_TOL):
         raise DegenerateQuaternionError("quaternion norm below 1e-12")
     return q / n
@@ -174,12 +175,44 @@ def _euler_reads(order: str) -> tuple:
     return ((i, k), eps), ((j, k), -eps), ((k, k), 1.0), ((i, j), -eps), ((i, i), 1.0)
 
 
+@functools.lru_cache(maxsize=len(TAIT_BRYAN_ORDERS))
+def _euler_plan(order: str) -> tuple:
+    """How :func:`_euler_regular` gathers an order's five reads: each is
+    ``sign * (1 - 2 (p + c r))`` on the diagonal (c = 1) and
+    ``sign * 2 (p + c r)`` off it (c = -1 or 1), :func:`_matrix_element`'s
+    terms, with p and r products of two quaternion components. Returns the
+    component indices (4, 5) of p's and r's factors, then c, the diagonal
+    mask and the signs as (5, 1) columns."""
+    idx, c, diag, signs = [], [], [], []
+    for (a, b), sign in _euler_reads(order):
+        if a == b:
+            s, t = (1 + k for k in range(3) if k != a)
+            idx.append((s, s, t, t))
+            c.append(1.0)
+        else:
+            idx.append((1 + min(a, b), 1 + max(a, b), 0, 4 - a - b))
+            c.append(-1.0 if (b - a) % 3 == 1 else 1.0)
+        diag.append(a == b)
+        signs.append(sign)
+    plan = (np.array(idx).T, np.array(c)[:, None], np.array(diag)[:, None],
+            np.array(signs)[:, None])
+    for arr in plan:
+        arr.flags.writeable = False  # every caller gets the same arrays
+    return plan
+
+
 def _euler_regular(q: np.ndarray, order: str) -> tuple:
     """Regular-branch Euler angles ``(a1, a2, a3)`` of unit quaternions, and
     the five signed matrix elements ``(s, y1, x1, y3, x3)`` they are read
     from: a1 = atan2(y1, x1), a2 = asin(s), a3 = atan2(y3, x3), with
-    ``s`` clipped to [-1, 1]."""
-    s, y1, x1, y3, x3 = (sign * _matrix_element(q, a, b) for (a, b), sign in _euler_reads(order))
+    ``s`` clipped to [-1, 1]. One gather reads all five elements' factors;
+    each element is rounded as :func:`_matrix_element` rounds it."""
+    idx, c, diag, signs = _euler_plan(order)
+    lead = q.shape[:-1]
+    f = q.reshape(-1, 4).T[idx]  # (4, 5, N): the factors of p and of r
+    e = 2 * (f[0] * f[1] + c * (f[2] * f[3]))
+    m = np.where(diag, 1 - e, e) * signs
+    s, y1, x1, y3, x3 = (row.reshape(lead) for row in m)
     s = np.clip(s, -1.0, 1.0)
     return (np.arctan2(y1, x1), np.arcsin(s), np.arctan2(y3, x3)), (s, y1, x1, y3, x3)
 
@@ -225,8 +258,11 @@ def joint_euler(q: np.ndarray, orders) -> np.ndarray:
     joint j in ``orders[j]``: one :func:`quat_to_euler` call per order,
     which works per quaternion, so the angles are those of per-joint calls."""
     q = np.asarray(q, dtype=float)
+    groups = order_groups(tuple(orders), q.shape[-2])
+    if len(groups) == 1:
+        return quat_to_euler(q, groups[0][0]).angles
     angles = np.empty(q.shape[:-1] + (3,))
-    for order, joints in order_groups(tuple(orders), q.shape[-2]):
+    for order, joints in groups:
         angles[..., joints, :] = quat_to_euler(q[..., joints, :], order).angles
     return angles
 

@@ -211,6 +211,34 @@ def test_gru_node_off_the_tape_matches_taped(node, rng):
     assert np.array_equal(free.data, taped.data)
 
 
+def _fused_node_cases(rng):
+    """(name, op, argument arrays) of the fused nodes that free-run calls:
+    causal_conv over a window (t <= d), past its history (t > d) with a
+    skip, and linear; quat_head in both modes; reshape."""
+    b, i, o = 2, 3, 4
+    conv = lambda t, d: [rng.normal(size=s) for s in ((b, t, i), (b, d, i), (i, o), (i, o), (o,))]
+    return [
+        ("causal_conv window", lambda *a: ad.causal_conv(*a, slope=0.05), conv(2, 4)),
+        ("causal_conv t > d, skip", lambda *a: ad.causal_conv(*a[:5], 0.05, a[5]),
+         conv(5, 2) + [rng.normal(size=(b, 5, o))]),
+        ("causal_conv linear", ad.causal_conv, conv(1, 8)),
+        ("quat_head velocity", ad.quat_head, [rng.normal(size=(b, 3, 4)) for _ in range(2)]),
+        ("quat_head absolute", ad.quat_head, [rng.normal(size=(b, 3, 4))]),
+        ("reshape", lambda a: ad.reshape(a, (b, 12)), [rng.normal(size=(b, 3, 4))]),
+    ]
+
+
+def test_fused_node_off_the_tape_matches_taped(rng):
+    for name, op, args in _fused_node_cases(rng):
+        taped = op(*(Tensor(a, requires_grad=True) for a in args))
+        with ad.no_grad():
+            free = op(*(Tensor(a, requires_grad=True) for a in args))
+            plain = op(*args)
+        assert taped._parents and free._parents == () and not free.requires_grad, name
+        assert free.data.tobytes() == taped.data.tobytes(), name
+        assert plain.data.tobytes() == taped.data.tobytes(), name
+
+
 @pytest.mark.parametrize("name", ["quat_to_euler", "euler_to_quat", "expmap_to_quat"])
 def test_conversion_node_forward_is_rotmath_kernel(name, rng):
     # raw quaternions off the unit sphere, angles, and exponential maps

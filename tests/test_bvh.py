@@ -95,7 +95,8 @@ def test_parse_error_reports_line(tmp_path):
     ("OFFSET 0.0 1.0 0.0", "OFFSET 0.0 1.0 0.0x", 8),
     ("End Site", "End Sitx", 10),
     ("Frames: 2", "Frames: 2.5", 17),
-], ids=["motion-value", "offset", "keyword", "count"])
+    ("JOINT chest", "JOINT hips", 6),
+], ids=["motion-value", "offset", "keyword", "count", "duplicate-name"])
 def test_bad_token_at_line_end_names_its_line(tmp_path, old, new, line):
     p = tmp_path / "bad.bvh"
     p.write_text(SIMPLE.replace(old, new, 1))

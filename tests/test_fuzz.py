@@ -106,15 +106,29 @@ def _one_constant_rotation(skel: dict) -> None:
     skel["constant_rotations"] = skel["constant_rotations"][:1]
 
 
+def _short_dof_active(skel: dict) -> None:
+    skel["dof_active"] = skel["dof_active"][:1]
+
+
+def _fractional_parent(skel: dict) -> None:
+    skel["parents"][3] = skel["parents"][3] + 0.7
+
+
+def _duplicate_name(skel: dict) -> None:
+    skel["names"][2] = skel["names"][1]
+
+
 @pytest.mark.parametrize("command", [["baseline", "--kind", "zerovel", "--dataset"],
                                      ["convert", "--bvh", "--in"], ["train-pose", "--dataset"]],
                          ids=lambda c: c[0])
-@pytest.mark.parametrize("edit", [_one_order, _order_abc, _one_constant_rotation],
+@pytest.mark.parametrize("edit", [_one_order, _order_abc, _one_constant_rotation,
+                                  _short_dof_active, _fractional_parent, _duplicate_name],
                          ids=lambda e: e.__name__)
 def test_qmc_skeleton_without_one_order_and_rotation_per_joint_is_data_error(
         tmp_path, capsys, command, edit):
-    # a header whose skeleton lists Euler orders or constant rotations for
-    # other than one joint each, or an order that is not Tait-Bryan
+    # a header whose skeleton lists Euler orders, constant rotations or
+    # dof_active flags for other than one joint each, an order that is not
+    # Tait-Bryan, a parent that is not an integer, or one name for two joints
     _, clips = lo.make_synth_corpus(1, seed=0, duration=2)
     clip = clips[0]
     skel = clip.skeleton.to_dict()

@@ -114,6 +114,58 @@ def test_joint_euler_is_per_joint_quat_to_euler_bit_for_bit(rng):
     assert got.tobytes() == want.tobytes()
 
 
+def _euler_regular_by_element(q, order):
+    """``_euler_regular`` as five ``_matrix_element`` calls, one per read."""
+    s, y1, x1, y3, x3 = (sign * rm._matrix_element(q, a, b)
+                         for (a, b), sign in rm._euler_reads(order))
+    s = np.clip(s, -1.0, 1.0)
+    return (np.arctan2(y1, x1), np.arcsin(s), np.arctan2(y3, x3)), (s, y1, x1, y3, x3)
+
+
+def _euler_edge_quats(rng):
+    """Random unit quaternions, the identity, 180 degree turns, exact 90
+    degree turns and the (+-1/2)^4 family (which puts several orders' middle
+    angle at exactly +-90 degrees), Euler-built gimbal locks, and components
+    of either signed zero; each also negated."""
+    r = np.sqrt(0.5)
+    special = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+               [0.0, 0.0, 0.0, 1.0], [0.0, r, r, 0.0], [0.0, r, 0.0, -r],
+               [r, r, 0.0, 0.0], [r, 0.0, r, 0.0], [r, 0.0, 0.0, r], [r, 0.0, -r, 0.0],
+               [1.0, -0.0, 0.0, -0.0], [-0.0, 1.0, -0.0, 0.0], [0.0, -0.0, -0.0, 1.0],
+               [-0.0, -0.0, -0.0, -1.0], [r, -0.0, r, -0.0], [-0.0, r, 0.0, -r]]
+    special += [[0.5 * a, 0.5 * b, 0.5 * c, 0.5 * d]
+                for a in (1, -1) for b in (1, -1) for c in (1, -1) for d in (1, -1)]
+    locks = [rm.euler_to_quat([0.3, sign * np.pi / 2, -0.7], order)
+             for order in rm.TAIT_BRYAN_ORDERS for sign in (1.0, -1.0)]
+    q = np.concatenate([random_unit_quats(rng, (40,)), np.array(special), np.array(locks)])
+    return np.concatenate([q, -q])
+
+
+def test_euler_regular_is_per_element_arithmetic_bit_for_bit(rng):
+    q = _euler_edge_quats(rng)
+    for order in rm.TAIT_BRYAN_ORDERS:
+        for batch in (q, q.reshape(-1, 2, 4), q[7]):
+            (angles, elements), (want_angles, want_elements) = (
+                rm._euler_regular(batch, order), _euler_regular_by_element(batch, order))
+            for got, want in zip(angles + elements, want_angles + want_elements):
+                assert np.shape(got) == np.shape(want), order
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), order
+
+
+def test_joint_euler_one_order_is_per_joint_quat_to_euler_bit_for_bit(rng):
+    q = _euler_edge_quats(rng).reshape(-1, 4, 4)
+    for order in rm.TAIT_BRYAN_ORDERS:
+        got = rm.joint_euler(q, [order] * 4)
+        want = np.stack([rm.quat_to_euler(q[:, j], order).angles for j in range(4)], axis=1)
+        assert got.tobytes() == want.tobytes(), order
+
+
+def test_normalize_divides_by_linalg_norm_bit_for_bit(rng):
+    q = rng.normal(size=(50, 3, 4)) * np.array([1.0, 1e-3, 1e3, 1.0])
+    want = q / np.linalg.norm(q, axis=-1, keepdims=True)
+    assert rm.normalize(q).tobytes() == want.tobytes()
+
+
 def test_order_groups_need_one_order_per_joint():
     assert [(o, j.tolist()) for o, j in rm.order_groups(("zyx", "xyz", "zyx"), 3)] == [
         ("xyz", [1]), ("zyx", [0, 2])]

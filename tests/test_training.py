@@ -471,6 +471,24 @@ def test_resume_cuts_a_torn_last_row(tmp_path, corpus):
     assert all(len(r) == len(tr.LOG_COLUMNS) for r in rows)
 
 
+@pytest.mark.parametrize("kw", [
+    dict(), dict(include_translations=True, include_controls=True),
+    dict(backbone="convolutional"), dict(mode="absolute", parameterization="expmap")],
+    ids=["gru-velocity", "gru-side-inputs", "conv-velocity", "gru-expmap-absolute"])
+def test_free_run_off_the_tape_is_free_run_on_it(corpus, kw):
+    # the same fed-back loop with the tape recorded gives the same bytes
+    skel, clips = corpus
+    net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(skel.num_active, hidden=16, channels=16,
+                                                   **kw), seed=0)
+    n = net.config.receptive_field if net.config.backbone == "convolutional" else 10
+    prefix = clips[0].active_rotations[None, 5:5 + n]
+    enc = mo.encode_pose(prefix, net.config.parameterization)
+    outs = list(tr._autoregress(net, enc, prefix, n, 8))
+    assert outs[-1]["quats"]._parents
+    taped = np.stack([out["quats"].data[0] for out in outs])
+    assert tr.free_run_predict(net, prefix[0], 8).tobytes() == taped.tobytes()
+
+
 def _window_recompute(net, prefix, horizon):
     """Conv free-run as it ran before the streaming step: every frame
     reruns forward_window on the last receptive-field frames."""
