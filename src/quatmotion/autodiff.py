@@ -7,10 +7,12 @@ topological order and accumulates gradients into the ``requires_grad``
 leaves. A graph can be backpropagated through only once. Inside
 ``with no_grad():`` nothing is recorded: every op returns a plain leaf,
 which is how free-run prediction and generation run. There the fused ops
-(:func:`gru_cell`, :func:`gru_sequence`, :func:`causal_conv`,
-:func:`quat_head`) and :func:`reshape` run their array kernel first and
-return its result, building no Tensor for their inputs and no adjoint;
-their values are those of the recorded nodes, byte for byte.
+:func:`gru_cell`, :func:`gru_sequence` and :func:`quat_head`, and
+:func:`reshape`, run their array kernel first and return its result,
+building no Tensor for their inputs and no adjoint; their values are
+those of the recorded nodes, byte for byte. The convolutional stack
+(``models.PoseNetwork``) calls :func:`causal_conv`'s array kernel,
+:func:`_conv_forward`, itself when nothing records.
 
 Larger operations are single nodes with hand-written adjoints over numpy
 and the :mod:`rotmath` kernels: the quaternion head (:func:`quat_head`,
@@ -405,8 +407,7 @@ def l2norm(a, axis: int = -1, keepdims: bool = False) -> Tensor:
 def _normalized(q):
     """Rows of ``q`` (..., 4) over their norms, and the norms (at least
     ``EPS_NORM``)."""
-    # np.linalg.norm's own arithmetic for one axis, without its dispatch
-    n = np.maximum(np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True)), EPS_NORM)
+    n = np.maximum(rm._norm(q), EPS_NORM)
     return q / n, n
 
 
@@ -629,7 +630,8 @@ def gru_sequence(xs, h0, wx, wh, b) -> Tensor:
 
 def _conv_forward(x, past, w0, w1, b, slope=None, skip=None):
     """:func:`causal_conv`'s value on arrays, then the lagged frames and the
-    leaky ReLU's mask (None without ``slope``) that its adjoint reads."""
+    leaky ReLU's mask (None without ``slope``) that its adjoint reads. Off
+    the tape the convolutional stack calls it in place of the node."""
     t, d = x.shape[1], past.shape[1]
     lag = past[:, :t] if t <= d else np.concatenate([past, x[:, :t - d]], axis=1)
     data = lag @ w0 + x @ w1 + b
@@ -649,9 +651,6 @@ def causal_conv(x, past, w0, w1, b, slope=None, skip=None) -> Tensor:
     ``slope`` is given, then ``+ skip``, in the composite ops' order. The
     two taps' adjoints of ``x`` are separate contributions, the current
     tap's first, so gradients sum as the composite's tape sums them."""
-    if not _recording:  # free-run builds no adjoint
-        return Tensor(_conv_forward(*(_array(a) for a in (x, past, w0, w1, b)), slope,
-                                    None if skip is None else _array(skip))[0])
     x, past, w0, w1, b = (as_tensor(t) for t in (x, past, w0, w1, b))
     t, d = x.data.shape[1], past.data.shape[1]
     skip = None if skip is None else as_tensor(skip)

@@ -100,13 +100,13 @@ def _parse_joint(tokens: _Tokens, parent: int, joints: list, channels: list) -> 
     kind = tokens.next()
     if kind == "End":
         tokens.expect("Site")
-        name = joints[parent]["name"] + "_end"
+        name = None  # named by _name_end_sites once every joint name is known
     elif kind in ("ROOT", "JOINT"):
         name = tokens.next()
+        if any(joint["name"] == name for joint in joints):
+            raise BvhParseError(f"duplicate joint name {name!r}", tokens.lineno)
     else:
         raise BvhParseError(f"expected ROOT/JOINT/End, got {kind!r}", tokens.lineno)
-    if any(joint["name"] == name for joint in joints):
-        raise BvhParseError(f"duplicate joint name {name!r}", tokens.lineno)
     tokens.expect("{")
     tokens.expect("OFFSET")
     offset = [tokens.number() for _ in range(3)]
@@ -134,6 +134,22 @@ def _parse_joint(tokens: _Tokens, parent: int, joints: list, channels: list) -> 
     tokens.expect("}")
 
 
+def _name_end_sites(joints: list) -> None:
+    """Name each End Site ``<parent>_end``, or ``<parent>_<k>_end`` with the
+    smallest k >= 2 that no other joint's name takes, so the names stay
+    distinct and keep the ``_end`` ending :func:`save_bvh` reads."""
+    taken = {joint["name"] for joint in joints}
+    for joint in joints:  # a parent comes before its children
+        if joint["name"] is None:
+            stem, k = joints[joint["parent"]]["name"], 1
+            name = f"{stem}_end"
+            while name in taken:
+                k += 1
+                name = f"{stem}_{k}_end"
+            joint["name"] = name
+            taken.add(name)
+
+
 def load_bvh(path):
     """Parse a BVH file into a :class:`Skeleton` and raw motion arrays.
 
@@ -150,6 +166,7 @@ def load_bvh(path):
     joints: list = []
     channels: list = []
     _parse_joint(tokens, -1, joints, channels)
+    _name_end_sites(joints)
 
     tokens.expect("MOTION")
     tokens.expect("Frames:")

@@ -81,14 +81,20 @@ def qconj(q: np.ndarray) -> np.ndarray:
     return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
+def _norm(q: np.ndarray) -> np.ndarray:
+    """The norms of the rows of ``q`` (..., n), kept as (..., 1):
+    ``np.linalg.norm(q, axis=-1, keepdims=True)``'s own arithmetic, without
+    its dispatch, so the two agree bit for bit."""
+    return np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
+
+
 def normalize(q: np.ndarray) -> np.ndarray:
     """Project raw 4-vectors onto the unit sphere.
 
     Raises :class:`DegenerateQuaternionError` if any norm is below 1e-12.
     """
     q = np.asarray(q, dtype=float)
-    # np.linalg.norm's own arithmetic for one axis, without its dispatch
-    n = np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
+    n = _norm(q)
     if np.any(n < DEGENERATE_NORM_TOL):
         raise DegenerateQuaternionError("quaternion norm below 1e-12")
     return q / n

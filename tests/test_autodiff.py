@@ -212,16 +212,11 @@ def test_gru_node_off_the_tape_matches_taped(node, rng):
 
 
 def _fused_node_cases(rng):
-    """(name, op, argument arrays) of the fused nodes that free-run calls:
-    causal_conv over a window (t <= d), past its history (t > d) with a
-    skip, and linear; quat_head in both modes; reshape."""
-    b, i, o = 2, 3, 4
-    conv = lambda t, d: [rng.normal(size=s) for s in ((b, t, i), (b, d, i), (i, o), (i, o), (o,))]
+    """(name, op, argument arrays) of the fused nodes and reshape, whose
+    values off the tape must be the recorded nodes': quat_head in both
+    modes; reshape."""
+    b = 2
     return [
-        ("causal_conv window", lambda *a: ad.causal_conv(*a, slope=0.05), conv(2, 4)),
-        ("causal_conv t > d, skip", lambda *a: ad.causal_conv(*a[:5], 0.05, a[5]),
-         conv(5, 2) + [rng.normal(size=(b, 5, o))]),
-        ("causal_conv linear", ad.causal_conv, conv(1, 8)),
         ("quat_head velocity", ad.quat_head, [rng.normal(size=(b, 3, 4)) for _ in range(2)]),
         ("quat_head absolute", ad.quat_head, [rng.normal(size=(b, 3, 4))]),
         ("reshape", lambda a: ad.reshape(a, (b, 12)), [rng.normal(size=(b, 3, 4))]),
@@ -237,6 +232,21 @@ def test_fused_node_off_the_tape_matches_taped(rng):
         assert taped._parents and free._parents == () and not free.requires_grad, name
         assert free.data.tobytes() == taped.data.tobytes(), name
         assert plain.data.tobytes() == taped.data.tobytes(), name
+
+
+@pytest.mark.parametrize("t, d, slope, skip", [(2, 4, 0.05, False), (5, 2, 0.05, True),
+                                               (1, 8, None, False)],
+                         ids=["window", "t > d, skip", "linear"])
+def test_conv_kernel_is_the_recorded_node(t, d, slope, skip, rng):
+    # off the tape the convolutional stack calls _conv_forward on arrays
+    # in place of causal_conv: its bytes must be the node's
+    b, i, o = 2, 3, 4
+    args = [rng.normal(size=s) for s in ((b, t, i), (b, d, i), (i, o), (i, o), (o,))]
+    extra = rng.normal(size=(b, t, o)) if skip else None
+    taped = ad.causal_conv(*(Tensor(a, requires_grad=True) for a in args), slope,
+                           None if extra is None else Tensor(extra, requires_grad=True))
+    assert taped._parents
+    assert ad._conv_forward(*args, slope, extra)[0].tobytes() == taped.data.tobytes()
 
 
 @pytest.mark.parametrize("name", ["quat_to_euler", "euler_to_quat", "expmap_to_quat"])

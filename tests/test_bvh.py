@@ -46,6 +46,26 @@ def test_parse_simple(simple_bvh):
     assert np.allclose(root[0], [0, 1, 0])
 
 
+def test_end_site_beside_a_joint_named_parent_end_loads(tmp_path):
+    # chest's End Site would be chest_end, which the file's next joint is called
+    sibling = ("  JOINT chest_end\n  {\n    OFFSET 0.0 -1.0 0.0\n"
+               "    CHANNELS 3 Zrotation Xrotation Yrotation\n"
+               "    End Site\n    {\n      OFFSET 0.0 -0.5 0.0\n    }\n  }\n}\nMOTION")
+    text = (SIMPLE.replace("}\nMOTION", sibling).replace("5.0 0.0 -5.0", "5.0 0.0 -5.0 1.0 2.0 3.0")
+            .replace("6.0 1.0 -4.0", "6.0 1.0 -4.0 4.0 5.0 6.0"))
+    p = tmp_path / "sibling.bvh"
+    p.write_text(text)
+    skel, fr, root, rots = load_bvh(p)
+    names = ["hips", "chest", "chest_2_end", "chest_end", "chest_end_end"]
+    assert skel.names == names
+    assert skel.parents.tolist() == [-1, 0, 1, 0, 3]
+    assert skel.dof_active.tolist() == [True, True, False, True, False]
+    save_bvh(tmp_path / "back.bvh", skel, fr, root, rots)
+    back = load_bvh(tmp_path / "back.bvh")
+    assert back[0].names == names
+    assert np.abs(back[3] - rots).max() < 1e-6
+
+
 def test_antipodal_flip_loads_sign_continuous(tmp_path):
     # chest turns 179 -> -179 degrees about z: the raw quaternions of the
     # two frames are nearly antipodal, the loaded clip's are not
