@@ -5,14 +5,13 @@ The "tape" is the implicit operation graph: every op returns a
 ``backward()`` on a scalar output traverses the graph once in reverse
 topological order and accumulates gradients into the ``requires_grad``
 leaves. A graph can be backpropagated through only once. Inside
-``with no_grad():`` nothing is recorded: every op returns a plain leaf,
-which is how free-run prediction and generation run. There the fused ops
-:func:`gru_cell`, :func:`gru_sequence` and :func:`quat_head`, and
-:func:`reshape`, run their array kernel first and return its result,
-building no Tensor for their inputs and no adjoint; their values are
-those of the recorded nodes, byte for byte. The convolutional stack
-(``models.PoseNetwork``) calls :func:`causal_conv`'s array kernel,
-:func:`_conv_forward`, itself when nothing records.
+``with no_grad():`` nothing is recorded: every op returns a plain leaf.
+Free-run prediction and generation do not go through the ops there at
+all: off the tape the networks (``models``) pass plain arrays to the
+array kernels that the fused nodes wrap (:func:`_gru_forward` and
+:func:`_gru_states`, :func:`_conv_forward`, :func:`_quat_head_forward`,
+:func:`_leaky` and the :mod:`rotmath` conversions), so their values are
+those of the recorded nodes, byte for byte.
 
 Larger operations are single nodes with hand-written adjoints over numpy
 and the :mod:`rotmath` kernels: the quaternion head (:func:`quat_head`,
@@ -275,11 +274,16 @@ def sigmoid(a) -> Tensor:
     return _make(data, (a,), (lambda g: g * data * (1.0 - data),))
 
 
+def _leaky(y, slope):
+    """The leaky ReLU on arrays, for 0 < slope < 1: the bytes of
+    ``np.where(y > 0, y, slope * y)`` in one pass fewer."""
+    return np.maximum(y, slope * y)
+
+
 def leaky_relu(a, slope: float = 0.05) -> Tensor:
     a = as_tensor(a)
-    mask = a.data > 0.0
-    data = np.where(mask, a.data, slope * a.data)
-    return _make(data, (a,), (lambda g: g * np.where(mask, 1.0, slope),))
+    return _make(_leaky(a.data, slope), (a,),
+                 (lambda g: g * np.where(a.data > 0.0, 1.0, slope),))
 
 
 def absval(a) -> Tensor:
@@ -332,8 +336,6 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def reshape(a, shape) -> Tensor:
-    if not _recording:
-        return Tensor(_array(a).reshape(shape))
     a = as_tensor(a)
     return _make(a.data.reshape(shape), (a,), (lambda g: g.reshape(a.data.shape),))
 
@@ -417,25 +419,39 @@ def _unnormalize(g, unit, n):
     return (g - unit * np.sum(g * unit, axis=-1, keepdims=True)) / n
 
 
+def _quat_head_forward(raw, prev=None):
+    """:func:`quat_head`'s value on arrays, then the unit ``raw`` rows and the
+    norms (the product's None without ``prev``) that its adjoints read."""
+    unit, n1 = _normalized(raw)
+    if prev is None:
+        return unit, unit, n1, None
+    data, n2 = _normalized(rm.qmul(unit, prev))
+    return data, unit, n1, n2
+
+
 def quat_head(raw, prev=None) -> Tensor:
     """The quaternion head as one node: ``qnormalize(qmul(qnormalize(raw),
     prev))`` on ``(..., 4)`` arrays, or ``qnormalize(raw)`` without ``prev``
     (absolute mode). The product's adjoints are g_a = g x b* and
     g_b = a* x g."""
-    if not _recording:
-        unit = _normalized(_array(raw))[0]
-        return Tensor(unit if prev is None else _normalized(rm.qmul(unit, _array(prev)))[0])
     raw = as_tensor(raw)
-    unit, n1 = _normalized(raw.data)
     if prev is None:
+        unit, _, n1, _ = _quat_head_forward(raw.data)
         return _make(unit, (raw,), (lambda g: _unnormalize(g, unit, n1),))
     prev = as_tensor(prev)
-    data, n2 = _normalized(rm.qmul(unit, prev.data))
+    data, unit, n1, n2 = _quat_head_forward(raw.data, prev.data)
+    memo = [None, None]
+
+    def gprod(g):
+        # the adjoint of the unnormalized product, once per backward
+        if memo[0] is not g:
+            memo[:] = [g, _unnormalize(g, data, n2)]
+        return memo[1]
+
     return _make(data, (raw, prev), (
-        lambda g: _unnormalize(_unbroadcast(rm.qmul(_unnormalize(g, data, n2),
-                                                    rm.qconj(prev.data)), unit.shape), unit, n1),
-        lambda g: _unbroadcast(rm.qmul(rm.qconj(unit), _unnormalize(g, data, n2)),
-                               prev.data.shape),
+        lambda g: _unnormalize(_unbroadcast(rm.qmul(gprod(g), rm.qconj(prev.data)), unit.shape),
+                               unit, n1),
+        lambda g: _unbroadcast(rm.qmul(rm.qconj(unit), gprod(g)), prev.data.shape),
     ))
 
 
@@ -561,8 +577,6 @@ def gru_cell(x, h, wx, wh, b) -> Tensor:
     to them. The backward computes the gate adjoints once and derives all
     five input gradients from them.
     """
-    if not _recording:  # free-run builds no adjoint
-        return Tensor(_gru_forward(_array(x) @ _array(wx) + _array(b), _array(h), _array(wh))[0])
     x, h, wx, wh, b = (as_tensor(t) for t in (x, h, wx, wh, b))
     data, saved = _gru_forward(x.data @ wx.data + b.data, h.data, wh.data)
     memo = [None, None]
@@ -594,8 +608,6 @@ def gru_sequence(xs, h0, wx, wh, b) -> Tensor:
     time over the state's adjoint, then one matmul each for the gradients
     of ``xs``, ``wx`` and ``wh``.
     """
-    if not _recording:  # free-run keeps only the states
-        return Tensor(_gru_states(*(_array(t) for t in (xs, h0, wx, wh, b)))[:, 1:])
     xs, h0, wx, wh, b = (as_tensor(t) for t in (xs, h0, wx, wh, b))
     bsz, steps, inputs = xs.data.shape
     hidden = wh.data.shape[0]
@@ -630,18 +642,17 @@ def gru_sequence(xs, h0, wx, wh, b) -> Tensor:
 
 def _conv_forward(x, past, w0, w1, b, slope=None, skip=None):
     """:func:`causal_conv`'s value on arrays, then the lagged frames and the
-    leaky ReLU's mask (None without ``slope``) that its adjoint reads. Off
-    the tape the convolutional stack calls it in place of the node."""
+    pre-activation that its adjoint reads. ``past`` (B, d, I) holds the d
+    frames before ``x``; off the tape a step passes only the lagged one,
+    (B, 1, I)."""
     t, d = x.shape[1], past.shape[1]
     lag = past[:, :t] if t <= d else np.concatenate([past, x[:, :t - d]], axis=1)
-    data = lag @ w0 + x @ w1 + b
-    mask = None
+    data = pre = lag @ w0 + x @ w1 + b
     if slope is not None:
-        mask = data > 0.0
-        data = np.where(mask, data, slope * data)
+        data = _leaky(pre, slope)
     if skip is not None:
         data = data + skip
-    return data, lag, mask
+    return data, lag, pre
 
 
 def causal_conv(x, past, w0, w1, b, slope=None, skip=None) -> Tensor:
@@ -654,14 +665,14 @@ def causal_conv(x, past, w0, w1, b, slope=None, skip=None) -> Tensor:
     x, past, w0, w1, b = (as_tensor(t) for t in (x, past, w0, w1, b))
     t, d = x.data.shape[1], past.data.shape[1]
     skip = None if skip is None else as_tensor(skip)
-    data, lag, mask = _conv_forward(x.data, past.data, w0.data, w1.data, b.data, slope,
-                                    None if skip is None else skip.data)
+    data, lag, pre = _conv_forward(x.data, past.data, w0.data, w1.data, b.data, slope,
+                                   None if skip is None else skip.data)
     memo = [None, None]
 
     def gpre(g):
         # adjoints of the pre-activation and of the lagged frames, once per backward
         if memo[0] is not g:
-            gp = g if slope is None else g * np.where(mask, 1.0, slope)
+            gp = g if slope is None else g * np.where(pre > 0.0, 1.0, slope)
             memo[:] = [g, (gp, gp @ w0.data.T)]
         return memo[1]
 

@@ -217,8 +217,8 @@ def save_bvh(path, skel: Skeleton, frame_rate: float,
     """Write a BVH file; rotations ``(T, J, 4)`` cover all joints.
 
     The root gets 6 channels, every non-End-Site joint 3 rotation channels
-    in the skeleton's per-joint Euler order; ``*_end`` joints become End
-    Sites.
+    in the skeleton's per-joint Euler order; leaves without channels
+    (``dof_active`` false) become End Sites, whatever their names.
     """
     rotations = np.asarray(rotations, dtype=float)
     root_positions = np.asarray(root_positions, dtype=float)
@@ -236,8 +236,7 @@ def save_bvh(path, skel: Skeleton, frame_rate: float,
 
     def emit(j: int, indent: int) -> None:
         pad = "  " * indent
-        is_end = skel.names[j].endswith("_end") and not children[j]
-        if is_end:
+        if not skel.dof_active[j] and not children[j]:
             lines.append(f"{pad}End Site")
             lines.append(pad + "{")
             lines.append(f"{pad}  OFFSET {skel.offsets[j][0]:.6f} {skel.offsets[j][1]:.6f} {skel.offsets[j][2]:.6f}")

@@ -281,14 +281,13 @@ class PositionNetwork(ParamContainer):
     def free_run(self, prefix: np.ndarray, horizon: int) -> np.ndarray:
         """prefix (n, J, 3) -> predictions (horizon >= 1, J, 3), recording
         no tape; one sequence over the prefix, then horizon - 1 steps."""
-        out, state = self.sequence(Tensor(prefix.reshape(1, len(prefix), -1)),
-                                   self.init_state(1))
+        out, state = self.sequence(prefix.reshape(1, len(prefix), -1), self.init_state(1))
         out = out[:, -1]
         preds = [out]
         for _ in range(horizon - 1):
             out, state = self.step(out, state)
             preds.append(out)
-        return np.stack([p.data[0].reshape(self.num_joints, 3) for p in preds])
+        return np.stack([ad._array(p)[0].reshape(self.num_joints, 3) for p in preds])
 
 
 def train_position_network(net: PositionNetwork, clips, skel: Skeleton,

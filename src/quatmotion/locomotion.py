@@ -394,18 +394,20 @@ class PaceNetwork(ParamContainer):
 
         def run(prefix, x):
             gru = self._grus[prefix]
-            return gru.sequence(Tensor(x), gru.init_state(1))[0][0]
+            return gru.sequence(x, gru.init_state(1))[0][0]
 
-        fwd = run("fwd", curv)
+        tape, fwd = ad._recording, run("fwd", curv)
         if self.config.variant == "bidirectional":
-            feats = ad.concat([fwd, run("bwd", curv[:, ::-1])[::-1]], axis=-1)
+            feats = (ad.concat if tape else np.concatenate)(
+                [fwd, run("bwd", curv[:, ::-1])[::-1]], axis=-1)
         else:
             feats = fwd[np.minimum(np.arange(s) + self.config.delay, s - 1)]
         raw = _linear(self.params, "head", feats)
         # tiny forward bias keeps the norm nonzero when the head outputs
         # an exactly zero facing (e.g. an untrained net on zero curvature)
-        fac = raw[:, :2] + Tensor(np.array([1e-9, 0.0]))
-        norm = ad.l2norm(fac, axis=-1, keepdims=True)
+        fac = raw[:, :2] + np.array([1e-9, 0.0])
+        norm = (ad.l2norm(fac, axis=-1, keepdims=True) if tape
+                else np.linalg.norm(fac, axis=-1, keepdims=True))
         return {"facing": fac / norm, "frequency": raw[:, 2], "speed": raw[:, 3],
                 "raw": raw}
 
@@ -436,8 +438,8 @@ def _pace_schedule(spline, pace: dict, steps: int, frame_rate: float):
     the pace network's outputs: frame k reads [tangent, world facing, gait
     signal] of the segment under its arc position, whose speed and
     frequency advance arc and gait phase to frame k + 1, as a scalar loop."""
-    speed = np.maximum(pace["speed"].data, 0.0)
-    step_speed, freq = speed.tolist(), pace["frequency"].data.tolist()
+    speed = np.maximum(ad._array(pace["speed"]), 0.0)
+    step_speed, freq = speed.tolist(), ad._array(pace["frequency"]).tolist()
     last = spline.num_segments - 1
     arc, phase, seg = np.empty(steps), np.empty(steps), np.empty(steps, dtype=int)
     s = theta = 0.0
@@ -448,7 +450,7 @@ def _pace_schedule(spline, pace: dict, steps: int, frame_rate: float):
         theta += 2.0 * np.pi * freq[i] / frame_rate
     tangent = spline.tangents[seg]
     gait = speed[seg][:, None] * np.stack([np.cos(phase), np.sin(phase)], axis=1)
-    return arc, np.concatenate([tangent, _rotate2(pace["facing"].data[seg], tangent), gait], axis=1)
+    return arc, np.concatenate([tangent, _rotate2(ad._array(pace["facing"])[seg], tangent), gait], axis=1)
 
 
 @ad.no_grad()
@@ -477,7 +479,7 @@ def generate_locomotion(pose_net: PoseNetwork, pace_net: PaceNetwork, spline,
         raise ValueError("the init clip has no frames")
 
     pace = pace_net.forward(spline.curvatures)
-    if not all(np.isfinite(pace[k].data).all() for k in ("facing", "frequency", "speed")):
+    if not all(np.isfinite(ad._array(pace[k])).all() for k in ("facing", "frequency", "speed")):
         raise GenerationDivergedError("the pace network's output is not finite")
     arc, controls = _pace_schedule(spline, pace, n_init + num_frames, frame_rate)
     init_q = init_clip.active_rotations
@@ -494,18 +496,18 @@ def generate_locomotion(pose_net: PoseNetwork, pace_net: PaceNetwork, spline,
     frames_q, frames_t = [], []
     for g in range(n_init + num_frames):
         if g < n_init:
-            pose, quats, trans = (Tensor(a[g][None]) for a in (init_pose, init_q, init_trans))
+            pose, quats, trans = (a[g][None] for a in (init_pose, init_q, init_trans))
         else:
             pose, quats, trans = out["feedback"], out["quats"], out["translations"]
-            if (not np.isfinite(quats.data).all() or not np.isfinite(trans.data).all()
-                    or np.abs(trans.data).max() > height_limit):
+            q, t = ad._array(quats)[0], ad._array(trans)[0]
+            if not np.isfinite(q).all() or not np.isfinite(t).all() or np.abs(t).max() > height_limit:
                 raise GenerationDivergedError(
                     f"pose or translation left the {height_limit:.3g} envelope "
                     f"at frame {g - n_init}")
-            frames_q.append(quats.data[0])
-            frames_t.append(trans.data[0])
+            frames_q.append(q)
+            frames_t.append(t)
         out = pose_net.step(pose, state, prev_quats=quats, translations=trans,
-                            controls=Tensor(controls[g][None]))
+                            controls=controls[g][None])
         state = out["state"]
 
     trans = np.stack(frames_t)  # root height, arc offset

@@ -5,14 +5,27 @@ with learned initial states, and a stack of 5 causal dilated convolutions
 (width 2, dilations 1,2,4,8,16, receptive field 32 frames). For both,
 ``PoseNetwork.forward_window`` conditions on a window of frames and
 predicts the next one with a single head output, and ``PoseNetwork.step``
-advances its state by one frame. The recurrent window is one GRU
-sequence node per layer (``autodiff.gru_sequence``), and each convolution
-layer is one node (``autodiff.causal_conv``). The convolutional state
-holds each layer's inputs over its last ``dilation`` frames, so a step
-computes one new frame per layer instead of rerunning the window (as in
-Fast WaveNet, Paine et al. 2016). In velocity mode the quaternion head (one ``autodiff.quat_head``
-node) multiplies onto the previous pose, so the network outputs deltas.
-Exponential-map and Euler heads decode through autodiff's conversion nodes.
+advances its state by one frame. The convolutional state holds each
+layer's inputs over its last ``dilation`` frames, so a step computes one
+new frame per layer instead of rerunning the window (as in Fast WaveNet,
+Paine et al. 2016). In velocity mode the quaternion head multiplies onto
+the previous pose, so the network outputs deltas. Exponential-map and
+Euler heads decode through the rotmath conversions.
+
+On the tape (training), the recurrent window is one GRU sequence node per
+layer (``autodiff.gru_sequence``), a step one cell node per layer, each
+convolution layer one ``autodiff.causal_conv`` node and the head one
+``autodiff.quat_head`` node; outputs are Tensors, and a convolutional
+layer's state is its input frames as one (B, d, C) Tensor. Off the tape
+(inside ``autodiff.no_grad()``: free-run prediction and generation) the
+same methods take Tensors or plain arrays and return plain arrays, through
+the array kernels those nodes wrap, so the values are the recorded nodes'
+byte for byte. There a convolutional layer's state is a tuple of its last
+d input frames, each (B, 1, C), oldest first: a step reads the oldest as
+its lag tap and appends its own input by tuple slicing, concatenating
+nothing, and never writes to a state, so one state can be stepped from
+twice. A (B, d, C) state built on the tape is taken too.
+
 Optional side inputs, recurrent backbone only: 2 translation channels
 (root height, trajectory offset) and a 6-feature control frame passed
 through a small feed-forward encoder outside the recurrent path.
@@ -66,18 +79,20 @@ def encode_pose(quats: np.ndarray, parameterization: str) -> np.ndarray:
 
 
 def decode_pose_t(flat: Tensor, num_joints: int, parameterization: str) -> Tensor:
-    """Flat network pose outputs to quaternions (..., A, 4), autodiff.
+    """Flat network pose outputs to quaternions (..., A, 4), autodiff; off
+    the tape, arrays through the rotmath kernels that the nodes wrap.
 
     Quaternion outputs are returned raw (pre-normalization) so velocity
     composition and the unit-norm penalty see the head's actual values.
     """
     p = pose_dim_per_joint(parameterization)
-    shaped = ad.reshape(flat, flat.shape[:-1] + (num_joints, p))
+    shape, tape = flat.shape[:-1] + (num_joints, p), ad._recording
+    shaped = ad.reshape(flat, shape) if tape else ad._array(flat).reshape(shape)
     if parameterization == "quaternion":
         return shaped
     if parameterization == "expmap":
-        return ad.expmap_to_quat(shaped)
-    return ad.euler_to_quat(shaped, parameterization.split("-")[1])
+        return (ad.expmap_to_quat if tape else rm.expmap_to_quat)(shaped)
+    return (ad.euler_to_quat if tape else rm.euler_to_quat)(shaped, parameterization.split("-")[1])
 
 
 # -- configs -----------------------------------------------------------------
@@ -176,44 +191,58 @@ def expected_param_count(config: PoseNetworkConfig) -> int:
 class _GruStack:
     """Stacked GRU layers over the ``{prefix}.wx/.wh/.b/.h0`` entries of a
     network's params dict, one fused tape node per cell; each layer feeds
-    the next."""
+    the next. Off the tape, inputs, states and outputs are plain arrays,
+    through the kernels that the nodes wrap."""
 
     def __init__(self, params: dict, prefixes: list, hidden: int):
         self.params, self.prefixes, self.hidden = params, prefixes, hidden
+        self._layers = [tuple(params[f"{prefix}.{k}"] for k in ("wx", "wh", "b"))
+                        for prefix in prefixes]
 
     def init_state(self, batch_size: int) -> list:
         """Per-layer hidden states: the learned h0 broadcast over the batch."""
-        return [self.params[f"{prefix}.h0"] + ad.zeros((batch_size, self.hidden))
-                for prefix in self.prefixes]
+        zeros = np.zeros((batch_size, self.hidden))
+        return [(h0 if ad._recording else h0.data) + zeros
+                for h0 in (self.params[f"{prefix}.h0"] for prefix in self.prefixes)]
 
-    def step(self, x: Tensor, state: list) -> list:
+    def step(self, x, state: list) -> list:
         """Advance every layer by one step; returns the new per-layer states,
         the last of which is the stack's output."""
-        p, new_state = self.params, []
-        for prefix, h in zip(self.prefixes, state):
-            x = ad.gru_cell(x, h, p[f"{prefix}.wx"], p[f"{prefix}.wh"], p[f"{prefix}.b"])
+        new_state, tape = [], ad._recording
+        x = x if tape else ad._array(x)
+        for (wx, wh, b), h in zip(self._layers, state):
+            x = (ad.gru_cell(x, h, wx, wh, b) if tape
+                 else ad._gru_forward(x @ wx.data + b.data, ad._array(h), wh.data)[0])
             new_state.append(x)
         return new_state
 
-    def sequence(self, x: Tensor, state: list) -> tuple:
+    def sequence(self, x, state: list) -> tuple:
         """Run every layer over a (B, T, I) sequence, one tape node per
         layer; returns the last layer's states (B, T, H) and each layer's
         state after the last step."""
-        p, new_state = self.params, []
-        for prefix, h in zip(self.prefixes, state):
-            x = ad.gru_sequence(x, h, p[f"{prefix}.wx"], p[f"{prefix}.wh"], p[f"{prefix}.b"])
+        new_state, tape = [], ad._recording
+        x = x if tape else ad._array(x)
+        for (wx, wh, b), h in zip(self._layers, state):
+            x = (ad.gru_sequence(x, h, wx, wh, b) if tape
+                 else ad._gru_states(x, ad._array(h), wx.data, wh.data, b.data)[:, 1:])
             new_state.append(x[:, -1])
         return x, new_state
 
 
-def _linear(params: dict, prefix: str, x: Tensor) -> Tensor:
-    return x @ params[f"{prefix}.w"] + params[f"{prefix}.b"]
+def _linear(params: dict, prefix: str, x):
+    w, b = params[f"{prefix}.w"], params[f"{prefix}.b"]
+    if ad._recording:
+        return ad.matmul(x, w) + b
+    return ad._array(x) @ w.data + b.data
 
 
-def encode_controls(params: dict, controls: Tensor) -> Tensor:
+def encode_controls(params: dict, controls):
     """6-feature control frame -> 30-vector, two leaky-ReLU layers."""
-    h = ad.leaky_relu(_linear(params, "enc.l1", controls), LEAKY_SLOPE)
-    return ad.leaky_relu(_linear(params, "enc.l2", h), LEAKY_SLOPE)
+    for prefix in ("enc.l1", "enc.l2"):
+        controls = _linear(params, prefix, controls)
+        controls = (ad.leaky_relu(controls, LEAKY_SLOPE) if ad._recording
+                    else ad._leaky(controls, LEAKY_SLOPE))
+    return controls
 
 
 # -- parameter container ---------------------------------------------------------
@@ -294,46 +323,54 @@ class PoseNetwork(ParamContainer):
                 specs += [(f"conv{layer}.w{tap}", (fin, fout), scale) for tap in range(CONV_TAPS)]
                 specs.append((f"conv{layer}.b", (fout,), None))
         super().__init__(specs, seed, params)
-        self._gru = _GruStack(self.params, prefixes, config.hidden)
-        if config.backbone == "convolutional":
-            self._conv_params = [tuple(self.params[f"conv{layer}.{k}"] for k in ("w0", "w1", "b"))
-                                 for layer in range(CONV_LAYERS)]
+        if config.backbone == "recurrent":
+            self._gru = _GruStack(self.params, prefixes, config.hidden)
+        else:
+            # per layer: its parameters, the leaky ReLU's slope (None for the
+            # last, linear layer) and the index of the earlier output added
+            # as a skip; skips connect every other same-width layer (1->3, 2->4)
+            self._conv_layers = [
+                (tuple(self.params[f"conv{layer}.{k}"] for k in ("w0", "w1", "b")),
+                 LEAKY_SLOPE if layer < CONV_LAYERS - 1 else None,
+                 layer - 2 if layer in (2, 3) else None) for layer in range(CONV_LAYERS)]
 
     def init_state(self, batch_size: int) -> list:
         """The state before the first frame. Recurrent: per-layer hidden
         states, the learned h0 broadcast over the batch. Convolutional: per
-        layer, its inputs over the last ``dilation`` frames (B, d, C), all
-        zero, which is the same as causal zero padding."""
+        layer, its inputs over the last ``dilation`` frames, all zero, which
+        is the same as causal zero padding: (B, d, C) on the tape, and off
+        it a tuple of d frames (B, 1, C), oldest first."""
         cfg = self.config
         if cfg.backbone == "recurrent":
             return self._gru.init_state(batch_size)
-        return [ad.zeros((batch_size, d, fin)) for d, fin in zip(cfg.dilations, cfg.conv_dims)]
+        if ad._recording:
+            return [ad.zeros((batch_size, d, fin)) for d, fin in zip(cfg.dilations, cfg.conv_dims)]
+        return [(np.zeros((batch_size, 1, fin)),) * d for d, fin in zip(cfg.dilations, cfg.conv_dims)]
 
-    def _head_to_pose(self, raw: Tensor, prev_quats, state: list) -> dict:
+    def _head_to_pose(self, raw, prev_quats, state: list) -> dict:
         cfg = self.config
-        out = {"state": state}
+        out = {"state": state, "translations": None}
+        pose_raw = raw
         if cfg.include_translations:
-            pose_raw = raw[..., :cfg.pose_dim]
-            out["translations"] = raw[..., cfg.pose_dim:]
-        else:
-            pose_raw = raw
-            out["translations"] = None
+            pose_raw, out["translations"] = raw[..., :cfg.pose_dim], raw[..., cfg.pose_dim:]
         raw_q = decode_pose_t(pose_raw, cfg.num_joints, cfg.parameterization)
-        if cfg.parameterization == "quaternion":
-            out["raw_quats"] = raw_q
-            quats = ad.quat_head(raw_q, prev_quats if cfg.mode == "velocity" else None)
-            out["quats"] = quats
-            out["feedback"] = ad.reshape(quats, quats.shape[:-2] + (cfg.pose_dim,))
-        else:
+        if cfg.parameterization != "quaternion":
             # non-quaternion heads are unit by construction after decoding
-            out["raw_quats"] = None
-            out["quats"] = raw_q
-            out["feedback"] = pose_raw
+            out.update(raw_quats=None, quats=raw_q, feedback=pose_raw)
+            return out
+        prev = prev_quats if cfg.mode == "velocity" else None
+        if ad._recording:
+            quats = ad.quat_head(raw_q, prev)
+            feedback = ad.reshape(quats, quats.shape[:-2] + (cfg.pose_dim,))
+        else:
+            quats = ad._quat_head_forward(raw_q, None if prev is None else ad._array(prev))[0]
+            feedback = quats.reshape(quats.shape[:-2] + (cfg.pose_dim,))
+        out.update(raw_quats=raw_q, quats=quats, feedback=feedback)
         return out
 
-    def _inputs(self, pose: Tensor, prev_quats, translations=None, controls=None) -> Tensor:
+    def _inputs(self, pose, prev_quats, translations=None, controls=None):
         """Check a (..., pose_dim) pose input and append the side inputs the
-        config expects."""
+        config expects; off the tape, as one array."""
         cfg = self.config
         if pose.shape[-1] != cfg.pose_dim:
             raise ValueError("pose feature size does not match config")
@@ -348,86 +385,109 @@ class PoseNetwork(ParamContainer):
             if controls is None:
                 raise ValueError("config expects control inputs")
             parts.append(encode_controls(self.params, controls))
-        return ad.concat(parts, axis=-1) if len(parts) > 1 else parts[0]
+        if ad._recording:
+            return ad.concat(parts, axis=-1) if len(parts) > 1 else ad.as_tensor(pose)
+        parts = [ad._array(part) for part in parts]
+        return np.concatenate(parts, axis=-1) if len(parts) > 1 else parts[0]
 
-    def step(self, pose: Tensor, state: list, prev_quats: Tensor | None = None,
-             translations: Tensor | None = None, controls: Tensor | None = None) -> dict:
+    def step(self, pose, state: list, prev_quats=None, translations=None, controls=None) -> dict:
         """One prediction step; the convolutional backbone computes one new
         frame per layer.
 
         ``pose`` is the previous pose in the network's parameterization,
         (B, pose_dim); ``prev_quats`` (B, A, 4) is required in velocity
         mode; ``state`` comes from ``forward_window`` or the previous step.
-        Returns quats, raw_quats, feedback, translations, state. Unlike
-        ``forward_window`` it does not check the state for non-finite
-        values; callers check the frames they keep.
+        Returns quats, raw_quats, feedback, translations, state: Tensors on
+        the tape, plain arrays off it (see ``init_state`` for the state). An
+        off-tape state is never written to, so one state can be stepped
+        from twice; it holds views of the inputs, which callers must not
+        overwrite. Unlike ``forward_window`` it does not check the state for
+        non-finite values; callers check the frames they keep.
         """
         x = self._inputs(pose, prev_quats, translations, controls)
         if self.config.backbone == "recurrent":
             state = self._gru.step(x, state)
             raw = _linear(self.params, "head", state[-1])
-        else:
+        elif ad._recording:
             raw, state = self._conv_stack(ad.reshape(x, (x.shape[0], 1, x.shape[1])), state)
+        else:
+            raw, state = self._conv_frames(x.reshape(x.shape[0], 1, x.shape[1]), state)
         return self._head_to_pose(raw, prev_quats, state)
 
-    def forward_window(self, pose_window: Tensor, prev_quats: Tensor | None = None,
-                       translations: Tensor | None = None,
-                       controls: Tensor | None = None) -> dict:
+    def forward_window(self, pose_window, prev_quats=None, translations=None,
+                       controls=None) -> dict:
         """Condition on a (B, T, pose_dim) window from ``init_state`` and
         predict the frame after it, as T steps would, but with one head
         output. Side inputs are per frame, (B, T, 2) and (B, T, 6);
         ``prev_quats`` (B, A, 4) is the last frame's. The recurrent backbone
         builds each frame's inputs as ``step`` does; the convolutional one
         reads the last ``receptive_field`` frames. T below
-        ``config.min_conditioning_frames`` is a ValueError."""
+        ``config.min_conditioning_frames`` is a ValueError. Inputs may be
+        Tensors or arrays; outputs are as ``step``'s."""
         cfg = self.config
         b, t = pose_window.shape[:2]
         if t < cfg.min_conditioning_frames:
             raise ValueError(f"the {cfg.backbone} backbone needs >= "
                              f"{cfg.min_conditioning_frames} frames, got {t}")
-        state = self.init_state(b)
+        state, tape = self.init_state(b), ad._recording
         if cfg.backbone == "recurrent":
             _, state = self._gru.sequence(
                 self._inputs(pose_window, prev_quats, translations, controls), state)
             raw = _linear(self.params, "head", state[-1])
+            finite = all(np.isfinite(ad._array(s)).all() for s in state)
         else:
-            rf = cfg.receptive_field
-            raw, state = self._conv_stack(self._inputs(pose_window[:, t - rf:], prev_quats),
-                                          state)
-        if not all(np.isfinite(s.data).all() for s in state):
+            x = self._inputs(pose_window[:, t - cfg.receptive_field:], prev_quats)
+            if tape:
+                raw, state = self._conv_stack(x, state)
+                finite = all(np.isfinite(s.data).all() for s in state)
+            else:
+                raw, state = self._conv_frames(x, state)
+                finite = np.isfinite(np.concatenate([f for s in state for f in s], axis=-1)).all()
+        if not finite:
             raise ad.NumericalError("non-finite network state")
         return self._head_to_pose(raw, prev_quats, state)
 
     # -- convolutional path ------------------------------------------------
 
     def _conv_stack(self, x: Tensor, history: list) -> tuple:
-        """The causal convolutions over x (B, T, C), each of width 2:
-        y[t] = w0.x[t-d] + w1.x[t] + b. All but the last (linear) layer
-        are leaky ReLUs, and additive skips connect every other same-width
-        layer (1->3, 2->4). Layer l reads the frames before x from
+        """The causal convolutions over x (B, T, C) on the tape, each of
+        width 2: y[t] = w0.x[t-d] + w1.x[t] + b. All but the last (linear)
+        layer are leaky ReLUs, and additive skips connect every other
+        same-width layer. Layer l reads the frames before x from
         ``history[l]`` (B, d, C). Returns the last layer's output for the
-        last frame (B, out) and each layer's inputs over the last d frames.
-        Off the tape, arrays pass from layer to layer through
-        ``autodiff._conv_forward``, and only the results are Tensors."""
-        t, tape = x.shape[1], ad._recording
-        if not tape:
-            x, history = x.data, [past.data for past in history]
+        last frame (B, out) and each layer's inputs over the last d frames."""
+        t = x.shape[1]
         outs, new_history = [], []
-        last = len(history) - 1
-        for layer, (past, (w0, w1, b)) in enumerate(zip(history, self._conv_params)):
-            slope = LEAKY_SLOPE if layer < last else None
-            skip = outs[layer - 2] if layer in (2, 3) else None
-            if not tape:
-                new_history.append(Tensor(np.concatenate([past, x], axis=1)[:, t:]))
-                x = ad._conv_forward(x, past, w0.data, w1.data, b.data, slope, skip)[0]
-            else:
-                if x.requires_grad or past.requires_grad:
-                    new_history.append(ad.concat([past, x], axis=1)[:, t:])
-                else:  # constant inputs: a plain array
-                    new_history.append(Tensor(np.concatenate([past.data, x.data], axis=1)[:, t:]))
-                x = ad.causal_conv(x, past, w0, w1, b, slope, skip)
+        for past, ((w0, w1, b), slope, skip) in zip(history, self._conv_layers):
+            if x.requires_grad or past.requires_grad:
+                new_history.append(ad.concat([past, x], axis=1)[:, t:])
+            else:  # constant inputs: a plain array
+                new_history.append(Tensor(np.concatenate([past.data, x.data], axis=1)[:, t:]))
+            x = ad.causal_conv(x, past, w0, w1, b, slope, None if skip is None else outs[skip])
             outs.append(x)
-        return (x[:, -1] if tape else Tensor(x[:, -1])), new_history
+        return x[:, -1], new_history
+
+    def _conv_frames(self, x: np.ndarray, frames: list) -> tuple:
+        """``_conv_stack`` off the tape, on arrays through the node's kernel
+        ``autodiff._conv_forward``: layer l reads its lag tap from
+        ``frames[l]``, its last d input frames (B, 1, C), or a (B, d, C)
+        state built on the tape. A one-frame x passes the oldest frame as
+        the lag tap and appends itself, so a step concatenates nothing.
+        Returns the last frame's output (B, out) and the new frame tuples."""
+        t = x.shape[1]
+        outs, new_frames = [], []
+        for past, ((w0, w1, b), slope, skip) in zip(frames, self._conv_layers):
+            if not isinstance(past, tuple):
+                past = ad._array(past)
+                past = tuple(past[:, i:i + 1] for i in range(past.shape[1]))
+            d = len(past)
+            new_frames.append(past[1:] + (x,) if t == 1 else
+                              (past + tuple(x[:, i:i + 1] for i in range(max(t - d, 0), t)))[-d:])
+            x = ad._conv_forward(x, past[0] if t == 1 else np.concatenate(past, axis=1),
+                                 w0.data, w1.data, b.data, slope,
+                                 None if skip is None else outs[skip])[0]
+            outs.append(x)
+        return x[:, -1], new_frames
 
 
 # -- checkpoints ------------------------------------------------------------------

@@ -52,12 +52,15 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
     ``clip_norm``; ``inf`` clips nothing).
 
     Raises :class:`NumericalError` on non-finite gradients instead of
-    corrupting the parameters.
+    corrupting the parameters. The norm is finite unless a gradient is not
+    or its squares overflow, so only then are the gradients scanned, to
+    name the parameter.
     """
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient for parameter {name!r}")
     norm = global_norm(grads)
+    if not np.isfinite(norm):
+        for name, g in grads.items():
+            if not np.all(np.isfinite(g)):
+                raise NumericalError(f"non-finite gradient for parameter {name!r}")
     grads = _clipped(grads, clip_norm, norm)
     state.step += 1
     bias1 = 1.0 - BETA1 ** state.step

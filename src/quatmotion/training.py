@@ -167,9 +167,9 @@ def _aux_inputs(net: PoseNetwork, batch: int, frames,
         if root_positions is not None:
             pos = np.asarray(root_positions)
             trans[..., 0] = pos[:, np.minimum(frames, pos.shape[1] - 1), 1]
-        kw["translations"] = Tensor(trans)
+        kw["translations"] = trans
     if cfg.include_controls:
-        kw["controls"] = Tensor(np.zeros(shape + (CONTROL_DIM,)))
+        kw["controls"] = np.zeros(shape + (CONTROL_DIM,))
     return kw
 
 
@@ -184,7 +184,8 @@ def _autoregress(net: PoseNetwork, enc: np.ndarray, quats: np.ndarray, n: int,
     network encoding. Between predictions each sequence is fed its
     ground-truth next frame with probability p, otherwise its own
     prediction. Without an rng the prediction is always fed back
-    (free-run; callers run it under ``autodiff.no_grad()``). With one, the
+    (free-run; callers run it under ``autodiff.no_grad()``, where the
+    network takes and returns plain arrays). With one, the
     recurrent backbone keeps fed-back predictions on the tape, one
     ``autodiff.select`` node per input picking each row from ground truth
     or prediction, and draws nothing at p >= 1, while the convolutional
@@ -196,7 +197,7 @@ def _autoregress(net: PoseNetwork, enc: np.ndarray, quats: np.ndarray, n: int,
     if steps < 1:
         raise ValueError(f"need at least one step to predict, got {steps}")
     b = enc.shape[0]
-    out = net.forward_window(Tensor(enc[:, :n]), Tensor(quats[:, n - 1]),
+    out = net.forward_window(enc[:, :n], quats[:, n - 1],
                              **_aux_inputs(net, b, np.arange(n), root_positions))
     yield out
     for f in range(n, n + steps - 1):
@@ -257,7 +258,7 @@ def free_run_predict(net: PoseNetwork, prefix_quats: np.ndarray, horizon: int) -
     ``NumericalError`` if any predicted value is not finite."""
     quats = np.asarray(prefix_quats, dtype=float)[None]
     enc = encode_pose(quats, net.config.parameterization)
-    pred = np.stack([out["quats"].data[0]
+    pred = np.stack([out["quats"][0]
                      for out in _autoregress(net, enc, quats, len(prefix_quats), horizon)])
     if not np.isfinite(pred).all():
         raise ad.NumericalError("non-finite free-run prediction")

@@ -234,6 +234,20 @@ def test_fused_node_off_the_tape_matches_taped(rng):
         assert plain.data.tobytes() == taped.data.tobytes(), name
 
 
+def test_leaky_is_the_where_form_bit_for_bit(rng):
+    # np.maximum(y, slope * y) for 0 < slope < 1 is np.where(y > 0, y,
+    # slope * y) in every bit: signed zeros, infinities, both NaN signs,
+    # subnormals (some of which the slope rounds to -0), over contiguous
+    # and strided arrays
+    tiny = np.finfo(float).smallest_subnormal
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny, 20 * tiny,
+                        -20 * tiny, 1e-310, -1e-310, 2.2e-308, -2.2e-308, 5.0, -5.0])
+    y = np.concatenate([special, rng.normal(size=1000) * 10.0 ** rng.integers(-310, 300, 1000)])
+    rng.shuffle(y)
+    for a in (special, y, y[::-1], y[::3], y.reshape(-1, 8)):
+        assert ad._leaky(a, 0.05).tobytes() == np.where(a > 0, a, 0.05 * a).tobytes()
+
+
 @pytest.mark.parametrize("t, d, slope, skip", [(2, 4, 0.05, False), (5, 2, 0.05, True),
                                                (1, 8, None, False)],
                          ids=["window", "t > d, skip", "linear"])

@@ -66,6 +66,56 @@ def test_end_site_beside_a_joint_named_parent_end_loads(tmp_path):
     assert np.abs(back[3] - rots).max() < 1e-6
 
 
+LEAF_JOINT = """HIERARCHY
+ROOT hips
+{
+  OFFSET 0.0 0.0 0.0
+  CHANNELS 6 Xposition Yposition Zposition Zrotation Yrotation Xrotation
+  JOINT foot_end
+  {
+    OFFSET 0.0 -1.0 0.0
+    CHANNELS 3 Zrotation Xrotation Yrotation
+  }
+}
+MOTION
+Frames: 1
+Frame Time: 0.04
+0.0 1.0 0.0 0.0 0.0 0.0 30.0 0.0 0.0
+"""
+
+
+def test_channelled_leaf_named_end_keeps_its_rotation(tmp_path):
+    # End Sites are the leaves without channels, whatever their names: a
+    # leaf JOINT called foot_end keeps its name, channels and rotation
+    p = tmp_path / "leaf.bvh"
+    p.write_text(LEAF_JOINT)
+    skel, fr, root, rots = load_bvh(p)
+    assert skel.names == ["hips", "foot_end"] and skel.dof_active.tolist() == [True, True]
+    save_bvh(tmp_path / "back.bvh", skel, fr, root, rots)
+    text = (tmp_path / "back.bvh").read_text()
+    assert "JOINT foot_end" in text
+    assert [float(v) for v in text.splitlines()[-1].split()[6:]] == [30.0, 0.0, 0.0]
+    back_skel, _, _, back = load_bvh(tmp_path / "back.bvh")
+    j = back_skel.names.index("foot_end")
+    assert back_skel.dof_active[j]
+    assert np.abs(back[:, j] - rots[:, 1]).max() < 1e-6
+
+
+def test_joints_without_channels_are_written_as_end_sites(tmp_path, simple_bvh, gait):
+    # an imported End Site and the synth skeleton's head_end
+    save_bvh(tmp_path / "simple.bvh", *load_bvh(simple_bvh))
+    back = load_bvh(tmp_path / "simple.bvh")[0]
+    assert back.names == ["hips", "chest", "chest_end"] and not back.dof_active[2]
+    assert "JOINT chest_end" not in (tmp_path / "simple.bvh").read_text()
+    skel, clip, _ = gait
+    md.save_bvh(tmp_path / "gait.bvh", clip)
+    assert "JOINT head_end" not in (tmp_path / "gait.bvh").read_text()
+    back = load_bvh(tmp_path / "gait.bvh")[0]
+    head = skel.names.index("head_end")
+    end_site = back.names.index(f"{skel.names[skel.parents[head]]}_end")
+    assert "head_end" not in back.names and not back.dof_active[end_site]
+
+
 def test_antipodal_flip_loads_sign_continuous(tmp_path):
     # chest turns 179 -> -179 degrees about z: the raw quaternions of the
     # two frames are nearly antipodal, the loaded clip's are not

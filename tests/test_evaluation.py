@@ -172,6 +172,16 @@ def test_position_network_free_run(corpus):
     assert len(calls) == 3
 
 
+def test_position_free_run_off_the_tape_is_free_run_on_it(corpus):
+    # off the tape the GRU stack and head run on arrays: the recorded
+    # run's bytes
+    skel, clips = corpus
+    net = ev.PositionNetwork(skel.num_joints, hidden=16, seed=0)
+    pos = clips[0].positions()[:10]
+    taped = ev.PositionNetwork.free_run.__wrapped__(net, pos, 5)
+    assert net.free_run(pos, 5).tobytes() == taped.tobytes()
+
+
 def test_bone_length_spread_zero_for_fk(corpus):
     skel, clips = corpus
     assert ev.bone_length_spread(clips[0].positions(), skel) < 1e-9

@@ -422,7 +422,8 @@ def test_generation_steps_once_per_frame_with_its_own_control(corpus, monkeypatc
 
     def record_step(self, pose, state, **kw):
         out = step(self, pose, state, **kw)
-        calls.append((kw["prev_quats"].data[0], kw["controls"].data[0], out["quats"].data[0]))
+        # generation runs off the tape: inputs and outputs are plain arrays
+        calls.append((kw["prev_quats"][0], kw["controls"][0], out["quats"][0]))
         return out
 
     monkeypatch.setattr(lo, "_pace_schedule", record_schedule)
@@ -436,6 +437,31 @@ def test_generation_steps_once_per_frame_with_its_own_control(corpus, monkeypatc
     for g, (quats, control, _) in enumerate(calls):
         frame = init.active_rotations[g] if g < 6 else calls[g - 1][2]
         assert np.array_equal(quats, frame) and np.array_equal(control, controls[g])
+
+
+def test_generation_off_the_tape_is_generation_on_it(corpus):
+    skel, clips = corpus
+    pose_net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(
+        skel.num_active, hidden=8, include_controls=True, include_translations=True), seed=0)
+    pace_net = lo.PaceNetwork(lo.PaceNetworkConfig(), seed=0)
+    spline = fit_spline(np.stack([np.linspace(0, 4, 60), np.zeros(60), np.zeros(60)], 1), 0.25)
+    init = clips[0].slice(0, 6)
+    args = (pose_net, pace_net, spline, init, 12, init.frame_rate)
+    free, taped = lo.generate_locomotion(*args), lo.generate_locomotion.__wrapped__(*args)
+    assert free.rotations.tobytes() == taped.rotations.tobytes()
+    assert free.root_positions.tobytes() == taped.root_positions.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["bidirectional", "online"])
+def test_pace_forward_off_the_tape_is_forward_on_it(rng, variant):
+    net = lo.PaceNetwork(lo.PaceNetworkConfig(variant=variant), seed=0)
+    curv = rng.normal(size=12)
+    taped = net.forward(curv)
+    assert taped["raw"]._parents
+    with ad.no_grad():
+        free = net.forward(curv)
+    assert {k: v.tobytes() for k, v in free.items()} == {k: v.data.tobytes()
+                                                          for k, v in taped.items()}
 
 
 def _generate_reference(pose_net, pace_net, spline, init_clip, num_frames, frame_rate):
@@ -521,6 +547,30 @@ def test_generation_matches_reference_loop(corpus):
             generate(pose_net, pace_net, spline, init, 150, 25.0)
         messages.append(str(err.value))
     assert messages[0] == messages[1] and not messages[0].endswith("at frame 0")
+
+
+def test_off_tape_conv_state_is_frames_and_never_written(rng):
+    # off the tape each layer's state is a tuple of its last d input
+    # frames; stepping twice from one state gives equal bytes, and a
+    # (B, d, C) state built on the tape is taken too
+    cfg = mo.PoseNetworkConfig.desk(4, channels=16, backbone="convolutional")
+    net = mo.PoseNetwork(cfg, seed=0)
+    q = random_unit_quats(rng, (3, 33, 4))
+    pose = mo.encode_pose(q, "quaternion").reshape(3, 33, -1)
+    taped = net.forward_window(pose[:, :32], prev_quats=q[:, 31])
+    on_tape = net.step(pose[:, 32], taped["state"], prev_quats=q[:, 32])
+    with ad.no_grad():
+        free = net.forward_window(pose[:, :32], prev_quats=q[:, 31])
+        steps = [net.step(pose[:, 32], state, prev_quats=q[:, 32])
+                 for state in (free["state"], free["state"], taped["state"])]
+    assert [len(s) for s in free["state"]] == cfg.dilations
+    for frames, want, c in zip(free["state"], taped["state"], cfg.conv_dims):
+        assert all(f.shape == (3, 1, c) for f in frames)
+        assert np.concatenate(frames, axis=1).tobytes() == want.data.tobytes()
+    for out in steps:
+        assert out["quats"].tobytes() == on_tape["quats"].data.tobytes()
+        for frames, want in zip(out["state"], on_tape["state"]):
+            assert np.concatenate(frames, axis=1).tobytes() == want.data.tobytes()
 
 
 @pytest.mark.parametrize("backbone,mode,sides", [

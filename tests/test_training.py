@@ -262,6 +262,29 @@ def test_adam_step_returns_pre_clip_norm():
     assert adam_step(params, grads, AdamState(), lr=1e-3, clip_norm=0.1) == 5.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_step_names_a_non_finite_gradient(bad):
+    grads = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, bad]), "c": np.array([1.0])}
+    params = {k: np.zeros_like(g) for k, g in grads.items()}
+    state = AdamState()
+    with pytest.raises(NumericalError, match="non-finite gradient for parameter 'b'"):
+        adam_step(params, grads, state, lr=1e-3, clip_norm=1.0)
+    assert state.step == 0 and not any(p.any() for p in params.values())
+
+
+def test_adam_step_takes_finite_gradients_whose_squares_overflow():
+    # the norm overflows to inf although every gradient is finite: the step
+    # is taken, clipped to nothing, as when every gradient was scanned first
+    grads = {"a": np.array([1e200, -1e200]), "b": np.array([0.5])}
+    params = {k: np.ones_like(g) for k, g in grads.items()}
+    state = AdamState()
+    with np.errstate(over="ignore"):
+        assert adam_step(params, grads, state, lr=1e-3, clip_norm=1.0) == np.inf
+    assert state.step == 1
+    assert all(np.array_equal(p, np.ones_like(p)) for p in params.values())
+    assert all(not m.any() for m in state.m.values())
+
+
 # the conv backbone conditions on its whole 32-frame receptive field
 BACKBONES = pytest.mark.parametrize("backbone,n", [("recurrent", 6), ("convolutional", 32)],
                                     ids=["recurrent", "convolutional"])
@@ -471,22 +494,32 @@ def test_resume_cuts_a_torn_last_row(tmp_path, corpus):
     assert all(len(r) == len(tr.LOG_COLUMNS) for r in rows)
 
 
-@pytest.mark.parametrize("kw", [
-    dict(), dict(include_translations=True, include_controls=True),
-    dict(backbone="convolutional"), dict(mode="absolute", parameterization="expmap")],
-    ids=["gru-velocity", "gru-side-inputs", "conv-velocity", "gru-expmap-absolute"])
-def test_free_run_off_the_tape_is_free_run_on_it(corpus, kw):
+@pytest.mark.parametrize("kw, batch", [
+    (dict(), 1), (dict(include_translations=True, include_controls=True), 1),
+    (dict(backbone="convolutional"), 1), (dict(mode="absolute", parameterization="expmap"), 1),
+    (dict(mode="absolute", parameterization="euler-yzx"), 1),
+    (dict(include_translations=True, include_controls=True), 3),
+    (dict(backbone="convolutional"), 3)],
+    ids=["gru-velocity", "gru-side-inputs", "conv-velocity", "gru-expmap-absolute",
+         "gru-euler-absolute", "gru-side-inputs-batch3", "conv-velocity-batch3"])
+def test_free_run_off_the_tape_is_free_run_on_it(corpus, kw, batch):
     # the same fed-back loop with the tape recorded gives the same bytes
     skel, clips = corpus
     net = mo.PoseNetwork(mo.PoseNetworkConfig.desk(skel.num_active, hidden=16, channels=16,
                                                    **kw), seed=0)
     n = net.config.receptive_field if net.config.backbone == "convolutional" else 10
-    prefix = clips[0].active_rotations[None, 5:5 + n]
+    prefix = np.stack([clips[0].active_rotations[5 + 9 * i:5 + 9 * i + n] for i in range(batch)])
     enc = mo.encode_pose(prefix, net.config.parameterization)
     outs = list(tr._autoregress(net, enc, prefix, n, 8))
     assert outs[-1]["quats"]._parents
-    taped = np.stack([out["quats"].data[0] for out in outs])
-    assert tr.free_run_predict(net, prefix[0], 8).tobytes() == taped.tobytes()
+    keys = [k for k in ("quats", "translations") if outs[0][k] is not None]
+    taped = [np.stack([out[k].data for out in outs]) for k in keys]
+    with ad.no_grad():
+        free = [np.stack([out[k] for out in tr._autoregress(net, enc, prefix, n, 8)])
+                for k in keys]
+    assert [a.tobytes() for a in free] == [a.tobytes() for a in taped]
+    if batch == 1:
+        assert tr.free_run_predict(net, prefix[0], 8).tobytes() == taped[0][:, 0].tobytes()
 
 
 def _window_recompute(net, prefix, horizon):
@@ -525,9 +558,11 @@ def test_free_run_records_no_tape(corpus, backbone, n):
                 calls.append((_n, _m(*a, **k))) or calls[-1][1])
     tr.free_run_predict(net, clips[0].active_rotations[:n], 6)
     assert [name for name, _ in calls] == ["forward_window"] + ["step"] * 5
-    tensors = [t for _, out in calls for v in out.values()
-               for t in (v if isinstance(v, list) else [v]) if t is not None]
-    assert tensors and all(t._parents == () and not t.requires_grad for t in tensors)
+    # off the tape every output is a plain array, the state's frames included
+    values = [v for _, out in calls for v in out.values() if v is not None]
+    arrays = [a for v in values for s in (v if isinstance(v, list) else [v])
+              for a in (s if isinstance(s, tuple) else [s])]
+    assert arrays and all(type(a) is np.ndarray for a in arrays)
 
     # the switch is off again: a rollout after free-run records its tape
     rots = clips[0].active_rotations[None, :n + 2]
