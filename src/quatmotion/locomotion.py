@@ -450,7 +450,8 @@ def _pace_schedule(spline, pace: dict, steps: int, frame_rate: float):
         theta += 2.0 * np.pi * freq[i] / frame_rate
     tangent = spline.tangents[seg]
     gait = speed[seg][:, None] * np.stack([np.cos(phase), np.sin(phase)], axis=1)
-    return arc, np.concatenate([tangent, _rotate2(ad._array(pace["facing"])[seg], tangent), gait], axis=1)
+    facing = _rotate2(ad._array(pace["facing"])[seg], tangent)
+    return arc, np.concatenate([tangent, facing, gait], axis=1)
 
 
 @ad.no_grad()
@@ -500,7 +501,8 @@ def generate_locomotion(pose_net: PoseNetwork, pace_net: PaceNetwork, spline,
         else:
             pose, quats, trans = out["feedback"], out["quats"], out["translations"]
             q, t = ad._array(quats)[0], ad._array(trans)[0]
-            if not np.isfinite(q).all() or not np.isfinite(t).all() or np.abs(t).max() > height_limit:
+            if (not np.isfinite(q).all() or not np.isfinite(t).all()
+                    or np.abs(t).max() > height_limit):
                 raise GenerationDivergedError(
                     f"pose or translation left the {height_limit:.3g} envelope "
                     f"at frame {g - n_init}")

@@ -343,9 +343,10 @@ class PoseNetwork(ParamContainer):
         cfg = self.config
         if cfg.backbone == "recurrent":
             return self._gru.init_state(batch_size)
+        layers = zip(cfg.dilations, cfg.conv_dims)
         if ad._recording:
-            return [ad.zeros((batch_size, d, fin)) for d, fin in zip(cfg.dilations, cfg.conv_dims)]
-        return [(np.zeros((batch_size, 1, fin)),) * d for d, fin in zip(cfg.dilations, cfg.conv_dims)]
+            return [ad.zeros((batch_size, d, fin)) for d, fin in layers]
+        return [(np.zeros((batch_size, 1, fin)),) * d for d, fin in layers]
 
     def _head_to_pose(self, raw, prev_quats, state: list) -> dict:
         cfg = self.config
