@@ -5,13 +5,12 @@ The "tape" is the implicit operation graph: every op returns a
 ``backward()`` on a scalar output traverses the graph once in reverse
 topological order and accumulates gradients into the ``requires_grad``
 leaves. A graph can be backpropagated through only once. Inside
-``with no_grad():`` nothing is recorded: every op returns a plain leaf.
-Free-run prediction and generation do not go through the ops there at
-all: off the tape the networks (``models``) pass plain arrays to the
-array kernels that the fused nodes wrap (:func:`_gru_forward` and
-:func:`_gru_states`, :func:`_conv_forward`, :func:`_quat_head_forward`,
-:func:`_leaky` and the :mod:`rotmath` conversions), so their values are
-those of the recorded nodes, byte for byte.
+``with no_grad():`` (free-run prediction and generation) nothing is
+recorded and every op returns its plain numpy value, the bytes of the
+node it would record, so the networks run one forward in both modes. The
+ops hot off the tape (:func:`gru_cell`, :func:`gru_sequence`,
+:func:`quat_head`, :func:`linear`, :func:`reshape`, :func:`concat`,
+:func:`leaky_relu`) return their array kernel's value first thing.
 
 Larger operations are single nodes with hand-written adjoints over numpy
 and the :mod:`rotmath` kernels: the quaternion head (:func:`quat_head`,
@@ -64,6 +63,8 @@ class Tensor:
     """A numpy array plus its position in the autodiff graph."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fns", "_consumed")
+
+    __array_ufunc__ = None  # ndarray <op> Tensor: numpy defers to the operators below
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=float)
@@ -177,8 +178,8 @@ def _array(x) -> np.ndarray:
 
 @contextlib.contextmanager
 def no_grad():
-    """Record no tape while active: every op returns a plain leaf with no
-    parents. The previous state comes back on exit, also on an exception."""
+    """Record no tape while active: every op returns its plain numpy value.
+    The previous state comes back on exit, also on an exception."""
     global _recording
     previous, _recording = _recording, False
     try:
@@ -188,11 +189,11 @@ def no_grad():
 
 
 def _make(data, parents, grad_fns) -> Tensor:
-    """Build an op output; graph edges are kept only toward grad-requiring
-    or non-leaf parents so constant subgraphs are pruned."""
-    out = Tensor(data)
+    """Build an op output, off the tape ``data`` itself; graph edges are kept
+    only toward grad-requiring or non-leaf parents (constants are pruned)."""
     if not _recording:
-        return out
+        return data
+    out = Tensor(data)
     kept = [(p, f) for p, f in zip(parents, grad_fns) if p.requires_grad or p._parents]
     if kept:
         out._parents = tuple(p for p, _ in kept)
@@ -240,6 +241,13 @@ def div(a, b) -> Tensor:
     )
 
 
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b``: a matmul node and an add node."""
+    if not _recording:
+        return _array(x) @ _array(w) + _array(b)
+    return add(matmul(x, w), b)
+
+
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data @ b.data
@@ -281,6 +289,8 @@ def _leaky(y, slope):
 
 
 def leaky_relu(a, slope: float = 0.05) -> Tensor:
+    if not _recording:
+        return _leaky(_array(a), slope)
     a = as_tensor(a)
     return _make(_leaky(a.data, slope), (a,),
                  (lambda g: g * np.where(a.data > 0.0, 1.0, slope),))
@@ -336,11 +346,15 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def reshape(a, shape) -> Tensor:
+    if not _recording:
+        return _array(a).reshape(shape)
     a = as_tensor(a)
     return _make(a.data.reshape(shape), (a,), (lambda g: g.reshape(a.data.shape),))
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
+    if not _recording:
+        return np.concatenate([_array(t) for t in tensors], axis=axis)
     tensors = [as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
 
@@ -434,6 +448,8 @@ def quat_head(raw, prev=None) -> Tensor:
     prev))`` on ``(..., 4)`` arrays, or ``qnormalize(raw)`` without ``prev``
     (absolute mode). The product's adjoints are g_a = g x b* and
     g_b = a* x g."""
+    if not _recording:
+        return _quat_head_forward(_array(raw), None if prev is None else _array(prev))[0]
     raw = as_tensor(raw)
     if prev is None:
         unit, _, n1, _ = _quat_head_forward(raw.data)
@@ -577,6 +593,8 @@ def gru_cell(x, h, wx, wh, b) -> Tensor:
     to them. The backward computes the gate adjoints once and derives all
     five input gradients from them.
     """
+    if not _recording:
+        return _gru_forward(_array(x) @ _array(wx) + _array(b), _array(h), _array(wh))[0]
     x, h, wx, wh, b = (as_tensor(t) for t in (x, h, wx, wh, b))
     data, saved = _gru_forward(x.data @ wx.data + b.data, h.data, wh.data)
     memo = [None, None]
@@ -608,6 +626,8 @@ def gru_sequence(xs, h0, wx, wh, b) -> Tensor:
     time over the state's adjoint, then one matmul each for the gradients
     of ``xs``, ``wx`` and ``wh``.
     """
+    if not _recording:
+        return _gru_states(*(_array(t) for t in (xs, h0, wx, wh, b)))[:, 1:]
     xs, h0, wx, wh, b = (as_tensor(t) for t in (xs, h0, wx, wh, b))
     bsz, steps, inputs = xs.data.shape
     hidden = wh.data.shape[0]
@@ -698,10 +718,6 @@ def causal_conv(x, past, w0, w1, b, slope=None, skip=None) -> Tensor:
         parents.append(skip)
         grad_fns.append(lambda g: _unbroadcast(g, skip.data.shape))
     return _make(data, tuple(parents), tuple(grad_fns))
-
-
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape))
 
 
 def parameter(data, rng: np.random.Generator | None = None, scale: float | None = None) -> Tensor:

@@ -396,20 +396,17 @@ class PaceNetwork(ParamContainer):
             gru = self._grus[prefix]
             return gru.sequence(x, gru.init_state(1))[0][0]
 
-        tape, fwd = ad._recording, run("fwd", curv)
+        fwd = run("fwd", curv)
         if self.config.variant == "bidirectional":
-            feats = (ad.concat if tape else np.concatenate)(
-                [fwd, run("bwd", curv[:, ::-1])[::-1]], axis=-1)
+            feats = ad.concat([fwd, run("bwd", curv[:, ::-1])[::-1]], axis=-1)
         else:
             feats = fwd[np.minimum(np.arange(s) + self.config.delay, s - 1)]
         raw = _linear(self.params, "head", feats)
         # tiny forward bias keeps the norm nonzero when the head outputs
         # an exactly zero facing (e.g. an untrained net on zero curvature)
         fac = raw[:, :2] + np.array([1e-9, 0.0])
-        norm = (ad.l2norm(fac, axis=-1, keepdims=True) if tape
-                else np.linalg.norm(fac, axis=-1, keepdims=True))
-        return {"facing": fac / norm, "frequency": raw[:, 2], "speed": raw[:, 3],
-                "raw": raw}
+        return {"facing": fac / ad.l2norm(fac, axis=-1, keepdims=True),
+                "frequency": raw[:, 2], "speed": raw[:, 3], "raw": raw}
 
 
 def save_pace_checkpoint(path, net: PaceNetwork, config: PaceTrainConfig) -> None:

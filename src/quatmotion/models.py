@@ -12,19 +12,19 @@ Paine et al. 2016). In velocity mode the quaternion head multiplies onto
 the previous pose, so the network outputs deltas. Exponential-map and
 Euler heads decode through the rotmath conversions.
 
-On the tape (training), the recurrent window is one GRU sequence node per
-layer (``autodiff.gru_sequence``), a step one cell node per layer, each
-convolution layer one ``autodiff.causal_conv`` node and the head one
-``autodiff.quat_head`` node; outputs are Tensors, and a convolutional
-layer's state is its input frames as one (B, d, C) Tensor. Off the tape
-(inside ``autodiff.no_grad()``: free-run prediction and generation) the
-same methods take Tensors or plain arrays and return plain arrays, through
-the array kernels those nodes wrap, so the values are the recorded nodes'
-byte for byte. There a convolutional layer's state is a tuple of its last
-d input frames, each (B, 1, C), oldest first: a step reads the oldest as
-its lag tap and appends its own input by tuple slicing, concatenating
-nothing, and never writes to a state, so one state can be stepped from
-twice. A (B, d, C) state built on the tape is taken too.
+Each network has one forward, written against the ``autodiff`` ops (a
+GRU window is one ``gru_sequence`` node per layer, a step one ``gru_cell``
+node per layer, the head one ``quat_head`` node): it returns Tensors on
+the tape, and inside ``autodiff.no_grad()`` (free-run prediction and
+generation) plain arrays, the recorded nodes' values byte for byte. The
+one exception is the convolutional state, chosen in ``PoseNetwork._conv``.
+On the tape each layer is one ``autodiff.causal_conv`` node and its state
+one (B, d, C) Tensor of its input frames. Off it the layers call that
+node's kernel ``autodiff._conv_forward``, and a layer's state is a tuple
+of its last d input frames (B, 1, C), oldest first: a step reads the
+oldest as its lag tap and appends its input, concatenating nothing and
+writing to no state, so one state can be stepped from twice. A (B, d, C)
+state, as ``init_state`` and the tape build it, is taken too.
 
 Optional side inputs, recurrent backbone only: 2 translation channels
 (root height, trajectory offset) and a 6-feature control frame passed
@@ -79,20 +79,18 @@ def encode_pose(quats: np.ndarray, parameterization: str) -> np.ndarray:
 
 
 def decode_pose_t(flat: Tensor, num_joints: int, parameterization: str) -> Tensor:
-    """Flat network pose outputs to quaternions (..., A, 4), autodiff; off
-    the tape, arrays through the rotmath kernels that the nodes wrap.
+    """Flat network pose outputs to quaternions (..., A, 4), autodiff.
 
     Quaternion outputs are returned raw (pre-normalization) so velocity
     composition and the unit-norm penalty see the head's actual values.
     """
     p = pose_dim_per_joint(parameterization)
-    shape, tape = flat.shape[:-1] + (num_joints, p), ad._recording
-    shaped = ad.reshape(flat, shape) if tape else ad._array(flat).reshape(shape)
+    shaped = ad.reshape(flat, flat.shape[:-1] + (num_joints, p))
     if parameterization == "quaternion":
         return shaped
     if parameterization == "expmap":
-        return (ad.expmap_to_quat if tape else rm.expmap_to_quat)(shaped)
-    return (ad.euler_to_quat if tape else rm.euler_to_quat)(shaped, parameterization.split("-")[1])
+        return ad.expmap_to_quat(shaped)
+    return ad.euler_to_quat(shaped, parameterization.split("-")[1])
 
 
 # -- configs -----------------------------------------------------------------
@@ -191,8 +189,7 @@ def expected_param_count(config: PoseNetworkConfig) -> int:
 class _GruStack:
     """Stacked GRU layers over the ``{prefix}.wx/.wh/.b/.h0`` entries of a
     network's params dict, one fused tape node per cell; each layer feeds
-    the next. Off the tape, inputs, states and outputs are plain arrays,
-    through the kernels that the nodes wrap."""
+    the next."""
 
     def __init__(self, params: dict, prefixes: list, hidden: int):
         self.params, self.prefixes, self.hidden = params, prefixes, hidden
@@ -202,17 +199,14 @@ class _GruStack:
     def init_state(self, batch_size: int) -> list:
         """Per-layer hidden states: the learned h0 broadcast over the batch."""
         zeros = np.zeros((batch_size, self.hidden))
-        return [(h0 if ad._recording else h0.data) + zeros
-                for h0 in (self.params[f"{prefix}.h0"] for prefix in self.prefixes)]
+        return [self.params[f"{prefix}.h0"] + zeros for prefix in self.prefixes]
 
     def step(self, x, state: list) -> list:
         """Advance every layer by one step; returns the new per-layer states,
         the last of which is the stack's output."""
-        new_state, tape = [], ad._recording
-        x = x if tape else ad._array(x)
+        new_state = []
         for (wx, wh, b), h in zip(self._layers, state):
-            x = (ad.gru_cell(x, h, wx, wh, b) if tape
-                 else ad._gru_forward(x @ wx.data + b.data, ad._array(h), wh.data)[0])
+            x = ad.gru_cell(x, h, wx, wh, b)
             new_state.append(x)
         return new_state
 
@@ -220,28 +214,21 @@ class _GruStack:
         """Run every layer over a (B, T, I) sequence, one tape node per
         layer; returns the last layer's states (B, T, H) and each layer's
         state after the last step."""
-        new_state, tape = [], ad._recording
-        x = x if tape else ad._array(x)
+        new_state = []
         for (wx, wh, b), h in zip(self._layers, state):
-            x = (ad.gru_sequence(x, h, wx, wh, b) if tape
-                 else ad._gru_states(x, ad._array(h), wx.data, wh.data, b.data)[:, 1:])
+            x = ad.gru_sequence(x, h, wx, wh, b)
             new_state.append(x[:, -1])
         return x, new_state
 
 
 def _linear(params: dict, prefix: str, x):
-    w, b = params[f"{prefix}.w"], params[f"{prefix}.b"]
-    if ad._recording:
-        return ad.matmul(x, w) + b
-    return ad._array(x) @ w.data + b.data
+    return ad.linear(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
 
 
 def encode_controls(params: dict, controls):
     """6-feature control frame -> 30-vector, two leaky-ReLU layers."""
     for prefix in ("enc.l1", "enc.l2"):
-        controls = _linear(params, prefix, controls)
-        controls = (ad.leaky_relu(controls, LEAKY_SLOPE) if ad._recording
-                    else ad._leaky(controls, LEAKY_SLOPE))
+        controls = ad.leaky_relu(_linear(params, prefix, controls), LEAKY_SLOPE)
     return controls
 
 
@@ -337,16 +324,13 @@ class PoseNetwork(ParamContainer):
     def init_state(self, batch_size: int) -> list:
         """The state before the first frame. Recurrent: per-layer hidden
         states, the learned h0 broadcast over the batch. Convolutional: per
-        layer, its inputs over the last ``dilation`` frames, all zero, which
-        is the same as causal zero padding: (B, d, C) on the tape, and off
-        it a tuple of d frames (B, 1, C), oldest first."""
+        layer, its inputs over the last ``dilation`` frames as one
+        (B, d, C) array, all zero, which is the same as causal zero
+        padding."""
         cfg = self.config
         if cfg.backbone == "recurrent":
             return self._gru.init_state(batch_size)
-        layers = zip(cfg.dilations, cfg.conv_dims)
-        if ad._recording:
-            return [ad.zeros((batch_size, d, fin)) for d, fin in layers]
-        return [(np.zeros((batch_size, 1, fin)),) * d for d, fin in layers]
+        return [np.zeros((batch_size, d, fin)) for d, fin in zip(cfg.dilations, cfg.conv_dims)]
 
     def _head_to_pose(self, raw, prev_quats, state: list) -> dict:
         cfg = self.config
@@ -359,19 +343,14 @@ class PoseNetwork(ParamContainer):
             # non-quaternion heads are unit by construction after decoding
             out.update(raw_quats=None, quats=raw_q, feedback=pose_raw)
             return out
-        prev = prev_quats if cfg.mode == "velocity" else None
-        if ad._recording:
-            quats = ad.quat_head(raw_q, prev)
-            feedback = ad.reshape(quats, quats.shape[:-2] + (cfg.pose_dim,))
-        else:
-            quats = ad._quat_head_forward(raw_q, None if prev is None else ad._array(prev))[0]
-            feedback = quats.reshape(quats.shape[:-2] + (cfg.pose_dim,))
+        quats = ad.quat_head(raw_q, prev_quats if cfg.mode == "velocity" else None)
+        feedback = ad.reshape(quats, quats.shape[:-2] + (cfg.pose_dim,))
         out.update(raw_quats=raw_q, quats=quats, feedback=feedback)
         return out
 
     def _inputs(self, pose, prev_quats, translations=None, controls=None):
         """Check a (..., pose_dim) pose input and append the side inputs the
-        config expects; off the tape, as one array."""
+        config expects."""
         cfg = self.config
         if pose.shape[-1] != cfg.pose_dim:
             raise ValueError("pose feature size does not match config")
@@ -386,10 +365,7 @@ class PoseNetwork(ParamContainer):
             if controls is None:
                 raise ValueError("config expects control inputs")
             parts.append(encode_controls(self.params, controls))
-        if ad._recording:
-            return ad.concat(parts, axis=-1) if len(parts) > 1 else ad.as_tensor(pose)
-        parts = [ad._array(part) for part in parts]
-        return np.concatenate(parts, axis=-1) if len(parts) > 1 else parts[0]
+        return ad.concat(parts, axis=-1) if len(parts) > 1 else pose
 
     def step(self, pose, state: list, prev_quats=None, translations=None, controls=None) -> dict:
         """One prediction step; the convolutional backbone computes one new
@@ -399,20 +375,18 @@ class PoseNetwork(ParamContainer):
         (B, pose_dim); ``prev_quats`` (B, A, 4) is required in velocity
         mode; ``state`` comes from ``forward_window`` or the previous step.
         Returns quats, raw_quats, feedback, translations, state: Tensors on
-        the tape, plain arrays off it (see ``init_state`` for the state). An
-        off-tape state is never written to, so one state can be stepped
-        from twice; it holds views of the inputs, which callers must not
-        overwrite. Unlike ``forward_window`` it does not check the state for
+        the tape, plain arrays off it (``_conv`` gives the convolutional
+        state). An off-tape state is never written to, so one state can be
+        stepped from twice; it holds views of the inputs, which callers must
+        not overwrite. Unlike ``forward_window`` it does not check the state for
         non-finite values; callers check the frames they keep.
         """
         x = self._inputs(pose, prev_quats, translations, controls)
         if self.config.backbone == "recurrent":
             state = self._gru.step(x, state)
             raw = _linear(self.params, "head", state[-1])
-        elif ad._recording:
-            raw, state = self._conv_stack(ad.reshape(x, (x.shape[0], 1, x.shape[1])), state)
         else:
-            raw, state = self._conv_frames(x.reshape(x.shape[0], 1, x.shape[1]), state)
+            raw, state = self._conv(ad.reshape(x, (x.shape[0], 1, x.shape[1])), state)
         return self._head_to_pose(raw, prev_quats, state)
 
     def forward_window(self, pose_window, prev_quats=None, translations=None,
@@ -430,25 +404,26 @@ class PoseNetwork(ParamContainer):
         if t < cfg.min_conditioning_frames:
             raise ValueError(f"the {cfg.backbone} backbone needs >= "
                              f"{cfg.min_conditioning_frames} frames, got {t}")
-        state, tape = self.init_state(b), ad._recording
+        state = self.init_state(b)
         if cfg.backbone == "recurrent":
             _, state = self._gru.sequence(
                 self._inputs(pose_window, prev_quats, translations, controls), state)
             raw = _linear(self.params, "head", state[-1])
-            finite = all(np.isfinite(ad._array(s)).all() for s in state)
         else:
-            x = self._inputs(pose_window[:, t - cfg.receptive_field:], prev_quats)
-            if tape:
-                raw, state = self._conv_stack(x, state)
-                finite = all(np.isfinite(s.data).all() for s in state)
-            else:
-                raw, state = self._conv_frames(x, state)
-                finite = np.isfinite(np.concatenate([f for s in state for f in s], axis=-1)).all()
-        if not finite:
+            raw, state = self._conv(
+                self._inputs(pose_window[:, t - cfg.receptive_field:], prev_quats), state)
+        layers = (np.concatenate(s, axis=1) if isinstance(s, tuple) else ad._array(s)
+                  for s in state)
+        if not all(np.isfinite(s).all() for s in layers):
             raise ad.NumericalError("non-finite network state")
         return self._head_to_pose(raw, prev_quats, state)
 
     # -- convolutional path ------------------------------------------------
+
+    def _conv(self, x, state: list) -> tuple:
+        """The convolutional stack over x (B, T, C) from ``state``: through
+        its tape nodes on the tape, and off it over frame tuples."""
+        return (self._conv_stack if ad._recording else self._conv_frames)(x, state)
 
     def _conv_stack(self, x: Tensor, history: list) -> tuple:
         """The causal convolutions over x (B, T, C) on the tape, each of
@@ -460,10 +435,7 @@ class PoseNetwork(ParamContainer):
         t = x.shape[1]
         outs, new_history = [], []
         for past, ((w0, w1, b), slope, skip) in zip(history, self._conv_layers):
-            if x.requires_grad or past.requires_grad:
-                new_history.append(ad.concat([past, x], axis=1)[:, t:])
-            else:  # constant inputs: a plain array
-                new_history.append(Tensor(np.concatenate([past.data, x.data], axis=1)[:, t:]))
+            new_history.append(ad.concat([past, x], axis=1)[:, t:])
             x = ad.causal_conv(x, past, w0, w1, b, slope, None if skip is None else outs[skip])
             outs.append(x)
         return x[:, -1], new_history
@@ -472,20 +444,22 @@ class PoseNetwork(ParamContainer):
         """``_conv_stack`` off the tape, on arrays through the node's kernel
         ``autodiff._conv_forward``: layer l reads its lag tap from
         ``frames[l]``, its last d input frames (B, 1, C), or a (B, d, C)
-        state built on the tape. A one-frame x passes the oldest frame as
-        the lag tap and appends itself, so a step concatenates nothing.
-        Returns the last frame's output (B, out) and the new frame tuples."""
+        state as ``init_state`` and the tape build it. A one-frame x passes
+        the oldest frame as the lag tap and appends itself, so a step from
+        frames concatenates nothing. Returns the last frame's output
+        (B, out) and the new frame tuples."""
         t = x.shape[1]
         outs, new_frames = [], []
         for past, ((w0, w1, b), slope, skip) in zip(frames, self._conv_layers):
-            if not isinstance(past, tuple):
-                past = ad._array(past)
-                past = tuple(past[:, i:i + 1] for i in range(past.shape[1]))
+            if isinstance(past, tuple):
+                taps = past[0] if t == 1 else np.concatenate(past, axis=1)
+            else:
+                taps = ad._array(past)
+                past = tuple(taps[:, i:i + 1] for i in range(taps.shape[1]))
             d = len(past)
             new_frames.append(past[1:] + (x,) if t == 1 else
                               (past + tuple(x[:, i:i + 1] for i in range(max(t - d, 0), t)))[-d:])
-            x = ad._conv_forward(x, past[0] if t == 1 else np.concatenate(past, axis=1),
-                                 w0.data, w1.data, b.data, slope,
+            x = ad._conv_forward(x, taps, w0.data, w1.data, b.data, slope,
                                  None if skip is None else outs[skip])[0]
             outs.append(x)
         return x[:, -1], new_frames

@@ -17,12 +17,22 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def global_norm(grads: dict) -> float:
+    """The joint Euclidean norm of the gradients. If their squares overflow
+    although every gradient is finite, it is taken over the gradients
+    divided by their largest magnitude and scaled back."""
+    norm = _norm(grads)
+    if not np.isfinite(norm) and all(np.isfinite(g).all() for g in grads.values()):
+        scale = max(float(np.abs(g).max()) for g in grads.values() if g.size)
+        norm = scale * _norm({k: g / scale for k, g in grads.items()})
+    return norm
+
+
+def _norm(grads: dict) -> float:
     # sorted so the accumulation order, and hence the exact float result,
     # does not depend on dict insertion order (fresh vs resumed nets)
     total = 0.0
     for name in sorted(grads):
-        g = grads[name]
-        total += float(np.sum(g * g))
+        total += float(np.sum(grads[name] * grads[name]))
     return float(np.sqrt(total))
 
 
@@ -52,9 +62,8 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
     ``clip_norm``; ``inf`` clips nothing).
 
     Raises :class:`NumericalError` on non-finite gradients instead of
-    corrupting the parameters. The norm is finite unless a gradient is not
-    or its squares overflow, so only then are the gradients scanned, to
-    name the parameter.
+    corrupting the parameters. The norm is finite unless a gradient is not,
+    so only then are the gradients scanned, to name the parameter.
     """
     norm = global_norm(grads)
     if not np.isfinite(norm):

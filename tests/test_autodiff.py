@@ -156,15 +156,13 @@ def test_constants_get_no_grad():
 
 
 def test_no_grad_records_nothing_and_restores_on_exception():
+    # what each op returns off the tape: test_op_off_the_tape_is_its_node
     x = Tensor(np.ones(3), requires_grad=True)
-    with ad.no_grad():
-        y = ad.tsum(x * 2.0)
-    assert y._parents == () and not y.requires_grad
     with pytest.raises(KeyError):
         with ad.no_grad():
             with ad.no_grad():
                 pass
-            assert not (x * 2.0).requires_grad  # the inner exit keeps it off
+            assert type(x * 2.0) is np.ndarray  # the inner exit keeps it off
             raise KeyError("inside")
     z = ad.tsum(x * 2.0)
     assert z.requires_grad
@@ -183,7 +181,7 @@ def test_gru_sequence_matches_gru_cell_loop(rng):
         if fused:
             states = ad.gru_sequence(xs, h0, wx, wh, bias)
         else:
-            state, steps = h0 + ad.zeros((b, h)), []
+            state, steps = h0 + np.zeros((b, h)), []
             for f in range(t):
                 state = ad.gru_cell(xs[:, f], state, wx, wh, bias)
                 steps.append(state)
@@ -198,40 +196,53 @@ def test_gru_sequence_matches_gru_cell_loop(rng):
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
-@pytest.mark.parametrize("node", ["gru_cell", "gru_sequence"])
-def test_gru_node_off_the_tape_matches_taped(node, rng):
+def _off_tape_cases():
+    """(id, op, argument shapes) of every op that returns its kernel's value
+    first thing off the tape, and of conversion nodes that decode_pose_t
+    runs there through _make."""
     b, t, i, h = 3, 6, 4, 5
-    x = rng.normal(size=(b, i) if node == "gru_cell" else (b, t, i))
-    args = [x, rng.normal(size=(b, h)), rng.normal(size=(i, 3 * h)),
-            rng.normal(size=(h, 3 * h)), rng.normal(size=3 * h)]
-    taped = getattr(ad, node)(*(Tensor(a, requires_grad=True) for a in args))
-    with ad.no_grad():
-        free = getattr(ad, node)(*(Tensor(a, requires_grad=True) for a in args))
-    assert taped._parents and free._parents == () and not free.requires_grad
-    assert np.array_equal(free.data, taped.data)
-
-
-def _fused_node_cases(rng):
-    """(name, op, argument arrays) of the fused nodes and reshape, whose
-    values off the tape must be the recorded nodes': quat_head in both
-    modes; reshape."""
-    b = 2
+    gru = [(h, 3 * h), (3 * h,)]
     return [
-        ("quat_head velocity", ad.quat_head, [rng.normal(size=(b, 3, 4)) for _ in range(2)]),
-        ("quat_head absolute", ad.quat_head, [rng.normal(size=(b, 3, 4))]),
-        ("reshape", lambda a: ad.reshape(a, (b, 12)), [rng.normal(size=(b, 3, 4))]),
+        ("gru_cell", ad.gru_cell, [(b, i), (b, h), (i, 3 * h)] + gru),
+        ("gru_sequence", ad.gru_sequence, [(b, t, i), (b, h), (i, 3 * h)] + gru),
+        ("quat_head velocity", ad.quat_head, [(b, 3, 4), (b, 3, 4)]),
+        ("quat_head absolute", ad.quat_head, [(b, 3, 4)]),
+        ("linear", ad.linear, [(b, i), (i, h), (h,)]),
+        ("reshape", lambda a: ad.reshape(a, (b, 12)), [(b, 3, 4)]),
+        ("concat", lambda *a: ad.concat(a, axis=-1), [(b, 2), (b, 3), (b, 1)]),
+        ("leaky_relu", ad.leaky_relu, [(b, 7)]),
+        ("expmap_to_quat", ad.expmap_to_quat, [(b, 3)]),
+        ("euler_to_quat", lambda a: ad.euler_to_quat(a, "yzx"), [(b, 3)]),
     ]
 
 
-def test_fused_node_off_the_tape_matches_taped(rng):
-    for name, op, args in _fused_node_cases(rng):
-        taped = op(*(Tensor(a, requires_grad=True) for a in args))
-        with ad.no_grad():
-            free = op(*(Tensor(a, requires_grad=True) for a in args))
-            plain = op(*args)
-        assert taped._parents and free._parents == () and not free.requires_grad, name
-        assert free.data.tobytes() == taped.data.tobytes(), name
-        assert plain.data.tobytes() == taped.data.tobytes(), name
+@pytest.mark.parametrize("name, op, shapes", _off_tape_cases(),
+                         ids=[case[0] for case in _off_tape_cases()])
+def test_op_off_the_tape_is_its_node(name, op, shapes, rng):
+    # inside no_grad an op returns a plain array, from Tensors or arrays,
+    # with the bytes of the node it records on the tape
+    args = [rng.normal(size=shape) for shape in shapes]
+    taped = op(*(Tensor(a, requires_grad=True) for a in args))
+    with ad.no_grad():
+        free = [op(*(Tensor(a, requires_grad=True) for a in args)), op(*args)]
+    assert taped._parents
+    for got in free:
+        assert type(got) is np.ndarray and got.shape == taped.shape
+        assert got.tobytes() == taped.data.tobytes()
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_array_and_tensor_make_one_tensor(op, rng):
+    # numpy defers to the Tensor's reflected operator instead of building
+    # an object array of Tensors, so the gradient is counted once
+    a, x = rng.uniform(1.0, 2.0, size=3), Tensor(rng.uniform(1.0, 2.0, size=3), requires_grad=True)
+    apply = {"+": lambda u, v: u + v, "-": lambda u, v: u - v,
+             "*": lambda u, v: u * v, "/": lambda u, v: u / v}[op]
+    y = apply(a, x)
+    assert type(y) is Tensor and np.array_equal(y.data, apply(a, x.data))
+    ad.tsum(y).backward()
+    want = {"+": np.ones(3), "-": -np.ones(3), "*": a, "/": -a / (x.data * x.data)}[op]
+    assert np.allclose(x.grad, want)
 
 
 def test_leaky_is_the_where_form_bit_for_bit(rng):

@@ -2,7 +2,8 @@
 and building the command-line parser loads nothing outside the standard
 library, numpy and quatmotion itself. Sibling modules are imported at
 module top, never inside a function. Checkpoint files are read and written
-only by the modules that own their kinds."""
+only by the modules that own their kinds. How an op computes off the tape
+is decided in ``autodiff`` alone."""
 import ast
 import json
 import os
@@ -70,4 +71,27 @@ def test_only_the_owners_of_a_checkpoint_kind_read_or_write_one():
             name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
             if name in ("save_checkpoint", "load_checkpoint") and id(node) not in allowed:
                 found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_only_autodiff_decides_how_ops_run_off_the_tape():
+    # the networks have one forward, written against the ops: outside
+    # autodiff only PoseNetwork._conv, which picks the off-tape conv state,
+    # reads the tape switch, and nothing names the ops' array kernels
+    kernels = {"_gru_forward", "_gru_states", "_quat_head_forward", "_leaky"}
+    found = []
+    for path in sorted((SRC / "quatmotion").glob("*.py")):
+        if path.name == "autodiff.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) and path.name == "models.py"
+                   and cls.name == "PoseNetwork" for fn in cls.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "_conv"
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.name if isinstance(node, ast.alias) else getattr(node, "attr", None))
+            if name in kernels or (name == "_recording" and id(node) not in allowed):
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
     assert found == []

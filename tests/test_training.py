@@ -273,16 +273,19 @@ def test_adam_step_names_a_non_finite_gradient(bad):
 
 
 def test_adam_step_takes_finite_gradients_whose_squares_overflow():
-    # the norm overflows to inf although every gradient is finite: the step
-    # is taken, clipped to nothing, as when every gradient was scanned first
+    # the squares overflow although every gradient is finite: the norm is
+    # still finite, and the step is clipped to a gradient of norm clip_norm
     grads = {"a": np.array([1e200, -1e200]), "b": np.array([0.5])}
     params = {k: np.ones_like(g) for k, g in grads.items()}
     state = AdamState()
     with np.errstate(over="ignore"):
-        assert adam_step(params, grads, state, lr=1e-3, clip_norm=1.0) == np.inf
+        norm = adam_step(params, grads, state, lr=1e-3, clip_norm=1.0)
+    assert norm == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
     assert state.step == 1
-    assert all(np.array_equal(p, np.ones_like(p)) for p in params.values())
-    assert all(not m.any() for m in state.m.values())
+    clipped = {k: m / (1.0 - 0.9) for k, m in state.m.items()}  # the first moment
+    assert np.sqrt(sum(np.sum(g * g) for g in clipped.values())) == pytest.approx(1.0)
+    assert np.allclose(clipped["a"], [np.sqrt(0.5), -np.sqrt(0.5)])
+    assert np.allclose(params["a"], [1.0 - 1e-3, 1.0 + 1e-3])
 
 
 # the conv backbone conditions on its whole 32-frame receptive field
