@@ -9,8 +9,9 @@ leaves. A graph can be backpropagated through only once. Inside
 recorded and every op returns its plain numpy value, the bytes of the
 node it would record, so the networks run one forward in both modes. The
 ops hot off the tape (:func:`gru_cell`, :func:`gru_sequence`,
-:func:`quat_head`, :func:`linear`, :func:`reshape`, :func:`concat`,
-:func:`leaky_relu`) return their array kernel's value first thing.
+:func:`quat_head`, :func:`linear`, :func:`add`, :func:`reshape`,
+:func:`concat`, :func:`leaky_relu`) return their array kernel's value
+first thing.
 
 Larger operations are single nodes with hand-written adjoints over numpy
 and the :mod:`rotmath` kernels: the quaternion head (:func:`quat_head`,
@@ -171,9 +172,14 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_FLOAT = np.dtype(float)
+
+
 def _array(x) -> np.ndarray:
     """The array ``as_tensor(x).data``, without building a Tensor."""
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=float)
+    if isinstance(x, Tensor):
+        return x.data
+    return x if type(x) is np.ndarray and x.dtype is _FLOAT else np.asarray(x, dtype=float)
 
 
 @contextlib.contextmanager
@@ -206,6 +212,8 @@ def _make(data, parents, grad_fns) -> Tensor:
 
 
 def add(a, b) -> Tensor:
+    if not _recording:
+        return _array(a) + _array(b)
     a, b = as_tensor(a), as_tensor(b)
     data = a.data + b.data
     return _make(
@@ -627,7 +635,7 @@ def gru_sequence(xs, h0, wx, wh, b) -> Tensor:
     of ``xs``, ``wx`` and ``wh``.
     """
     if not _recording:
-        return _gru_states(*(_array(t) for t in (xs, h0, wx, wh, b)))[:, 1:]
+        return _gru_states(_array(xs), _array(h0), _array(wx), _array(wh), _array(b))[:, 1:]
     xs, h0, wx, wh, b = (as_tensor(t) for t in (xs, h0, wx, wh, b))
     bsz, steps, inputs = xs.data.shape
     hidden = wh.data.shape[0]

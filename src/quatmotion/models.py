@@ -412,9 +412,8 @@ class PoseNetwork(ParamContainer):
         else:
             raw, state = self._conv(
                 self._inputs(pose_window[:, t - cfg.receptive_field:], prev_quats), state)
-        layers = (np.concatenate(s, axis=1) if isinstance(s, tuple) else ad._array(s)
-                  for s in state)
-        if not all(np.isfinite(s).all() for s in layers):
+        frames = [f for s in state for f in (s if isinstance(s, tuple) else (ad._array(s),))]
+        if not np.isfinite(np.concatenate(frames, axis=None)).all():
             raise ad.NumericalError("non-finite network state")
         return self._head_to_pose(raw, prev_quats, state)
 
@@ -444,21 +443,21 @@ class PoseNetwork(ParamContainer):
         """``_conv_stack`` off the tape, on arrays through the node's kernel
         ``autodiff._conv_forward``: layer l reads its lag tap from
         ``frames[l]``, its last d input frames (B, 1, C), or a (B, d, C)
-        state as ``init_state`` and the tape build it. A one-frame x passes
-        the oldest frame as the lag tap and appends itself, so a step from
-        frames concatenates nothing. Returns the last frame's output
-        (B, out) and the new frame tuples."""
+        state as ``init_state`` and the tape build it. A one-frame x on
+        frames passes the oldest as the lag tap and appends itself, so a step
+        concatenates nothing. Returns the last frame's output (B, out) and
+        the new frame tuples."""
         t = x.shape[1]
         outs, new_frames = [], []
         for past, ((w0, w1, b), slope, skip) in zip(frames, self._conv_layers):
-            if isinstance(past, tuple):
-                taps = past[0] if t == 1 else np.concatenate(past, axis=1)
+            if isinstance(past, tuple) and t == 1:
+                taps = past[0]
+                new_frames.append(past[1:] + (x,))
             else:
-                taps = ad._array(past)
-                past = tuple(taps[:, i:i + 1] for i in range(taps.shape[1]))
-            d = len(past)
-            new_frames.append(past[1:] + (x,) if t == 1 else
-                              (past + tuple(x[:, i:i + 1] for i in range(max(t - d, 0), t)))[-d:])
+                taps = np.concatenate(past, axis=1) if isinstance(past, tuple) else ad._array(past)
+                d = taps.shape[1]
+                tail = x[:, t - d:] if t >= d else np.concatenate([taps[:, t:], x], axis=1)
+                new_frames.append(tuple(tail[:, i:i + 1] for i in range(d)))
             x = ad._conv_forward(x, taps, w0.data, w1.data, b.data, slope,
                                  None if skip is None else outs[skip])[0]
             outs.append(x)

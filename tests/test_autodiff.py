@@ -208,6 +208,7 @@ def _off_tape_cases():
         ("quat_head velocity", ad.quat_head, [(b, 3, 4), (b, 3, 4)]),
         ("quat_head absolute", ad.quat_head, [(b, 3, 4)]),
         ("linear", ad.linear, [(b, i), (i, h), (h,)]),
+        ("add", ad.add, [(b, 1), (1, i)]),
         ("reshape", lambda a: ad.reshape(a, (b, 12)), [(b, 3, 4)]),
         ("concat", lambda *a: ad.concat(a, axis=-1), [(b, 2), (b, 3), (b, 1)]),
         ("leaky_relu", ad.leaky_relu, [(b, 7)]),
