@@ -441,29 +441,18 @@ def _unnormalize(g, unit, n):
     return (g - unit * np.sum(g * unit, axis=-1, keepdims=True)) / n
 
 
-def _quat_head_forward(raw, prev=None):
-    """:func:`quat_head`'s value on arrays, then the unit ``raw`` rows and the
-    norms (the product's None without ``prev``) that its adjoints read."""
-    unit, n1 = _normalized(raw)
-    if prev is None:
-        return unit, unit, n1, None
-    data, n2 = _normalized(rm.qmul(unit, prev))
-    return data, unit, n1, n2
-
-
 def quat_head(raw, prev=None) -> Tensor:
     """The quaternion head as one node: ``qnormalize(qmul(qnormalize(raw),
     prev))`` on ``(..., 4)`` arrays, or ``qnormalize(raw)`` without ``prev``
     (absolute mode). The product's adjoints are g_a = g x b* and
     g_b = a* x g."""
-    if not _recording:
-        return _quat_head_forward(_array(raw), None if prev is None else _array(prev))[0]
-    raw = as_tensor(raw)
+    unit, n1 = _normalized(_array(raw))
     if prev is None:
-        unit, _, n1, _ = _quat_head_forward(raw.data)
-        return _make(unit, (raw,), (lambda g: _unnormalize(g, unit, n1),))
-    prev = as_tensor(prev)
-    data, unit, n1, n2 = _quat_head_forward(raw.data, prev.data)
+        return _make(unit, (as_tensor(raw),), (lambda g: _unnormalize(g, unit, n1),))
+    data, n2 = _normalized(rm.qmul(unit, _array(prev)))
+    if not _recording:
+        return data
+    raw, prev = as_tensor(raw), as_tensor(prev)
     memo = [None, None]
 
     def gprod(g):

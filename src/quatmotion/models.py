@@ -378,8 +378,8 @@ class PoseNetwork(ParamContainer):
         the tape, plain arrays off it (``_conv`` gives the convolutional
         state). An off-tape state is never written to, so one state can be
         stepped from twice; it holds views of the inputs, which callers must
-        not overwrite. Unlike ``forward_window`` it does not check the state for
-        non-finite values; callers check the frames they keep.
+        not overwrite. Unlike ``forward_window`` it does not check the state
+        for non-finite values; callers check the frames they keep.
         """
         x = self._inputs(pose, prev_quats, translations, controls)
         if self.config.backbone == "recurrent":

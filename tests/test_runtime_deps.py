@@ -78,7 +78,7 @@ def test_only_autodiff_decides_how_ops_run_off_the_tape():
     # the networks have one forward, written against the ops: outside
     # autodiff only PoseNetwork._conv, which picks the off-tape conv state,
     # reads the tape switch, and nothing names the ops' array kernels
-    kernels = {"_gru_forward", "_gru_states", "_quat_head_forward", "_leaky"}
+    kernels = {"_gru_forward", "_gru_states", "_leaky"}
     found = []
     for path in sorted((SRC / "quatmotion").glob("*.py")):
         if path.name == "autodiff.py":
