@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,17 +234,17 @@ def test_op_off_the_tape_is_its_node(name, op, shapes, rng):
         assert got.tobytes() == taped.data.tobytes()
 
 
-@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv],
+                         ids=["+", "-", "*", "/"])
 def test_array_and_tensor_make_one_tensor(op, rng):
     # numpy defers to the Tensor's reflected operator instead of building
     # an object array of Tensors, so the gradient is counted once
     a, x = rng.uniform(1.0, 2.0, size=3), Tensor(rng.uniform(1.0, 2.0, size=3), requires_grad=True)
-    apply = {"+": lambda u, v: u + v, "-": lambda u, v: u - v,
-             "*": lambda u, v: u * v, "/": lambda u, v: u / v}[op]
-    y = apply(a, x)
-    assert type(y) is Tensor and np.array_equal(y.data, apply(a, x.data))
+    y = op(a, x)
+    assert type(y) is Tensor and np.array_equal(y.data, op(a, x.data))
     ad.tsum(y).backward()
-    want = {"+": np.ones(3), "-": -np.ones(3), "*": a, "/": -a / (x.data * x.data)}[op]
+    want = {operator.add: np.ones(3), operator.sub: -np.ones(3), operator.mul: a,
+            operator.truediv: -a / (x.data * x.data)}[op]
     assert np.allclose(x.grad, want)
 
 
