@@ -9,9 +9,9 @@ leaves. A graph can be backpropagated through only once. Inside
 recorded and every op returns its plain numpy value, the bytes of the
 node it would record, so the networks run one forward in both modes. The
 ops hot off the tape (:func:`gru_cell`, :func:`gru_sequence`,
-:func:`quat_head`, :func:`linear`, :func:`add`, :func:`reshape`,
-:func:`concat`, :func:`leaky_relu`) return their array kernel's value
-first thing.
+:func:`quat_head`, :func:`causal_conv`, :func:`linear`, :func:`add`,
+:func:`reshape`, :func:`concat`, :func:`leaky_relu`) return their array
+kernel's value first thing.
 
 Larger operations are single nodes with hand-written adjoints over numpy
 and the :mod:`rotmath` kernels: the quaternion head (:func:`quat_head`,
@@ -172,14 +172,14 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-_FLOAT = np.dtype(float)
+_FLOAT, _NDARRAY = np.dtype(float), np.ndarray
 
 
 def _array(x) -> np.ndarray:
     """The array ``as_tensor(x).data``, without building a Tensor."""
-    if isinstance(x, Tensor):
-        return x.data
-    return x if type(x) is np.ndarray and x.dtype is _FLOAT else np.asarray(x, dtype=float)
+    if type(x) is _NDARRAY and x.dtype is _FLOAT:
+        return x
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=float)
 
 
 @contextlib.contextmanager
@@ -657,33 +657,43 @@ def gru_sequence(xs, h0, wx, wh, b) -> Tensor:
 # -- convolution -----------------------------------------------------------------
 
 
-def _conv_forward(x, past, w0, w1, b, slope=None, skip=None):
+def _conv_forward(x, past, w0, w1, b, slope=None, skip=None, at=0):
     """:func:`causal_conv`'s value on arrays, then the lagged frames and the
-    pre-activation that its adjoint reads. ``past`` (B, d, I) holds the d
-    frames before ``x``; off the tape a step passes only the lagged one,
-    (B, 1, I)."""
-    t, d = x.shape[1], past.shape[1]
-    lag = past[:, :t] if t <= d else np.concatenate([past, x[:, :t - d]], axis=1)
-    data = pre = lag @ w0 + x @ w1 + b
+    pre-activation that its adjoint reads."""
+    t, d = x.shape[1], past.shape[1] - at
+    lag = past[:, at:at + t] if t <= d else np.concatenate([past[:, at:], x[:, :t - d]], axis=1)
+    data = pre = lag @ w0
+    pre += x @ w1  # in place, with the bytes of lag @ w0 + x @ w1 + b
+    pre += b
     if slope is not None:
-        data = _leaky(pre, slope)
+        data = np.maximum(pre, slope * pre)  # _leaky inline: a call fewer per layer
     if skip is not None:
         data = data + skip
     return data, lag, pre
 
 
-def causal_conv(x, past, w0, w1, b, slope=None, skip=None) -> Tensor:
-    """One width-2 causal convolution layer as one tape node: with ``x``
-    (B, t, I) the new frames and ``past`` (B, d, I) the d before them,
-    ``y = [past, x][:, :t] @ w0 + x @ w1 + b``, then a leaky ReLU if
-    ``slope`` is given, then ``+ skip``, in the composite ops' order. The
-    two taps' adjoints of ``x`` are separate contributions, the current
-    tap's first, so gradients sum as the composite's tape sums them."""
+def causal_conv(x, past, w0, w1, b, slope=None, skip=None, at=0) -> Tensor:
+    """One width-2 causal convolution layer as one tape node over the new
+    frames ``x`` (B, t, I): ``y = lag @ w0 + x @ w1 + b`` with the lagged
+    taps ``lag = [past[:, at:], x][:, :t]`` (a step reads one frame of a
+    chunk, a window the d frames of ``past`` and then its own), then a
+    leaky ReLU if ``slope`` is given, then ``+ skip``, in the composite
+    ops' order. The lag adjoint of ``past`` is written at ``at``; the two
+    taps' adjoints of ``x`` are separate contributions, the current tap's
+    first, so gradients sum as the composite's tape sums them."""
+    if not _recording:
+        # a network's call (array frames, Tensor weights) skips five _array calls,
+        # a free-run step's parity; float weights make the frames float, as _array would
+        if type(w0) is type(w1) is type(b) is Tensor and type(x) is type(past) is _NDARRAY:
+            w0, w1, b = w0.data, w1.data, b.data
+        else:
+            x, past, w0, w1, b = _array(x), _array(past), _array(w0), _array(w1), _array(b)
+        return _conv_forward(x, past, w0, w1, b, slope, None if skip is None else _array(skip), at)[0]
     x, past, w0, w1, b = (as_tensor(t) for t in (x, past, w0, w1, b))
-    t, d = x.data.shape[1], past.data.shape[1]
+    t, d = x.data.shape[1], past.data.shape[1] - at
     skip = None if skip is None else as_tensor(skip)
     data, lag, pre = _conv_forward(x.data, past.data, w0.data, w1.data, b.data, slope,
-                                   None if skip is None else skip.data)
+                                   None if skip is None else skip.data, at)
     memo = [None, None]
 
     def gpre(g):
@@ -693,16 +703,16 @@ def causal_conv(x, past, w0, w1, b, slope=None, skip=None) -> Tensor:
             memo[:] = [g, (gp, gp @ w0.data.T)]
         return memo[1]
 
-    def lag_adjoint(g, part, offset):
-        # the lagged tap's adjoint of ``part``, which starts at seq[:, offset]
+    def lag_adjoint(g, part, start, offset):
+        # the lagged tap's adjoint of ``part``, whose frame ``start`` is lag frame ``offset``
         out = np.zeros_like(part.data)
-        taps = gpre(g)[1][:, offset:offset + out.shape[1]]
-        out[:, :taps.shape[1]] = taps
+        taps = gpre(g)[1][:, offset:offset + out.shape[1] - start]
+        out[:, start:start + taps.shape[1]] = taps
         return out
 
     parents = [past, w0, x, w1, b]
     grad_fns = [
-        lambda g: lag_adjoint(g, past, 0),
+        lambda g: lag_adjoint(g, past, at, 0),
         lambda g: _unbroadcast(np.swapaxes(lag, -1, -2) @ gpre(g)[0], w0.data.shape),
         lambda g: gpre(g)[0] @ w1.data.T,
         lambda g: _unbroadcast(np.swapaxes(x.data, -1, -2) @ gpre(g)[0], w1.data.shape),
@@ -710,7 +720,7 @@ def causal_conv(x, past, w0, w1, b, slope=None, skip=None) -> Tensor:
     ]
     if t > d:  # the lagged tap reads x's first t - d frames too
         parents.append(x)
-        grad_fns.append(lambda g: lag_adjoint(g, x, d))
+        grad_fns.append(lambda g: lag_adjoint(g, x, 0, d))
     if skip is not None:
         parents.append(skip)
         grad_fns.append(lambda g: _unbroadcast(g, skip.data.shape))

@@ -117,16 +117,18 @@ def _op_cases(rng: np.random.Generator) -> list:
         cases += [(f"{op.__name__}_{name}", input_case(op, arrays, weights, i), arrays[i].copy())
                   for i, name in enumerate(("x", "h", "wx", "wh", "b"))]
     # a causal convolution at dilation 2 over 5 frames (the lagged tap
-    # reads x too) and over 1 frame (a step), with and without the leaky
+    # reads x too), over 1 frame (a step), and over 1 frame reading its
+    # lagged tap at offset 2 of a 4-frame chunk, with and without the leaky
     # ReLU, varying each of its inputs in turn
-    for t in (5, 1):
+    for t, frames, at in ((5, 2, 0), (1, 2, 0), (1, 4, 2)):
         conv = [rng.normal(size=shape) for shape in
-                ((2, t, 3), (2, 2, 3), (3, 4), (3, 4), (4,), (2, t, 4))]
+                ((2, t, 3), (2, frames, 3), (3, 4), (3, 4), (4,), (2, t, 4))]
         weights = rng.normal(size=(2, t, 4))
         for slope in (0.05, None):
-            def conv_op(x, past, w0, w1, b, skip, slope=slope):
-                return ad.causal_conv(x, past, w0, w1, b, slope, skip)
-            cases += [(f"causal_conv_t{t}_{'leaky' if slope else 'linear'}_{name}",
+            def conv_op(x, past, w0, w1, b, skip, slope=slope, at=at):
+                return ad.causal_conv(x, past, w0, w1, b, slope, skip, at)
+            cases += [(f"causal_conv_t{t}{f'_at{at}' if at else ''}_"
+                       f"{'leaky' if slope else 'linear'}_{name}",
                        input_case(conv_op, conv, weights, i), conv[i].copy())
                       for i, name in enumerate(("x", "past", "w0", "w1", "b", "skip"))]
     return cases

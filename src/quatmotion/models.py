@@ -14,17 +14,14 @@ Euler heads decode through the rotmath conversions.
 
 Each network has one forward, written against the ``autodiff`` ops (a
 GRU window is one ``gru_sequence`` node per layer, a step one ``gru_cell``
-node per layer, the head one ``quat_head`` node): it returns Tensors on
-the tape, and inside ``autodiff.no_grad()`` (free-run prediction and
-generation) plain arrays, the recorded nodes' values byte for byte. The
-one exception is the convolutional state, chosen in ``PoseNetwork._conv``.
-On the tape each layer is one ``autodiff.causal_conv`` node and its state
-one (B, d, C) Tensor of its input frames. Off it the layers call that
-node's kernel ``autodiff._conv_forward``, and a layer's state is a tuple
-of its last d input frames (B, 1, C), oldest first: a step reads the
-oldest as its lag tap and appends its input, concatenating nothing and
-writing to no state, so one state can be stepped from twice. A (B, d, C)
-state, as ``init_state`` and the tape build it, is taken too.
+node per layer, a convolutional layer one ``causal_conv`` node, the head
+one ``quat_head`` node): it returns Tensors on the tape, and inside
+``autodiff.no_grad()`` (free-run prediction and generation) plain arrays,
+the recorded nodes' values byte for byte. So the convolutional state has
+one format in both modes: per layer, its input chunks, oldest first, and
+the offset in the first of the oldest of its last d frames. A step reads
+its lag tap there and appends its input, concatenating nothing and
+writing to no state, so one state can be stepped from twice.
 
 Optional side inputs, recurrent backbone only: 2 translation channels
 (root height, trajectory offset) and a 6-feature control frame passed
@@ -324,13 +321,14 @@ class PoseNetwork(ParamContainer):
     def init_state(self, batch_size: int) -> list:
         """The state before the first frame. Recurrent: per-layer hidden
         states, the learned h0 broadcast over the batch. Convolutional: per
-        layer, its inputs over the last ``dilation`` frames as one
-        (B, d, C) array, all zero, which is the same as causal zero
-        padding."""
+        layer, the ``(chunks, at)`` of ``_conv`` over the last ``dilation``
+        frames, here one all-zero (B, d, C) chunk at offset 0, which is the
+        same as causal zero padding."""
         cfg = self.config
         if cfg.backbone == "recurrent":
             return self._gru.init_state(batch_size)
-        return [np.zeros((batch_size, d, fin)) for d, fin in zip(cfg.dilations, cfg.conv_dims)]
+        return [((np.zeros((batch_size, d, fin)),), 0)
+                for d, fin in zip(cfg.dilations, cfg.conv_dims)]
 
     def _head_to_pose(self, raw, prev_quats, state: list) -> dict:
         cfg = self.config
@@ -376,9 +374,9 @@ class PoseNetwork(ParamContainer):
         mode; ``state`` comes from ``forward_window`` or the previous step.
         Returns quats, raw_quats, feedback, translations, state: Tensors on
         the tape, plain arrays off it (``_conv`` gives the convolutional
-        state). An off-tape state is never written to, so one state can be
-        stepped from twice; it holds views of the inputs, which callers must
-        not overwrite. Unlike ``forward_window`` it does not check the state
+        state). A state is never written to, so one state can be stepped
+        from twice; it holds views of the inputs, which callers must not
+        overwrite. Unlike ``forward_window`` it does not check the state
         for non-finite values; callers check the frames they keep.
         """
         x = self._inputs(pose, prev_quats, translations, controls)
@@ -409,59 +407,36 @@ class PoseNetwork(ParamContainer):
             _, state = self._gru.sequence(
                 self._inputs(pose_window, prev_quats, translations, controls), state)
             raw = _linear(self.params, "head", state[-1])
+            kept = state
         else:
             raw, state = self._conv(
                 self._inputs(pose_window[:, t - cfg.receptive_field:], prev_quats), state)
-        frames = [f for s in state for f in (s if isinstance(s, tuple) else (ad._array(s),))]
-        if not np.isfinite(np.concatenate(frames, axis=None)).all():
+            kept = [ad._array(chunks[0])[:, at:] for chunks, at in state]
+        if not np.isfinite(np.concatenate([ad._array(s) for s in kept], axis=None)).all():
             raise ad.NumericalError("non-finite network state")
         return self._head_to_pose(raw, prev_quats, state)
 
     # -- convolutional path ------------------------------------------------
 
     def _conv(self, x, state: list) -> tuple:
-        """The convolutional stack over x (B, T, C) from ``state``: through
-        its tape nodes on the tape, and off it over frame tuples."""
-        return (self._conv_stack if ad._recording else self._conv_frames)(x, state)
-
-    def _conv_stack(self, x: Tensor, history: list) -> tuple:
-        """The causal convolutions over x (B, T, C) on the tape, each of
+        """The causal convolutions over x (B, T, C) from ``state``, each of
         width 2: y[t] = w0.x[t-d] + w1.x[t] + b. All but the last (linear)
         layer are leaky ReLUs, and additive skips connect every other
-        same-width layer. Layer l reads the frames before x from
-        ``history[l]`` (B, d, C). Returns the last layer's output for the
-        last frame (B, out) and each layer's inputs over the last d frames."""
+        same-width layer. Layer l's state ``(chunks, at)`` holds its inputs
+        in chunks, oldest first, its last d frames from ``chunks[0][:, at]``
+        on, where the lag tap is read; x is appended and a used-up first
+        chunk dropped (a window from ``init_state`` leaves ``((x,), T - d)``),
+        so nothing is concatenated or written to. Returns the last layer's
+        output for the last frame (B, out) and the new states."""
         t = x.shape[1]
-        outs, new_history = [], []
-        for past, ((w0, w1, b), slope, skip) in zip(history, self._conv_layers):
-            new_history.append(ad.concat([past, x], axis=1)[:, t:])
-            x = ad.causal_conv(x, past, w0, w1, b, slope, None if skip is None else outs[skip])
+        outs, new_state = [], []
+        for (chunks, at), ((w0, w1, b), slope, skip) in zip(state, self._conv_layers):
+            past = chunks[0]
+            new_state.append((chunks + (x,), at + t) if at + t < past.shape[1]
+                             else (chunks[1:] + (x,), at + t - past.shape[1]))
+            x = ad.causal_conv(x, past, w0, w1, b, slope, None if skip is None else outs[skip], at)
             outs.append(x)
-        return x[:, -1], new_history
-
-    def _conv_frames(self, x: np.ndarray, frames: list) -> tuple:
-        """``_conv_stack`` off the tape, on arrays through the node's kernel
-        ``autodiff._conv_forward``: layer l reads its lag tap from
-        ``frames[l]``, its last d input frames (B, 1, C), or a (B, d, C)
-        state as ``init_state`` and the tape build it. A one-frame x on
-        frames passes the oldest as the lag tap and appends itself, so a step
-        concatenates nothing. Returns the last frame's output (B, out) and
-        the new frame tuples."""
-        t = x.shape[1]
-        outs, new_frames = [], []
-        for past, ((w0, w1, b), slope, skip) in zip(frames, self._conv_layers):
-            if isinstance(past, tuple) and t == 1:
-                taps = past[0]
-                new_frames.append(past[1:] + (x,))
-            else:
-                taps = np.concatenate(past, axis=1) if isinstance(past, tuple) else ad._array(past)
-                d = taps.shape[1]
-                tail = x[:, t - d:] if t >= d else np.concatenate([taps[:, t:], x], axis=1)
-                new_frames.append(tuple(tail[:, i:i + 1] for i in range(d)))
-            x = ad._conv_forward(x, taps, w0.data, w1.data, b.data, slope,
-                                 None if skip is None else outs[skip])[0]
-            outs.append(x)
-        return x[:, -1], new_frames
+        return x[:, -1], new_state
 
 
 # -- checkpoints ------------------------------------------------------------------

@@ -17,14 +17,22 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def global_norm(grads: dict) -> float:
-    """The joint Euclidean norm of the gradients. If their squares overflow
-    although every gradient is finite, it is taken over the gradients
-    divided by their largest magnitude and scaled back."""
-    norm = _norm(grads)
-    if not np.isfinite(norm) and all(np.isfinite(g).all() for g in grads.values()):
-        scale = max(float(np.abs(g).max()) for g in grads.values() if g.size)
-        norm = scale * _norm({k: g / scale for k, g in grads.items()})
-    return norm
+    """The joint Euclidean norm of the gradients; ``inf`` beyond the
+    largest float."""
+    scale, norm = _scaled_norm(grads)
+    return scale * norm
+
+
+def _scaled_norm(grads: dict) -> tuple:
+    """``(scale, norm)``, the global norm being ``scale * norm``: scale is 1,
+    or, if the squares overflow although every gradient is finite, the
+    largest magnitude, and norm is taken over the gradients over scale."""
+    with np.errstate(over="ignore"):
+        norm = _norm(grads)
+    if np.isfinite(norm) or not all(np.isfinite(g).all() for g in grads.values()):
+        return 1.0, norm
+    scale = max(float(np.abs(g).max()) for g in grads.values() if g.size)
+    return scale, _norm({k: g / scale for k, g in grads.items()})
 
 
 def _norm(grads: dict) -> float:
@@ -38,14 +46,16 @@ def _norm(grads: dict) -> float:
 
 def clip_global_norm(grads: dict, max_norm: float) -> dict:
     """Scale all gradients so their joint Euclidean norm is <= max_norm."""
-    return _clipped(grads, max_norm, global_norm(grads))
+    return _clipped(grads, max_norm, *_scaled_norm(grads))
 
 
-def _clipped(grads: dict, max_norm: float, norm: float) -> dict:
-    if norm <= max_norm or norm == 0.0:
+def _clipped(grads: dict, max_norm: float, scale: float, norm: float) -> dict:
+    # by max_norm / (scale * norm), or by (max_norm / scale) / norm where the product overflows
+    total = scale * norm
+    if total <= max_norm or total == 0.0:
         return grads
-    scale = max_norm / norm
-    return {k: g * scale for k, g in grads.items()}
+    factor = max_norm / total if np.isfinite(total) else max_norm / scale / norm
+    return {k: g * factor for k, g in grads.items()}
 
 
 @dataclass
@@ -59,18 +69,19 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
               clip_norm: float) -> float:
     """One in-place Adam update after global-norm clipping; returns the
     global gradient norm before clipping (the step clipped iff it exceeds
-    ``clip_norm``; ``inf`` clips nothing).
+    ``clip_norm``; ``inf`` clips nothing). Finite gradients whose norm
+    exceeds the largest float return ``inf`` and still take a clipped step.
 
     Raises :class:`NumericalError` on non-finite gradients instead of
-    corrupting the parameters. The norm is finite unless a gradient is not,
-    so only then are the gradients scanned, to name the parameter.
+    corrupting the parameters. The scaled norm is finite unless a gradient
+    is not, so only then are the gradients scanned, to name the parameter.
     """
-    norm = global_norm(grads)
-    if not np.isfinite(norm):
+    scale, scaled = _scaled_norm(grads)
+    if not np.isfinite(scaled):
         for name, g in grads.items():
             if not np.all(np.isfinite(g)):
                 raise NumericalError(f"non-finite gradient for parameter {name!r}")
-    grads = _clipped(grads, clip_norm, norm)
+    grads = _clipped(grads, clip_norm, scale, scaled)
     state.step += 1
     bias1 = 1.0 - BETA1 ** state.step
     bias2 = 1.0 - BETA2 ** state.step
@@ -85,4 +96,4 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
         state.m[name] = m
         state.v[name] = v
         params[name] -= lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
-    return norm
+    return scale * scaled

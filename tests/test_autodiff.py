@@ -78,26 +78,27 @@ def test_quat_head_projects_radial_component(rng, mode):
             assert np.abs(np.sum(leaf.grad * value, axis=-1)).max() < 1e-10
 
 
-def _causal_conv_composite(x, past, w0, w1, b, slope, skip):
+def _causal_conv_composite(x, past, w0, w1, b, slope, skip, at=0):
     """causal_conv from the elementary ops, as the conv stack once built it."""
-    seq = ad.concat([past, x], axis=1)
+    seq = ad.concat([past[:, at:] if at else past, x], axis=1)
     y = seq[:, :x.shape[1]] @ w0 + x @ w1 + b
     if slope is not None:
         y = ad.leaky_relu(y, slope)
     return y if skip is None else y + skip
 
 
-@pytest.mark.parametrize("t", [5, 1])
+@pytest.mark.parametrize("t,at", [(5, 0), (1, 0), (1, 2)], ids=["5", "1", "1-at2"])
 @pytest.mark.parametrize("slope,skip", [(0.05, True), (None, False)])
-def test_causal_conv_matches_composite(rng, t, slope, skip):
-    # dilation 2: over 5 frames the lagged tap reads x too, over 1 it reads past only
+def test_causal_conv_matches_composite(rng, t, at, slope, skip):
+    # dilation 2: over 5 frames the lagged tap reads x too, over 1 it reads
+    # past only; at 2 it reads frame 2 of a 4-frame chunk
     arrays = [rng.normal(size=shape) for shape in
-              ((2, t, 3), (2, 2, 3), (3, 4), (3, 4), (4,), (2, t, 4))]
+              ((2, t, 3), (2, 2 + at, 3), (3, 4), (3, 4), (4,), (2, t, 4))]
     weights = Tensor(rng.normal(size=(2, t, 4)))
 
     def run(op):
         x, past, w0, w1, b, sk = (Tensor(a.copy(), requires_grad=True) for a in arrays)
-        y = op(x, past, w0, w1, b, slope, sk if skip else None)
+        y = op(x, past, w0, w1, b, slope, sk if skip else None, at)
         ad.tsum(y * weights).backward()
         return [y.data] + [leaf.grad for leaf in (x, past, w0, w1, b) + ((sk,) if skip else ())]
 
@@ -110,7 +111,7 @@ def _mutated_node_cases(rng):
     of the node's one input from its right one)."""
     q = rng.normal(size=(3, 4))
     keep = np.array([[True], [False], [True]])
-    return {
+    cases = {
         # the sign of 1 - <p, q> dropped
         "loss_quat_dot": (lambda t: tr.loss_quat_dot(t, q), rng.normal(size=(3, 4)),
                           lambda fn: lambda g: -fn(g)),
@@ -122,9 +123,16 @@ def _mutated_node_cases(rng):
         "select": (lambda t: ad.select(keep, q, t), rng.normal(size=(3, 4)),
                    lambda fn: lambda g: np.where(keep, g, 0.0)),
     }
+    # a step's lag adjoint written at offset 0 of its 4-frame chunk, not at 2
+    x, w0, w1, b = (Tensor(rng.normal(size=s)) for s in ((3, 1, 3), (3, 4), (3, 4), (4,)))
+    cases["causal_conv_at"] = (lambda t: ad.causal_conv(x, t, w0, w1, b, 0.05, None, 2),
+                               rng.normal(size=(3, 4, 3)),
+                               lambda fn: lambda g: np.roll(fn(g), -2, axis=1))
+    return cases
 
 
-@pytest.mark.parametrize("name", ["loss_quat_dot", "penalty_unit_norm", "select"])
+@pytest.mark.parametrize("name", ["loss_quat_dot", "penalty_unit_norm", "select",
+                                  "causal_conv_at"])
 def test_wrong_adjoint_of_new_node_fails_gradcheck(rng, name):
     op, x, mutate = _mutated_node_cases(rng)[name]
     weights = Tensor(rng.normal(size=(3, 4)))

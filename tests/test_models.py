@@ -549,10 +549,17 @@ def test_generation_matches_reference_loop(corpus):
     assert messages[0] == messages[1] and not messages[0].endswith("at frame 0")
 
 
+def _conv_frames(layer_state) -> np.ndarray:
+    """A layer's last d input frames (B, d, C) from its ``(chunks, at)``."""
+    chunks, at = layer_state
+    return np.concatenate([ad._array(chunks[0])[:, at:]] + [ad._array(c) for c in chunks[1:]],
+                          axis=1)
+
+
 def test_off_tape_conv_state_is_frames_and_never_written(rng):
-    # off the tape each layer's state is a tuple of its last d input
-    # frames; stepping twice from one state gives equal bytes, and a
-    # (B, d, C) state built on the tape is taken too
+    # each layer's state is (chunks, at) in both modes, of arrays off the
+    # tape; stepping twice from one state gives equal bytes and writes
+    # nothing, and a state built on the tape is taken too
     cfg = mo.PoseNetworkConfig.desk(4, channels=16, backbone="convolutional")
     net = mo.PoseNetwork(cfg, seed=0)
     q = random_unit_quats(rng, (3, 33, 4))
@@ -561,16 +568,24 @@ def test_off_tape_conv_state_is_frames_and_never_written(rng):
     on_tape = net.step(pose[:, 32], taped["state"], prev_quats=q[:, 32])
     with ad.no_grad():
         free = net.forward_window(pose[:, :32], prev_quats=q[:, 31])
+        before = [(c.tobytes(), at) for chunks, at in free["state"] for c in chunks]
         steps = [net.step(pose[:, 32], state, prev_quats=q[:, 32])
                  for state in (free["state"], free["state"], taped["state"])]
-    assert [len(s) for s in free["state"]] == cfg.dilations
-    for frames, want, c in zip(free["state"], taped["state"], cfg.conv_dims):
-        assert all(f.shape == (3, 1, c) for f in frames)
-        assert np.concatenate(frames, axis=1).tobytes() == want.data.tobytes()
+    assert [(c.tobytes(), at) for chunks, at in free["state"] for c in chunks] == before
+    # a window keeps its own input as one chunk, its last d frames from 32 - d
+    assert [at for _, at in free["state"]] == [32 - d for d in cfg.dilations]
+    for (chunks, at), (want, want_at), c in zip(free["state"], taped["state"], cfg.conv_dims):
+        assert len(chunks) == 1 and chunks[0].shape == (3, 32, c) and at == want_at
+        assert type(chunks[0]) is np.ndarray
+        assert chunks[0].tobytes() == want[0].data.tobytes()
     for out in steps:
         assert out["quats"].tobytes() == on_tape["quats"].data.tobytes()
-        for frames, want in zip(out["state"], on_tape["state"]):
-            assert np.concatenate(frames, axis=1).tobytes() == want.data.tobytes()
+        for layer, d in zip(out["state"], cfg.dilations):
+            assert _conv_frames(layer).shape[1] == d
+        for (chunks, at), (want, want_at) in zip(out["state"], on_tape["state"]):
+            assert at == want_at
+            # the chunks before the step's are the state's own: Tensors in the taped one
+            assert [ad._array(c).tobytes() for c in chunks] == [w.data.tobytes() for w in want]
 
 
 @pytest.mark.parametrize("backbone,mode,sides", [
@@ -599,12 +614,15 @@ def test_step_matches_window(rng, backbone, mode, sides):
     for key in ("quats", "translations"):
         if got[key] is not None:
             assert np.abs(got[key].data - want[key].data).max() <= tol
-    assert [s.shape for s in state] == [w.shape for w in want["state"]]
     if backbone == "convolutional":
+        state, want_state = ([_conv_frames(s) for s in st] for st in (state, want["state"]))
         assert [s.shape for s in state] == [(2, d, c) for d, c in
                                             zip(cfg.dilations, (4 * 4, 16, 16, 16, 16))]
-    for s, w in zip(state, want["state"]):
-        assert np.abs(s.data - w.data).max() <= tol
+    else:
+        state, want_state = [s.data for s in state], [w.data for w in want["state"]]
+    assert [s.shape for s in state] == [w.shape for w in want_state]
+    for s, w in zip(state, want_state):
+        assert np.abs(s - w).max() <= tol
 
 
 @pytest.mark.parametrize("backbone", ["recurrent", "convolutional"])

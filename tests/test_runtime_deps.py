@@ -76,22 +76,15 @@ def test_only_the_owners_of_a_checkpoint_kind_read_or_write_one():
 
 def test_only_autodiff_decides_how_ops_run_off_the_tape():
     # the networks have one forward, written against the ops: outside
-    # autodiff only PoseNetwork._conv, which picks the off-tape conv state,
-    # reads the tape switch, and nothing names the ops' array kernels
-    kernels = {"_gru_forward", "_gru_states", "_leaky"}
+    # autodiff nothing reads the tape switch or names the ops' array kernels
+    banned = {"_recording", "_gru_forward", "_gru_states", "_leaky", "_conv_forward"}
     found = []
     for path in sorted((SRC / "quatmotion").glob("*.py")):
         if path.name == "autodiff.py":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        allowed = {id(node) for cls in ast.walk(tree)
-                   if isinstance(cls, ast.ClassDef) and path.name == "models.py"
-                   and cls.name == "PoseNetwork" for fn in cls.body
-                   if isinstance(fn, ast.FunctionDef) and fn.name == "_conv"
-                   for node in ast.walk(fn)}
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             name = (node.id if isinstance(node, ast.Name) else
                     node.name if isinstance(node, ast.alias) else getattr(node, "attr", None))
-            if name in kernels or (name == "_recording" and id(node) not in allowed):
+            if name in banned:
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
     assert found == []

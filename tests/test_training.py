@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from quatmotion import training as tr
 from quatmotion.autodiff import NumericalError, Tensor
 from quatmotion.kinematics import forward_kinematics
 from quatmotion.motiondata import MotionClip
-from quatmotion.optim import AdamState, adam_step, clip_global_norm
+from quatmotion.optim import BETA1, AdamState, adam_step, clip_global_norm
 
 from conftest import random_unit_quats
 
@@ -122,7 +123,7 @@ def _tape_nodes(root) -> int:
     pytest.param("expmap", "positional", 91, {"mode": "absolute"}, 10,
                  id="expmap-positional-149"),
     pytest.param("quaternion", "quat_dot", 89, {}, 10, id="quaternion-velocity-165"),
-    pytest.param("quaternion", "quat_dot", 127, {"backbone": "convolutional"}, 32,
+    pytest.param("quaternion", "quat_dot", 87, {"backbone": "convolutional"}, 32,
                  id="conv-quaternion-velocity-193"),
 ])
 def test_rollout_tape_nodes(corpus, parameterization, loss, most, net_kw, n):
@@ -286,6 +287,19 @@ def test_adam_step_takes_finite_gradients_whose_squares_overflow():
     assert np.sqrt(sum(np.sum(g * g) for g in clipped.values())) == pytest.approx(1.0)
     assert np.allclose(clipped["a"], [np.sqrt(0.5), -np.sqrt(0.5)])
     assert np.allclose(params["a"], [1.0 - 1e-3, 1.0 + 1e-3])
+
+
+def test_adam_step_clips_finite_gradients_whose_norm_overflows():
+    # the norm 2e308 is beyond the largest float: it is returned as inf,
+    # and the step is still clipped to a gradient of norm clip_norm, with
+    # no overflow warning
+    params, state, clip = {"a": np.zeros(4)}, AdamState(), 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = adam_step(params, {"a": np.full(4, 1e308)}, state, lr=1e-3, clip_norm=clip)
+    assert norm == np.inf and state.step == 1
+    assert np.linalg.norm(state.m["a"]) == pytest.approx((1.0 - BETA1) * clip, rel=1e-12)
+    assert np.allclose(params["a"], -1e-3)  # lr, up to Adam's eps
 
 
 # the conv backbone conditions on its whole 32-frame receptive field
@@ -561,10 +575,11 @@ def test_free_run_records_no_tape(corpus, backbone, n):
                 calls.append((_n, _m(*a, **k))) or calls[-1][1])
     tr.free_run_predict(net, clips[0].active_rotations[:n], 6)
     assert [name for name, _ in calls] == ["forward_window"] + ["step"] * 5
-    # off the tape every output is a plain array, the state's frames included
+    # off the tape every output is a plain array, the conv state's chunks
+    # (each layer's (chunks, at)) included
     values = [v for _, out in calls for v in out.values() if v is not None]
     arrays = [a for v in values for s in (v if isinstance(v, list) else [v])
-              for a in (s if isinstance(s, tuple) else [s])]
+              for a in (s[0] if isinstance(s, tuple) else [s])]
     assert arrays and all(type(a) is np.ndarray for a in arrays)
 
     # the switch is off again: a rollout after free-run records its tape
