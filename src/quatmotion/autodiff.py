@@ -682,8 +682,8 @@ def causal_conv(x, past, w0, w1, b, slope=None, skip=None, at=0) -> Tensor:
     taps' adjoints of ``x`` are separate contributions, the current tap's
     first, so gradients sum as the composite's tape sums them."""
     if not _recording:
-        # a network's call (array frames, Tensor weights) skips five _array calls,
-        # a free-run step's parity; float weights make the frames float, as _array would
+        # a network's call (array frames, Tensor weights) skips the five _array calls
+        # that slowed a free-run step; float weights make the frames float, as _array would
         if type(w0) is type(w1) is type(b) is Tensor and type(x) is type(past) is _NDARRAY:
             w0, w1, b = w0.data, w1.data, b.data
         else:

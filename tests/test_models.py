@@ -549,7 +549,7 @@ def test_generation_matches_reference_loop(corpus):
     assert messages[0] == messages[1] and not messages[0].endswith("at frame 0")
 
 
-def _conv_frames(layer_state) -> np.ndarray:
+def _last_frames(layer_state) -> np.ndarray:
     """A layer's last d input frames (B, d, C) from its ``(chunks, at)``."""
     chunks, at = layer_state
     return np.concatenate([ad._array(chunks[0])[:, at:]] + [ad._array(c) for c in chunks[1:]],
@@ -581,7 +581,7 @@ def test_off_tape_conv_state_is_frames_and_never_written(rng):
     for out in steps:
         assert out["quats"].tobytes() == on_tape["quats"].data.tobytes()
         for layer, d in zip(out["state"], cfg.dilations):
-            assert _conv_frames(layer).shape[1] == d
+            assert _last_frames(layer).shape[1] == d
         for (chunks, at), (want, want_at) in zip(out["state"], on_tape["state"]):
             assert at == want_at
             # the chunks before the step's are the state's own: Tensors in the taped one
@@ -615,7 +615,7 @@ def test_step_matches_window(rng, backbone, mode, sides):
         if got[key] is not None:
             assert np.abs(got[key].data - want[key].data).max() <= tol
     if backbone == "convolutional":
-        state, want_state = ([_conv_frames(s) for s in st] for st in (state, want["state"]))
+        state, want_state = ([_last_frames(s) for s in st] for st in (state, want["state"]))
         assert [s.shape for s in state] == [(2, d, c) for d, c in
                                             zip(cfg.dilations, (4 * 4, 16, 16, 16, 16))]
     else:
