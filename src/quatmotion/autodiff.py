@@ -666,7 +666,7 @@ def _conv_forward(x, past, w0, w1, b, slope=None, skip=None, at=0):
     pre += x @ w1  # in place, with the bytes of lag @ w0 + x @ w1 + b
     pre += b
     if slope is not None:
-        data = np.maximum(pre, slope * pre)  # _leaky inline: a call fewer per layer
+        data = _leaky(pre, slope)
     if skip is not None:
         data = data + skip
     return data, lag, pre
@@ -678,17 +678,14 @@ def causal_conv(x, past, w0, w1, b, slope=None, skip=None, at=0) -> Tensor:
     taps ``lag = [past[:, at:], x][:, :t]`` (a step reads one frame of a
     chunk, a window the d frames of ``past`` and then its own), then a
     leaky ReLU if ``slope`` is given, then ``+ skip``, in the composite
-    ops' order. The lag adjoint of ``past`` is written at ``at``; the two
-    taps' adjoints of ``x`` are separate contributions, the current tap's
-    first, so gradients sum as the composite's tape sums them."""
+    ops' order. ``x @ w1`` and ``b`` are added to ``lag @ w0`` in place, so
+    they must broadcast into its shape. The lag adjoint of ``past`` is
+    written at ``at``; the two taps' adjoints of ``x`` are separate
+    contributions, the current tap's first, so gradients sum as the
+    composite's tape sums them."""
     if not _recording:
-        # a network's call (array frames, Tensor weights) skips the five _array calls
-        # that slowed a free-run step; float weights make the frames float, as _array would
-        if type(w0) is type(w1) is type(b) is Tensor and type(x) is type(past) is _NDARRAY:
-            w0, w1, b = w0.data, w1.data, b.data
-        else:
-            x, past, w0, w1, b = _array(x), _array(past), _array(w0), _array(w1), _array(b)
-        return _conv_forward(x, past, w0, w1, b, slope, None if skip is None else _array(skip), at)[0]
+        return _conv_forward(_array(x), _array(past), _array(w0), _array(w1), _array(b), slope,
+                             None if skip is None else _array(skip), at)[0]
     x, past, w0, w1, b = (as_tensor(t) for t in (x, past, w0, w1, b))
     t, d = x.data.shape[1], past.data.shape[1] - at
     skip = None if skip is None else as_tensor(skip)

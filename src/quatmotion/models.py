@@ -419,16 +419,18 @@ class PoseNetwork(ParamContainer):
     # -- convolutional path ------------------------------------------------
 
     def _conv(self, x, state: list) -> tuple:
-        """The causal convolutions over x (B, T, C) from ``state``, each of
-        width 2: y[t] = w0.x[t-d] + w1.x[t] + b. All but the last (linear)
-        layer are leaky ReLUs, and additive skips connect every other
-        same-width layer. Layer l's state ``(chunks, at)`` holds its inputs
-        in chunks, oldest first, its last d frames from ``chunks[0][:, at]``
-        on, where the lag tap is read; x is appended and a used-up first
-        chunk dropped (a window from ``init_state`` leaves ``((x,), T - d)``),
-        so nothing is concatenated or written to. Returns the last layer's
-        output for the last frame (B, out) and the new states."""
+        """The causal convolutions over x (B, T, C), each of width 2:
+        y[t] = w0.x[t-d] + w1.x[t] + b. All but the last (linear) layer are
+        leaky ReLUs, and additive skips connect every other same-width layer.
+        Layer l's state ``(chunks, at)`` holds its inputs, oldest first, its
+        last d frames from ``chunks[0][:, at]`` on, where the lag tap is read.
+        x is a window from ``init_state`` (leaving ``((x,), T - d)``) or one
+        frame; it is appended and a used-up first chunk dropped, writing
+        nothing. Off the tape the new states hold arrays only. Returns the
+        last layer's output for the last frame (B, out) and the new states."""
         t = x.shape[1]
+        if type(x) is np.ndarray is not type(state[-1][0][-1]):  # off the tape, a taped state
+            state = [(tuple(map(ad._array, chunks)), at) for chunks, at in state]
         outs, new_state = [], []
         for (chunks, at), ((w0, w1, b), slope, skip) in zip(state, self._conv_layers):
             past = chunks[0]

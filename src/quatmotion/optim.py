@@ -50,11 +50,11 @@ def clip_global_norm(grads: dict, max_norm: float) -> dict:
 
 
 def _clipped(grads: dict, max_norm: float, scale: float, norm: float) -> dict:
-    # by max_norm / (scale * norm), or by (max_norm / scale) / norm where the product overflows
+    # by (max_norm / scale) / norm, finite where scale * norm overflows
     total = scale * norm
     if total <= max_norm or total == 0.0:
         return grads
-    factor = max_norm / total if np.isfinite(total) else max_norm / scale / norm
+    factor = max_norm / scale / norm
     return {k: g * factor for k, g in grads.items()}
 
 
