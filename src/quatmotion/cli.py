@@ -48,8 +48,8 @@ class CliError(Exception):
 
 
 def read_config(path) -> dict:
-    """Plain UTF-8 key=value config, one pair per line, '#' comments."""
-    out = {}
+    """Plain UTF-8 key=value config: one pair per line, each key once, '#' comments."""
+    out, lines_of = {}, {}
     with open(path, encoding="utf-8") as fh:
         try:
             lines = fh.readlines()
@@ -62,8 +62,12 @@ def read_config(path) -> dict:
             continue
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value", EXIT_USAGE)
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in lines_of:
+            raise CliError(f"{path}: config key {key!r} is given twice, on lines "
+                           f"{lines_of[key]} and {lineno}", EXIT_USAGE)
+        lines_of[key] = lineno
+        out[key] = val
     return out
 
 

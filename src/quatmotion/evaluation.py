@@ -15,17 +15,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from . import rotmath as rm
-from .autodiff import Tensor
-from .kinematics import (Skeleton, forward_kinematics, ik_reproject,
-                         per_frame_velocity_error, position_error, position_error_tensor)
-from .models import (GRU_LAYERS, ParamContainer, PoseNetwork, PoseNetworkConfig, _GruStack,
-                     _linear, gru_specs, linear_specs)
-from .motiondata import EpisodeSampler
-from .optim import AdamState
-from .training import (TrainConfig, _adam_epoch, _minibatches, euler_error, free_run_chunks,
-                       train_pose)
+from .kinematics import Skeleton, per_frame_velocity_error
+from .models import PoseNetwork, PoseNetworkConfig
+from .training import TrainConfig, euler_error, free_run_chunks, train_pose
 
 BOOTSTRAP_RESAMPLES = 1000
 PLATEAU_REL_TOL = 0.05
@@ -245,128 +238,4 @@ def compare_parameterizations(clips, skel: Skeleton, config: TrainConfig,
                 "velocity_errors": vel,
             })
         out[param] = runs
-    return out
-
-
-# -- position-output model (for the regression comparison) --------------------------
-
-class PositionNetwork(ParamContainer):
-    """Recurrent regressor that predicts next-frame joint positions
-    directly, the rotation-free alternative in the output-space
-    comparison. Input and output are root-relative positions of all
-    joints, flattened."""
-
-    def __init__(self, num_joints: int, hidden: int = 64, seed: int = 0,
-                 params: dict | None = None):
-        self.num_joints = num_joints
-        prefixes = [f"gru{layer}" for layer in range(GRU_LAYERS)]
-        super().__init__(gru_specs(prefixes, 3 * num_joints, hidden)
-                         + linear_specs("head", hidden, 3 * num_joints), seed, params)
-        self._gru = _GruStack(self.params, prefixes, hidden)
-
-    def init_state(self, batch: int) -> list:
-        return self._gru.init_state(batch)
-
-    def step(self, x: Tensor, state: list):
-        new_state = self._gru.step(x, state)
-        return _linear(self.params, "head", new_state[-1]), new_state
-
-    def sequence(self, x: Tensor, state: list):
-        """Predictions after every frame of x (B, T, 3J), and the state
-        after the last one."""
-        outputs, new_state = self._gru.sequence(x, state)
-        return _linear(self.params, "head", outputs), new_state
-
-    @ad.no_grad()
-    def free_run(self, prefix: np.ndarray, horizon: int) -> np.ndarray:
-        """prefix (n, J, 3) -> predictions (horizon >= 1, J, 3), recording
-        no tape; one sequence over the prefix, then horizon - 1 steps."""
-        out, state = self.sequence(prefix.reshape(1, len(prefix), -1), self.init_state(1))
-        out = out[:, -1]
-        preds = [out]
-        for _ in range(horizon - 1):
-            out, state = self.step(out, state)
-            preds.append(out)
-        return np.stack([ad._array(p)[0].reshape(self.num_joints, 3) for p in preds])
-
-
-def train_position_network(net: PositionNetwork, clips, skel: Skeleton,
-                           config: TrainConfig) -> list:
-    """Teacher-forced next-frame position regression with the shared
-    optimizer stack (mean joint distance loss)."""
-    episode_len = config.conditioning_frames + config.prediction_frames
-    sampler = EpisodeSampler(clips, episode_len, seed=config.seed)
-    adam = AdamState()
-    n = config.conditioning_frames
-
-    def loss_of(batch):
-        rots = batch["rotations"]
-        b, t = rots.shape[:2]
-        pos = forward_kinematics(skel, rots, np.zeros((b, t, 3)))
-        # predictions from frames n-1 .. t-2 of the teacher-forced inputs
-        out, _ = net.sequence(Tensor(pos.reshape(b, t, -1)[:, :t - 1]), net.init_state(b))
-        return position_error_tensor(ad.reshape(out[:, n - 1:], (b, t - n, skel.num_joints, 3)),
-                                     pos[:, n:])
-
-    history = []
-    for epoch in range(config.epochs):
-        lr = config.lr_at(epoch)
-        losses, _ = _adam_epoch(net, adam, lr,
-                                _minibatches(sampler, len(clips), config.batch_size), loss_of)
-        history.append({"epoch": epoch, "lr": lr, "train_loss": float(np.mean(losses))})
-    return history
-
-
-def bone_length_spread(positions: np.ndarray, skel: Skeleton) -> float:
-    """Largest per-bone deviation of observed lengths from the skeleton's
-    structural lengths (0 for FK-produced poses)."""
-    lengths = np.linalg.norm(
-        positions[..., 1:, :] - positions[..., skel.parents[1:], :], axis=-1)
-    ref = skel.bone_lengths()[1:]
-    return float(np.abs(lengths - ref).max())
-
-
-def compare_position_regression(clips, skel: Skeleton, config: TrainConfig,
-                                hidden: int = 64, ik_cfg=None) -> dict:
-    """Quaternion model vs direct position regression vs IK-reprojected
-    positions: losses, velocity-error pools, and bone-length checks, all
-    on ``clips``."""
-    a = skel.num_active
-    n, k = config.conditioning_frames, config.prediction_frames
-
-    qnet = PoseNetwork(PoseNetworkConfig.desk(
-        a, hidden=hidden, mode="absolute",
-        parameterization="quaternion"), seed=config.seed)
-    qcfg = replace(config, loss="positional")
-    train_pose(qnet, clips, skel, qcfg, validate_every=max(1, config.epochs // 2))
-    pnet = PositionNetwork(skel.num_joints, hidden=hidden, seed=config.seed)
-    train_position_network(pnet, clips, skel, config)
-
-    out = {"quaternion": {"velocity_errors": [], "position_errors": []},
-           "position": {"velocity_errors": [], "position_errors": [],
-                        "bone_spread": 0.0},
-           "reprojected": {"velocity_errors": [], "position_errors": [],
-                           "bone_spread": 0.0}}
-    for clip, s, qpos, ref in free_run_chunks(qnet, clips, skel, n, k, max_chunks=4):
-        rots = clip.active_rotations
-        out["quaternion"]["position_errors"].append(position_error(qpos, ref))
-        out["quaternion"]["velocity_errors"].append(per_frame_velocity_error(qpos, ref))
-
-        prefix_pos = forward_kinematics(skel, rots[s:s + n], np.zeros((n, 3)))
-        ppos = pnet.free_run(prefix_pos, k)
-        out["position"]["position_errors"].append(position_error(ppos, ref))
-        out["position"]["velocity_errors"].append(per_frame_velocity_error(ppos, ref))
-        out["position"]["bone_spread"] = max(
-            out["position"]["bone_spread"], bone_length_spread(ppos, skel))
-
-        reproj = ik_reproject(skel, ppos, rots[s + n - 1], cfg=ik_cfg,
-                              root_position=np.zeros(3))
-        rpos = forward_kinematics(skel, reproj, np.zeros((k, 3)))
-        out["reprojected"]["position_errors"].append(position_error(rpos, ref))
-        out["reprojected"]["velocity_errors"].append(per_frame_velocity_error(rpos, ref))
-        out["reprojected"]["bone_spread"] = max(
-            out["reprojected"]["bone_spread"], bone_length_spread(rpos, skel))
-    for key in out:
-        out[key]["velocity_errors"] = np.concatenate(out[key]["velocity_errors"])
-        out[key]["position_loss"] = float(np.mean(out[key]["position_errors"]))
     return out

@@ -49,7 +49,7 @@ CHECKPOINT_VERSION = 1
 CONTROL_DIM = 6
 CONV_LAYERS = 5  # dilations 1, 2, 4, 8, 16: a 32-frame receptive field
 CONV_TAPS = 2  # every causal convolution reads frames t - d and t
-GRU_LAYERS = 2  # the recurrent pose and position networks
+GRU_LAYERS = 2  # the recurrent pose network, as in the paper
 ENCODER_UNITS = 30
 LEAKY_SLOPE = 0.05
 

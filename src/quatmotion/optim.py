@@ -1,7 +1,7 @@
 """Adam optimizer with global-norm gradient clipping.
 
-Operates on dicts of named numpy parameter arrays, so that the pose, pace
-and position networks share one code path. (Inverse kinematics does not
+Operates on dicts of named numpy parameter arrays, so that the pose and
+pace networks share one code path. (Inverse kinematics does not
 use it: ``kinematics.ik_reproject`` is Levenberg-Marquardt.)
 """
 
@@ -72,9 +72,10 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
     ``clip_norm``; ``inf`` clips nothing). Finite gradients whose norm
     exceeds the largest float return ``inf`` and still take a clipped step.
 
-    Raises :class:`NumericalError` on non-finite gradients instead of
-    corrupting the parameters. The scaled norm is finite unless a gradient
-    is not, so only then are the gradients scanned, to name the parameter.
+    Raises :class:`NumericalError`, before any state changes, on non-finite
+    gradients and on gradients whose squares overflow after clipping (v = inf
+    would freeze those entries). Only a non-finite scaled norm makes it scan for the
+    first, and only a rescaled norm (scale not 1) for the second.
     """
     scale, scaled = _scaled_norm(grads)
     if not np.isfinite(scaled):
@@ -82,6 +83,11 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
             if not np.all(np.isfinite(g)):
                 raise NumericalError(f"non-finite gradient for parameter {name!r}")
     grads = _clipped(grads, clip_norm, scale, scaled)
+    if scale != 1.0:
+        with np.errstate(over="ignore"):
+            over = [name for name, g in sorted(grads.items()) if not np.isfinite(g * g).all()]
+        if over:
+            raise NumericalError(f"gradient squares overflow for parameters {over}")
     state.step += 1
     bias1 = 1.0 - BETA1 ** state.step
     bias2 = 1.0 - BETA2 ** state.step

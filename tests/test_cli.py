@@ -833,6 +833,20 @@ def test_config_that_is_not_utf8_is_usage_error(tmp_path, dataset_dir, capsys, c
     assert "binary.cfg" in err and "UTF-8" in err and "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("repeat", ["epochs = 3", "dataset = {}"], ids=["epochs", "dataset"])
+def test_config_key_given_twice_is_usage_error(tmp_path, dataset_dir, capsys, repeat):
+    # even with the same value: the first key would otherwise silently lose
+    key = repeat.split()[0]
+    cfgfile = tmp_path / "twice.cfg"
+    cfgfile.write_text(f"epochs = 1\ndataset = {dataset_dir}\n# again\n"
+                       f"{repeat.format(dataset_dir)}\n")
+    assert run(["train-pose", "--config", cfgfile, "--out", tmp_path / "o"]) == 1
+    out, err = capsys.readouterr()
+    first = 1 if key == "epochs" else 2
+    assert f"config key {key!r} is given twice, on lines {first} and 4" in err
+    assert "Traceback" not in out + err and not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flag", ["--left-foot", "--right-foot"])
 def test_train_pace_unknown_foot_is_usage_error(tmp_path, dataset_dir, capsys, flag):
     assert run(["train-pace", "--dataset", dataset_dir, flag, "nope",

@@ -4,7 +4,6 @@ import pytest
 from quatmotion import evaluation as ev
 from quatmotion import motiondata as md
 from quatmotion import rotmath as rm
-from quatmotion.autodiff import Tensor
 from quatmotion.locomotion import make_synth_corpus
 
 from conftest import random_unit_quats
@@ -146,65 +145,6 @@ def test_tail_mass():
 def test_detect_plateau():
     assert ev.detect_plateau([1.0, 1.0, 1.0]) == 0
     assert ev.detect_plateau([1.0, 0.5, 0.3, 0.29, 0.285]) >= 2
-
-
-def test_position_network_free_run(corpus):
-    skel, clips = corpus
-    net = ev.PositionNetwork(skel.num_joints, hidden=16, seed=0)
-    pos = clips[0].positions()[:10]
-    pred = net.free_run(pos, 3)
-    assert pred.shape == (3, skel.num_joints, 3)
-    assert np.isfinite(pred).all()
-
-    # one sequence over the prefix and k - 1 steps give what an n + k step
-    # loop that drops its last output gives, up to the summation order of
-    # the hoisted input projection
-    state = net.init_state(1)
-    for f in range(10):
-        out, state = net.step(Tensor(pos[f].reshape(1, -1)), state)
-    want = []
-    for _ in range(4):
-        want.append(out.data[0].reshape(-1, 3))
-        out, state = net.step(out, state)
-    step, calls = net.step, []
-    net.step = lambda *a: calls.append(1) or step(*a)
-    assert np.abs(net.free_run(pos, 4) - np.stack(want)).max() < 1e-12
-    assert len(calls) == 3
-
-
-def test_position_free_run_off_the_tape_is_free_run_on_it(corpus):
-    # off the tape the GRU stack and head run on arrays: the recorded
-    # run's bytes
-    skel, clips = corpus
-    net = ev.PositionNetwork(skel.num_joints, hidden=16, seed=0)
-    pos = clips[0].positions()[:10]
-    taped = ev.PositionNetwork.free_run.__wrapped__(net, pos, 5)
-    assert net.free_run(pos, 5).tobytes() == taped.tobytes()
-
-
-def test_bone_length_spread_zero_for_fk(corpus):
-    skel, clips = corpus
-    assert ev.bone_length_spread(clips[0].positions(), skel) < 1e-9
-
-
-def test_compare_position_regression_tiny():
-    from quatmotion.kinematics import IkConfig
-    from quatmotion.training import TrainConfig
-
-    skel, clips = make_synth_corpus(2, seed=4, duration=4)
-    n, k = 10, 4
-    cfg = TrainConfig(epochs=2, conditioning_frames=n, prediction_frames=k, seed=1)
-    res = ev.compare_position_regression(clips, skel, cfg, hidden=8,
-                                         ik_cfg=IkConfig(max_steps=20))
-    assert set(res) == {"quaternion", "position", "reprojected"}
-    chunks = 2 * 4  # max_chunks=4 per clip
-    for out in res.values():
-        assert len(out["position_errors"]) == chunks
-        assert out["velocity_errors"].shape == (chunks * (k - 1),)
-        assert np.isfinite(out["position_loss"])
-    # FK output keeps every bone length exactly; direct regression does not
-    assert res["reprojected"]["bone_spread"] < 1e-9
-    assert res["position"]["bone_spread"] > 1e-9
 
 
 # run_protocol means recorded at e5c458b (before streaming conv free-run and

@@ -11,7 +11,6 @@ from quatmotion import models as mo
 from quatmotion import rotmath as rm
 from quatmotion import training as tr
 from quatmotion.autodiff import Tensor
-from quatmotion.evaluation import PositionNetwork
 from quatmotion.locomotion import fit_spline
 from quatmotion.motiondata import MotionClip
 
@@ -52,9 +51,8 @@ def _init_digest(net):
         24, mode="absolute", parameterization="expmap"), seed=3), "9ac7d6c73c011559"),
     (lambda: lo.PaceNetwork(lo.PaceNetworkConfig(), seed=3), "93ba51e6bf1fa219"),
     (lambda: lo.PaceNetwork(lo.PaceNetworkConfig(variant="online"), seed=3), "1c93fca7dbdf45cf"),
-    (lambda: PositionNetwork(17, seed=3), "e04f56a6379595f9"),
 ], ids=["gru", "conv", "controls_translations", "absolute_expmap", "pace_bidirectional",
-        "pace_online", "position"])
+        "pace_online"])
 def test_initial_parameters_unchanged(build, digest):
     assert _init_digest(build()) == digest
 
@@ -62,8 +60,7 @@ def test_initial_parameters_unchanged(build, digest):
 @pytest.mark.parametrize("build", [
     lambda **kw: mo.PoseNetwork(mo.PoseNetworkConfig.desk(3, hidden=4), **kw),
     lambda **kw: lo.PaceNetwork(lo.PaceNetworkConfig(hidden=4), **kw),
-    lambda **kw: PositionNetwork(3, hidden=4, **kw),
-], ids=["pose", "pace", "position"])
+], ids=["pose", "pace"])
 @pytest.mark.parametrize("edit", ["missing", "extra", "misshaped"])
 def test_params_must_fit_the_declaration(build, edit):
     params = {k: ad.parameter(v) for k, v in build(seed=1).param_arrays().items()}
@@ -296,15 +293,12 @@ def test_pose_step_adds_one_tape_node_per_gru_layer(rng, monkeypatch, layers):
 
 
 def test_gru_parameter_names_unchanged():
-    from quatmotion.evaluation import PositionNetwork
-
     def gru(*prefixes):
         return {f"{p}.{k}" for p in prefixes for k in ("wx", "wh", "b", "h0")}
 
     head = {"head.w", "head.b"}
     pose = mo.PoseNetwork(mo.PoseNetworkConfig.desk(3, hidden=4), seed=0)
     assert set(pose.params) == gru("gru0", "gru1") | head
-    assert set(PositionNetwork(3, hidden=4).params) == gru("gru0", "gru1") | head
     pace = lo.PaceNetwork(lo.PaceNetworkConfig(hidden=4), seed=0)
     assert set(pace.params) == gru("fwd", "bwd") | head
     online = lo.PaceNetwork(lo.PaceNetworkConfig(hidden=4, variant="online"), seed=0)
