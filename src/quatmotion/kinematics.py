@@ -20,7 +20,11 @@ IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 # IK damping floor: an active leaf joint has a zero Jacobian column, and this
 # keeps its normal equations nonsingular with a step of exactly zero
 _LM_EPS = 1e-9
-_LM_TOL = 1e-8  # IK stop rule: the relative cost decrease at which a frame is done
+# IK stop rules: a frame is done once a step lowers its cost by at most
+# _LM_TOL of it, or once its RMS joint error is at most _LM_FLOOR skeleton
+# heights (far above float rounding, where the relative rule cannot fire)
+_LM_TOL = 1e-8
+_LM_FLOOR = 1e-12
 
 
 @dataclass
@@ -108,7 +112,7 @@ class Skeleton:
         return np.linalg.norm(self.offsets, axis=-1)
 
     def height(self) -> float:
-        """Total offset span; used as a scale reference for divergence guards."""
+        """Total offset span; the length scale of divergence guards and the IK floor."""
         return float(self.bone_lengths().sum())
 
     def to_dict(self) -> dict:
@@ -268,12 +272,17 @@ def ik_reproject(skel: Skeleton, target: np.ndarray, init: np.ndarray,
 
     A frame is done once a step lowers its cost by at most ``_LM_TOL`` times
     that cost (for a rejected step, the decrease the linearized model
-    predicted, which shrinks as the damping grows). The solve stops when all
+    predicted, which shrinks as the damping grows), or once its cost is at
+    most ``num_joints * (_LM_FLOOR * skel.height())**2``, an RMS joint error
+    of 1e-12 skeleton heights: on an exact target the cost falls to float
+    rounding, where it keeps moving and the relative rule cannot fire. A
+    frame that is done is never stepped again. The solve stops when all
     frames are done (``"tol"``), after ``cfg.patience`` iterations in a row
     in which no frame improved (``"patience"``), or at ``cfg.max_steps``.
     ``info``, if given, receives ``iterations``, the final summed ``cost``
-    and ``stop``. A non-finite target or ``init``, a zero ``init``
-    quaternion, or a joint count that does not match raises ValueError.
+    and ``stop``. A non-finite target, ``root_position`` or ``init``, a zero
+    ``init`` quaternion, or a joint count that does not match raises
+    ValueError.
     """
     cfg = cfg or IkConfig()
     target = np.asarray(target, dtype=float)
@@ -283,6 +292,8 @@ def ik_reproject(skel: Skeleton, target: np.ndarray, init: np.ndarray,
         raise ValueError("IK target joint count does not match skeleton")
     if root_position is None:
         root_position = target[..., 0, :]
+    elif not np.all(np.isfinite(root_position)):
+        raise ValueError("IK root_position contains non-finite values")
     lead, a, active = target.shape[:-2], skel.num_active, skel.active_indices
     target = target.reshape(-1, skel.num_joints, 3)
     root = np.broadcast_to(root_position, lead + (3,)).reshape(-1, 3)
@@ -303,7 +314,8 @@ def ik_reproject(skel: Skeleton, target: np.ndarray, init: np.ndarray,
         return world_q, pos, np.sum((target - pos) ** 2, axis=(-2, -1))
 
     world_q, pos, cost = evaluate(rots)
-    lam, done = np.full(len(cost), 1e-3), np.zeros(len(cost), dtype=bool)
+    floor = skel.num_joints * (_LM_FLOOR * skel.height()) ** 2
+    lam, done = np.full(len(cost), 1e-3), cost <= floor
     steps, stall, stop = 0, 0, "max_steps"
     while steps < cfg.max_steps:
         steps += 1
@@ -326,6 +338,7 @@ def ik_reproject(skel: Skeleton, target: np.ndarray, init: np.ndarray,
         done |= np.where(accept, gain, predicted) <= _LM_TOL * cost
         for cur, new in ((rots, trial), (world_q, t_world_q), (pos, t_pos), (cost, t_cost)):
             cur[accept] = new[accept]
+        done |= cost <= floor
         lam = np.clip(lam * np.where(accept, 1.0 / 3.0, 10.0), 1e-12, 1e12)
         stall = 0 if np.any(accept & (gain > 0)) else stall + 1
         if done.all() or stall >= cfg.patience:

@@ -391,6 +391,7 @@ def test_criterion_10_ik_reprojection():
     t0 = time.time()
     worst = 0.0
     bone_dev = 0.0
+    solves = []
     for _ in range(2):
         offs = rng.normal(size=(5, 3))
         offs[0] = 0
@@ -400,9 +401,11 @@ def test_criterion_10_ik_reprojection():
         q = random_unit_quats(rng, (8, 5))
         target = forward_kinematics(skel, q, np.zeros((8, 3)))
         init = np.tile([1.0, 0, 0, 0], (8, 5, 1))
+        info = {}
         got = ik_reproject(skel, target, init,
                            IkConfig(step_size=2e-2, step_decay=0.997,
-                                    max_steps=1800, patience=500))
+                                    max_steps=1800, patience=500), info=info)
+        solves.append(f"{info['iterations']} its {info['stop']}")
         pos = forward_kinematics(skel, got, np.zeros((8, 3)))
         worst = max(worst, float(np.linalg.norm(pos - target, axis=-1).max()))
         lens = np.linalg.norm(pos[:, 1:] - pos[:, skel.parents[1:]], axis=-1)
@@ -440,7 +443,8 @@ def test_criterion_10_ik_reprojection():
     tail_r = ev.tail_mass(rerrs, q99)
     ok_b = tail_r > tail_q
     report(10, "IK recovery and perturbed-target tails", ok_a and ok_b,
-           f"recover {worst:.1e} in {solve_t:.1f}s, bones {bone_dev:.1e}, "
+           f"recover {worst:.1e} in {solve_t:.1f}s, solves {'; '.join(solves)}, "
+           f"bones {bone_dev:.1e}, "
            f"tails reproj {tail_r:.3f} > quat {tail_q:.3f}")
 
 

@@ -123,11 +123,21 @@ def test_ik_reports_why_it_stopped():
     init = np.tile([1.0, 0, 0, 0], (8, 5, 1))
     info = {}
     ik_reproject(skel, target, init, IkConfig(max_steps=1800, patience=500), info=info)
-    assert info["stop"] == "tol" and info["iterations"] <= 50
+    assert info["stop"] == "tol" and info["iterations"] <= 12
     assert info["cost"] < 1e-20
     ik_reproject(skel, target, init, IkConfig(max_steps=1), info=info)
     assert info["stop"] == "max_steps" and info["iterations"] == 1
     assert info["cost"] > 1e-3
+
+
+def test_ik_started_at_its_exact_solution_is_done(rng):
+    skel = random_chain(rng, 5)
+    truth = random_unit_quats(rng, (3, 5))
+    target = forward_kinematics(skel, truth, np.zeros((3, 3)))
+    info = {}
+    got = ik_reproject(skel, target, truth, info=info)
+    assert info["stop"] == "tol" and info["iterations"] <= 1
+    assert got.tobytes() == (truth / np.linalg.norm(truth, axis=-1, keepdims=True)).tobytes()
 
 
 def branching_skeleton(rng):
@@ -178,6 +188,15 @@ def test_ik_rejects_bad_init(rng, fill):
     init[1] = fill
     with pytest.raises(ValueError, match="init"):
         ik_reproject(skel, target, init)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ik_rejects_non_finite_root_position(rng, bad):
+    skel = random_chain(rng, 3)
+    target = forward_kinematics(skel, random_unit_quats(rng, (3,)), np.zeros(3))
+    with pytest.raises(ValueError, match="root_position"):
+        ik_reproject(skel, target, np.tile([1.0, 0, 0, 0], (3, 1)),
+                     root_position=[bad, 0.0, 0.0])
 
 
 def test_positional_loss_gradient_through_fk(rng):
